@@ -14,7 +14,8 @@ from pathlib import Path
 from .diagnostics import (ReferenceUnavailable, compare_schemes, detect_ghosts,
                           estimate_order)
 from .equilibria import stability_report, find_equilibria
-from .integrators import IDENTITY, integrate, scheme_from_name, weight_from_name
+from .integrators import (IDENTITY, _float_tag, integrate, scheme_from_name,
+                          weight_from_name)
 from .systems import State, from_selector
 
 SCHEME_CHOICES = ("nsfd", "ensfd", "euler", "rk2", "rk4")
@@ -117,8 +118,14 @@ def _build_scheme(parser, name, weight_text):
         parser.error(str(exc))
 
 
-def _h_tag(h: float) -> str:
-    return f"{h:g}"
+def _run_stem(system, scheme, h: float) -> str:
+    """File stem naming one run: model, scheme (with its weight unless
+    identity) and step size, each written so that distinct runs never share
+    a name."""
+    label = scheme.label
+    if scheme.weight is not None and scheme.weight is not IDENTITY:
+        label += "-" + scheme.weight.name.replace(":", "")
+    return f"{system.name}_{label}_h{_float_tag(h)}"
 
 
 def main(argv=None) -> int:
@@ -140,7 +147,7 @@ def _dispatch(parser, args) -> int:
         traj = integrate(system, scheme, State(args.x0, args.y0), args.h, args.t_end)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{system.name}_{scheme.label}_h{_h_tag(args.h)}.csv"
+        path = out / f"{_run_stem(system, scheme, args.h)}.csv"
         traj.write_csv(path)
         fin = traj.final()
         print(path)
@@ -222,8 +229,7 @@ def _dispatch(parser, args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            name = f"{system.name}_{scheme.label}_h{_h_tag(args.h)}_ghosts.json"
-            (out / name).write_text(text + "\n")
+            (out / f"{_run_stem(system, scheme, args.h)}_ghosts.json").write_text(text + "\n")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -9,8 +9,8 @@ import numpy as np
 from . import _kernels
 from .integrators import (RK4, SchemeId, Trajectory, _CLASSICAL_CORES,
                           _nsfd_core, effective_step, integrate)
-from .equilibria import EquilibriumSet, find_equilibria
-from .systems import SplitSystem, State
+from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
+from .systems import DomainError, SplitSystem, State
 
 COMPARISON_HEADER = ("scheme,h,x0,y0,t_end,final_x,final_y,"
                      "dist_to_equilibrium,positivity_violation_step,nonfinite")
@@ -152,11 +152,10 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     schemes the grid and the acceptance region extend 10% beyond each side,
     since their spurious points can sit just outside the quadrant.  Found
     points are deduplicated at 1e-6 and labelled genuine when they match a
-    flow equilibrium to 1e-6.
+    flow equilibrium to 1e-6.  The box must have positive finite extent
+    (ValueError otherwise).
     """
-    if box is None:
-        box = (system.x_max, system.x_max)
-    bx, by = float(box[0]), float(box[1])
+    bx, by = _resolve_box(system, box)
     classical = scheme.kind in ("euler", "rk2", "rk4")
     lox, hix = (-0.1 * bx, 1.1 * bx) if classical else (0.0, bx)
     loy, hiy = (-0.1 * by, 1.1 * by) if classical else (0.0, by)
@@ -255,8 +254,9 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values, t_end: fl
 
     One row per (scheme, h) pair, in the given order.  A run that halts on
     a non-finite state reports its last finite state and nonfinite=true; a
-    run that fails outright (for the weighted schemes, a negative initial
-    state) records nan finals instead of aborting the rest of the grid.
+    run the scheme refuses with DomainError (for the weighted schemes, a
+    negative initial state) records nan finals instead of aborting the rest
+    of the grid.  Any other error propagates.
     """
     eqs = find_equilibria(system)
     rows = []
@@ -265,7 +265,7 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values, t_end: fl
             h = float(h)
             try:
                 traj = integrate(system, scheme, s0, h, t_end, backend=backend)
-            except Exception:
+            except DomainError:
                 rows.append(ComparisonRow(scheme.label, h, s0.x, s0.y, t_end,
                                           math.nan, math.nan, math.nan, None, True))
                 continue

@@ -280,6 +280,19 @@ def _interior_points(system: SplitSystem, box):
     return found
 
 
+def _resolve_box(system: SplitSystem, box: "tuple[float, float] | None") -> "tuple[float, float]":
+    """The search box (bx, by) as floats; None means the system's own box.
+
+    Raises ValueError unless both extents are positive and finite.
+    """
+    if box is None:
+        box = (system.x_max, system.x_max)
+    bx, by = float(box[0]), float(box[1])
+    if not (0.0 < bx < math.inf and 0.0 < by < math.inf):
+        raise ValueError(f"search box must have positive finite extent, got {box!r}")
+    return bx, by
+
+
 def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = None) -> EquilibriumSet:
     """All equilibria of the flow inside [0, bx] x [0, by].
 
@@ -287,13 +300,24 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     included.  Axis families come from bracketing the scalar balance
     equations, coexistence points from a 40x40-seeded Newton iteration on
     both balances; everything is deduplicated at 1e-7 and sorted.
-    """
-    if box is None:
-        box = (system.x_max, system.x_max)
-    bx, by = float(box[0]), float(box[1])
-    if not (bx > 0.0 and by > 0.0):
-        raise ValueError(f"search box must have positive extent, got {box!r}")
 
+    The box defaults to the system's own and must have positive finite
+    extent (ValueError otherwise).  Each search is run once per system and
+    box: the result is kept in a private store on the system, and a later
+    call with the same (bx, by) returns that same EquilibriumSet object.
+    This is sound because the system is frozen and its components, like
+    everywhere else in the package, are assumed pure: the same (x, y)
+    always gives the same value.  Components that read mutable state must
+    go into a fresh SplitSystem after that state changes.
+    """
+    bx, by = _resolve_box(system, box)
+    found = system._equilibria.get((bx, by))
+    if found is None:
+        found = system._equilibria[(bx, by)] = _search(system, bx, by)
+    return found
+
+
+def _search(system: SplitSystem, bx: float, by: float) -> EquilibriumSet:
     candidates = [(0.0, 0.0)]
     degenerate = []
 

@@ -52,7 +52,15 @@ def exponential_weight(lam: float) -> StepWeight:
         raise ValueError(f"weight rate must be positive and finite, got {lam!r}")
     lam = float(lam)
     # expm1 avoids the 1 - exp(-x) cancellation for tiny steps
-    return StepWeight(f"exp:{lam:g}", lambda h: -math.expm1(-lam * h) / lam)
+    return StepWeight(f"exp:{_float_tag(lam)}", lambda h: -math.expm1(-lam * h) / lam)
+
+
+def _float_tag(v: float) -> str:
+    """Text that reads back as exactly v: the 6-digit "%g" form where that
+    round-trips, repr otherwise, so names built from it (weight names,
+    output file names) never merge two values."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def weight_from_name(text: str) -> StepWeight:
@@ -300,8 +308,15 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     their bit-identical python twins, see nsfd._kernels); everything else
     runs the generic callable loop below.  backend overrides the
     NSFD_BACKEND environment variable for this call.
+
+    Raises ValueError for a non-finite initial state.  A step that raises
+    ZeroDivisionError, OverflowError or ValueError (a math domain error in
+    a component evaluated off the quadrant) or yields a non-finite state
+    halts the run with halt_reason "nonfinite".
     """
     _require_step(h)
+    if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):
+        raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
     if not (math.isfinite(t_end) and t_end > s0.t):
         raise ValueError(f"t_end {t_end!r} must exceed the initial time {s0.t!r}")
     nonlocal_scheme = scheme.kind in ("nsfd", "ensfd")
@@ -327,7 +342,7 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
                     xn, yn = _nsfd_core(system, x, y, e)
                 else:
                     xn, yn = _CLASSICAL_CORES[scheme.kind](system, x, y, h)
-            except (ZeroDivisionError, OverflowError):
+            except (ZeroDivisionError, OverflowError, ValueError):
                 m = k + 1
                 break
             if not (math.isfinite(xn) and math.isfinite(yn)):

@@ -15,7 +15,7 @@ eagerly on a sample grid instead of trusting the caller.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,6 +115,11 @@ class SplitSystem:
         systems built from arbitrary callables leave it None and take the
         generic code path.
 
+    The instance also holds a private store of equilibrium searches,
+    filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
+    in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace`` starts
+    the new system with an empty one.
+
     Raises
     ------
     ConstructionError
@@ -131,6 +136,7 @@ class SplitSystem:
     name: str = "custom"
     x_max: float = X_MAX_DEFAULT
     rma_params: "ModelParams | None" = None
+    _equilibria: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):

@@ -37,7 +37,25 @@ def test_simulate_accepts_weighted_scheme(tmp_path, capsys):
         "--weight", "exp:2", "--h", "5", "--x0", "0.4", "--y0", "0.4",
         "--t-end", "100", "--out", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "model2_ensfd_h5.csv").exists()
+    assert (tmp_path / "model2_ensfd-exp2_h5.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ghosts"])
+@pytest.mark.parametrize("first,second", [
+    (("--weight", "exp:0.5", "--h", "0.5"), ("--weight", "exp:2", "--h", "0.5")),
+    (("--weight", "exp:0.5", "--h", "0.1"), ("--weight", "exp:0.5", "--h", "0.1000001")),
+    (("--weight", "exp:1.0000001", "--h", "2"), ("--weight", "exp:1", "--h", "2")),
+])
+def test_distinct_runs_write_distinct_files(tmp_path, capsys, command, first, second):
+    if command == "simulate":
+        base = (command, "--model", "model2", "--scheme", "ensfd", "--x0", "0.4",
+                "--y0", "0.4", "--t-end", "5", "--out", str(tmp_path))
+    else:
+        base = (command, "--model", "model2", "--scheme", "ensfd", "--box", "2,2",
+                "--out", str(tmp_path))
+    assert run_cli(capsys, *base, *first)[0] == 0
+    assert run_cli(capsys, *base, *second)[0] == 0
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_equilibria_reports_model2_payload(capsys):

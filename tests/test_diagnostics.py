@@ -1,5 +1,7 @@
 """Convergence measurement, positivity audit, ghost scan, scheme comparison."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nsfd import (
     RK2,
     RK4,
     ReferenceUnavailable,
+    SplitSystem,
     State,
     audit_positivity,
     compare_schemes,
@@ -123,6 +126,14 @@ def test_reported_fixed_points_are_sound():
         assert abs(nxt.x - p.x) < 1e-9 and abs(nxt.y - p.y) < 1e-9
 
 
+@pytest.mark.parametrize("box", [(math.inf, 20.0), (20.0, math.nan), (0.0, 5.0)])
+def test_search_boxes_must_be_positive_and_finite(box):
+    with pytest.raises(ValueError, match="positive finite extent"):
+        find_equilibria(model2(), box)
+    with pytest.raises(ValueError, match="positive finite extent"):
+        detect_ghosts(model2(), NSFD, 0.5, box=box)
+
+
 def test_ghost_report_respects_requested_box():
     report = detect_ghosts(model1(), NSFD, 0.5, box=(5.0, 5.0))
     assert report.box == (5.0, 5.0)
@@ -142,6 +153,26 @@ def test_compare_schemes_table():
     broken = by_key[("euler", 0.1)]
     assert broken.positivity_violation_step == 1
     assert broken.nonfinite
+
+
+def test_compare_schemes_records_refused_runs_and_raises_on_bugs():
+    m1 = model1()
+    table = compare_schemes(m1, [NSFD, EULER], State(-1.0, 0.5), [0.1], 1.0)
+    refused, ran = table.rows
+    assert refused.scheme == "nsfd" and refused.nonfinite
+    assert math.isnan(refused.final_x) and math.isnan(refused.dist_to_equilibrium)
+    assert ran.scheme == "euler" and math.isfinite(ran.final_x)
+
+    # a component that breaks off the validation grid is a bug, not a row
+    def broken_loss(x, y):
+        if x > 100.0:
+            raise TypeError("broken component")
+        return x
+
+    system = SplitSystem(lambda x, y: 1.0, broken_loss,
+                         lambda x, y: 0.5, lambda x, y: 1.0, name="broken")
+    with pytest.raises(TypeError, match="broken component"):
+        compare_schemes(system, [NSFD], State(150.0, 1.0), [0.1], 1.0)
 
 
 def test_compare_schemes_csv_shape():

@@ -1,5 +1,6 @@
 """Equilibrium location, classification, and the two stability theories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,17 +8,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nsfd.equilibria
 from nsfd import (
     ASYMPTOTICALLY_STABLE,
     MARGINAL,
+    NSFD,
+    RK4,
     UNSTABLE,
     FamilyMismatch,
     NotStableError,
     SplitSystem,
     State,
     classify_point,
+    compare_schemes,
     continuous_eigs,
     critical_step_E3,
+    detect_ghosts,
     discrete_eigs,
     ensfd,
     exponential_weight,
@@ -324,3 +330,57 @@ def test_weighted_discrete_eigs_use_the_effective_step():
     # scheme keeps the coexistence point stable at any h
     for h in (1.0, 10.0, 1e3):
         assert discrete_eigs(m2, p3, h, weight=w).verdict == ASYMPTOTICALLY_STABLE
+
+
+# ---------------------------------------------------------------------------
+# the per-system store of equilibrium searches
+
+
+@pytest.fixture
+def search_count(monkeypatch):
+    """Count the searches that find_equilibria actually runs."""
+    calls = []
+    search = nsfd.equilibria._search
+
+    def counted(system, bx, by):
+        calls.append((system.name, bx, by))
+        return search(system, bx, by)
+
+    monkeypatch.setattr(nsfd.equilibria, "_search", counted)
+    return calls
+
+
+def test_one_search_serves_every_analysis_of_a_system(search_count):
+    m2 = model2()
+    eqs = find_equilibria(m2)
+    detect_ghosts(m2, NSFD, 2.0, seeds_per_axis=12)
+    compare_schemes(m2, [NSFD, RK4], State(0.4, 0.4), [0.5], 5.0)
+    assert find_equilibria(m2, (20, 20.0)) is eqs
+    assert search_count == [("model2", 20.0, 20.0)]
+
+    # another box is another search, remembered in its turn
+    small = find_equilibria(m2, (5.0, 5.0))
+    assert find_equilibria(m2, (5.0, 5.0)) is small
+    assert search_count == [("model2", 20.0, 20.0), ("model2", 5.0, 5.0)]
+
+
+def test_stored_result_is_bitwise_a_fresh_search():
+    def bits(eqs):
+        return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
+
+    m2 = model2()
+    first = find_equilibria(m2)
+    assert find_equilibria(m2) is first
+    assert bits(find_equilibria(model2())) == bits(first)
+
+
+def test_store_is_invisible_to_equality_hash_and_repr(search_count):
+    m2 = model2()
+    twin = dataclasses.replace(m2)
+    before = (hash(m2), repr(m2))
+    find_equilibria(m2)
+    assert (hash(m2), repr(m2)) == before
+    assert m2 == twin and hash(twin) == hash(m2)
+    # the replaced system starts with an empty store of its own
+    find_equilibria(twin)
+    assert len(search_count) == 2

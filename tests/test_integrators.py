@@ -16,6 +16,7 @@ from nsfd import (
     DomainError,
     NonFiniteError,
     SchemeId,
+    SplitSystem,
     State,
     StepWeight,
     ensfd,
@@ -212,6 +213,15 @@ def test_integrate_validates_inputs():
         integrate(m1, NSFD, State(-1.0, 1.0), 0.1, 5.0)
 
 
+@pytest.mark.parametrize("scheme", [NSFD, EULER])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_a_nonfinite_start(scheme, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(model1(), scheme, State(bad, 0.4), 0.1, 5.0)
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(model1(), scheme, State(0.4, bad), 0.1, 5.0)
+
+
 def test_integrate_grid_and_final_state():
     m1 = model1()
     traj = integrate(m1, NSFD, State(0.5, 0.5, t=2.0), 0.1, 4.0)
@@ -237,6 +247,17 @@ def test_integrate_truncates_on_nonfinite_states():
     assert traj.halt_step == len(traj)
     assert np.isfinite(traj.xs).all()
     assert np.isfinite(traj.ys).all()
+
+
+def test_integrate_halts_on_a_math_domain_error():
+    # Euler overshoots to x = -4, where the loss sqrt(x) has no value; the
+    # generic loop halts there as it does on any non-finite step.
+    system = SplitSystem(lambda x, y: 1.0, lambda x, y: math.sqrt(x),
+                         lambda x, y: 0.5, lambda x, y: 1.0, name="sqrt_loss")
+    traj = integrate(system, EULER, State(4.0, 1.0), 2.0, 10.0)
+    assert traj.halt_reason == "nonfinite"
+    assert traj.halt_step == 2
+    assert list(traj.xs) == [4.0, -4.0]
 
 
 def test_integrate_keeps_negative_classical_states():
