@@ -1,19 +1,20 @@
-"""Fast paths for the built-in predator-prey family.
+"""The stepping loop and the Newton scan, and numba kernels for them.
 
-One scheme step is implemented exactly once (`_rma_step`, plain Python)
-and compiled a second time with numba when it is importable.  The loop
-drivers are produced by factories that close over one step variant or the
-other, so both backends execute the same source and produce bit-equal
-results.  fastmath stays off everywhere for that reason; do not "optimise"
-the expression order in this file.
+`run_trajectory` and `scan_fixed_points` are the entry points for every
+system.  On the python backend they run `_step_loop` and
+`scan_fixed_points_generic` over the scheme cores of nsfd.integrators: one
+code path, whatever built the system.  On the numba backend a system of
+the built-in predator-prey family (one with rma_params) runs a compiled
+kernel instead: numba compiles `_rma_step`, one step of that family
+written like the scheme cores, into the loop drivers below.  fastmath
+stays off so the kernels agree bit for bit with the python path; do not
+"optimise" the expression order in this file.
 
-Backend choice: the NSFD_BACKEND environment variable ("numba" or
-"python"), unset meaning numba when available.  Callers can override per
-call.  Systems not built by make_rosenzweig_macarthur never reach this
-module's compiled paths; nsfd.integrators runs them through the generic
-callable loop instead.
+The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
+when importable).
 """
 
+import math
 import os
 import warnings
 
@@ -29,18 +30,8 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 ENV_VAR = "NSFD_BACKEND"
 
-TAG_NSFD = 0
-TAG_EULER = 1
-TAG_RK2 = 2
-TAG_RK4 = 3
-
-SCHEME_TAGS = {
-    "nsfd": TAG_NSFD,
-    "ensfd": TAG_NSFD,
-    "euler": TAG_EULER,
-    "rk2": TAG_RK2,
-    "rk4": TAG_RK4,
-}
+# the scheme tag _rma_step dispatches on; ensfd is nsfd at a weighted e
+SCHEME_TAGS = {"nsfd": 0, "ensfd": 0, "euler": 1, "rk2": 2, "rk4": 3}
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
@@ -64,8 +55,9 @@ def resolve_backend(requested: "str | None" = None) -> str:
 def _rma_step(tag, a, b, c, d, x, y, e, h):
     # One step of the selected scheme for f+ = b, f- = b*x + a*y/(c+x),
     # g+ = x/(c+x), g- = d.  e is the denominator weight (nsfd only), h the
-    # grid step.  Zero denominators yield nan instead of raising so jitted
-    # and plain execution stay identical.
+    # grid step.  A zero denominator yields nan where the python scheme
+    # cores raise ZeroDivisionError; both end an orbit or a Newton seed at
+    # the same point, so the two paths stay bit-equal.
     def field(u, v):
         den = c + u
         if den == 0.0:
@@ -117,7 +109,7 @@ def _make_trajectory_driver(step):
         ys[0] = y
         for k in range(n):
             xn, yn = step(tag, a, b, c, d, x, y, e, h)
-            if not (np.isfinite(xn) and np.isfinite(yn)):
+            if not (math.isfinite(xn) and math.isfinite(yn)):
                 return k + 1
             xs[k + 1] = xn
             ys[k + 1] = yn
@@ -131,19 +123,22 @@ def _make_trajectory_driver(step):
 def _make_fixed_point_driver(step):
     def drive(tag, a, b, c, d, e, h, seeds_x, seeds_y, max_iter, tol, escape, out):
         # Newton iteration on step(s) - s = 0 from every seed, with a
-        # central-difference Jacobian.  out[i] = (x, y, residual); a failed
-        # seed reports residual inf.  The stored residual is always the
-        # sup-norm of the map defect measured at the stored point.
+        # central-difference Jacobian.  out[i] = (x, y, residual); a seed
+        # that breaks down reports residual inf, one that runs out of
+        # iterations its last residual.  The stored residual is always the
+        # sup-norm of the map defect measured at the stored point.  Seeds
+        # start as floats, not numpy scalars: faster in python, and a zero
+        # denominator raises there instead of warning.
         n = seeds_x.shape[0]
         for i in range(n):
-            x = seeds_x[i]
-            y = seeds_y[i]
+            x = float(seeds_x[i])
+            y = float(seeds_y[i])
             res = np.inf
             for _ in range(max_iter):
                 mx, my = step(tag, a, b, c, d, x, y, e, h)
                 rx = mx - x
                 ry = my - y
-                if not (np.isfinite(rx) and np.isfinite(ry)):
+                if not (math.isfinite(rx) and math.isfinite(ry)):
                     res = np.inf
                     break
                 res = abs(rx)
@@ -162,12 +157,12 @@ def _make_fixed_point_driver(step):
                 j12 = (qx1 - qx0) / (2.0 * dy)
                 j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
                 det = j11 * j22 - j12 * j21
-                if not np.isfinite(det) or abs(det) < 1e-14:
+                if not math.isfinite(det) or abs(det) < 1e-14:
                     res = np.inf
                     break
                 x = x + (-rx * j22 + ry * j12) / det
                 y = y + (-j11 * ry + j21 * rx) / det
-                if not (np.isfinite(x) and np.isfinite(y)) or abs(x) > escape or abs(y) > escape:
+                if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > escape or abs(y) > escape:
                     res = np.inf
                     break
             out[i, 0] = x
@@ -177,17 +172,10 @@ def _make_fixed_point_driver(step):
     return drive
 
 
-_trajectory_py = _make_trajectory_driver(_rma_step)
-_fixed_points_py = _make_fixed_point_driver(_rma_step)
-
 if HAVE_NUMBA:
     _rma_step_jit = njit(cache=True, fastmath=False)(_rma_step)
     _trajectory_jit = njit(cache=True, fastmath=False)(_make_trajectory_driver(_rma_step_jit))
     _fixed_points_jit = njit(cache=True, fastmath=False)(_make_fixed_point_driver(_rma_step_jit))
-else:  # pragma: no cover
-    _rma_step_jit = None
-    _trajectory_jit = None
-    _fixed_points_jit = None
 
 
 def warmup() -> None:
@@ -199,53 +187,89 @@ def warmup() -> None:
     out = np.empty((1, 3))
     sx = np.array([0.5])
     sy = np.array([0.5])
-    for tag in (TAG_NSFD, TAG_EULER, TAG_RK2, TAG_RK4):
+    for tag in sorted(set(SCHEME_TAGS.values())):
         _trajectory_jit(tag, 2.0, 1.0, 0.5, 6.0, 0.5, 0.5, 0.01, 0.01, 1, xs, ys)
         _fixed_points_jit(tag, 2.0, 1.0, 0.5, 6.0, 0.01, 0.01, sx, sy, 2, NEWTON_TOL, NEWTON_ESCAPE, out)
 
 
-def run_trajectory(params, kind, x0, y0, e, h, n, backend=None):
-    """Integrate a tagged system for n steps. Returns (xs, ys, stored_count)."""
-    tag = SCHEME_TAGS[kind]
+def _step_loop(core, system, x0, y0, e, n):
+    # The python stepping loop: n steps of core(system, x, y, e), stopping
+    # just before the first state that is non-finite or whose step raised
+    # ZeroDivisionError, OverflowError or ValueError (a math domain error
+    # off the quadrant).
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
-    drive = _trajectory_jit if resolve_backend(backend) == "numba" else _trajectory_py
-    m = drive(tag, params.a, params.b, params.c, params.d,
-              float(x0), float(y0), float(e), float(h), int(n), xs, ys)
-    m = int(m)
+    x = float(x0)
+    y = float(y0)
+    xs[0] = x
+    ys[0] = y
+    for k in range(n):
+        try:
+            xn, yn = core(system, x, y, e)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return xs[:k + 1], ys[:k + 1], k + 1
+        if not (math.isfinite(xn) and math.isfinite(yn)):
+            return xs[:k + 1], ys[:k + 1], k + 1
+        xs[k + 1] = xn
+        ys[k + 1] = yn
+        x = xn
+        y = yn
+    return xs, ys, n + 1
+
+
+def run_trajectory(system, kind, core, x0, y0, e, h, n):
+    """n steps of scheme `kind` from (x0, y0). Returns (xs, ys, stored_count).
+
+    core(system, x, y, e) is the scheme's step, e being the denominator
+    weight for nsfd/ensfd and h for the classical schemes.  A stored count
+    m <= n means the orbit stopped just before grid index m.
+    """
+    if system.rma_params is None or resolve_backend() != "numba":
+        return _step_loop(core, system, x0, y0, e, n)
+    p = system.rma_params
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    m = int(_trajectory_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d,
+                            float(x0), float(y0), float(e), float(h), int(n), xs, ys))
     return xs[:m], ys[:m], m
 
 
-def scan_fixed_points(params, kind, e, h, seeds_x, seeds_y, tol=NEWTON_TOL,
-                      max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE, backend=None):
-    """Newton scan for map fixed points of a tagged system.
+def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL,
+                      max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
+    """Newton scan for fixed points of the step core(system, x, y, e).
 
     Returns an (n, 3) array of (x, y, residual) rows, one per seed, in seed
-    order; residual inf marks a failed seed.
+    order; a seed whose residual is not below tol failed.
     """
-    tag = SCHEME_TAGS[kind]
+    if system.rma_params is None or resolve_backend() != "numba":
+        return scan_fixed_points_generic(lambda x, y: core(system, x, y, e),
+                                         seeds_x, seeds_y, tol, max_iter, escape)
+    p = system.rma_params
     seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
     seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
     out = np.empty((seeds_x.shape[0], 3))
-    drive = _fixed_points_jit if resolve_backend(backend) == "numba" else _fixed_points_py
-    drive(tag, params.a, params.b, params.c, params.d, float(e), float(h),
-          seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
+    _fixed_points_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d, float(e), float(h),
+                      seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
     return out
 
 
 def scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """Same Newton scan over an arbitrary map callable (x, y) -> (x', y').
+    """The python Newton scan over a map callable (x, y) -> (x', y').
 
-    Used for systems without kernel support; exceptions from the map count
-    as a failed seed rather than aborting the scan.
+    A seed fails, rather than aborting the scan, where the map raises
+    ZeroDivisionError, OverflowError or ValueError or returns a complex
+    number (a fractional power of a negative coordinate).
     """
 
     def adapter(tag, a, b, c, d, x, y, e, h):
         try:
-            return map_fn(x, y)
+            mx, my = map_fn(x, y)
         except (ZeroDivisionError, OverflowError, ValueError):
             return np.nan, np.nan
+        if isinstance(mx, complex) or isinstance(my, complex):
+            return np.nan, np.nan
+        return mx, my
 
     drive = _make_fixed_point_driver(adapter)
     seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)

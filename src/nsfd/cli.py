@@ -14,9 +14,8 @@ from pathlib import Path
 from .diagnostics import (ReferenceUnavailable, compare_schemes, detect_ghosts,
                           estimate_order)
 from .equilibria import stability_report, find_equilibria
-from .integrators import (IDENTITY, _float_tag, integrate, scheme_from_name,
-                          weight_from_name)
-from .systems import State, from_selector
+from .integrators import IDENTITY, integrate, scheme_from_name, weight_from_name
+from .systems import State, _float_tag, from_selector
 
 SCHEME_CHOICES = ("nsfd", "ensfd", "euler", "rk2", "rk4")
 
@@ -118,14 +117,15 @@ def _build_scheme(parser, name, weight_text):
         parser.error(str(exc))
 
 
-def _run_stem(system, scheme, h: float) -> str:
+def _run_stem(system, scheme, h: "float | None" = None) -> str:
     """File stem naming one run: model, scheme (with its weight unless
-    identity) and step size, each written so that distinct runs never share
-    a name."""
+    identity) and step size if given, each written so that distinct runs
+    never share a name."""
     label = scheme.label
     if scheme.weight is not None and scheme.weight is not IDENTITY:
         label += "-" + scheme.weight.name.replace(":", "")
-    return f"{system.name}_{label}_h{_float_tag(h)}"
+    stem = f"{system.name}_{label}"
+    return stem if h is None else f"{stem}_h{_float_tag(h)}"
 
 
 def main(argv=None) -> int:
@@ -200,7 +200,7 @@ def _dispatch(parser, args) -> int:
         est = estimate_order(system, scheme, State(args.x0, args.y0), args.t_end, hs)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{system.name}_{scheme.label}_convergence.csv"
+        path = out / f"{_run_stem(system, scheme)}_convergence.csv"
         lines = ["scheme,h,sup_error,slope,residual"]
         for h, err in zip(est.steps, est.errors):
             lines.append(f"{est.scheme},{_fmt(h)},{_fmt(err)},{_fmt(est.slope)},{_fmt(est.residual)}")

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .integrators import (RK4, SchemeId, Trajectory, _CLASSICAL_CORES,
-                          _nsfd_core, effective_step, integrate)
+from .integrators import RK4, SchemeId, Trajectory, _scheme_core, integrate
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -38,7 +37,7 @@ class OrderEstimate:
 
 
 def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: float,
-                   steps, backend: "str | None" = None) -> OrderEstimate:
+                   steps) -> OrderEstimate:
     """Observed convergence order against an rk4 reference orbit.
 
     steps must be at least four step sizes, strictly descending, each
@@ -57,14 +56,14 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
             raise ValueError(f"step {h!r} does not divide the horizon {horizon!r} evenly")
 
     h_ref = steps[-1] / REFERENCE_REFINEMENT
-    ref = integrate(system, RK4, s0, h_ref, t_end, backend=backend)
+    ref = integrate(system, RK4, s0, h_ref, t_end)
     if ref.truncated:
         raise ReferenceUnavailable(
             f"rk4 reference at h={h_ref!r} left the finite range at step {ref.halt_step}")
 
     errors = []
     for h in steps:
-        traj = integrate(system, scheme, s0, h, t_end, backend=backend)
+        traj = integrate(system, scheme, s0, h, t_end)
         if traj.truncated:
             raise ReferenceUnavailable(
                 f"{scheme.label} at h={h!r} left the finite range at step {traj.halt_step}")
@@ -144,8 +143,7 @@ class GhostReport:
 
 def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
                   box: "tuple[float, float] | None" = None,
-                  seeds_per_axis: int = GHOST_SEEDS_PER_AXIS,
-                  backend: "str | None" = None) -> GhostReport:
+                  seeds_per_axis: int = GHOST_SEEDS_PER_AXIS) -> GhostReport:
     """Newton scan for fixed points of one step of the scheme.
 
     Seeds a uniform grid over the box ([0,bx] x [0,by]); for the classical
@@ -163,17 +161,8 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     gy = np.linspace(loy, hiy, seeds_per_axis)
     sx, sy = [g.ravel() for g in np.meshgrid(gx, gy, indexing="ij")]
 
-    e = effective_step(scheme, h) if scheme.kind in ("nsfd", "ensfd") else float(h)
-    if system.rma_params is not None:
-        rows = _kernels.scan_fixed_points(system.rma_params, scheme.kind, e, h,
-                                          sx, sy, backend=backend)
-    else:
-        if scheme.kind in ("nsfd", "ensfd"):
-            map_fn = lambda x, y: _nsfd_core(system, x, y, e)
-        else:
-            core = _CLASSICAL_CORES[scheme.kind]
-            map_fn = lambda x, y: core(system, x, y, h)
-        rows = _kernels.scan_fixed_points_generic(map_fn, sx, sy)
+    core, e = _scheme_core(scheme, h)
+    rows = _kernels.scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
 
     tol_in = 1e-9 * (1.0 + max(bx, by))
     hits = [(float(x), float(y), float(res)) for x, y, res in rows
@@ -248,8 +237,8 @@ class ComparisonTable:
             fh.write(self.to_csv())
 
 
-def compare_schemes(system: SplitSystem, schemes, s0: State, h_values, t_end: float,
-                    backend: "str | None" = None) -> ComparisonTable:
+def compare_schemes(system: SplitSystem, schemes, s0: State, h_values,
+                    t_end: float) -> ComparisonTable:
     """Run every scheme at every step size from one initial state.
 
     One row per (scheme, h) pair, in the given order.  A run that halts on
@@ -264,7 +253,7 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values, t_end: fl
         for h in h_values:
             h = float(h)
             try:
-                traj = integrate(system, scheme, s0, h, t_end, backend=backend)
+                traj = integrate(system, scheme, s0, h, t_end)
             except DomainError:
                 rows.append(ComparisonRow(scheme.label, h, s0.x, s0.y, t_end,
                                           math.nan, math.nan, math.nan, None, True))

@@ -20,9 +20,12 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .systems import DomainError, SplitSystem, State
+from .systems import DomainError, SplitSystem, State, _float_tag
 
 SCHEME_KINDS = ("nsfd", "ensfd", "euler", "rk2", "rk4")
+
+# Most steps one integrate call takes: 24 bytes of arrays each, 2.4 GB in all.
+MAX_STEPS = 100_000_000
 
 CSV_HEADER = "k,t,x,y"
 
@@ -53,14 +56,6 @@ def exponential_weight(lam: float) -> StepWeight:
     lam = float(lam)
     # expm1 avoids the 1 - exp(-x) cancellation for tiny steps
     return StepWeight(f"exp:{_float_tag(lam)}", lambda h: -math.expm1(-lam * h) / lam)
-
-
-def _float_tag(v: float) -> str:
-    """Text that reads back as exactly v: the 6-digit "%g" form where that
-    round-trips, repr otherwise, so names built from it (weight names,
-    output file names) never merge two values."""
-    text = f"{v:g}"
-    return text if float(text) == v else repr(float(v))
 
 
 def weight_from_name(text: str) -> StepWeight:
@@ -137,8 +132,8 @@ def effective_step(scheme: SchemeId, h: float) -> float:
     return e
 
 
-# The cores below mirror the expression shapes in nsfd._kernels._rma_step;
-# keep them in sync or the backends stop agreeing bitwise.
+# nsfd._kernels._rma_step compiles these cores for the built-in family;
+# tests/test_kernels.py holds the two bit-equal.
 
 def _nsfd_core(system: SplitSystem, x: float, y: float, e: float):
     fp, fm, gp, gm = system.components(x, y)
@@ -173,6 +168,13 @@ def _rk4_core(system: SplitSystem, x: float, y: float, h: float):
 
 
 _CLASSICAL_CORES = {"euler": _euler_core, "rk2": _rk2_core, "rk4": _rk4_core}
+
+
+def _scheme_core(scheme: SchemeId, h: float):
+    """The scheme's core and its last argument: e for nsfd/ensfd, h otherwise."""
+    if scheme.kind in ("nsfd", "ensfd"):
+        return _nsfd_core, effective_step(scheme, h)
+    return _CLASSICAL_CORES[scheme.kind], float(h)
 
 
 def nsfd_step(system: SplitSystem, state: State, h: float) -> State:
@@ -300,16 +302,16 @@ class Trajectory:
 
 
 def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
-              t_end: float, backend: "str | None" = None) -> Trajectory:
+              t_end: float) -> Trajectory:
     """Run a scheme from s0 to t_end with fixed step h.
 
     The step count is floor((t_end - t0)/h); a trailing fraction of a step
-    is never taken.  Tagged systems dispatch to the compiled kernels (or
-    their bit-identical python twins, see nsfd._kernels); everything else
-    runs the generic callable loop below.  backend overrides the
-    NSFD_BACKEND environment variable for this call.
+    is never taken.  Every system runs the one python loop of
+    nsfd._kernels, except that on the numba backend a system of the
+    built-in family runs its compiled kernel, with bit-equal results.
 
-    Raises ValueError for a non-finite initial state.  A step that raises
+    Raises ValueError for a non-finite initial state and for a step count
+    above MAX_STEPS, before allocating anything.  A step that raises
     ZeroDivisionError, OverflowError or ValueError (a math domain error in
     a component evaluated off the quadrant) or yields a non-finite state
     halts the run with halt_reason "nonfinite".
@@ -319,42 +321,13 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
         raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
     if not (math.isfinite(t_end) and t_end > s0.t):
         raise ValueError(f"t_end {t_end!r} must exceed the initial time {s0.t!r}")
-    nonlocal_scheme = scheme.kind in ("nsfd", "ensfd")
-    if nonlocal_scheme:
+    if scheme.kind in ("nsfd", "ensfd"):
         _require_quadrant(s0)
-    e = effective_step(scheme, h) if nonlocal_scheme else float(h)
+    core, e = _scheme_core(scheme, h)
     n = step_count(s0.t, t_end, h)
-
-    if system.rma_params is not None:
-        xs, ys, m = _kernels.run_trajectory(
-            system.rma_params, scheme.kind, s0.x, s0.y, e, h, n, backend=backend)
-    else:
-        xs = np.empty(n + 1)
-        ys = np.empty(n + 1)
-        x = float(s0.x)
-        y = float(s0.y)
-        xs[0] = x
-        ys[0] = y
-        m = n + 1
-        for k in range(n):
-            try:
-                if nonlocal_scheme:
-                    xn, yn = _nsfd_core(system, x, y, e)
-                else:
-                    xn, yn = _CLASSICAL_CORES[scheme.kind](system, x, y, h)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                m = k + 1
-                break
-            if not (math.isfinite(xn) and math.isfinite(yn)):
-                m = k + 1
-                break
-            xs[k + 1] = xn
-            ys[k + 1] = yn
-            x = xn
-            y = yn
-        xs = xs[:m]
-        ys = ys[:m]
-
+    if n > MAX_STEPS:
+        raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
+    xs, ys, m = _kernels.run_trajectory(system, scheme.kind, core, s0.x, s0.y, e, h, n)
     ts = s0.t + h * np.arange(m)
     halt_step = None if m == n + 1 else m
     halt_reason = None if halt_step is None else "nonfinite"

@@ -30,6 +30,14 @@ AXIS_ZERO_TOL = 1e-9
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
+def _float_tag(v: float) -> str:
+    """Text that reads back as exactly v: the 6-digit "%g" form where that
+    round-trips, repr otherwise, so names built from it (model and weight
+    names, output file names) never merge two values."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
+
+
 class DomainError(ValueError):
     """State outside the closed positive quadrant."""
 
@@ -111,9 +119,9 @@ class SplitSystem:
         Half-width of the square validation/search box [0, x_max]^2.
     rma_params
         Set by :func:`make_rosenzweig_macarthur` for systems of the
-        built-in family.  Integration and fixed-point kernels key on it;
-        systems built from arbitrary callables leave it None and take the
-        generic code path.
+        built-in family.  The numba kernels key on it; systems built from
+        arbitrary callables leave it None, and on the python backend every
+        system takes the generic code path.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -281,14 +289,14 @@ def make_rosenzweig_macarthur(
 
     All four parameters must be strictly positive.  The returned system
     carries analytic partials and is tagged so integration dispatches to
-    the compiled kernels when they are enabled.
+    the compiled kernels on the numba backend.  The default name writes
+    each parameter exactly (see _float_tag).
     """
     for label, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not (math.isfinite(v) and v > 0.0):
             raise ConstructionError(f"parameter {label} must be positive and finite, got {v!r}")
     a, b, c, d = float(a), float(b), float(c), float(d)
 
-    # expression shapes here are mirrored in nsfd._kernels; keep them in sync
     def f_plus(x, y):
         return b
 
@@ -313,7 +321,7 @@ def make_rosenzweig_macarthur(
         gmy=zero,
     )
     if name is None:
-        name = f"rma-{a:g}-{b:g}-{c:g}-{d:g}"
+        name = "rma-" + "-".join(_float_tag(v) for v in (a, b, c, d))
     return SplitSystem(
         f_plus, f_minus, g_plus, g_minus,
         partials=partials, name=name, x_max=x_max,
@@ -357,6 +365,5 @@ def from_selector(text: str) -> SplitSystem:
             vals = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"non-numeric parameter in {text!r}") from None
-        name = "rma-" + "-".join(f"{v:g}" for v in vals)
-        return make_rosenzweig_macarthur(*vals, name=name)
+        return make_rosenzweig_macarthur(*vals)
     raise ValueError(f"unknown model selector {text!r}")

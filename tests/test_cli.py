@@ -122,6 +122,17 @@ def test_convergence_writes_errors_and_slope(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_convergence_files_keep_the_weight(tmp_path, capsys):
+    base = ("convergence", "--model", "model1", "--scheme", "ensfd",
+            "--h", "0.1,0.05,0.025,0.0125", "--x0", "0.4", "--y0", "0.4",
+            "--t-end", "1", "--out", str(tmp_path))
+    for weight in ("exp:0.5", "exp:2", "identity"):
+        assert run_cli(capsys, *base, "--weight", weight)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model1_ensfd-exp0.5_convergence.csv", "model1_ensfd-exp2_convergence.csv",
+        "model1_ensfd_convergence.csv"]
+
+
 def test_ghosts_reports_spurious_points_as_json(capsys):
     code, out, _ = run_cli(capsys, "ghosts", "--model", "model1",
                            "--scheme", "rk2", "--h", "0.1")

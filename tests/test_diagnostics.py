@@ -141,6 +141,15 @@ def test_ghost_report_respects_requested_box():
         assert p.x <= 5.0 + 1e-9 and p.y <= 5.0 + 1e-9
 
 
+def test_ghost_seeds_fail_where_a_component_turns_complex():
+    # rk2 seeds reach 10% below the quadrant, where x ** 0.5 of a python
+    # float is complex; those seeds fail instead of aborting the scan.
+    system = SplitSystem(lambda x, y: 1.0, lambda x, y: x ** 0.5,
+                         lambda x, y: 0.5, lambda x, y: 1.0, name="root_loss")
+    report = detect_ghosts(system, RK2, 0.1, box=(2.0, 2.0), seeds_per_axis=9)
+    assert [(round(p.x, 9), abs(round(p.y, 9))) for p in report.genuine] == [(1.0, 0.0)]
+
+
 def test_compare_schemes_table():
     m1 = model1()
     table = compare_schemes(m1, [NSFD, EULER], State(15.0, 0.1), [0.1, 1.0], 5.0)

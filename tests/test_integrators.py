@@ -34,6 +34,7 @@ from nsfd import (
     step_count,
     weight_from_name,
 )
+from nsfd import integrators
 from nsfd.integrators import effective_step
 
 
@@ -211,6 +212,16 @@ def test_integrate_validates_inputs():
         integrate(m1, NSFD, State(1.0, 1.0, t=5.0), 0.1, 5.0)
     with pytest.raises(DomainError):
         integrate(m1, NSFD, State(-1.0, 1.0), 0.1, 5.0)
+
+
+def test_integrate_refuses_more_than_max_steps_before_allocating(monkeypatch):
+    # 1e13 steps would need 240 TB of arrays
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(model1(), NSFD, State(0.4, 0.4), 1e-13, 1.0)
+    monkeypatch.setattr(integrators, "MAX_STEPS", 10)
+    assert len(integrate(model1(), RK4, State(0.4, 0.4), 0.1, 1.0)) == 11
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(model1(), RK4, State(0.4, 0.4), 0.1, 1.1)
 
 
 @pytest.mark.parametrize("scheme", [NSFD, EULER])

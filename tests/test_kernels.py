@@ -1,15 +1,80 @@
-"""The two execution backends must be interchangeable bit for bit."""
+"""One python path for every system, and the numba kernels bit-equal to it."""
 
 import numpy as np
 import pytest
 
 import nsfd
-from nsfd import NSFD, RK4, SplitSystem, State, integrate, model1, model2
-from nsfd._kernels import HAVE_NUMBA, resolve_backend, run_trajectory, scan_fixed_points
+from nsfd import (EULER, NSFD, RK2, RK4, SplitSystem, State, detect_ghosts, ensfd,
+                  exponential_weight, integrate, model1, model2)
+from nsfd import _kernels
+from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
+                           SCHEME_TAGS, _make_fixed_point_driver, _make_trajectory_driver,
+                           _rma_step, resolve_backend, scan_fixed_points)
+from nsfd.integrators import _scheme_core
 
-SCHEME_KINDS = ("nsfd", "euler", "rk2", "rk4")
+SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
+SCHEME_IDS = [s.kind for s in SCHEMES]
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+
+# The plain-python form of the numba kernels: the source numba compiles,
+# run without compiling it.
+_plain_trajectory = _make_trajectory_driver(_rma_step)
+_plain_fixed_points = _make_fixed_point_driver(_rma_step)
+
+
+def _weight(scheme, h):
+    return _scheme_core(scheme, h)[1]
+
+
+def _plain_orbit(system, scheme, s0, h, n):
+    p = system.rma_params
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    m = _plain_trajectory(SCHEME_TAGS[scheme.kind], p.a, p.b, p.c, p.d,
+                          s0.x, s0.y, _weight(scheme, h), h, n, xs, ys)
+    return xs[:m], ys[:m]
+
+
+def _plain_scan(system, scheme, h, sx, sy):
+    p = system.rma_params
+    out = np.empty((sx.shape[0], 3))
+    _plain_fixed_points(SCHEME_TAGS[scheme.kind], p.a, p.b, p.c, p.d, _weight(scheme, h), h,
+                        sx, sy, NEWTON_MAX_ITER, NEWTON_TOL, NEWTON_ESCAPE, out)
+    return out
+
+
+@pytest.fixture
+def python_path(monkeypatch):
+    """The python backend, with the numba step and kernels made to fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled kernel called on the python backend")
+
+    monkeypatch.setenv("NSFD_BACKEND", "python")
+    for name in ("_rma_step", "_trajectory_jit", "_fixed_points_jit"):
+        monkeypatch.setattr(_kernels, name, refuse, raising=False)
+
+
+def _clone(system):
+    """The same system built from its callables, so it has no rma_params."""
+    clone = SplitSystem(system.f_plus, system.f_minus, system.g_plus, system.g_minus,
+                        partials=system.partials, name=system.name)
+    assert clone.rma_params is None
+    return clone
+
+
+def _recorded_generic_scans(monkeypatch):
+    """Record the (seeds_x, seeds_y, rows) of every generic Newton scan."""
+    calls = []
+    original = _kernels.scan_fixed_points_generic
+
+    def recording(map_fn, seeds_x, seeds_y, *args):
+        rows = original(map_fn, seeds_x, seeds_y, *args)
+        calls.append((np.asarray(seeds_x, dtype=float), np.asarray(seeds_y, dtype=float), rows))
+        return rows
+
+    monkeypatch.setattr(_kernels, "scan_fixed_points_generic", recording)
+    return calls
 
 
 def test_resolve_backend_explicit_choice(monkeypatch):
@@ -34,39 +99,114 @@ def test_resolve_backend_reads_environment(monkeypatch):
         assert resolve_backend("numba") == "numba"
 
 
-@needs_numba
-@pytest.mark.parametrize("kind", SCHEME_KINDS)
-def test_backends_agree_bit_for_bit_on_trajectories(kind):
-    p = model1().rma_params
-    a = run_trajectory(p, kind, 0.5, 0.5, 0.1, 0.1, 500, backend="numba")
-    b = run_trajectory(p, kind, 0.5, 0.5, 0.1, 0.1, 500, backend="python")
-    assert a[2] == b[2]
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkeypatch,
+                                                             scheme):
+    loops = []
+    original = _kernels._step_loop
+
+    def recording(core, system, *args):
+        loops.append(system.name)
+        return original(core, system, *args)
+
+    monkeypatch.setattr(_kernels, "_step_loop", recording)
+    scans = _recorded_generic_scans(monkeypatch)
+    for system in (model1(), model2()):
+        clone = _clone(system)
+        traj = integrate(system, scheme, State(0.4, 0.4), 0.1, 5.0)
+        assert len(traj) == 51
+        twin = integrate(clone, scheme, State(0.4, 0.4), 0.1, 5.0)
+        assert np.array_equal(traj.xs, twin.xs) and np.array_equal(traj.ys, twin.ys)
+        report = detect_ghosts(system, scheme, 0.1, seeds_per_axis=8)
+        assert report.genuine
+        assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
+    assert loops == ["model1"] * 2 + ["model2"] * 2
+    assert len(scans) == 4
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+@pytest.mark.parametrize("system,s0,h,t_end,truncates", [
+    (model1(), State(0.5, 0.5), 0.1, 50.0, False),
+    (model2(), State(0.4, 0.4), 0.5, 100.0, False),
+    (model1(), State(15.0, 0.1), 0.1, 5.0, None),
+], ids=["model1", "model2", "model1-far"])
+def test_plain_rma_step_matches_integrate(python_path, scheme, system, s0, h, t_end, truncates):
+    traj = integrate(system, scheme, s0, h, t_end)
+    xs, ys = _plain_orbit(system, scheme, s0, h, traj.requested_steps)
+    assert np.array_equal(traj.xs, xs)
+    assert np.array_equal(traj.ys, ys)
+    if truncates is None:
+        # only Euler leaves the finite range from this start
+        truncates = scheme is EULER
+    assert traj.truncated is truncates
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+@pytest.mark.parametrize("system,h,seeds", [(model1(), 0.1, 17), (model2(), 2.0, 15)],
+                         ids=["model1", "model2"])
+def test_plain_rma_step_matches_the_ghost_scan(python_path, monkeypatch, scheme, system, h,
+                                               seeds):
+    scans = _recorded_generic_scans(monkeypatch)
+    detect_ghosts(system, scheme, h, seeds_per_axis=seeds)
+    assert len(scans) == 1
+    sx, sy, rows = scans[0]
+    assert np.array_equal(rows, _plain_scan(system, scheme, h, sx, sy))
+    res = rows[:, 2]
+    assert (res < NEWTON_TOL).any()
+    if system.name == "model1" and scheme.kind in ("euler", "rk2", "rk4"):
+        # 17 seeds over [-2, 22] put a column on x = -c, the zero of c + x
+        assert np.isinf(res).any()
+    if system.name == "model2" and scheme is RK4:
+        # at h = 2 rk4 runs seeds into the iteration cap
+        assert (np.isfinite(res) & (res >= NEWTON_TOL)).any()
 
 
 @needs_numba
-def test_backends_agree_on_fixed_point_scans():
-    p = model2().rma_params
-    grid = np.linspace(0.0, 20.0, 25)
-    sx, sy = [g.ravel() for g in np.meshgrid(grid, grid)]
-    a = scan_fixed_points(p, "nsfd", 0.5, 0.5, sx, sy, backend="numba")
-    b = scan_fixed_points(p, "nsfd", 0.5, 0.5, sx, sy, backend="python")
-    assert np.array_equal(a, b, equal_nan=True)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+def test_jit_trajectories_match_the_python_path(monkeypatch, scheme):
+    runs = {}
+    for backend in ("numba", "python"):
+        monkeypatch.setenv("NSFD_BACKEND", backend)
+        runs[backend] = (integrate(model1(), scheme, State(0.5, 0.5), 0.1, 50.0),
+                         integrate(model1(), scheme, State(15.0, 0.1), 0.1, 5.0))
+    for jit, py in zip(runs["numba"], runs["python"]):
+        assert jit.halt_step == py.halt_step
+        assert np.array_equal(jit.xs, py.xs)
+        assert np.array_equal(jit.ys, py.ys)
+
+
+@needs_numba
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+def test_jit_fixed_point_scans_match_the_python_path(monkeypatch, scheme):
+    monkeypatch.setenv("NSFD_BACKEND", "python")
+    scans = _recorded_generic_scans(monkeypatch)
+    py = detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17)
+    sx, sy, rows = scans[0]
+    monkeypatch.setenv("NSFD_BACKEND", "numba")
+    core, e = _scheme_core(scheme, 0.1)
+    assert np.array_equal(scan_fixed_points(model1(), scheme.kind, core, e, 0.1, sx, sy), rows)
+    assert detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17) == py
+    assert len(scans) == 1
 
 
 @needs_numba
 def test_environment_flag_routes_integrate(monkeypatch):
-    m2 = model2()
+    calls = []
+    original = _kernels._step_loop
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "_step_loop", counting)
     monkeypatch.setenv("NSFD_BACKEND", "python")
-    via_env = integrate(m2, NSFD, State(0.4, 0.4), 0.5, 50.0)
-    monkeypatch.delenv("NSFD_BACKEND")
-    explicit = integrate(m2, NSFD, State(0.4, 0.4), 0.5, 50.0, backend="python")
-    jitted = integrate(m2, NSFD, State(0.4, 0.4), 0.5, 50.0, backend="numba")
-    assert np.array_equal(via_env.xs, explicit.xs)
-    assert np.array_equal(via_env.ys, explicit.ys)
-    assert np.array_equal(jitted.xs, explicit.xs)
-    assert np.array_equal(jitted.ys, explicit.ys)
+    py = integrate(model2(), NSFD, State(0.4, 0.4), 0.5, 50.0)
+    assert len(calls) == 1
+    monkeypatch.setenv("NSFD_BACKEND", "numba")
+    jit = integrate(model2(), NSFD, State(0.4, 0.4), 0.5, 50.0)
+    assert len(calls) == 1
+    assert np.array_equal(jit.xs, py.xs)
+    assert np.array_equal(jit.ys, py.ys)
 
 
 def test_generic_loop_matches_kernel_path():

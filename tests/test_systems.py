@@ -154,6 +154,15 @@ def test_from_selector_aliases():
     assert custom.rma_params == model2().rma_params
 
 
+def test_model_names_keep_every_parameter():
+    # names feed CLI output file names, so two systems must never share one
+    assert from_selector("rma:2,1,1,0.2").name == "rma-2-1-1-0.2"
+    assert from_selector("rma:2,1,1,0.2000001").name == "rma-2-1-1-0.2000001"
+    assert make_rosenzweig_macarthur(2.0, 1.0, 1.0, 0.2).name == "rma-2-1-1-0.2"
+    assert make_rosenzweig_macarthur(2.0, 1.0, 1.0000001, 0.2).name == "rma-2-1-1.0000001-0.2"
+    assert make_rosenzweig_macarthur(2.0, 1.0, 1.0, 0.2, name="m").name == "m"
+
+
 def test_from_selector_error_modes():
     with pytest.raises(ValueError):
         from_selector("rma:1,2,3")  # arity
