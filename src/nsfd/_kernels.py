@@ -1,14 +1,24 @@
 """The stepping loop and the Newton scan, and numba kernels for them.
 
 `run_trajectory` and `scan_fixed_points` are the entry points for every
-system.  On the python backend they run `_step_loop` and
-`scan_fixed_points_generic` over the scheme cores of nsfd.integrators: one
-code path, whatever built the system.  On the numba backend a system of
-the built-in predator-prey family (one with rma_params) runs a compiled
-kernel instead: numba compiles `_rma_step`, one step of that family
-written like the scheme cores, into the loop drivers below.  fastmath
-stays off so the kernels agree bit for bit with the python path; do not
-"optimise" the expression order in this file.
+system.  Which code runs behind them depends on the system and on the
+backend:
+
+* a system of the built-in predator-prey family (one with rma_params) on
+  the python backend: `run_trajectory` runs `_step_loop`, and
+  `scan_fixed_points` runs `_scan_batched`, which iterates Newton over all
+  seeds at once as numpy arrays through the same scheme cores;
+* the same system on the numba backend: compiled kernels, made by numba
+  from `_rma_step` (one step of that family, written like the scheme
+  cores) and the loop drivers below;
+* a system built from arbitrary callables, on either backend:
+  `_step_loop` and `scan_fixed_points_generic`, one seed at a time over
+  the scheme cores of nsfd.integrators.
+
+All three give bit-identical outputs.  numpy's elementwise + - * / and
+python's float arithmetic are the same correctly rounded IEEE operations,
+and fastmath stays off, so the same expression order gives the same bits;
+do not "optimise" the expression order in this file or in the cores.
 
 The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
 when importable).
@@ -194,7 +204,8 @@ def warmup() -> None:
 
 def _step_loop(core, system, x0, y0, e, n):
     # The python stepping loop: n steps of core(system, x, y, e), stopping
-    # just before the first state that is non-finite or whose step raised
+    # just before the first state that is non-finite or complex (a
+    # fractional power of a negative coordinate), or whose step raised
     # ZeroDivisionError, OverflowError or ValueError (a math domain error
     # off the quadrant).
     xs = np.empty(n + 1)
@@ -208,7 +219,8 @@ def _step_loop(core, system, x0, y0, e, n):
             xn, yn = core(system, x, y, e)
         except (ZeroDivisionError, OverflowError, ValueError):
             return xs[:k + 1], ys[:k + 1], k + 1
-        if not (math.isfinite(xn) and math.isfinite(yn)):
+        if (isinstance(xn, complex) or isinstance(yn, complex)
+                or not (math.isfinite(xn) and math.isfinite(yn))):
             return xs[:k + 1], ys[:k + 1], k + 1
         xs[k + 1] = xn
         ys[k + 1] = yn
@@ -241,12 +253,14 @@ def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     Returns an (n, 3) array of (x, y, residual) rows, one per seed, in seed
     order; a seed whose residual is not below tol failed.
     """
-    if system.rma_params is None or resolve_backend() != "numba":
-        return scan_fixed_points_generic(lambda x, y: core(system, x, y, e),
-                                         seeds_x, seeds_y, tol, max_iter, escape)
-    p = system.rma_params
+    map_fn = lambda x, y: core(system, x, y, e)
+    if system.rma_params is None:
+        return scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
     seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
     seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
+    if resolve_backend() != "numba":
+        return _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
+    p = system.rma_params
     out = np.empty((seeds_x.shape[0], 3))
     _fixed_points_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d, float(e), float(h),
                       seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
@@ -278,3 +292,54 @@ def scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL,
     drive(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
           seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
     return out
+
+
+def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape):
+    # _make_fixed_point_driver over all seeds at once: map_fn takes and
+    # returns arrays.  idx holds the seeds still iterating; each one retires
+    # where the scalar loop breaks, with the same stored point and
+    # residual, and all share one iteration counter.  One map call takes a
+    # seed's point and its four Jacobian probes together; probes of a seed
+    # that retires on its residual are computed and then ignored.  A zero
+    # denominator gives a non-finite map value here where the scalar cores
+    # raise, and both retire the seed with residual inf at the same point.
+    x = seeds_x.copy()
+    y = seeds_y.copy()
+    res = np.full(x.shape[0], np.inf)
+    idx = np.arange(x.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            ax = x[idx]
+            ay = y[idx]
+            dx = 1e-6 * np.maximum(1.0, np.abs(ax))
+            dy = 1e-6 * np.maximum(1.0, np.abs(ay))
+            mx, my = map_fn(np.concatenate((ax, ax + dx, ax - dx, ax, ax)),
+                            np.concatenate((ay, ay, ay, ay + dy, ay - dy)))
+            mx, px1, px0, qx1, qx0 = mx.reshape(5, -1)
+            my, py1, py0, qy1, qy0 = my.reshape(5, -1)
+            rx = mx - ax
+            ry = my - ay
+            finite = np.isfinite(rx) & np.isfinite(ry)
+            r = np.maximum(np.abs(rx), np.abs(ry))
+            res[idx] = np.where(finite, r, np.inf)
+            j11 = (px1 - px0) / (2.0 * dx) - 1.0
+            j21 = (py1 - py0) / (2.0 * dx)
+            j12 = (qx1 - qx0) / (2.0 * dy)
+            j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
+            det = j11 * j22 - j12 * j21
+            go = finite & (r >= tol)
+            singular = go & ~(np.isfinite(det) & (np.abs(det) >= 1e-14))
+            res[idx[singular]] = np.inf
+            go &= ~singular
+            nx = ax + (-rx * j22 + ry * j12) / det
+            ny = ay + (-j11 * ry + j21 * rx) / det
+            idx, nx, ny = idx[go], nx[go], ny[go]
+            x[idx] = nx
+            y[idx] = ny
+            out = (~(np.isfinite(nx) & np.isfinite(ny))
+                   | (np.abs(nx) > escape) | (np.abs(ny) > escape))
+            res[idx[out]] = np.inf
+            idx = idx[~out]
+    return np.column_stack((x, y, res))

@@ -151,9 +151,12 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     since their spurious points can sit just outside the quadrant.  Found
     points are deduplicated at 1e-6 and labelled genuine when they match a
     flow equilibrium to 1e-6.  The box must have positive finite extent
-    (ValueError otherwise).
+    and seeds_per_axis must be an int of at least 1 (ValueError otherwise).
     """
     bx, by = _resolve_box(system, box)
+    if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)
+            or seeds_per_axis < 1):
+        raise ValueError(f"seeds_per_axis must be an int of at least 1, got {seeds_per_axis!r}")
     classical = scheme.kind in ("euler", "rk2", "rk4")
     lox, hix = (-0.1 * bx, 1.1 * bx) if classical else (0.0, bx)
     loy, hiy = (-0.1 * by, 1.1 * by) if classical else (0.0, by)

@@ -313,8 +313,8 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises
     ZeroDivisionError, OverflowError or ValueError (a math domain error in
-    a component evaluated off the quadrant) or yields a non-finite state
-    halts the run with halt_reason "nonfinite".
+    a component evaluated off the quadrant) or yields a non-finite or
+    complex state halts the run with halt_reason "nonfinite".
     """
     _require_step(h)
     if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):

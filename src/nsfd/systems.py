@@ -119,9 +119,10 @@ class SplitSystem:
         Half-width of the square validation/search box [0, x_max]^2.
     rma_params
         Set by :func:`make_rosenzweig_macarthur` for systems of the
-        built-in family.  The numba kernels key on it; systems built from
-        arbitrary callables leave it None, and on the python backend every
-        system takes the generic code path.
+        built-in family, and a promise that the components and partials
+        are that family's.  The numba kernels and the batched numpy Newton
+        searches key on it; systems built from arbitrary callables leave
+        it None and take the scalar python paths.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -288,9 +289,10 @@ def make_rosenzweig_macarthur(
         g_plus = x/(c + x)            g_minus = d
 
     All four parameters must be strictly positive.  The returned system
-    carries analytic partials and is tagged so integration dispatches to
-    the compiled kernels on the numba backend.  The default name writes
-    each parameter exactly (see _float_tag).
+    carries analytic partials and is tagged (rma_params) so its Newton
+    searches run batched in numpy and, on the numba backend, its orbits
+    and ghost scans run compiled kernels.  The default name writes each
+    parameter exactly (see _float_tag).
     """
     for label, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not (math.isfinite(v) and v > 0.0):

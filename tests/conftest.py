@@ -58,3 +58,16 @@ def stable_e2_system():
         lambda x, y: y,
         name="stable_e2",
     )
+
+
+@pytest.fixture(scope="session")
+def root_loss_system():
+    """Coexistence at (1/3, (1 - sqrt(1/3))/0.3); off the quadrant the loss
+    x ** 0.5 of a negative python float is complex."""
+    return SplitSystem(
+        lambda x, y: 1.0,
+        lambda x, y: x ** 0.5 + 0.3 * y,
+        lambda x, y: 0.8 * x / (1.0 + x),
+        lambda x, y: 0.2,
+        name="root_loss",
+    )

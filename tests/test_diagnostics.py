@@ -150,6 +150,12 @@ def test_ghost_seeds_fail_where_a_component_turns_complex():
     assert [(round(p.x, 9), abs(round(p.y, 9))) for p in report.genuine] == [(1.0, 0.0)]
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.0, True, None])
+def test_detect_ghosts_refuses_a_bad_seed_count(bad):
+    with pytest.raises(ValueError, match="seeds_per_axis"):
+        detect_ghosts(model1(), NSFD, 0.1, seeds_per_axis=bad)
+
+
 def test_compare_schemes_table():
     m1 = model1()
     table = compare_schemes(m1, [NSFD, EULER], State(15.0, 0.1), [0.1, 1.0], 5.0)

@@ -364,14 +364,15 @@ def test_one_search_serves_every_analysis_of_a_system(search_count):
     assert search_count == [("model2", 20.0, 20.0), ("model2", 5.0, 5.0)]
 
 
-def test_stored_result_is_bitwise_a_fresh_search():
-    def bits(eqs):
-        return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
+def _bits(eqs):
+    return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
 
+
+def test_stored_result_is_bitwise_a_fresh_search():
     m2 = model2()
     first = find_equilibria(m2)
     assert find_equilibria(m2) is first
-    assert bits(find_equilibria(model2())) == bits(first)
+    assert _bits(find_equilibria(model2())) == _bits(first)
 
 
 def test_store_is_invisible_to_equality_hash_and_repr(search_count):
@@ -384,3 +385,31 @@ def test_store_is_invisible_to_equality_hash_and_repr(search_count):
     # the replaced system starts with an empty store of its own
     find_equilibria(twin)
     assert len(search_count) == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched interior search of the built-in family
+
+
+@given(a=st.floats(0.2, 4.0), b=st.floats(0.2, 3.0), c=st.floats(0.2, 3.0),
+       d=st.floats(0.02, 0.95), bx=st.floats(0.3, 30.0), by=st.floats(0.3, 30.0))
+@settings(max_examples=30, deadline=None)
+def test_batched_interior_search_is_the_scalar_search(a, b, c, d, bx, by):
+    system = make_rosenzweig_macarthur(a, b, c, d)
+    clone = dataclasses.replace(system, rma_params=None)
+    assert _bits(find_equilibria(system, (bx, by))) == _bits(find_equilibria(clone, (bx, by)))
+
+    # off-quadrant seeds too, with a column on x = -c, the zero of c + x
+    xs = np.append(np.linspace(-2.0 * c, bx, 7), -c)
+    ys = np.linspace(-1.0, by, 7)
+    escape = 10.0 * (bx + by)
+    batched = nsfd.equilibria._balance_newton_batched(system, xs, ys, escape)
+    scalar = nsfd.equilibria._balance_newton(system, xs, ys, escape)
+    assert [(x.hex(), y.hex()) for x, y in batched] == [(x.hex(), y.hex()) for x, y in scalar]
+
+
+def test_interior_search_drops_seeds_where_a_component_turns_complex(root_loss_system):
+    eqs = find_equilibria(root_loss_system, (3.0, 3.0))
+    assert [p.family for p in eqs] == ["O", "E3", "E1"]
+    assert eqs[1].x == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert eqs[1].y == pytest.approx((1.0 - math.sqrt(1.0 / 3.0)) / 0.3, abs=1e-12)

@@ -271,6 +271,14 @@ def test_integrate_halts_on_a_math_domain_error():
     assert list(traj.xs) == [4.0, -4.0]
 
 
+def test_integrate_halts_where_a_component_turns_complex(root_loss_system):
+    # Euler overshoots to x = -6.4, where x ** 0.5 is complex
+    traj = integrate(root_loss_system, EULER, State(4.0, 1.0), 2.0, 10.0)
+    assert traj.halt_reason == "nonfinite"
+    assert traj.halt_step == 2
+    assert traj.xs[1] < 0.0
+
+
 def test_integrate_keeps_negative_classical_states():
     # Negative coordinates are a diagnostic signal, not an error, for the
     # classical schemes.

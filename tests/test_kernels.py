@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nsfd
 from nsfd import (EULER, NSFD, RK2, RK4, SplitSystem, State, detect_ghosts, ensfd,
-                  exponential_weight, integrate, model1, model2)
+                  exponential_weight, integrate, make_rosenzweig_macarthur, model1, model2)
 from nsfd import _kernels
 from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
                            SCHEME_TAGS, _make_fixed_point_driver, _make_trajectory_driver,
-                           _rma_step, resolve_backend, scan_fixed_points)
+                           _rma_step, resolve_backend, scan_fixed_points,
+                           scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
@@ -63,18 +66,29 @@ def _clone(system):
     return clone
 
 
-def _recorded_generic_scans(monkeypatch):
-    """Record the (seeds_x, seeds_y, rows) of every generic Newton scan."""
+def _recorded_scans(monkeypatch):
+    """Record which python Newton scan runs: "batched" or "generic"."""
     calls = []
-    original = _kernels.scan_fixed_points_generic
+    for label, name in (("batched", "_scan_batched"), ("generic", "scan_fixed_points_generic")):
+        def recording(*args, _label=label, _original=getattr(_kernels, name)):
+            calls.append(_label)
+            return _original(*args)
 
-    def recording(map_fn, seeds_x, seeds_y, *args):
-        rows = original(map_fn, seeds_x, seeds_y, *args)
-        calls.append((np.asarray(seeds_x, dtype=float), np.asarray(seeds_y, dtype=float), rows))
-        return rows
-
-    monkeypatch.setattr(_kernels, "scan_fixed_points_generic", recording)
+        monkeypatch.setattr(_kernels, name, recording)
     return calls
+
+
+def _ghost_seeds(system, scheme, n):
+    """The n x n seed grid detect_ghosts lays over the system's own box."""
+    b = system.x_max
+    lo, hi = (-0.1 * b, 1.1 * b) if scheme.kind in ("euler", "rk2", "rk4") else (0.0, b)
+    g = np.linspace(lo, hi, n)
+    return [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+
+
+def _scan(system, scheme, h, sx, sy):
+    core, e = _scheme_core(scheme, h)
+    return scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
 
 
 def test_resolve_backend_explicit_choice(monkeypatch):
@@ -102,6 +116,9 @@ def test_resolve_backend_reads_environment(monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkeypatch,
                                                              scheme):
+    # integrate runs one loop for every system; the ghost scan of a system
+    # of the built-in family runs batched, that of a callable clone seed by
+    # seed, and both give the same report
     loops = []
     original = _kernels._step_loop
 
@@ -110,7 +127,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         return original(core, system, *args)
 
     monkeypatch.setattr(_kernels, "_step_loop", recording)
-    scans = _recorded_generic_scans(monkeypatch)
+    scans = _recorded_scans(monkeypatch)
     for system in (model1(), model2()):
         clone = _clone(system)
         traj = integrate(system, scheme, State(0.4, 0.4), 0.1, 5.0)
@@ -121,7 +138,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         assert report.genuine
         assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
     assert loops == ["model1"] * 2 + ["model2"] * 2
-    assert len(scans) == 4
+    assert scans == ["batched", "generic"] * 2
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
@@ -144,21 +161,43 @@ def test_plain_rma_step_matches_integrate(python_path, scheme, system, s0, h, t_
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("system,h,seeds", [(model1(), 0.1, 17), (model2(), 2.0, 15)],
                          ids=["model1", "model2"])
-def test_plain_rma_step_matches_the_ghost_scan(python_path, monkeypatch, scheme, system, h,
-                                               seeds):
-    scans = _recorded_generic_scans(monkeypatch)
-    detect_ghosts(system, scheme, h, seeds_per_axis=seeds)
-    assert len(scans) == 1
-    sx, sy, rows = scans[0]
-    assert np.array_equal(rows, _plain_scan(system, scheme, h, sx, sy))
+def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, seeds):
+    sx, sy = _ghost_seeds(system, scheme, seeds)
+    rows = _scan(system, scheme, h, sx, sy)
+    assert rows.tobytes() == _plain_scan(system, scheme, h, sx, sy).tobytes()
+    assert rows.tobytes() == _scan(_clone(system), scheme, h, sx, sy).tobytes()
     res = rows[:, 2]
     assert (res < NEWTON_TOL).any()
     if system.name == "model1" and scheme.kind in ("euler", "rk2", "rk4"):
         # 17 seeds over [-2, 22] put a column on x = -c, the zero of c + x
-        assert np.isinf(res).any()
+        assert (sx == -system.rma_params.c).any()
+        assert np.isinf(res[sx == -system.rma_params.c]).all()
     if system.name == "model2" and scheme is RK4:
         # at h = 2 rk4 runs seeds into the iteration cap
         assert (np.isfinite(res) & (res >= NEWTON_TOL)).any()
+
+
+@given(a=st.floats(0.2, 4.0), b=st.floats(0.2, 3.0), c=st.floats(0.2, 3.0),
+       d=st.floats(0.02, 0.95), scheme=st.sampled_from(SCHEMES), h=st.floats(0.01, 8.0),
+       gx=st.lists(st.floats(-4.0, 12.0), min_size=1, max_size=6),
+       gy=st.lists(st.floats(-4.0, 12.0), min_size=1, max_size=6))
+@example(a=0.2916194159139722, b=1.5819797555783301, c=2.5476019872707703,
+         d=0.671914759870175, scheme=NSFD, h=0.05,
+         gx=[-2.5714029809061554], gy=[2.0714285714285716]).via("a seed that escapes")
+@example(a=2.0, b=1.0, c=0.5, d=0.3, scheme=EULER, h=0.1, gx=[1.0], gy=[0.5, 2.0]).via(
+    "a Jacobian probe on x = -c")
+@settings(max_examples=60, deadline=None)
+def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
+    # off-quadrant seeds, with columns on x = -c, the zero of c + x, and
+    # where a Jacobian probe x -/+ 1e-6 lands on it
+    system = make_rosenzweig_macarthur(a, b, c, d)
+    gx = np.array(gx + [-c, -c + 1e-6, -c - 1e-6])
+    sx, sy = [g.ravel() for g in np.meshgrid(gx, np.array(gy), indexing="ij")]
+    core, e = _scheme_core(scheme, h)
+    map_fn = lambda x, y: core(system, x, y, e)
+    args = (NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_ESCAPE)
+    rows = _kernels._scan_batched(map_fn, sx, sy, *args)
+    assert rows.tobytes() == scan_fixed_points_generic(map_fn, sx, sy, *args).tobytes()
 
 
 @needs_numba
@@ -178,15 +217,13 @@ def test_jit_trajectories_match_the_python_path(monkeypatch, scheme):
 @needs_numba
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_jit_fixed_point_scans_match_the_python_path(monkeypatch, scheme):
+    sx, sy = _ghost_seeds(model1(), scheme, 17)
     monkeypatch.setenv("NSFD_BACKEND", "python")
-    scans = _recorded_generic_scans(monkeypatch)
+    rows = _scan(model1(), scheme, 0.1, sx, sy)
     py = detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17)
-    sx, sy, rows = scans[0]
     monkeypatch.setenv("NSFD_BACKEND", "numba")
-    core, e = _scheme_core(scheme, 0.1)
-    assert np.array_equal(scan_fixed_points(model1(), scheme.kind, core, e, 0.1, sx, sy), rows)
+    assert _scan(model1(), scheme, 0.1, sx, sy).tobytes() == rows.tobytes()
     assert detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17) == py
-    assert len(scans) == 1
 
 
 @needs_numba
