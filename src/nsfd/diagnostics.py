@@ -13,6 +13,7 @@ from .systems import DomainError, SplitSystem, State
 
 COMPARISON_HEADER = ("scheme,h,x0,y0,t_end,final_x,final_y,"
                      "dist_to_equilibrium,positivity_violation_step,nonfinite")
+_COMPARISON_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{},{}"
 
 GHOST_SEEDS_PER_AXIS = 60
 GHOST_MATCH_TOL = 1e-6
@@ -218,22 +219,13 @@ class ComparisonTable:
     rows: "tuple[ComparisonRow, ...]"
 
     def to_csv(self) -> str:
-        lines = [COMPARISON_HEADER]
-        for r in self.rows:
-            step_field = "" if r.positivity_violation_step is None else str(r.positivity_violation_step)
-            lines.append(",".join([
-                r.scheme,
-                f"{r.h:.17g}",
-                f"{r.x0:.17g}",
-                f"{r.y0:.17g}",
-                f"{r.t_end:.17g}",
-                f"{r.final_x:.17g}",
-                f"{r.final_y:.17g}",
-                f"{r.dist_to_equilibrium:.17g}",
-                step_field,
-                "true" if r.nonfinite else "false",
-            ]))
-        return "\n".join(lines) + "\n"
+        rows = (_COMPARISON_ROW.format(
+            r.scheme, r.h, r.x0, r.y0, r.t_end, r.final_x, r.final_y,
+            r.dist_to_equilibrium,
+            "" if r.positivity_violation_step is None else r.positivity_violation_step,
+            "true" if r.nonfinite else "false",
+        ) for r in self.rows)
+        return "\n".join([COMPARISON_HEADER, *rows]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -250,8 +250,8 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     return n
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+# one CSV row; 17 significant digits read back as exactly the same float
+_CSV_ROW = "{},{:.17g},{:.17g},{:.17g}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,10 +291,9 @@ class Trajectory:
         return self.state(len(self.ts) - 1)
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for k in range(len(self.ts)):
-            lines.append(f"{k},{_fmt(self.ts[k])},{_fmt(self.xs[k])},{_fmt(self.ys[k])}")
-        return "\n".join(lines) + "\n"
+        rows = map(_CSV_ROW.format, range(len(self.ts)),
+                   self.ts.tolist(), self.xs.tolist(), self.ys.tolist())
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -11,11 +11,16 @@ positive inside the quadrant.  Keeping gains and losses apart is what makes
 the denominator-weighted difference schemes in :mod:`nsfd.integrators`
 positivity preserving and the closed-form equilibrium analysis in
 :mod:`nsfd.equilibria` possible, so construction checks the sign structure
-eagerly on a sample grid instead of trusting the caller.
+eagerly on a sample grid instead of trusting the caller.  The checks
+evaluate a system of the built-in family on whole numpy grids and any other
+system once per grid node, with the same verdict and message either way.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -120,9 +125,10 @@ class SplitSystem:
     rma_params
         Set by :func:`make_rosenzweig_macarthur` for systems of the
         built-in family, and a promise that the components and partials
-        are that family's.  The numba kernels and the batched numpy Newton
-        searches key on it; systems built from arbitrary callables leave
-        it None and take the scalar python paths.
+        are that family's.  The construction checks, the numba kernels and
+        the batched numpy Newton searches key on it; systems built from
+        arbitrary callables leave it None and take the scalar python paths,
+        which call each component once per point.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -133,8 +139,14 @@ class SplitSystem:
     ------
     ConstructionError
         If a component is non-finite, negative on the quadrant boundary,
-        or not strictly positive at an interior grid node, or if the
-        supplied analytic partials disagree with finite differences.
+        or not strictly positive at an interior node of the 50 x 50
+        validation grid; if an analytic partial or its finite difference
+        is non-finite, or the two disagree, at a node of a coarser subgrid;
+        or if a component or partial raises ZeroDivisionError,
+        OverflowError or ValueError, or returns a complex value, at a
+        node.  The message names the first failing node: components in
+        field order, then x, then y for the sign checks; x, then y, then
+        PartialValues order for the partials.
     """
 
     f_plus: Component
@@ -170,43 +182,132 @@ class SplitSystem:
 
 
 def _check_sign_structure(sys: SplitSystem) -> None:
-    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    for label, comp in zip(labels, comps):
-        for x in nodes:
-            for y in nodes:
-                v = comp(float(x), float(y))
-                if not math.isfinite(v):
-                    raise ConstructionError(
-                        f"{label}({x:g}, {y:g}) is not finite: {v!r}"
-                    )
-                if x > 0.0 and y > 0.0:
-                    if not v > 0.0:
-                        raise ConstructionError(
-                            f"{label}({x:g}, {y:g}) = {v!r} must be strictly "
-                            "positive inside the quadrant"
-                        )
-                elif v < 0.0:
-                    raise ConstructionError(
-                        f"{label}({x:g}, {y:g}) = {v!r} must be non-negative "
-                        "on the quadrant boundary"
-                    )
+    vals, odd = _grid_values(sys, comps, nodes, lambda: _on_mesh(comps, nodes))
+    inside = np.array(nodes) > 0.0
+    inside = inside[:, None] & inside[None, :]
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(vals) | np.where(inside, ~(vals > 0.0), vals < 0.0)
+    if not bad.any():
+        return
+    # first failure in label-major, then x, then y order: C order of vals
+    k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    x, y = nodes[i], nodes[j]
+    v = odd.get((k, i, j), float(vals[k, i, j]))
+    where = f"{labels[k]}({x:g}, {y:g})"
+    _refuse_odd(where, v)
+    if not math.isfinite(v):
+        raise ConstructionError(f"{where} is not finite: {v!r}")
+    if x > 0.0 and y > 0.0:
+        raise ConstructionError(f"{where} = {v!r} must be strictly positive inside the quadrant")
+    raise ConstructionError(f"{where} = {v!r} must be non-negative on the quadrant boundary")
 
 
 def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     # spot check on a coarse subgrid; the full-grid property lives in the tests
-    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7]
-    for x in nodes:
-        for y in nodes:
-            ana = sys.partials.at(float(x), float(y))
-            num = _numeric_partial_values(sys, float(x), float(y))
-            for field, a, n in zip(PartialValues._fields, ana, num):
-                if abs(a - n) > rtol * max(1.0, abs(a), abs(n)):
-                    raise ConstructionError(
-                        f"analytic partial {field}({x:g}, {y:g}) = {a!r} "
-                        f"disagrees with finite difference {n!r}"
-                    )
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7].tolist()
+    analytic = tuple(getattr(sys.partials, f) for f in PartialValues._fields)
+    comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
+    numeric = tuple(fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp)))
+    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, nodes))
+    num, num_odd = _grid_values(sys, numeric, nodes, lambda: _fd_mesh(comps, nodes))
+    with np.errstate(invalid="ignore", over="ignore"):
+        mismatch = np.abs(ana - num) > rtol * np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
+    bad = ~np.isfinite(ana) | ~np.isfinite(num) | mismatch
+    if not bad.any():
+        return
+    # first failure in x, then y, then field order
+    i, j, k = np.unravel_index(np.argmax(bad.transpose(1, 2, 0)), bad.shape[1:] + bad.shape[:1])
+    name = PartialValues._fields[k]
+    at = f"{name}({nodes[i]:g}, {nodes[j]:g})"
+    a = ana_odd.get((k, i, j), float(ana[k, i, j]))
+    n = num_odd.get((k, i, j), float(num[k, i, j]))
+    _refuse_odd(f"analytic partial {at}", a)
+    if not math.isfinite(a):
+        raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
+    _refuse_odd(f"finite difference {at}", n)
+    if not math.isfinite(n):
+        raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
+    raise ConstructionError(
+        f"analytic partial {at} = {a!r} disagrees with finite difference {n!r}"
+    )
+
+
+def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
+    """Each of fns at every node (x, y) of nodes x nodes.
+
+    Returns a (len(fns), n, n) float array indexed [fn, x, y], and a dict
+    that holds, under the same index, whatever a call returned that was not
+    a python float (an int, a complex) or any exception it raised.  The
+    array holds such a value as a float, or nan if it is none.  Exceptions
+    are kept rather than raised because only the first failing node, in
+    each checker's own order, decides the verdict.
+
+    A system of the built-in family is evaluated on whole arrays by
+    on_arrays(): its closures use only + - * /, so every finite entry is the
+    bits of the scalar call.  Where the scalar call divides by zero the
+    array holds inf or nan instead, so each non-finite node is called again
+    on scalars.  Any other system is called once per node.
+    """
+    shape = (len(fns), len(nodes), len(nodes))
+    if sys.rma_params is not None:
+        with np.errstate(all="ignore"):
+            vals = on_arrays()
+        todo = np.argwhere(~np.isfinite(vals)).tolist()
+    else:
+        todo = itertools.product(*map(range, shape))
+    odd = {}
+    got = []
+    for k, i, j in todo:
+        try:
+            v = fns[k](nodes[i], nodes[j])
+        except Exception as exc:
+            v = exc
+        if type(v) is not float:
+            odd[k, i, j] = v
+            v = float(v) if isinstance(v, numbers.Real) else math.nan
+        got.append(v)
+    if sys.rma_params is None:
+        return np.array(got).reshape(shape), odd
+    if got:
+        vals[tuple(np.array(todo).T)] = got
+    return vals, odd
+
+
+def _on_mesh(fns, nodes) -> np.ndarray:
+    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
+    out = np.empty((len(fns), len(nodes), len(nodes)))
+    for k, fn in enumerate(fns):
+        out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
+    return out
+
+
+def _fd_mesh(comps, nodes) -> np.ndarray:
+    # _fd_x and _fd_y of each component, one call per grid line: the step
+    # and the stencil depend only on the coordinate that is differenced
+    line = np.array(nodes)
+    out = np.empty((2 * len(comps), line.size, line.size))
+    for k, comp in enumerate(comps):
+        for i, v in enumerate(nodes):
+            out[2 * k, i, :] = _fd_x(comp, v, line)
+            out[2 * k + 1, :, i] = _fd_y(comp, line, v)
+    return out
+
+
+def _refuse_odd(where: str, v) -> None:
+    """Refuse what a call at a validation node gave instead of a real value.
+
+    Any other exception (a TypeError from a malformed callable, say) is
+    re-raised unchanged.
+    """
+    if isinstance(v, (ZeroDivisionError, OverflowError, ValueError)):
+        raise ConstructionError(f"{where} raised {type(v).__name__}: {v}") from v
+    if isinstance(v, Exception):
+        raise v
+    if isinstance(v, complex):
+        raise ConstructionError(f"{where} = {v!r} is complex")
 
 
 def vector_field(system: SplitSystem, state: State):

@@ -10,13 +10,16 @@ from nsfd import (
     NSFD,
     RK2,
     RK4,
+    ComparisonTable,
     ReferenceUnavailable,
     SplitSystem,
     State,
     audit_positivity,
     compare_schemes,
     detect_ghosts,
+    ensfd,
     estimate_order,
+    exponential_weight,
     find_equilibria,
     integrate,
     model1,
@@ -201,6 +204,38 @@ def test_compare_schemes_csv_shape():
     assert fields[0] == "nsfd"
     assert float(fields[1]) == 0.5
     assert fields[9] == "false"
+
+
+def _comparison_csv_row_by_row(table):
+    lines = [("scheme,h,x0,y0,t_end,final_x,final_y,"
+              "dist_to_equilibrium,positivity_violation_step,nonfinite")]
+    for r in table.rows:
+        step_field = "" if r.positivity_violation_step is None else str(r.positivity_violation_step)
+        lines.append(",".join([
+            r.scheme,
+            f"{r.h:.17g}",
+            f"{r.x0:.17g}",
+            f"{r.y0:.17g}",
+            f"{r.t_end:.17g}",
+            f"{r.final_x:.17g}",
+            f"{r.final_y:.17g}",
+            f"{r.dist_to_equilibrium:.17g}",
+            step_field,
+            "true" if r.nonfinite else "false",
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def test_comparison_csv_is_the_row_by_row_text():
+    # euler blows up (nonfinite, a violation step), nsfd stays finite, and
+    # a negative start makes the weighted scheme record a nan row
+    table = compare_schemes(model1(), [NSFD, EULER, RK4], State(15.0, 0.1), [0.1, 1.0, 10.0], 50.0)
+    refused = compare_schemes(model1(), [ensfd(exponential_weight(2.0))], State(-1.0, 0.1), [0.5], 5.0)
+    assert refused.rows[0].nonfinite and math.isnan(refused.rows[0].final_x)
+    both = ComparisonTable(table.rows + refused.rows)
+    assert {r.nonfinite for r in both.rows} == {True, False}
+    assert both.to_csv() == _comparison_csv_row_by_row(both)
+    assert ComparisonTable(()).to_csv() == _comparison_csv_row_by_row(ComparisonTable(()))
 
 
 def test_compare_schemes_is_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Update maps, step weights, trajectories, and the integrate driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,28 @@ def test_csv_round_trip_is_exact():
         assert float(ts) == traj.ts[k]
         assert float(xs) == traj.xs[k]
         assert float(ys) == traj.ys[k]
+
+
+def _csv_row_by_row(traj):
+    lines = ["k,t,x,y"]
+    for k in range(len(traj.ts)):
+        lines.append(f"{k},{traj.ts[k]:.17g},{traj.xs[k]:.17g},{traj.ys[k]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_is_the_row_by_row_text():
+    full = integrate(model2(), NSFD, State(0.4, 0.4), 0.1, 150.0)
+    truncated = integrate(model1(), EULER, State(15.0, 0.1), 10.0, 1000.0)
+    assert truncated.truncated and len(truncated) < truncated.requested_steps
+    odd_values = dataclasses.replace(
+        truncated,
+        xs=np.array([math.nan, -0.0, math.inf, 5e-324][:len(truncated)]),
+        ys=np.array([-math.inf, 1e308, 0.1, -2.5][:len(truncated)]),
+        ts=truncated.ts[:4],
+    )
+    for traj in (full, truncated, odd_values):
+        assert traj.to_csv() == _csv_row_by_row(traj)
+    assert "nan" in odd_values.to_csv()
 
 
 def test_integration_is_deterministic(tmp_path):

@@ -1,9 +1,15 @@
 """System construction, validation, and derivative plumbing."""
 
+import contextlib
+import dataclasses
 import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsfd import (
     ConstructionError,
@@ -18,7 +24,9 @@ from nsfd import (
     numeric_partials,
     vector_field,
 )
-from nsfd.systems import partials_at
+from nsfd import systems
+from nsfd.systems import (MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues, _fd_x, _fd_y,
+                          partials_at)
 
 
 def test_model1_components_at_interior_point():
@@ -172,3 +180,212 @@ def test_from_selector_error_modes():
         from_selector("rma:2,-1,1,0.2")  # sign
     with pytest.raises(ValueError):
         from_selector("lotka")  # unknown name
+
+
+def test_underflowing_partial_denominator_is_refused():
+    # (c + x) * (c + x) underflows to 0 at x = 0, so the analytic fmx divides by zero
+    with pytest.raises(ConstructionError,
+                       match=r"^analytic partial fmx\(0, 0\) raised ZeroDivisionError: "):
+        make_rosenzweig_macarthur(2.0, 1.0, 1e-170, 0.3)
+    with pytest.raises(ConstructionError,
+                       match=r"^analytic partial gpx\(0, 0\) = 1e\+150 disagrees"):
+        make_rosenzweig_macarthur(2.0, 1.0, 1e-150, 0.3)
+
+
+def test_component_that_raises_is_refused():
+    with pytest.raises(ConstructionError,
+                       match=r"^f_minus\(0, 0\) raised ZeroDivisionError: float division by zero$"):
+        SplitSystem(lambda x, y: 1.0, lambda x, y: 1.0 / x,
+                    lambda x, y: 1.0, lambda x, y: 1.0)
+
+
+def test_component_that_turns_complex_is_refused():
+    with pytest.raises(ConstructionError, match=r"^g_minus\(0, 0\) = \(.*j\) is complex$"):
+        SplitSystem(lambda x, y: 1.0, lambda x, y: 1.0,
+                    lambda x, y: 1.0, lambda x, y: (x - 1.0) ** 0.5)
+
+
+# The scalar validation loops that construction ran before it checked whole
+# arrays, plus the refusals added since: a call that raises
+# ZeroDivisionError, OverflowError or ValueError, a complex value, and a
+# partial that is not finite.  The array checkers must accept exactly the
+# systems these accept and refuse the others with the same message.
+
+
+def _oracle_call(where, fn, x, y):
+    try:
+        v = fn(x, y)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise ConstructionError(f"{where} raised {type(exc).__name__}: {exc}") from exc
+    if isinstance(v, complex):
+        raise ConstructionError(f"{where} = {v!r} is complex")
+    return v
+
+
+def _oracle_sign_structure(sys):
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)
+    labels = ("f_plus", "f_minus", "g_plus", "g_minus")
+    comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
+    for label, comp in zip(labels, comps):
+        for x in nodes:
+            for y in nodes:
+                where = f"{label}({x:g}, {y:g})"
+                v = _oracle_call(where, comp, float(x), float(y))
+                if not math.isfinite(v):
+                    raise ConstructionError(f"{where} is not finite: {v!r}")
+                if x > 0.0 and y > 0.0:
+                    if not v > 0.0:
+                        raise ConstructionError(
+                            f"{where} = {v!r} must be strictly positive inside the quadrant"
+                        )
+                elif v < 0.0:
+                    raise ConstructionError(
+                        f"{where} = {v!r} must be non-negative on the quadrant boundary"
+                    )
+
+
+def _oracle_partials_consistency(sys, rtol=1e-5):
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7]
+    analytic = [getattr(sys.partials, f) for f in PartialValues._fields]
+    numeric = [fd for comp in (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
+               for fd in (partial(_fd_x, comp), partial(_fd_y, comp))]
+    for x in nodes:
+        for y in nodes:
+            for name, ana_fn, num_fn in zip(PartialValues._fields, analytic, numeric):
+                at = f"{name}({x:g}, {y:g})"
+                a = _oracle_call(f"analytic partial {at}", ana_fn, float(x), float(y))
+                if not math.isfinite(a):
+                    raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
+                n = _oracle_call(f"finite difference {at}", num_fn, float(x), float(y))
+                if not math.isfinite(n):
+                    raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
+                if abs(a - n) > rtol * max(1.0, abs(a), abs(n)):
+                    raise ConstructionError(
+                        f"analytic partial {at} = {a!r} disagrees with finite difference {n!r}"
+                    )
+
+
+def _oracle_checks(system):
+    _oracle_sign_structure(system)
+    if system.partials is not None:
+        _oracle_partials_consistency(system)
+
+
+def _array_checks(system):
+    systems._check_sign_structure(system)
+    if system.partials is not None:
+        systems._check_partials_consistency(system)
+
+
+def _outcome(check, system):
+    try:
+        check(system)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@contextlib.contextmanager
+def _unchecked():
+    # build systems without validating them, so both checkers see the same one
+    with mock.patch.object(SplitSystem, "__post_init__", lambda self: None):
+        yield
+
+
+def _assert_same_verdicts(system):
+    # the system itself, then a callable clone that takes the per-node path
+    with _unchecked():
+        clone = dataclasses.replace(system, rma_params=None)
+    for s in (system, clone):
+        assert _outcome(_array_checks, s) == _outcome(_oracle_checks, s)
+
+
+def _log10_uniform(lo, hi):
+    # 10 ** u for u in [lo, hi]; the integer part spreads the draws over
+    # every decade instead of clustering at simple values of u
+    return st.tuples(st.integers(lo, hi - 1), st.floats(0.0, 1.0)).map(
+        lambda t: 10.0 ** (t[0] + t[1]))
+
+
+# (a, b, c, d, x_max): draws from ranges that construction accepts, and
+# log-uniform draws over ranges that reach overflow, underflow and finite
+# differences too coarse for the partials
+_rma_draws = st.one_of(
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+              st.floats(0.01, 0.99), st.floats(1.0, 50.0)),
+    st.tuples(_log10_uniform(-3, 308), _log10_uniform(-3, 3),
+              _log10_uniform(-200, 1), _log10_uniform(-3, 1),
+              _log10_uniform(-3, 4)),
+)
+
+
+@given(params=_rma_draws)
+@example(params=(2.0, 1.0, 1e-170, 0.3, 20.0))
+@example(params=(2.0, 1.0, 1e-150, 0.3, 20.0))
+@example(params=(2.0, 1.0, 1.0, 0.2, 20.0))
+@example(params=(1e308, 1.0, 1.0, 0.2, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
+    *abcd, x_max = params
+    with _unchecked():
+        system = make_rosenzweig_macarthur(*abcd, x_max=x_max)
+    _assert_same_verdicts(system)
+
+
+def _fake_partials(**wrong):
+    # model2's partials with some entries replaced
+    return dataclasses.replace(model2().partials, **wrong)
+
+
+# systems that fail validation, built with the built-in family's tag unless
+# a case drops it (so the closures run on arrays) and checked again as a
+# callable clone
+_REFUSED = {
+    "interior-negative f_minus": dict(
+        f_minus=lambda x, y: y * ((x - 5.0) * (x - 5.0) - 1.0),
+        match=r"^f_minus\(4\.08163, 0\.408163\) = -0\.0639\d* must be strictly positive inside"),
+    "boundary-negative g_plus": dict(
+        g_plus=lambda x, y: x - 1.0,
+        match=r"^g_plus\(0, 0\) = -1\.0 must be non-negative on the quadrant boundary$"),
+    "inf f_plus": dict(
+        f_plus=lambda x, y: 1e308 * (x + 2.0),
+        match=r"^f_plus\(0, 0\) is not finite: inf$"),
+    "f_minus divides by zero": dict(
+        f_minus=lambda x, y: 1.0 / x,
+        match=r"^f_minus\(0, 0\) raised ZeroDivisionError"),
+    "complex g_minus": dict(
+        g_minus=lambda x, y: (x - 1.0) ** 0.5,
+        match=r"^g_minus\(0, 0\) = .* is complex$"),
+    "wrong fpx": dict(
+        partials=_fake_partials(fpx=lambda x, y: 1.0),
+        match=r"^analytic partial fpx\(0, 0\) = 1\.0 disagrees with finite difference 0\.0$"),
+    "nan gmy": dict(
+        partials=_fake_partials(gmy=lambda x, y: math.nan),
+        match=r"^analytic partial gmy\(0, 0\) is not finite: nan$"),
+    "gpx divides by zero": dict(
+        partials=_fake_partials(gpx=lambda x, y: 1.0 / y),
+        match=r"^analytic partial gpx\(0, 0\) raised ZeroDivisionError"),
+    # math functions take no arrays, so these two are callables only
+    "g_minus raises ValueError": dict(
+        g_minus=lambda x, y: math.sqrt(x - 1.0), rma_params=None,
+        match=r"^g_minus\(0, 0\) raised ValueError: math domain error$"),
+    "f_plus raises OverflowError": dict(
+        f_plus=lambda x, y: math.exp(1000.0 * (x + 1.0)), rma_params=None,
+        match=r"^f_plus\(0, 0\) raised OverflowError: math range error$"),
+    # any other exception escapes as it is, from the first failing node
+    "f_minus raises KeyError": dict(
+        f_minus=lambda x, y: {}[x] if x > 1.0 else 1.0, rma_params=None,
+        error=KeyError, match=r"^1\.22448"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_array_checks_give_the_scalar_verdicts_for_refused_systems(case):
+    changes = {"rma_params": MODEL2_PARAMS, **_REFUSED[case]}
+    match = changes.pop("match")
+    error = changes.pop("error", ConstructionError)
+    with _unchecked():
+        system = dataclasses.replace(model2(), **changes)
+    _assert_same_verdicts(system)
+    with pytest.raises(error, match=match):
+        _array_checks(system)
