@@ -7,6 +7,7 @@ convention for missing or malformed flags).
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -128,8 +129,12 @@ def _run_stem(system, scheme, h: "float | None" = None) -> str:
     return stem if h is None else f"{stem}_h{_float_tag(h)}"
 
 
+# main parses with one parser per process; building one costs ~10x a parse
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         return _dispatch(parser, args)

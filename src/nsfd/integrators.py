@@ -132,35 +132,40 @@ def effective_step(scheme: SchemeId, h: float) -> float:
     return e
 
 
-# nsfd._kernels._rma_step compiles these cores for the built-in family;
-# tests/test_kernels.py holds the two bit-equal.
+# The scheme cores: one system.components call per stage, so one call per
+# step for nsfd/ensfd and euler, two for rk2 and four for rk4.
+# nsfd._kernels._rma_step compiles the same arithmetic for the built-in
+# family; tests/test_kernels.py holds the two bit-equal.
 
 def _nsfd_core(system: SplitSystem, x: float, y: float, e: float):
     fp, fm, gp, gm = system.components(x, y)
     return x * (1.0 + e * fp) / (1.0 + e * fm), y * (1.0 + e * gp) / (1.0 + e * gm)
 
 
-def _field(system: SplitSystem, x: float, y: float):
-    fp, fm, gp, gm = system.components(x, y)
-    return x * (fp - fm), y * (gp - gm)
-
-
 def _euler_core(system: SplitSystem, x: float, y: float, h: float):
-    ux, uy = _field(system, x, y)
-    return x + h * ux, y + h * uy
+    fp, fm, gp, gm = system.components(x, y)
+    return x + h * (x * (fp - fm)), y + h * (y * (gp - gm))
 
 
 def _rk2_core(system: SplitSystem, x: float, y: float, h: float):
-    k1x, k1y = _field(system, x, y)
-    k2x, k2y = _field(system, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    return x + h * k2x, y + h * k2y
+    fp, fm, gp, gm = system.components(x, y)
+    u, v = x + 0.5 * h * (x * (fp - fm)), y + 0.5 * h * (y * (gp - gm))
+    fp, fm, gp, gm = system.components(u, v)
+    return x + h * (u * (fp - fm)), y + h * (v * (gp - gm))
 
 
 def _rk4_core(system: SplitSystem, x: float, y: float, h: float):
-    k1x, k1y = _field(system, x, y)
-    k2x, k2y = _field(system, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = _field(system, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-    k4x, k4y = _field(system, x + h * k3x, y + h * k3y)
+    fp, fm, gp, gm = system.components(x, y)
+    k1x, k1y = x * (fp - fm), y * (gp - gm)
+    u, v = x + 0.5 * h * k1x, y + 0.5 * h * k1y
+    fp, fm, gp, gm = system.components(u, v)
+    k2x, k2y = u * (fp - fm), v * (gp - gm)
+    u, v = x + 0.5 * h * k2x, y + 0.5 * h * k2y
+    fp, fm, gp, gm = system.components(u, v)
+    k3x, k3y = u * (fp - fm), v * (gp - gm)
+    u, v = x + h * k3x, y + h * k3y
+    fp, fm, gp, gm = system.components(u, v)
+    k4x, k4y = u * (fp - fm), v * (gp - gm)
     return (
         x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
         y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
@@ -241,9 +246,12 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     """Number of whole steps covering [t0, t_end]; no partial final step.
 
     Ratios within 1e-9 of the next integer round up, so t_end = 5, h = 0.1
-    gives exactly 50 steps despite 5/0.1 rounding below 50 in floats.
+    gives exactly 50 steps despite 5/0.1 rounding below 50 in floats.  A
+    ratio that overflows to inf is refused with the MAX_STEPS ValueError.
     """
     r = (t_end - t0) / h
+    if math.isinf(r):  # math.floor would raise OverflowError
+        raise ValueError(f"{r} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
     n = math.floor(r)
     if r - n > 1.0 - 1e-9:
         n += 1

@@ -125,10 +125,11 @@ class SplitSystem:
     rma_params
         Set by :func:`make_rosenzweig_macarthur` for systems of the
         built-in family, and a promise that the components and partials
-        are that family's.  The construction checks, the numba kernels and
-        the batched numpy Newton searches key on it; systems built from
-        arbitrary callables leave it None and take the scalar python paths,
-        which call each component once per point.
+        are that family's, so a ``dataclasses.replace`` of a component
+        must also set it None.  The construction checks, the numba
+        kernels, the batched numpy Newton searches and :meth:`components`
+        (all four components in one call) key on it; systems built from
+        arbitrary callables leave it None and call each component once.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -165,13 +166,17 @@ class SplitSystem:
         _check_sign_structure(self)
         if self.partials is not None:
             _check_partials_consistency(self)
+        if self.rma_params is not None:
+            # an instance attribute, so it shadows the method below
+            object.__setattr__(self, "components", _rma_components(self.rma_params))
 
     def components(self, x: float, y: float):
         """Evaluate (f_plus, f_minus, g_plus, g_minus) without domain checks.
 
-        Scheme internals call this for states that may sit outside the
-        quadrant (classical schemes wander there); use vector_field for
-        validated evaluation.
+        Scheme internals call this once per stage, for states that may sit
+        outside the quadrant (classical schemes wander there); use
+        vector_field for validated evaluation.  The built-in family swaps in
+        one closure with the bits (or exception) of the four single calls.
         """
         return (
             self.f_plus(x, y),
@@ -179,6 +184,16 @@ class SplitSystem:
             self.g_plus(x, y),
             self.g_minus(x, y),
         )
+
+
+def _rma_components(p: ModelParams):
+    # make_rosenzweig_macarthur's four closures in one: the same bits
+    a, b, c, d = p.a, p.b, p.c, p.d
+
+    def components(x, y):
+        return b, b * x + a * y / (c + x), x / (c + x), d
+
+    return components
 
 
 def _check_sign_structure(sys: SplitSystem) -> None:

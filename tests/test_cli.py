@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nsfd import cli
 from nsfd.cli import main
 
 
@@ -162,6 +163,28 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbit"])
     assert exc.value.code == 2
+
+
+def test_the_shared_parser_survives_usage_errors(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; a usage error from argparse or from the
+    # dispatcher must leave it giving the bytes of a fresh parser
+    assert cli._shared_parser() is cli._shared_parser()
+    argv = ["simulate", "--model", "model2", "--scheme", "rk4", "--h", "0.5",
+            "--x0", "0.4", "--y0", "0.4", "--t-end", "20", "--out", str(tmp_path)]
+    results = []
+    for parser_for_call in (cli._shared_parser, cli.build_parser):
+        monkeypatch.setattr(cli, "_shared_parser", parser_for_call)
+        for bad in (["simulate", "--model", "model2"],
+                    ["compare", "--model", "model2", "--scheme", "leapfrog", "--h", "0.1",
+                     "--x0", "1", "--y0", "1", "--t-end", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: nsfd")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        results.append((out, (tmp_path / "model2_rk4_h0.5.csv").read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_runtime_errors_exit_1(capsys):

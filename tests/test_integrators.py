@@ -35,7 +35,7 @@ from nsfd import (
     step_count,
     weight_from_name,
 )
-from nsfd import integrators
+from nsfd import cli, integrators
 from nsfd.integrators import effective_step
 
 
@@ -223,6 +223,21 @@ def test_integrate_refuses_more_than_max_steps_before_allocating(monkeypatch):
     assert len(integrate(model1(), RK4, State(0.4, 0.4), 0.1, 1.0)) == 11
     with pytest.raises(ValueError, match="MAX_STEPS"):
         integrate(model1(), RK4, State(0.4, 0.4), 0.1, 1.1)
+
+
+@pytest.mark.parametrize("h,t_end", [(1e-300, 1e10), (5e-324, 1.0)])
+def test_a_step_count_that_overflows_is_refused(h, t_end, capsys):
+    # (t_end - t0)/h is inf here, and math.floor(inf) raises OverflowError
+    assert (t_end - 0.0) / h == math.inf
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        step_count(0.0, t_end, h)
+    for scheme in (NSFD, RK4):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(model1(), scheme, State(0.4, 0.4), h, t_end)
+    assert cli.main(["simulate", "--model", "model1", "--scheme", "nsfd", "--h", repr(h),
+                     "--x0", "0.4", "--y0", "0.4", "--t-end", repr(t_end)]) == 1
+    assert capsys.readouterr().err == (f"error: inf steps of h={h!r} to t_end={t_end!r} "
+                                       "exceed MAX_STEPS = 100000000\n")
 
 
 @pytest.mark.parametrize("scheme", [NSFD, EULER])

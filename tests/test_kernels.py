@@ -118,7 +118,12 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
                                                              scheme):
     # integrate runs one loop for every system; the ghost scan of a system
     # of the built-in family runs batched, that of a callable clone seed by
-    # seed, and both give the same report
+    # seed, and both give the same report.  Seeded random draws join the
+    # two models: their orbits at a small and a large step must be the
+    # clone's bits too.
+    rng = np.random.default_rng(20)
+    draws = [make_rosenzweig_macarthur(*rng.uniform((0.2, 0.2, 0.05, 0.02), (3, 3, 2, 0.9)))
+             for _ in range(6)]
     loops = []
     original = _kernels._step_loop
 
@@ -139,6 +144,14 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
     assert loops == ["model1"] * 2 + ["model2"] * 2
     assert scans == ["batched", "generic"] * 2
+    for system in draws:
+        clone = _clone(system)
+        for h, t_end in ((0.1, 20.0), (1.5, 300.0)):
+            traj = integrate(system, scheme, State(0.4, 0.4), h, t_end)
+            twin = integrate(clone, scheme, State(0.4, 0.4), h, t_end)
+            assert traj.xs.tobytes() == twin.xs.tobytes()
+            assert traj.ys.tobytes() == twin.ys.tobytes()
+            assert traj.halt_step == twin.halt_step
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)

@@ -332,6 +332,58 @@ def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
     _assert_same_verdicts(system)
 
 
+@contextlib.contextmanager
+def _unvalidated():
+    # construct systems, fused components and all, without the checks that
+    # refuse many wide draws
+    with mock.patch.object(systems, "_check_sign_structure", lambda s: None), \
+            mock.patch.object(systems, "_check_partials_consistency", lambda s: None):
+        yield
+
+
+def _bits(v):
+    return type(v), np.asarray(v, dtype=float).tobytes()
+
+
+_wide_floats = st.one_of(st.floats(), _log10_uniform(-300, 308), _log10_uniform(-300, 308).map(
+    lambda v: -v))
+
+
+@given(params=_rma_draws, points=st.lists(st.tuples(_wide_floats, _wide_floats),
+                                          min_size=1, max_size=8))
+@example(params=(2.0, 1.0, 1e-170, 0.3, 20.0), points=[(0.0, 0.0), (-1e-170, 1.0)])
+@example(params=(1e308, 1.0, 1e-200, 0.3, 20.0), points=[(1e-200, 1e308), (-1e-200, 0.0)])
+@settings(max_examples=80, deadline=None)
+def test_fused_components_are_the_single_closures(params, points):
+    # a system of the built-in family evaluates its four components in one
+    # call; on floats and on arrays it gives the single closures' bits, and
+    # on floats their exception where c + x == 0
+    *abcd, x_max = params
+    with _unvalidated():
+        system = make_rosenzweig_macarthur(*abcd, x_max=x_max)
+        clone = dataclasses.replace(system, rma_params=None)
+    assert "components" in vars(system) and "components" not in vars(clone)
+    c = system.rma_params.c
+    points = points + [(-c, y) for _, y in points] + [(-c, 0.0)]
+    single = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    for x, y in points:
+        try:
+            fused = tuple(map(_bits, system.components(x, y)))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                tuple(fn(x, y) for fn in single)
+            assert c + x == 0.0
+            continue
+        assert fused == tuple(_bits(fn(x, y)) for fn in single)
+        assert fused == tuple(map(_bits, clone.components(x, y)))
+    xs, ys = (np.array(v) for v in zip(*points))
+    with np.errstate(all="ignore"):
+        fused = system.components(xs, ys)
+        fused = [np.broadcast_to(v, xs.shape).tobytes() for v in fused]
+        assert fused == [np.broadcast_to(fn(xs, ys), xs.shape).tobytes() for fn in single]
+        assert (c + xs == 0.0).any()
+
+
 def _fake_partials(**wrong):
     # model2's partials with some entries replaced
     return dataclasses.replace(model2().partials, **wrong)
