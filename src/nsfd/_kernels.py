@@ -4,18 +4,17 @@
 system.  Which code runs behind them depends on the system and on the
 backend:
 
-* a system of the built-in predator-prey family (one with rma_params) on
-  the python backend: `run_trajectory` runs `_step_loop`, and
-  `scan_fixed_points` runs `_scan_batched`, which iterates Newton over all
-  seeds at once as numpy arrays through the same scheme cores;
-* the same system on the numba backend: compiled kernels, made by numba
-  from `_rma_step` (one step of that family, written like the scheme
-  cores) and the loop drivers below;
-* a system built from arbitrary callables, on either backend:
-  `_step_loop` and `scan_fixed_points_generic`, one seed at a time over
-  the scheme cores of nsfd.integrators.
+* the python backend, and any system built from arbitrary callables:
+  `run_trajectory` runs `_step_loop` over the scheme cores of
+  nsfd.integrators, and `scan_fixed_points` runs `_scan_batched`, Newton
+  over all seeds at once as numpy arrays.  The built-in predator-prey
+  family (systems with rma_params) evaluates the cores on whole arrays;
+  other systems call them once per element (`scan_fixed_points_generic`);
+* the built-in family on the numba backend: compiled kernels, made by
+  numba from `_rma_step` (one step of that family, written like the
+  scheme cores) and the loop drivers below.
 
-All three give bit-identical outputs.  numpy's elementwise + - * / and
+Both give bit-identical outputs.  numpy's elementwise + - * / and
 python's float arithmetic are the same correctly rounded IEEE operations,
 and fastmath stays off, so the same expression order gives the same bits;
 do not "optimise" the expression order in this file or in the cores.
@@ -24,6 +23,7 @@ The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
 when importable).
 """
 
+import itertools
 import math
 import os
 import warnings
@@ -46,6 +46,9 @@ SCHEME_TAGS = {"nsfd": 0, "ensfd": 0, "euler": 1, "rk2": 2, "rk4": 3}
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
 NEWTON_ESCAPE = 1e12
+
+# what a python component may raise off the quadrant: the orbit or seed ends
+_DROPS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def resolve_backend(requested: "str | None" = None) -> str:
@@ -217,7 +220,7 @@ def _step_loop(core, system, x0, y0, e, n):
     for k in range(n):
         try:
             xn, yn = core(system, x, y, e)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        except _DROPS:
             return xs[:k + 1], ys[:k + 1], k + 1
         if (isinstance(xn, complex) or isinstance(yn, complex)
                 or not (math.isfinite(xn) and math.isfinite(yn))):
@@ -256,10 +259,10 @@ def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     map_fn = lambda x, y: core(system, x, y, e)
     if system.rma_params is None:
         return scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
-    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
-    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
     if resolve_backend() != "numba":
         return _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
+    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
+    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
     p = system.rma_params
     out = np.empty((seeds_x.shape[0], 3))
     _fixed_points_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d, float(e), float(h),
@@ -271,40 +274,59 @@ def scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
     """The python Newton scan over a map callable (x, y) -> (x', y').
 
-    A seed fails, rather than aborting the scan, where the map raises
-    ZeroDivisionError, OverflowError or ValueError or returns a complex
-    number (a fractional power of a negative coordinate).
+    map_fn is called on python floats, once per seed and Jacobian probe
+    (`_on_elements`), and the scan runs `_scan_batched`.  A seed fails,
+    rather than aborting the scan, where the map raises ZeroDivisionError,
+    OverflowError or ValueError or returns a complex number (a fractional
+    power of a negative coordinate).
     """
 
-    def adapter(tag, a, b, c, d, x, y, e, h):
-        try:
-            mx, my = map_fn(x, y)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return np.nan, np.nan
-        if isinstance(mx, complex) or isinstance(my, complex):
-            return np.nan, np.nan
-        return mx, my
+    def on_arrays(xs, ys):
+        vals, _ = _on_elements(map_fn, xs, ys, 2)
+        return vals[:, 0], vals[:, 1]
 
-    drive = _make_fixed_point_driver(adapter)
-    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
-    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
-    out = np.empty((seeds_x.shape[0], 3))
-    drive(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-          seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
-    return out
+    return _scan_batched(on_arrays, seeds_x, seeds_y, tol, max_iter, escape)
+
+
+def _on_elements(fn, xs, ys, k):
+    """fn(x, y), k reals, called once on the python floats of each element
+    of the arrays xs, ys.
+
+    Returns an (n, k) float array and a mask of the elements dropped
+    because fn raised one of _DROPS or returned a complex value; their
+    rows are nan.  Any other exception propagates.
+    """
+    rows, pairs, clean = [], zip(xs.tolist(), ys.tolist()), True
+    while True:
+        try:  # extend keeps the rows before a raise, and pairs goes on after it
+            rows.extend(itertools.starmap(fn, pairs))
+            break
+        except _DROPS:
+            rows.append(None)
+            clean = False
+    if clean:
+        vals = np.array(rows)
+        if vals.dtype == np.float64 and vals.shape == (len(rows), k):
+            return vals, np.zeros(len(rows), dtype=bool)
+    # a drop or an odd type somewhere: check the rows one by one
+    dropped = [row is None or any(isinstance(v, complex) for v in row) for row in rows]
+    nan_row = (np.nan,) * k
+    vals = np.array([nan_row if d else row for row, d in zip(rows, dropped)], dtype=np.float64)
+    return vals.reshape(len(rows), k), np.array(dropped, dtype=bool)
 
 
 def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape):
     # _make_fixed_point_driver over all seeds at once: map_fn takes and
-    # returns arrays.  idx holds the seeds still iterating; each one retires
-    # where the scalar loop breaks, with the same stored point and
-    # residual, and all share one iteration counter.  One map call takes a
-    # seed's point and its four Jacobian probes together; probes of a seed
-    # that retires on its residual are computed and then ignored.  A zero
-    # denominator gives a non-finite map value here where the scalar cores
-    # raise, and both retire the seed with residual inf at the same point.
-    x = seeds_x.copy()
-    y = seeds_y.copy()
+    # returns arrays, nan where the scalar map fails a seed.  idx holds the
+    # seeds still iterating; each one retires where the scalar loop breaks,
+    # with the same stored point and residual, and all share one iteration
+    # counter.  One map call takes a seed's point and its four Jacobian
+    # probes together; probes of a seed that retires on its residual are
+    # computed and then ignored.  A zero denominator gives a non-finite map
+    # value here where the scalar cores raise, and both retire the seed
+    # with residual inf at the same point.
+    x = np.array(seeds_x, dtype=np.float64)
+    y = np.array(seeds_y, dtype=np.float64)
     res = np.full(x.shape[0], np.inf)
     idx = np.arange(x.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

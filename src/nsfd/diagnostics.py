@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .integrators import RK4, SchemeId, Trajectory, _scheme_core, integrate
+from .integrators import RK4, SchemeId, Trajectory, _scheme_core, integrate, step_count
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -52,6 +52,7 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
         raise ValueError(f"step sizes must be strictly descending, got {steps}")
     horizon = t_end - s0.t
     for h in steps:
+        step_count(s0.t, t_end, h)  # refuses a ratio that overflows, where round would raise
         r = horizon / h
         if abs(r - round(r)) > 1e-9 * max(1.0, r):
             raise ValueError(f"step {h!r} does not divide the horizon {horizon!r} evenly")

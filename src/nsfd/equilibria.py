@@ -12,11 +12,13 @@ stability boundary is reported as marginal rather than guessed.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._kernels import _on_elements
 from .integrators import SchemeId, StepWeight, effective_step
-from .systems import AXIS_ZERO_TOL, SplitSystem, State, partials_at
+from .systems import AXIS_ZERO_TOL, PartialValues, SplitSystem, State, partials_at
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -230,85 +232,38 @@ def _interior_points(system: SplitSystem, box):
     Iterates past the acceptance tolerance down to the floating-point fixed
     point (tracking the best iterate) so returned points zero the vector
     field to machine precision, not merely to the bracketing tolerance.
-    Systems of the built-in family iterate all seeds at once on arrays,
-    with the same results as the seed-by-seed loop.
+    All seeds iterate at once on arrays (_balance_newton).
     """
     bx, by = box
     xs = np.linspace(0.0, bx, INTERIOR_SEED_N + 2)[1:-1]
     ys = np.linspace(0.0, by, INTERIOR_SEED_N + 2)[1:-1]
-    escape = 10.0 * (bx + by)
-    if system.rma_params is not None:
-        return _balance_newton_batched(system, xs, ys, escape)
-    return _balance_newton(system, xs, ys, escape)
+    return _balance_newton(system, xs, ys, 10.0 * (bx + by))
 
 
 def _balance_newton(system: SplitSystem, xs, ys, escape):
-    # Newton on both balances from each seed (x, y) of the grid xs x ys in
-    # turn; returns the best iterate of every seed whose best residual is
-    # below BALANCE_TOL.  A seed is dropped, best iterate and all, where a
-    # component raises or turns complex (a fractional power of a negative
-    # coordinate).
-    found = []
-    for sx in xs:
-        for sy in ys:
-            x, y = float(sx), float(sy)
-            best = None
-            try:
-                for _ in range(60):
-                    rx, ry = _balance_residual(system, x, y)
-                    if isinstance(rx, complex) or isinstance(ry, complex):
-                        best = None
-                        break
-                    if not (math.isfinite(rx) and math.isfinite(ry)):
-                        break
-                    res = max(abs(rx), abs(ry))
-                    if best is None or res < best[0]:
-                        best = (res, x, y)
-                    if res < 1e-15:
-                        break
-                    p = partials_at(system, x, y)
-                    j11 = p.fpx - p.fmx
-                    j12 = p.fpy - p.fmy
-                    j21 = p.gpx - p.gmx
-                    j22 = p.gpy - p.gmy
-                    det = j11 * j22 - j12 * j21
-                    if not math.isfinite(det) or abs(det) < 1e-14:
-                        break
-                    ddx = (-rx * j22 + ry * j12) / det
-                    ddy = (-j11 * ry + j21 * rx) / det
-                    x += ddx
-                    y += ddy
-                    if not (math.isfinite(x) and math.isfinite(y)):
-                        break
-                    if abs(x) > escape or abs(y) > escape:
-                        break
-                    if max(abs(ddx), abs(ddy)) <= 1e-15 * max(1.0, abs(x), abs(y)):
-                        rx, ry = _balance_residual(system, x, y)
-                        if isinstance(rx, complex) or isinstance(ry, complex):
-                            best = None
-                        elif math.isfinite(rx) and math.isfinite(ry):
-                            res = max(abs(rx), abs(ry))
-                            if res < best[0]:
-                                best = (res, x, y)
-                        break
-            except (ZeroDivisionError, OverflowError, ValueError):
-                continue
-            if best is not None and best[0] < BALANCE_TOL:
-                found.append((best[1], best[2]))
-    return found
+    # Newton on both balances from every seed (x, y) of the grid xs x ys at
+    # once; returns the best iterate of every seed whose best residual is
+    # below BALANCE_TOL.  idx holds the seeds still iterating, and all
+    # share one iteration counter.  residual and jacobian evaluate on
+    # arrays and also return a mask of the seeds they drop, where a scalar
+    # call raises or turns complex (a fractional power of a negative
+    # coordinate): a dropped seed loses its best iterate, its best residual
+    # set to inf.  The built-in family evaluates on whole arrays, with the
+    # bits of the scalar calls, which raise ZeroDivisionError at
+    # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.
+    if system.rma_params is not None:
+        c = system.rma_params.c
+        residual = lambda x, y: (*_balance_residual(system, x, y), c + x == 0.0)
+        jacobian = lambda x, y: (system.partials.at(x, y), (c + x) * (c + x) == 0.0)
+    else:
+        def residual(x, y):
+            vals, dropped = _on_elements(partial(_balance_residual, system), x, y, 2)
+            return vals[:, 0], vals[:, 1], dropped
 
+        def jacobian(x, y):
+            vals, dropped = _on_elements(partial(partials_at, system), x, y, 8)
+            return PartialValues(*vals.T), dropped
 
-def _balance_newton_batched(system: SplitSystem, xs, ys, escape):
-    # _balance_newton over all seeds at once, for the built-in family: its
-    # balances and partials are + - * / of arrays, so every value is the
-    # same bits.  idx holds the seeds still iterating, and all share one
-    # iteration counter.  Where the scalar loop raises ZeroDivisionError,
-    # at c + x == 0 in a balance or (c + x) * (c + x) == 0 in the partials,
-    # the arrays get a non-finite value instead; but a raise drops the
-    # seed's best iterate while a non-finite value keeps it, so both
-    # conditions are tested before the evaluation they guard, and a seed
-    # that meets one retires with its best residual set to inf.
-    c = system.rma_params.c
     x = np.repeat(xs, ys.size)
     y = np.tile(ys, xs.size)
     best_res = np.full(x.shape[0], np.inf)
@@ -321,12 +276,9 @@ def _balance_newton_batched(system: SplitSystem, xs, ys, escape):
                 break
             ax = x[idx]
             ay = y[idx]
-            raises = c + ax == 0.0
-            best_res[idx[raises]] = np.inf
-            go = ~raises
-            idx, ax, ay = idx[go], ax[go], ay[go]
-            rx, ry = _balance_residual(system, ax, ay)
-            go = np.isfinite(rx) & np.isfinite(ry)
+            rx, ry, dropped = residual(ax, ay)
+            best_res[idx[dropped]] = np.inf
+            go = ~dropped & np.isfinite(rx) & np.isfinite(ry)
             idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
             res = np.maximum(np.abs(rx), np.abs(ry))
             better = res < best_res[idx]
@@ -335,17 +287,14 @@ def _balance_newton_batched(system: SplitSystem, xs, ys, escape):
             best_y[idx[better]] = ay[better]
             go = res >= 1e-15
             idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
-            raises = (c + ax) * (c + ax) == 0.0
-            best_res[idx[raises]] = np.inf
-            go = ~raises
-            idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
-            p = system.partials.at(ax, ay)
+            p, dropped = jacobian(ax, ay)
+            best_res[idx[dropped]] = np.inf
             j11 = p.fpx - p.fmx
             j12 = p.fpy - p.fmy
             j21 = p.gpx - p.gmx
             j22 = p.gpy - p.gmy
             det = j11 * j22 - j12 * j21
-            go = np.isfinite(det) & (np.abs(det) >= 1e-14)
+            go = ~dropped & np.isfinite(det) & (np.abs(det) >= 1e-14)
             ddx = (-rx * j22 + ry * j12) / det
             ddy = (-j11 * ry + j21 * rx) / det
             idx, ax, ay, ddx, ddy = idx[go], ax[go], ay[go], ddx[go], ddy[go]
@@ -360,13 +309,10 @@ def _balance_newton_batched(system: SplitSystem, xs, ys, escape):
                     <= 1e-15 * np.maximum(np.maximum(1.0, np.abs(nx)), np.abs(ny)))
             last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
             idx = idx[~tiny]
-            raises = c + lx == 0.0
-            best_res[last[raises]] = np.inf
-            go = ~raises
-            last, lx, ly = last[go], lx[go], ly[go]
-            rx, ry = _balance_residual(system, lx, ly)
+            rx, ry, dropped = residual(lx, ly)
+            best_res[last[dropped]] = np.inf
             res = np.maximum(np.abs(rx), np.abs(ry))
-            better = np.isfinite(rx) & np.isfinite(ry) & (res < best_res[last])
+            better = ~dropped & np.isfinite(rx) & np.isfinite(ry) & (res < best_res[last])
             best_res[last[better]] = res[better]
             best_x[last[better]] = lx[better]
             best_y[last[better]] = ly[better]
@@ -395,10 +341,12 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     equations, coexistence points from a 40x40-seeded Newton iteration on
     both balances; everything is deduplicated at 1e-7 and sorted.
 
-    For a system of the built-in family (one with rma_params) the Newton
-    iteration runs over all 1600 seeds at once as numpy arrays, on every
-    backend; for any other system it runs seed by seed in python.  The
-    two give bit-identical results.
+    The Newton iteration runs over all 1600 seeds at once as numpy arrays,
+    on every backend.  A system of the built-in family (one with
+    rma_params) evaluates its balances and partials on whole arrays; any
+    other system calls its callables once per seed on python floats, and a
+    seed is dropped where one of them raises ZeroDivisionError,
+    OverflowError or ValueError or returns a complex value.
 
     The box defaults to the system's own and must have positive finite
     extent (ValueError otherwise).  Each search is run once per system and

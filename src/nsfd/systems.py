@@ -124,12 +124,14 @@ class SplitSystem:
         Half-width of the square validation/search box [0, x_max]^2.
     rma_params
         Set by :func:`make_rosenzweig_macarthur` for systems of the
-        built-in family, and a promise that the components and partials
-        are that family's, so a ``dataclasses.replace`` of a component
-        must also set it None.  The construction checks, the numba
-        kernels, the batched numpy Newton searches and :meth:`components`
-        (all four components in one call) key on it; systems built from
-        arbitrary callables leave it None and call each component once.
+        built-in family.  Construction refuses a system that sets it
+        without partials, or with a component that is not the family's
+        formula at a validation node, so a ``dataclasses.replace`` of a
+        component must also set it None.  The construction checks, the
+        numba kernels, the array evaluation in the Newton searches and
+        :meth:`components` (all four components in one call) key on it;
+        systems built from arbitrary callables leave it None and call
+        each component once.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -145,8 +147,10 @@ class SplitSystem:
         is non-finite, or the two disagree, at a node of a coarser subgrid;
         or if a component or partial raises ZeroDivisionError,
         OverflowError or ValueError, or returns a complex value, at a
-        node.  The message names the first failing node: components in
-        field order, then x, then y for the sign checks; x, then y, then
+        node; or if rma_params is set and the system has no partials, or
+        a component differs from the family's formula at a node.  The
+        message names the first failing node: components in field order,
+        then x, then y for the sign and family checks; x, then y, then
         PartialValues order for the partials.
     """
 
@@ -163,12 +167,13 @@ class SplitSystem:
     def __post_init__(self):
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise ConstructionError(f"x_max must be positive and finite, got {self.x_max!r}")
-        _check_sign_structure(self)
-        if self.partials is not None:
-            _check_partials_consistency(self)
+        nodes, vals = _check_sign_structure(self)
         if self.rma_params is not None:
+            _check_rma_promise(self, nodes, vals)
             # an instance attribute, so it shadows the method below
             object.__setattr__(self, "components", _rma_components(self.rma_params))
+        if self.partials is not None:
+            _check_partials_consistency(self)
 
     def components(self, x: float, y: float):
         """Evaluate (f_plus, f_minus, g_plus, g_minus) without domain checks.
@@ -196,7 +201,8 @@ def _rma_components(p: ModelParams):
     return components
 
 
-def _check_sign_structure(sys: SplitSystem) -> None:
+def _check_sign_structure(sys: SplitSystem):
+    # returns the nodes and the (4, n, n) component values it checked
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
@@ -206,7 +212,7 @@ def _check_sign_structure(sys: SplitSystem) -> None:
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(vals) | np.where(inside, ~(vals > 0.0), vals < 0.0)
     if not bad.any():
-        return
+        return nodes, vals
     # first failure in label-major, then x, then y order: C order of vals
     k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
     x, y = nodes[i], nodes[j]
@@ -218,6 +224,24 @@ def _check_sign_structure(sys: SplitSystem) -> None:
     if x > 0.0 and y > 0.0:
         raise ConstructionError(f"{where} = {v!r} must be strictly positive inside the quadrant")
     raise ConstructionError(f"{where} = {v!r} must be non-negative on the quadrant boundary")
+
+
+def _check_rma_promise(sys: SplitSystem, nodes, vals) -> None:
+    # the numba kernels, the searches and `components` use the family's
+    # formulas; vals are the callables on the grid, from the sign check
+    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
+    with np.errstate(all="ignore"):
+        ref = np.array(np.broadcast_arrays(*_rma_components(sys.rma_params)(x, y)))
+    bad = vals.view(np.int64) != ref.view(np.int64)
+    if bad.any():
+        k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ConstructionError(
+            f"{('f_plus', 'f_minus', 'g_plus', 'g_minus')[k]}({nodes[i]:g}, {nodes[j]:g}) = "
+            f"{float(vals[k, i, j])!r} is not the rma_params formula's "
+            f"{float(ref[k, i, j])!r}; set rma_params=None for other components")
+    if sys.partials is None:
+        raise ConstructionError("a system with rma_params must carry the family's analytic "
+                                "partials; set rma_params=None for other components")
 
 
 def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:

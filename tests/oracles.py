@@ -1,0 +1,98 @@
+"""Seed-by-seed python forms of the two Newton searches.
+
+The package runs both searches over all seeds at once on numpy arrays
+(`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
+plain loops, one seed at a time on python floats, are the references the
+tests hold those drivers to, byte for byte.
+"""
+
+import math
+
+import numpy as np
+
+from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
+                           _make_fixed_point_driver)
+from nsfd.equilibria import BALANCE_TOL, _balance_residual
+from nsfd.systems import partials_at
+
+
+def scalar_scan(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                escape=NEWTON_ESCAPE):
+    """Newton scan for fixed points of map_fn, (x, y) -> (x', y'), seed by seed.
+
+    The numba kernels' driver run in python over map_fn; a seed fails where
+    the map raises ZeroDivisionError, OverflowError or ValueError or
+    returns a complex number.
+    """
+
+    def adapter(tag, a, b, c, d, x, y, e, h):
+        try:
+            mx, my = map_fn(x, y)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return np.nan, np.nan
+        if isinstance(mx, complex) or isinstance(my, complex):
+            return np.nan, np.nan
+        return mx, my
+
+    drive = _make_fixed_point_driver(adapter)
+    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
+    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
+    out = np.empty((seeds_x.shape[0], 3))
+    drive(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+          seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
+    return out
+
+
+def scalar_balance_newton(system, xs, ys, escape):
+    """Newton on both balances from each seed (x, y) of the grid xs x ys in
+    turn; the best iterate of every seed whose best residual is below
+    BALANCE_TOL.  A seed is dropped, best iterate and all, where a
+    component raises or turns complex."""
+    found = []
+    for sx in xs:
+        for sy in ys:
+            x, y = float(sx), float(sy)
+            best = None
+            try:
+                for _ in range(60):
+                    rx, ry = _balance_residual(system, x, y)
+                    if isinstance(rx, complex) or isinstance(ry, complex):
+                        best = None
+                        break
+                    if not (math.isfinite(rx) and math.isfinite(ry)):
+                        break
+                    res = max(abs(rx), abs(ry))
+                    if best is None or res < best[0]:
+                        best = (res, x, y)
+                    if res < 1e-15:
+                        break
+                    p = partials_at(system, x, y)
+                    j11 = p.fpx - p.fmx
+                    j12 = p.fpy - p.fmy
+                    j21 = p.gpx - p.gmx
+                    j22 = p.gpy - p.gmy
+                    det = j11 * j22 - j12 * j21
+                    if not math.isfinite(det) or abs(det) < 1e-14:
+                        break
+                    ddx = (-rx * j22 + ry * j12) / det
+                    ddy = (-j11 * ry + j21 * rx) / det
+                    x += ddx
+                    y += ddy
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        break
+                    if abs(x) > escape or abs(y) > escape:
+                        break
+                    if max(abs(ddx), abs(ddy)) <= 1e-15 * max(1.0, abs(x), abs(y)):
+                        rx, ry = _balance_residual(system, x, y)
+                        if isinstance(rx, complex) or isinstance(ry, complex):
+                            best = None
+                        elif math.isfinite(rx) and math.isfinite(ry):
+                            res = max(abs(rx), abs(ry))
+                            if res < best[0]:
+                                best = (res, x, y)
+                        break
+            except (ZeroDivisionError, OverflowError, ValueError):
+                continue
+            if best is not None and best[0] < BALANCE_TOL:
+                found.append((best[1], best[2]))
+    return found

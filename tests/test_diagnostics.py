@@ -26,6 +26,7 @@ from nsfd import (
     model2,
     oscillation_stats,
 )
+from nsfd import cli
 
 ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
 
@@ -63,6 +64,21 @@ def test_estimate_order_input_validation():
         estimate_order(m1, NSFD, s0, 5.0, (0.05, 0.1, 0.025, 0.0125))  # not descending
     with pytest.raises(ValueError):
         estimate_order(m1, NSFD, s0, 5.0, (0.1, 0.05, 0.03, 0.0125))  # 0.03 not a divisor
+
+
+def test_estimate_order_refuses_a_step_count_that_overflows(tmp_path, capsys):
+    # t_end / h is inf for each of these steps, and round(inf) raises
+    # OverflowError; the refusal is step_count's MAX_STEPS ValueError
+    steps = [4e-323, 3e-323, 2e-323, 1e-323]
+    assert all(1.0 / h == math.inf for h in steps)
+    message = "inf steps of h=4e-323 to t_end=1.0 exceed MAX_STEPS = 100000000"
+    with pytest.raises(ValueError, match=message):
+        estimate_order(model1(), NSFD, State(0.4, 0.4), 1.0, steps)
+    assert cli.main(["convergence", "--model", "model1", "--scheme", "nsfd",
+                     "--h", ",".join(map(repr, steps)), "--x0", "0.4", "--y0", "0.4",
+                     "--t-end", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_estimate_order_rejects_stationary_start():

@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nsfd.equilibria
 from nsfd import (
     ASYMPTOTICALLY_STABLE,
+    EULER,
     MARGINAL,
     NSFD,
+    RK2,
     RK4,
     UNSTABLE,
     FamilyMismatch,
@@ -38,6 +41,10 @@ from nsfd import (
     stability_report,
     vector_field,
 )
+from nsfd import _kernels
+from nsfd.integrators import _scheme_core
+from nsfd.systems import Partials
+from oracles import scalar_balance_newton, scalar_scan
 
 SQRT47_OVER_20 = math.sqrt(47.0) / 20.0
 
@@ -388,7 +395,13 @@ def test_store_is_invisible_to_equality_hash_and_repr(search_count):
 
 
 # ---------------------------------------------------------------------------
-# the batched interior search of the built-in family
+# the batched Newton searches against the seed-by-seed oracles
+
+
+def _oracle_search(system, box):
+    """find_equilibria's search with the seed-by-seed interior Newton."""
+    with mock.patch.object(nsfd.equilibria, "_balance_newton", scalar_balance_newton):
+        return nsfd.equilibria._search(system, *box)
 
 
 @given(a=st.floats(0.2, 4.0), b=st.floats(0.2, 3.0), c=st.floats(0.2, 3.0),
@@ -397,15 +410,166 @@ def test_store_is_invisible_to_equality_hash_and_repr(search_count):
 def test_batched_interior_search_is_the_scalar_search(a, b, c, d, bx, by):
     system = make_rosenzweig_macarthur(a, b, c, d)
     clone = dataclasses.replace(system, rma_params=None)
-    assert _bits(find_equilibria(system, (bx, by))) == _bits(find_equilibria(clone, (bx, by)))
+    oracle = _bits(_oracle_search(system, (bx, by)))
+    assert _bits(find_equilibria(system, (bx, by))) == oracle
+    assert _bits(find_equilibria(clone, (bx, by))) == oracle
 
     # off-quadrant seeds too, with a column on x = -c, the zero of c + x
     xs = np.append(np.linspace(-2.0 * c, bx, 7), -c)
     ys = np.linspace(-1.0, by, 7)
     escape = 10.0 * (bx + by)
-    batched = nsfd.equilibria._balance_newton_batched(system, xs, ys, escape)
-    scalar = nsfd.equilibria._balance_newton(system, xs, ys, escape)
-    assert [(x.hex(), y.hex()) for x, y in batched] == [(x.hex(), y.hex()) for x, y in scalar]
+    scalar = _hex(scalar_balance_newton(system, xs, ys, escape))
+    assert _hex(nsfd.equilibria._balance_newton(system, xs, ys, escape)) == scalar
+    assert _hex(nsfd.equilibria._balance_newton(clone, xs, ys, escape)) == scalar
+
+
+def _hex(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+# extra loss terms of the callable systems below, each failing a seed off
+# the quadrant in its own way
+_TWISTS = {
+    "none": lambda x, y: 0.0,
+    "pole": lambda x, y: 0.1 * y / (0.7 + x),      # ZeroDivisionError at x = -0.7
+    "power": lambda x, y: 1e-3 * x ** 2,           # OverflowError beyond |x| ~ 1e154
+    "sqrt": lambda x, y: 0.1 * math.sqrt(x),       # ValueError for x < 0
+    "root": lambda x, y: 0.1 * x ** 0.5,           # complex for x < 0
+}
+
+
+def _callable_system(kind, p, twist):
+    """A callable clone of the RMA draw p, or a competitive Lotka-Volterra
+    system (r1, r2 from a, b; a11, a12, a21, a22 from c, d), with the
+    twist added to its prey loss."""
+    a, b, c, d = p
+    extra = _TWISTS[twist]
+    if kind == "rma":
+        base = make_rosenzweig_macarthur(a, b, c, d, x_max=5.0)
+        f_minus = lambda x, y: base.f_minus(x, y) + extra(x, y)
+        return SplitSystem(base.f_plus, f_minus, base.g_plus, base.g_minus, x_max=5.0)
+    f_minus = lambda x, y: c * x + d * y + extra(x, y)
+    return SplitSystem(lambda x, y: a, f_minus, lambda x, y: b,
+                       lambda x, y: d * x + c * y, x_max=5.0)
+
+
+@given(kind=st.sampled_from(["rma", "lv"]), twist=st.sampled_from(sorted(_TWISTS)),
+       p=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 2.0),
+                   st.floats(0.05, 0.9)),
+       scheme=st.sampled_from([NSFD, EULER, RK2]), h=st.floats(0.05, 4.0),
+       gx=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=4),
+       gy=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=4),
+       box=st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 8.0)))
+@example(kind="lv", twist="pole", p=(1.0, 0.8, 1.0, 0.5), scheme=EULER, h=0.5,
+         gx=[1.0], gy=[0.5, 2.0], box=(5.0, 5.0)).via("ZeroDivisionError")
+@example(kind="rma", twist="power", p=(2.0, 1.0, 1.0, 0.2), scheme=NSFD, h=0.5,
+         gx=[1.0], gy=[0.5], box=(5.0, 5.0)).via("OverflowError")
+@example(kind="lv", twist="sqrt", p=(1.0, 0.8, 1.0, 0.5), scheme=RK2, h=0.5,
+         gx=[-1.0, 1.0], gy=[0.5], box=(2.0, 7.0)).via("ValueError")
+@example(kind="rma", twist="root", p=(2.0, 1.0, 1.0, 0.2), scheme=EULER, h=1.0,
+         gx=[-1.0, 0.5], gy=[0.5], box=(2.0, 7.0)).via("complex")
+@settings(max_examples=30, deadline=None)
+def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme, h, gx, gy,
+                                                         box):
+    # seeds off the quadrant, on both poles x = -c and x = -0.7, and where
+    # x ** 2 overflows
+    system = _callable_system(kind, p, twist)
+    xs = np.array(gx + [-p[2], -0.7, 1e160])
+    ys = np.array(gy)
+    assert _bits(find_equilibria(system, box)) == _bits(_oracle_search(system, box))
+    escape = 10.0 * (box[0] + box[1])
+    assert (_hex(nsfd.equilibria._balance_newton(system, xs, ys, escape))
+            == _hex(scalar_balance_newton(system, xs, ys, escape)))
+    sx, sy = [g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")]
+    core, e = _scheme_core(scheme, h)
+    rows = _kernels.scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
+    assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
+
+
+@pytest.mark.parametrize("twist,exc", [("pole", ZeroDivisionError), ("power", OverflowError),
+                                       ("sqrt", ValueError), ("root", None)])
+def test_each_twist_fails_a_seed_in_its_own_way(twist, exc):
+    # the explicit examples above meet the drop they are named after
+    x = {"pole": -0.7, "power": 1e160, "sqrt": -1.0, "root": -1.0}[twist]
+    if exc is None:
+        assert isinstance(_TWISTS[twist](x, 0.5), complex)
+    else:
+        with pytest.raises(exc):
+            _TWISTS[twist](x, 0.5)
+
+
+def _quadratic_system(f_minus=lambda x, y: x * x + 0.5 * y, fmx=lambda x, y: 2.0 * x):
+    """f+ = 1, f- = x^2 + y/2, g+ = 0.8, g- = 0.4 x + y, with analytic
+    partials; its coexistence point is x = 0.1 + sqrt(0.61), y = 0.8 - 0.4 x."""
+    one = lambda x, y: 1.0
+    zero = lambda x, y: 0.0
+    partials = Partials(fpx=zero, fpy=zero, fmx=fmx, fmy=lambda x, y: 0.5,
+                        gpx=zero, gpy=zero, gmx=lambda x, y: 0.4, gmy=one)
+    return SplitSystem(one, f_minus, lambda x, y: 0.8, lambda x, y: 0.4 * x + y,
+                       partials=partials, x_max=3.0)
+
+
+@pytest.mark.parametrize("site", ["balance", "partial"])
+def test_a_raise_drops_the_best_iterate(site):
+    # the component or partial raises only where the balance residual is
+    # tiny but not zero, after the seed has recorded a best iterate below
+    # BALANCE_TOL; the seed-by-seed rule drops that iterate with the seed
+    traps = []
+
+    def trapped(value):
+        def fn(x, y):
+            res = max(abs(1.0 - (x * x + 0.5 * y)), abs(0.8 - (0.4 * x + y)))
+            if 0.0 < res < (1e-13 if site == "balance" else 1e-11):
+                traps.append((x, y))
+                raise ValueError("trap")
+            return value(x, y)
+        return fn
+
+    plain = _quadratic_system()
+    if site == "balance":
+        system = _quadratic_system(f_minus=trapped(plain.f_minus))
+    else:
+        system = _quadratic_system(fmx=trapped(plain.partials.fmx))
+    xs = np.linspace(0.0, 3.0, 42)[1:-1]
+    batched = nsfd.equilibria._balance_newton(system, xs, xs, 60.0)
+    assert traps
+    assert _hex(batched) == _hex(scalar_balance_newton(system, xs, xs, 60.0))
+    assert _bits(find_equilibria(system)) == _bits(_oracle_search(system, (3.0, 3.0)))
+
+
+def test_a_complex_partial_drops_the_seed():
+    # an analytic partial that turns complex off the quadrant fails only
+    # that seed; the seed-by-seed loop raised TypeError from math.isfinite
+    system = _quadratic_system(fmx=lambda x, y: 2.0 * x if x >= -1.0 else complex(2.0 * x))
+    found = nsfd.equilibria._balance_newton(system, np.array([-2.0, 1.0]), np.array([0.5]), 60.0)
+    assert found == nsfd.equilibria._balance_newton(system, np.array([1.0]), np.array([0.5]), 60.0)
+    x = 0.1 + math.sqrt(0.61)
+    assert found[0] == pytest.approx((x, 0.8 - 0.4 * x))
+
+
+def test_other_exceptions_propagate_from_both_searches():
+    # a KeyError is a bug in the component, not a failed seed; the
+    # component raises only inside the open quadrant once armed, which only
+    # the searches (not the axis bracketing, with analytic partials) reach
+    armed = []
+
+    def f_minus(x, y):
+        if armed and x > 0.0 and y > 0.0:
+            raise KeyError("component bug")
+        return x * x + 0.5 * y
+
+    system = _quadratic_system(f_minus=f_minus)
+    armed.append(True)
+    with pytest.raises(KeyError, match="component bug"):
+        find_equilibria(system)
+    with pytest.raises(KeyError, match="component bug"):
+        detect_ghosts(system, NSFD, 0.5, seeds_per_axis=5)
+    xs = np.array([1.0, 2.0])
+    with pytest.raises(KeyError, match="component bug"):
+        nsfd.equilibria._balance_newton(system, xs, xs, 100.0)
+    core, e = _scheme_core(RK2, 0.5)
+    with pytest.raises(KeyError, match="component bug"):
+        _kernels.scan_fixed_points(system, "rk2", core, e, 0.5, xs, xs)
 
 
 def test_interior_search_drops_seeds_where_a_component_turns_complex(root_loss_system):

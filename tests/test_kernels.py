@@ -14,6 +14,7 @@ from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TO
                            _rma_step, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
+from oracles import scalar_scan
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -117,10 +118,11 @@ def test_resolve_backend_reads_environment(monkeypatch):
 def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkeypatch,
                                                              scheme):
     # integrate runs one loop for every system; the ghost scan of a system
-    # of the built-in family runs batched, that of a callable clone seed by
-    # seed, and both give the same report.  Seeded random draws join the
-    # two models: their orbits at a small and a large step must be the
-    # clone's bits too.
+    # of the built-in family runs batched on whole arrays, that of a
+    # callable clone through the generic scan, which runs the same batched
+    # driver over per-element calls.  Both give the report of the
+    # seed-by-seed oracle.  Seeded random draws join the two models: their
+    # orbits at a small and a large step must be the clone's bits too.
     rng = np.random.default_rng(20)
     draws = [make_rosenzweig_macarthur(*rng.uniform((0.2, 0.2, 0.05, 0.02), (3, 3, 2, 0.9)))
              for _ in range(6)]
@@ -133,6 +135,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
 
     monkeypatch.setattr(_kernels, "_step_loop", recording)
     scans = _recorded_scans(monkeypatch)
+    reports = []
     for system in (model1(), model2()):
         clone = _clone(system)
         traj = integrate(system, scheme, State(0.4, 0.4), 0.1, 5.0)
@@ -142,8 +145,12 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         report = detect_ghosts(system, scheme, 0.1, seeds_per_axis=8)
         assert report.genuine
         assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
+        reports.append(report)
     assert loops == ["model1"] * 2 + ["model2"] * 2
-    assert scans == ["batched", "generic"] * 2
+    assert scans == ["batched", "generic", "batched"] * 2
+    monkeypatch.setattr(_kernels, "scan_fixed_points_generic", scalar_scan)
+    for system, report in zip((model1(), model2()), reports):
+        assert detect_ghosts(_clone(system), scheme, 0.1, seeds_per_axis=8) == report
     for system in draws:
         clone = _clone(system)
         for h, t_end in ((0.1, 20.0), (1.5, 300.0)):
@@ -202,15 +209,17 @@ def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, s
 @settings(max_examples=60, deadline=None)
 def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
     # off-quadrant seeds, with columns on x = -c, the zero of c + x, and
-    # where a Jacobian probe x -/+ 1e-6 lands on it
+    # where a Jacobian probe x -/+ 1e-6 lands on it; the map on whole
+    # arrays and the map called per element both give the oracle's rows
     system = make_rosenzweig_macarthur(a, b, c, d)
     gx = np.array(gx + [-c, -c + 1e-6, -c - 1e-6])
     sx, sy = [g.ravel() for g in np.meshgrid(gx, np.array(gy), indexing="ij")]
     core, e = _scheme_core(scheme, h)
     map_fn = lambda x, y: core(system, x, y, e)
     args = (NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_ESCAPE)
-    rows = _kernels._scan_batched(map_fn, sx, sy, *args)
-    assert rows.tobytes() == scan_fixed_points_generic(map_fn, sx, sy, *args).tobytes()
+    oracle = scalar_scan(map_fn, sx, sy, *args).tobytes()
+    assert _kernels._scan_batched(map_fn, sx, sy, *args).tobytes() == oracle
+    assert scan_fixed_points_generic(map_fn, sx, sy, *args).tobytes() == oracle
 
 
 @needs_numba

@@ -12,12 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd import (
+    NSFD,
     ConstructionError,
     DomainError,
     SplitSystem,
     State,
     field_jacobian,
+    find_equilibria,
     from_selector,
+    integrate,
     make_rosenzweig_macarthur,
     model1,
     model2,
@@ -205,6 +208,27 @@ def test_component_that_turns_complex_is_refused():
                     lambda x, y: 1.0, lambda x, y: (x - 1.0) ** 0.5)
 
 
+def test_rma_params_promise_is_enforced():
+    # the numba kernels, the batched searches and `components` use the
+    # family's formulas, not the callables, so a system with rma_params
+    # must have the family's components and carry partials
+    other = lambda x, y: 1.0 * x + 0.5 * y
+    with pytest.raises(ConstructionError,
+                       match=r"^f_minus\(0, 0\.408163\) = 0\.2040816\d* is not the rma_params "
+                             r"formula's 0\.8163265\d*; set rma_params=None for other components$"):
+        dataclasses.replace(model2(), f_minus=other, partials=None)
+    with pytest.raises(ConstructionError, match=r"^f_plus\(0, 0\) = 1\.0000001 is not"):
+        dataclasses.replace(model2(), f_plus=lambda x, y: 1.0000001)
+    with pytest.raises(ConstructionError, match=r"^a system with rma_params must carry"):
+        dataclasses.replace(model2(), partials=None)
+    assert dataclasses.replace(model2(), x_max=5.0).rma_params == MODEL2_PARAMS
+    free = dataclasses.replace(model2(), f_minus=other, partials=None, rma_params=None)
+    # its own f_minus steps the orbit, and the equilibrium search runs
+    x1 = integrate(free, NSFD, State(0.4, 0.4), 0.5, 0.5).xs[1]
+    assert x1 == 0.4 * 1.5 / (1.0 + 0.5 * (0.4 + 0.2))
+    assert [p.family for p in find_equilibria(free)] == ["O", "E3", "E1"]
+
+
 # The scalar validation loops that construction ran before it checked whole
 # arrays, plus the refusals added since: a call that raises
 # ZeroDivisionError, OverflowError or ValueError, a complex value, and a
@@ -336,7 +360,8 @@ def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
 def _unvalidated():
     # construct systems, fused components and all, without the checks that
     # refuse many wide draws
-    with mock.patch.object(systems, "_check_sign_structure", lambda s: None), \
+    with mock.patch.object(systems, "_check_sign_structure", lambda s: (None, None)), \
+            mock.patch.object(systems, "_check_rma_promise", lambda s, nodes, vals: None), \
             mock.patch.object(systems, "_check_partials_consistency", lambda s: None):
         yield
 
