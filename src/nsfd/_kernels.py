@@ -7,9 +7,12 @@ backend:
 * the python backend, and any system built from arbitrary callables:
   `run_trajectory` runs `_step_loop` over the scheme cores of
   nsfd.integrators, and `scan_fixed_points` runs `_scan_batched`, Newton
-  over all seeds at once as numpy arrays.  The built-in predator-prey
-  family (systems with rma_params) evaluates the cores on whole arrays;
-  other systems call them once per element (`scan_fixed_points_generic`);
+  over all seeds at once as numpy arrays, with the scheme cores evaluated
+  on arrays.  The built-in predator-prey family (systems with
+  rma_params) evaluates its components on whole arrays too; any other
+  system goes through `scan_fixed_points_generic`, where only its four
+  component callables are called once per element (`_each`) and
+  everything derived from them runs on the arrays;
 * the built-in family on the numba backend: compiled kernels, made by
   numba from `_rma_step` (one step of that family, written like the
   scheme cores) and the loop drivers below.
@@ -23,7 +26,6 @@ The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
 when importable).
 """
 
-import itertools
 import math
 import os
 import warnings
@@ -256,11 +258,11 @@ def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     Returns an (n, 3) array of (x, y, residual) rows, one per seed, in seed
     order; a seed whose residual is not below tol failed.
     """
-    map_fn = lambda x, y: core(system, x, y, e)
     if system.rma_params is None:
-        return scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
+        return scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol, max_iter, escape)
     if resolve_backend() != "numba":
-        return _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape)
+        return _scan_batched(lambda x, y: core(system, x, y, e), seeds_x, seeds_y,
+                             tol, max_iter, escape)
     seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
     seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
     p = system.rma_params
@@ -270,61 +272,88 @@ def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     return out
 
 
-def scan_fixed_points_generic(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL,
+def scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """The python Newton scan over a map callable (x, y) -> (x', y').
+    """The python Newton scan of core(system, x, y, e) for any system.
 
-    map_fn is called on python floats, once per seed and Jacobian probe
-    (`_on_elements`), and the scan runs `_scan_batched`.  A seed fails,
-    rather than aborting the scan, where the map raises ZeroDivisionError,
-    OverflowError or ValueError or returns a complex number (a fractional
-    power of a negative coordinate).
+    `_scan_batched` over the core evaluated on arrays, with the system's
+    four component callables called once per element on python floats
+    (`_ElementView`).  A seed fails, rather than aborting the scan, where a
+    component raises ZeroDivisionError, OverflowError or ValueError or
+    returns a complex number (a fractional power of a negative coordinate).
     """
-
-    def on_arrays(xs, ys):
-        vals, _ = _on_elements(map_fn, xs, ys, 2)
-        return vals[:, 0], vals[:, 1]
-
-    return _scan_batched(on_arrays, seeds_x, seeds_y, tol, max_iter, escape)
+    view = _ElementView(system)
+    return _scan_batched(lambda x, y: core(view, x, y, e), seeds_x, seeds_y,
+                         tol, max_iter, escape, probes_apart=True)
 
 
-def _on_elements(fn, xs, ys, k):
-    """fn(x, y), k reals, called once on the python floats of each element
-    of the arrays xs, ys.
+def _each(fn, xs, ys):
+    """fn(x, y), one real, called once for each pair of the lists of python
+    floats xs, ys (the tolist() of arrays).
 
-    Returns an (n, k) float array and a mask of the elements dropped
-    because fn raised one of _DROPS or returned a complex value; their
-    rows are nan.  Any other exception propagates.
+    Returns a float array and a mask of the elements dropped because fn
+    raised one of _DROPS or returned a complex value; they hold nan.  Any
+    other exception propagates.
     """
-    rows, pairs, clean = [], zip(xs.tolist(), ys.tolist()), True
+    vals, drops, calls = [], [], map(fn, xs, ys)
     while True:
-        try:  # extend keeps the rows before a raise, and pairs goes on after it
-            rows.extend(itertools.starmap(fn, pairs))
+        try:  # extend keeps the values before a raise, and calls goes on after it
+            vals.extend(calls)
             break
         except _DROPS:
-            rows.append(None)
-            clean = False
-    if clean:
-        vals = np.array(rows)
-        if vals.dtype == np.float64 and vals.shape == (len(rows), k):
-            return vals, np.zeros(len(rows), dtype=bool)
-    # a drop or an odd type somewhere: check the rows one by one
-    dropped = [row is None or any(isinstance(v, complex) for v in row) for row in rows]
-    nan_row = (np.nan,) * k
-    vals = np.array([nan_row if d else row for row, d in zip(rows, dropped)], dtype=np.float64)
-    return vals.reshape(len(rows), k), np.array(dropped, dtype=bool)
+            drops.append(len(vals))
+            vals.append(math.nan)
+    dropped = np.zeros(len(vals), dtype=bool)
+    dropped[drops] = True
+    out = np.array(vals)
+    if out.dtype != np.float64:  # a complex value or an odd type somewhere
+        odd = [isinstance(v, complex) for v in vals]
+        dropped |= odd
+        out = np.array([math.nan if c else v for v, c in zip(vals, odd)], dtype=np.float64)
+    return out, dropped
 
 
-def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape):
+def _each_of(fns, xs, ys):
+    # every fn of fns at each element of the arrays xs, ys (_each): a
+    # (len(fns), n) array and the mask of elements that any fn dropped,
+    # which hold nan in every row
+    xs, ys = xs.tolist(), ys.tolist()
+    vals, drops = zip(*[_each(fn, xs, ys) for fn in fns])
+    dropped = np.logical_or.reduce(drops)
+    vals = np.array(vals)
+    vals[:, dropped] = np.nan
+    return vals, dropped
+
+
+class _ElementView:
+    """A system as the scheme cores and balances see it on arrays.
+
+    components(xs, ys) calls the four component callables once per element
+    (`_each`) and returns their four arrays; an element that one of them
+    drops is nan in all four, and `dropped` holds the mask of the last call.
+    """
+
+    def __init__(self, system):
+        self._comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        self.dropped = None
+
+    def components(self, xs, ys):
+        vals, self.dropped = _each_of(self._comps, xs, ys)
+        return vals
+
+
+def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False):
     # _make_fixed_point_driver over all seeds at once: map_fn takes and
     # returns arrays, nan where the scalar map fails a seed.  idx holds the
     # seeds still iterating; each one retires where the scalar loop breaks,
     # with the same stored point and residual, and all share one iteration
-    # counter.  One map call takes a seed's point and its four Jacobian
-    # probes together; probes of a seed that retires on its residual are
-    # computed and then ignored.  A zero denominator gives a non-finite map
-    # value here where the scalar cores raise, and both retire the seed
-    # with residual inf at the same point.
+    # counter.  A map on whole arrays takes each seed's point and its four
+    # Jacobian probes in one call, and the probes of a seed that retires on
+    # its residual are computed and then ignored.  Where each element costs
+    # calls (probes_apart), a second call takes the probes only of the seeds
+    # that go on, as the scalar loop does.  A zero denominator gives a
+    # non-finite map value here where the scalar cores raise, and both
+    # retire the seed with residual inf at the same point.
     x = np.array(seeds_x, dtype=np.float64)
     y = np.array(seeds_y, dtype=np.float64)
     res = np.full(x.shape[0], np.inf)
@@ -337,21 +366,33 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape):
             ay = y[idx]
             dx = 1e-6 * np.maximum(1.0, np.abs(ax))
             dy = 1e-6 * np.maximum(1.0, np.abs(ay))
-            mx, my = map_fn(np.concatenate((ax, ax + dx, ax - dx, ax, ax)),
-                            np.concatenate((ay, ay, ay, ay + dy, ay - dy)))
-            mx, px1, px0, qx1, qx0 = mx.reshape(5, -1)
-            my, py1, py0, qy1, qy0 = my.reshape(5, -1)
+            probe_x = (ax + dx, ax - dx, ax, ax)
+            probe_y = (ay, ay, ay + dy, ay - dy)
+            if probes_apart:
+                mx, my = map_fn(ax, ay)
+            else:
+                mx, my = map_fn(np.concatenate((ax, *probe_x)), np.concatenate((ay, *probe_y)))
+                mx, px1, px0, qx1, qx0 = mx.reshape(5, -1)
+                my, py1, py0, qy1, qy0 = my.reshape(5, -1)
             rx = mx - ax
             ry = my - ay
             finite = np.isfinite(rx) & np.isfinite(ry)
             r = np.maximum(np.abs(rx), np.abs(ry))
             res[idx] = np.where(finite, r, np.inf)
+            go = finite & (r >= tol)
+            if probes_apart:
+                px, py = np.full((2, 4, ax.size), np.nan)
+                vx, vy = map_fn(np.concatenate([p[go] for p in probe_x]),
+                                np.concatenate([p[go] for p in probe_y]))
+                px[:, go] = vx.reshape(4, -1)
+                py[:, go] = vy.reshape(4, -1)
+                px1, px0, qx1, qx0 = px
+                py1, py0, qy1, qy0 = py
             j11 = (px1 - px0) / (2.0 * dx) - 1.0
             j21 = (py1 - py0) / (2.0 * dx)
             j12 = (qx1 - qx0) / (2.0 * dy)
             j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
             det = j11 * j22 - j12 * j21
-            go = finite & (r >= tol)
             singular = go & ~(np.isfinite(det) & (np.abs(det) >= 1e-14))
             res[idx[singular]] = np.inf
             go &= ~singular

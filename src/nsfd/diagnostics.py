@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .integrators import RK4, SchemeId, Trajectory, _scheme_core, integrate, step_count
+from .integrators import (RK4, SchemeId, Trajectory, _require_step, _scheme_core, integrate,
+                          step_count)
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -41,13 +42,16 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
                    steps) -> OrderEstimate:
     """Observed convergence order against an rk4 reference orbit.
 
-    steps must be at least four step sizes, strictly descending, each
-    dividing t_end - t0 evenly.  The reference runs at min(steps)/100 and
-    errors are sup-norm over the grid points the runs share with it.
+    steps must be at least four step sizes, each positive and finite,
+    strictly descending, each dividing t_end - t0 evenly (ValueError
+    otherwise).  The reference runs at min(steps)/100 and errors are
+    sup-norm over the grid points the runs share with it.
     """
     steps = tuple(float(h) for h in steps)
     if len(steps) < 4:
         raise ValueError(f"need at least 4 step sizes, got {len(steps)}")
+    for h in steps:
+        _require_step(h)
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"step sizes must be strictly descending, got {steps}")
     horizon = t_end - s0.t

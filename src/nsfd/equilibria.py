@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _on_elements
+from ._kernels import _ElementView
 from .integrators import SchemeId, StepWeight, effective_step
-from .systems import AXIS_ZERO_TOL, PartialValues, SplitSystem, State, partials_at
+from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_each, partials_at
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -250,19 +250,17 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
     # coordinate): a dropped seed loses its best iterate, its best residual
     # set to inf.  The built-in family evaluates on whole arrays, with the
     # bits of the scalar calls, which raise ZeroDivisionError at
-    # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.
+    # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.  Any
+    # other system calls only its callables per seed (_ElementView,
+    # _partials_each); the balances and differences run on arrays.
     if system.rma_params is not None:
         c = system.rma_params.c
         residual = lambda x, y: (*_balance_residual(system, x, y), c + x == 0.0)
         jacobian = lambda x, y: (system.partials.at(x, y), (c + x) * (c + x) == 0.0)
     else:
-        def residual(x, y):
-            vals, dropped = _on_elements(partial(_balance_residual, system), x, y, 2)
-            return vals[:, 0], vals[:, 1], dropped
-
-        def jacobian(x, y):
-            vals, dropped = _on_elements(partial(partials_at, system), x, y, 8)
-            return PartialValues(*vals.T), dropped
+        view = _ElementView(system)
+        residual = lambda x, y: (*_balance_residual(view, x, y), view.dropped)
+        jacobian = partial(_partials_each, system)
 
     x = np.repeat(xs, ys.size)
     y = np.tile(ys, xs.size)
@@ -343,10 +341,13 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
 
     The Newton iteration runs over all 1600 seeds at once as numpy arrays,
     on every backend.  A system of the built-in family (one with
-    rma_params) evaluates its balances and partials on whole arrays; any
-    other system calls its callables once per seed on python floats, and a
-    seed is dropped where one of them raises ZeroDivisionError,
-    OverflowError or ValueError or returns a complex value.
+    rma_params) evaluates its balances and partials on whole arrays.  Any
+    other system calls only its callables once per seed and point on python
+    floats: its components, and its analytic partials or else the points of
+    the finite-difference stencils.  The balances and the differences run
+    on arrays, with the bits of the scalar forms.  A seed is dropped where
+    a call raises ZeroDivisionError, OverflowError or ValueError or returns
+    a complex value.
 
     The box defaults to the system's own and must have positive finite
     extent (ValueError otherwise).  Each search is run once per system and

@@ -25,6 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._kernels import _each, _each_of
+
 Component = Callable[[float, float], float]
 
 X_MAX_DEFAULT = 20.0
@@ -206,7 +208,17 @@ def _check_sign_structure(sys: SplitSystem):
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    vals, odd = _grid_values(sys, comps, nodes, lambda: _on_mesh(comps, nodes))
+
+    def on_arrays():
+        try:
+            return _on_mesh(comps, nodes)
+        except Exception:
+            # a component that takes only python floats (math.sqrt, say) is
+            # not the family's closure: check it per node, and let
+            # _check_rma_promise compare it with the formula
+            return None
+
+    vals, odd = _grid_values(sys, comps, nodes, on_arrays)
     inside = np.array(nodes) > 0.0
     inside = inside[:, None] & inside[None, :]
     with np.errstate(invalid="ignore"):
@@ -288,15 +300,18 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     on_arrays(): its closures use only + - * /, so every finite entry is the
     bits of the scalar call.  Where the scalar call divides by zero the
     array holds inf or nan instead, so each non-finite node is called again
-    on scalars.  Any other system is called once per node.
+    on scalars.  Any other system, and one of the family for which
+    on_arrays() returns None, is called once per node.
     """
     shape = (len(fns), len(nodes), len(nodes))
+    vals = None
     if sys.rma_params is not None:
         with np.errstate(all="ignore"):
             vals = on_arrays()
-        todo = np.argwhere(~np.isfinite(vals)).tolist()
-    else:
+    if vals is None:
         todo = itertools.product(*map(range, shape))
+    else:
+        todo = np.argwhere(~np.isfinite(vals)).tolist()
     odd = {}
     got = []
     for k, i, j in todo:
@@ -308,7 +323,7 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
             odd[k, i, j] = v
             v = float(v) if isinstance(v, numbers.Real) else math.nan
         got.append(v)
-    if sys.rma_params is None:
+    if vals is None:
         return np.array(got).reshape(shape), odd
     if got:
         vals[tuple(np.array(todo).T)] = got
@@ -373,20 +388,59 @@ def field_jacobian(system: SplitSystem, state: State) -> np.ndarray:
     )
 
 
+# The two stencils, on python floats or numpy arrays alike.
+
+def _central(hi, lo, step):
+    return (hi - lo) / (2.0 * step)
+
+
+def _one_sided(at, one, two, step):
+    # second-order one-sided stencil; a forward difference is too crude for
+    # steeply curved components near the axis
+    return (-3.0 * at + 4.0 * one - two) / (2.0 * step)
+
+
 def _fd_x(comp: Component, x: float, y: float) -> float:
     step = _FD_EPS * max(1.0, abs(x))
     if x >= step:
-        return (comp(x + step, y) - comp(x - step, y)) / (2.0 * step)
-    # second-order one-sided stencil; a forward difference is too crude for
-    # steeply curved components near the axis
-    return (-3.0 * comp(x, y) + 4.0 * comp(x + step, y) - comp(x + 2.0 * step, y)) / (2.0 * step)
+        return _central(comp(x + step, y), comp(x - step, y), step)
+    return _one_sided(comp(x, y), comp(x + step, y), comp(x + 2.0 * step, y), step)
 
 
 def _fd_y(comp: Component, x: float, y: float) -> float:
     step = _FD_EPS * max(1.0, abs(y))
     if y >= step:
-        return (comp(x, y + step) - comp(x, y - step)) / (2.0 * step)
-    return (-3.0 * comp(x, y) + 4.0 * comp(x, y + step) - comp(x, y + 2.0 * step)) / (2.0 * step)
+        return _central(comp(x, y + step), comp(x, y - step), step)
+    return _one_sided(comp(x, y), comp(x, y + step), comp(x, y + 2.0 * step), step)
+
+
+def _fd_each(comp: Component, x, y, along_x: bool):
+    """_fd_x (along_x) or _fd_y of comp at every element of the arrays x, y.
+
+    comp is called once per point on python floats (`_kernels._each`), and
+    only at the points the scalar stencil of each element samples, so never
+    at x - step < 0.  Returns the differences and the mask of elements
+    where a call dropped.
+    """
+    v = x if along_x else y
+    # python's max(1.0, nan) is 1.0; np.maximum would give nan
+    step = _FD_EPS * np.fmax(1.0, np.abs(v))
+    out = np.empty(v.shape)
+    dropped = np.zeros(v.shape, dtype=bool)
+
+    def at(m, w):  # comp at the elements of m, with v moved to w
+        w = w.tolist()
+        vals, drop = _each(comp, w, y[m].tolist()) if along_x else _each(comp, x[m].tolist(), w)
+        dropped[m] |= drop
+        return vals
+
+    m = v >= step
+    w, s = v[m], step[m]
+    out[m] = _central(at(m, w + s), at(m, w - s), s)
+    m = ~m
+    w, s = v[m], step[m]
+    out[m] = _one_sided(at(m, w), at(m, w + s), at(m, w + 2.0 * s), s)
+    return out, dropped
 
 
 def _numeric_partial_values(system: SplitSystem, x: float, y: float) -> PartialValues:
@@ -411,10 +465,38 @@ def numeric_partials(system: SplitSystem, state: State) -> PartialValues:
 
 
 def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
-    """Analytic partials when the system carries them, finite differences otherwise."""
+    """Analytic partials when the system carries them, finite differences otherwise.
+
+    At one point, on python floats.  The interior equilibrium search of a
+    system built from callables evaluates the same partials at all its
+    seeds at once (`_partials_each`), with the same bits: each callable
+    is called once per point, and the differences are taken on numpy
+    arrays.
+    """
     if system.partials is not None:
         return system.partials.at(x, y)
     return _numeric_partial_values(system, x, y)
+
+
+def _partials_each(system: SplitSystem, xs, ys):
+    """partials_at at each element of the arrays xs, ys.
+
+    Every callable is called once per point on python floats
+    (`_kernels._each`).  Returns PartialValues of arrays and the mask of
+    elements dropped where a call raised ZeroDivisionError, OverflowError
+    or ValueError or returned a complex value; those are nan throughout.
+    """
+    if system.partials is not None:
+        analytic = [getattr(system.partials, f) for f in PartialValues._fields]
+        vals, dropped = _each_of(analytic, xs, ys)
+    else:
+        comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals, drops = zip(*[_fd_each(comp, xs, ys, along_x)
+                                for comp in comps for along_x in (True, False)])
+        vals, dropped = np.array(vals), np.logical_or.reduce(drops)
+        vals[:, dropped] = np.nan
+    return PartialValues(*vals), dropped
 
 
 def make_rosenzweig_macarthur(

@@ -1,8 +1,13 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from nsfd import SplitSystem, _kernels
+
+# --hypothesis-profile=ci runs each byte-equality property (those decorated
+# with oracles.equality_settings) with this many examples
+settings.register_profile("ci", max_examples=500)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,17 +3,28 @@
 The package runs both searches over all seeds at once on numpy arrays
 (`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
 plain loops, one seed at a time on python floats, are the references the
-tests hold those drivers to, byte for byte.
+tests hold those drivers to, byte for byte.  `equality_settings` gives the
+hypothesis properties that hold array code to such references their
+example counts.
 """
 
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
                            _make_fixed_point_driver)
 from nsfd.equilibria import BALANCE_TOL, _balance_residual
 from nsfd.systems import partials_at
+
+
+def equality_settings(max_examples):
+    """Settings of a byte-equality property: max_examples examples, or the
+    ci profile's count (conftest.py) when that profile is loaded."""
+    if settings.default is settings.get_profile("ci"):
+        return settings(deadline=None)
+    return settings(max_examples=max_examples, deadline=None)
 
 
 def scalar_scan(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
@@ -47,7 +58,7 @@ def scalar_balance_newton(system, xs, ys, escape):
     """Newton on both balances from each seed (x, y) of the grid xs x ys in
     turn; the best iterate of every seed whose best residual is below
     BALANCE_TOL.  A seed is dropped, best iterate and all, where a
-    component raises or turns complex."""
+    component or partial raises or turns complex."""
     found = []
     for sx in xs:
         for sy in ys:
@@ -67,6 +78,9 @@ def scalar_balance_newton(system, xs, ys, escape):
                     if res < 1e-15:
                         break
                     p = partials_at(system, x, y)
+                    if any(isinstance(v, complex) for v in p):
+                        best = None
+                        break
                     j11 = p.fpx - p.fmx
                     j12 = p.fpy - p.fmy
                     j21 = p.gpx - p.gmx

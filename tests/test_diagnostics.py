@@ -1,6 +1,7 @@
 """Convergence measurement, positivity audit, ghost scan, scheme comparison."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ def test_estimate_order_refuses_a_step_count_that_overflows(tmp_path, capsys):
     assert all(1.0 / h == math.inf for h in steps)
     message = "inf steps of h=4e-323 to t_end=1.0 exceed MAX_STEPS = 100000000"
     with pytest.raises(ValueError, match=message):
+        estimate_order(model1(), NSFD, State(0.4, 0.4), 1.0, steps)
+    assert cli.main(["convergence", "--model", "model1", "--scheme", "nsfd",
+                     "--h", ",".join(map(repr, steps)), "--x0", "0.4", "--y0", "0.4",
+                     "--t-end", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, -0.0625])
+def test_estimate_order_refuses_a_bad_step_by_its_value(tmp_path, capsys, bad):
+    # each step is checked before any division by it: zero was a bare
+    # ZeroDivisionError, nan failed in math.floor, and a negative step was
+    # refused under the name of the reference step, bad / 100
+    steps = [0.5, 0.25, 0.125, bad]
+    message = f"step size must be positive and finite, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         estimate_order(model1(), NSFD, State(0.4, 0.4), 1.0, steps)
     assert cli.main(["convergence", "--model", "model1", "--scheme", "nsfd",
                      "--h", ",".join(map(repr, steps)), "--x0", "0.4", "--y0", "0.4",

@@ -1,8 +1,10 @@
 """One python path for every system, and the numba kernels bit-equal to it."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nsfd
@@ -14,7 +16,7 @@ from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TO
                            _rma_step, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
-from oracles import scalar_scan
+from oracles import equality_settings, scalar_scan
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -71,12 +73,17 @@ def _recorded_scans(monkeypatch):
     """Record which python Newton scan runs: "batched" or "generic"."""
     calls = []
     for label, name in (("batched", "_scan_batched"), ("generic", "scan_fixed_points_generic")):
-        def recording(*args, _label=label, _original=getattr(_kernels, name)):
+        def recording(*args, _label=label, _original=getattr(_kernels, name), **kwargs):
             calls.append(_label)
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, name, recording)
     return calls
+
+
+def _oracle_generic_scan(system, core, e, *args):
+    """scan_fixed_points_generic run by the seed-by-seed oracle."""
+    return scalar_scan(lambda x, y: core(system, x, y, e), *args)
 
 
 def _ghost_seeds(system, scheme, n):
@@ -148,7 +155,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         reports.append(report)
     assert loops == ["model1"] * 2 + ["model2"] * 2
     assert scans == ["batched", "generic", "batched"] * 2
-    monkeypatch.setattr(_kernels, "scan_fixed_points_generic", scalar_scan)
+    monkeypatch.setattr(_kernels, "scan_fixed_points_generic", _oracle_generic_scan)
     for system, report in zip((model1(), model2()), reports):
         assert detect_ghosts(_clone(system), scheme, 0.1, seeds_per_axis=8) == report
     for system in draws:
@@ -206,11 +213,12 @@ def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, s
          gx=[-2.5714029809061554], gy=[2.0714285714285716]).via("a seed that escapes")
 @example(a=2.0, b=1.0, c=0.5, d=0.3, scheme=EULER, h=0.1, gx=[1.0], gy=[0.5, 2.0]).via(
     "a Jacobian probe on x = -c")
-@settings(max_examples=60, deadline=None)
+@equality_settings(60)
 def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
     # off-quadrant seeds, with columns on x = -c, the zero of c + x, and
-    # where a Jacobian probe x -/+ 1e-6 lands on it; the map on whole
-    # arrays and the map called per element both give the oracle's rows
+    # where a Jacobian probe x -/+ 1e-6 lands on it; the core on whole
+    # arrays and the core with each component called per element both
+    # give the oracle's rows
     system = make_rosenzweig_macarthur(a, b, c, d)
     gx = np.array(gx + [-c, -c + 1e-6, -c - 1e-6])
     sx, sy = [g.ravel() for g in np.meshgrid(gx, np.array(gy), indexing="ij")]
@@ -219,7 +227,29 @@ def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
     args = (NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_ESCAPE)
     oracle = scalar_scan(map_fn, sx, sy, *args).tobytes()
     assert _kernels._scan_batched(map_fn, sx, sy, *args).tobytes() == oracle
-    assert scan_fixed_points_generic(map_fn, sx, sy, *args).tobytes() == oracle
+    assert scan_fixed_points_generic(system, core, e, sx, sy, *args).tobytes() == oracle
+
+
+@pytest.mark.parametrize("scheme", [RK2, RK4], ids=["rk2", "rk4"])
+def test_a_stage_one_drop_feeds_nan_to_the_next_stage(scheme):
+    # math.sqrt raises at the seed x = -1, in the first stage; on arrays the
+    # seed goes on as nan, so the next stage calls the components at nan,
+    # and the seed fails as where the seed-by-seed map stops at the raise
+    seen = []
+
+    def f_minus(x, y):
+        seen.append(x)
+        return math.sqrt(x) + 0.5 * y
+
+    system = SplitSystem(lambda x, y: 1.0, f_minus, lambda x, y: 0.8,
+                         lambda x, y: 0.4 * x + y, x_max=3.0)
+    sx, sy = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    core, e = _scheme_core(scheme, 0.5)
+    seen.clear()
+    rows = _scan(system, scheme, 0.5, sx, sy)
+    assert any(math.isnan(x) for x in seen)
+    assert rows[0, 2] == math.inf
+    assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
 
 
 @needs_numba

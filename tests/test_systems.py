@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nsfd import (
@@ -28,8 +28,9 @@ from nsfd import (
     vector_field,
 )
 from nsfd import systems
-from nsfd.systems import (MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues, _fd_x, _fd_y,
-                          partials_at)
+from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues, _fd_x,
+                          _fd_y, _numeric_partial_values, _partials_each, partials_at)
+from oracles import equality_settings
 
 
 def test_model1_components_at_interior_point():
@@ -115,6 +116,49 @@ def test_partials_at_falls_back_without_analytic_partials():
     ref = model1().partials.at(3.0, 1.5)
     for a, n in zip(ref, vals):
         assert abs(a - n) <= 1e-5 * max(1.0, abs(a))
+
+
+# prey losses for the property below, each failing a stencil point in its
+# own way off the quadrant
+_FD_LOSSES = {
+    "smooth": lambda x, y: x * x + 0.5 * y,
+    "pole": lambda x, y: 0.1 * y / (0.7 + x),      # ZeroDivisionError at x = -0.7
+    "power": lambda x, y: 1e-3 * x ** 2 + y,       # OverflowError beyond |x| ~ 1e154
+    "sqrt": lambda x, y: math.sqrt(x) + 0.5 * y,   # ValueError for x < 0
+    "root": lambda x, y: x ** 0.5 + 0.5 * y,       # complex for x < 0
+}
+
+_fd_coords = st.one_of(st.floats(-3.0, 3.0), st.floats(-2.0 * _FD_EPS, 2.0 * _FD_EPS),
+                       st.floats(), st.sampled_from([0.0, -0.0, -0.7, _FD_EPS, 1e160, -1e160]))
+
+
+@given(loss=st.sampled_from(sorted(_FD_LOSSES)),
+       points=st.lists(st.tuples(_fd_coords, _fd_coords), min_size=1, max_size=10))
+@example(loss="sqrt", points=[(0.0, 0.0), (0.5 * _FD_EPS, 1.0), (2.0 * _FD_EPS, 1e-7)])
+@example(loss="pole", points=[(-0.7, 1.0), (-0.7 - _FD_EPS, 0.5), (2.0, 1.0)])
+@example(loss="power", points=[(1e160, 1.0), (1.0, 1e160), (1.0, 1.0)])
+@example(loss="root", points=[(-1.0, 1.0), (-1e-7, 0.5), (1e-7, 0.5)])
+@equality_settings(200)
+def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
+    # the array stencils of _partials_each give _numeric_partial_values'
+    # bits at every point, one-sided near an axis and central elsewhere, and
+    # drop exactly the points where a scalar call raises or turns complex
+    with _unchecked():
+        system = SplitSystem(lambda x, y: 1.0 + 0.1 * y, _FD_LOSSES[loss],
+                             lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y)
+    xs, ys = (np.array(v, dtype=float) for v in zip(*points))
+    got, dropped = _partials_each(system, xs, ys)
+    got = np.array(got)
+    for i, (x, y) in enumerate(points):
+        try:
+            want = _numeric_partial_values(system, x, y)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            want = None
+        if want is None or any(isinstance(v, complex) for v in want):
+            assert dropped[i] and np.isnan(got[:, i]).all()
+        else:
+            assert not dropped[i]
+            assert got[:, i].tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_constructor_rejects_nonpositive_parameters():
@@ -217,6 +261,12 @@ def test_rma_params_promise_is_enforced():
                        match=r"^f_minus\(0, 0\.408163\) = 0\.2040816\d* is not the rma_params "
                              r"formula's 0\.8163265\d*; set rma_params=None for other components$"):
         dataclasses.replace(model2(), f_minus=other, partials=None)
+    # math.sqrt takes no arrays: the grid checks call it per node instead,
+    # and the refusal names it
+    with pytest.raises(ConstructionError,
+                       match=r"^f_minus\(0, 0\.408163\) = 0\.2040816\d* is not the rma_params "
+                             r"formula's 0\.8163265\d*; set rma_params=None for other components$"):
+        dataclasses.replace(model2(), f_minus=lambda x, y: math.sqrt(x) + 0.5 * y)
     with pytest.raises(ConstructionError, match=r"^f_plus\(0, 0\) = 1\.0000001 is not"):
         dataclasses.replace(model2(), f_plus=lambda x, y: 1.0000001)
     with pytest.raises(ConstructionError, match=r"^a system with rma_params must carry"):
@@ -348,7 +398,7 @@ _rma_draws = st.one_of(
 @example(params=(2.0, 1.0, 1e-150, 0.3, 20.0))
 @example(params=(2.0, 1.0, 1.0, 0.2, 20.0))
 @example(params=(1e308, 1.0, 1.0, 0.2, 20.0))
-@settings(max_examples=60, deadline=None)
+@equality_settings(60)
 def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
     *abcd, x_max = params
     with _unchecked():
@@ -378,7 +428,7 @@ _wide_floats = st.one_of(st.floats(), _log10_uniform(-300, 308), _log10_uniform(
                                           min_size=1, max_size=8))
 @example(params=(2.0, 1.0, 1e-170, 0.3, 20.0), points=[(0.0, 0.0), (-1e-170, 1.0)])
 @example(params=(1e308, 1.0, 1e-200, 0.3, 20.0), points=[(1e-200, 1e308), (-1e-200, 0.0)])
-@settings(max_examples=80, deadline=None)
+@equality_settings(80)
 def test_fused_components_are_the_single_closures(params, points):
     # a system of the built-in family evaluates its four components in one
     # call; on floats and on arrays it gives the single closures' bits, and
@@ -442,12 +492,13 @@ _REFUSED = {
     "gpx divides by zero": dict(
         partials=_fake_partials(gpx=lambda x, y: 1.0 / y),
         match=r"^analytic partial gpx\(0, 0\) raised ZeroDivisionError"),
-    # math functions take no arrays, so these two are callables only
+    # math functions take no arrays, so under the family's tag too these
+    # two are called per node
     "g_minus raises ValueError": dict(
-        g_minus=lambda x, y: math.sqrt(x - 1.0), rma_params=None,
+        g_minus=lambda x, y: math.sqrt(x - 1.0),
         match=r"^g_minus\(0, 0\) raised ValueError: math domain error$"),
     "f_plus raises OverflowError": dict(
-        f_plus=lambda x, y: math.exp(1000.0 * (x + 1.0)), rma_params=None,
+        f_plus=lambda x, y: math.exp(1000.0 * (x + 1.0)),
         match=r"^f_plus\(0, 0\) raised OverflowError: math range error$"),
     # any other exception escapes as it is, from the first failing node
     "f_minus raises KeyError": dict(
