@@ -11,8 +11,9 @@ backend:
   on arrays.  The built-in predator-prey family (systems with
   rma_params) evaluates its components on whole arrays too; any other
   system goes through `scan_fixed_points_generic`, where only its four
-  component callables are called once per element (`_each`) and
-  everything derived from them runs on the arrays;
+  component callables are called once per element (`_each_of`), in the
+  order of the seed-by-seed scan, and everything derived from them runs
+  on the arrays;
 * the built-in family on the numba backend: compiled kernels, made by
   numba from `_rma_step` (one step of that family, written like the
   scheme cores) and the loop drivers below.
@@ -278,12 +279,13 @@ def scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol=NEWTON_TOL,
 
     `_scan_batched` over the core evaluated on arrays, with the system's
     four component callables called once per element on python floats
-    (`_ElementView`).  A seed fails, rather than aborting the scan, where a
-    component raises ZeroDivisionError, OverflowError or ValueError or
-    returns a complex number (a fractional power of a negative coordinate).
+    (`_ElementView`), and only where the seed-by-seed scan calls them.  A
+    seed fails, rather than aborting the scan, where a component raises
+    ZeroDivisionError, OverflowError or ValueError or returns a complex
+    number (a fractional power of a negative coordinate).
     """
-    view = _ElementView(system)
-    return _scan_batched(lambda x, y: core(view, x, y, e), seeds_x, seeds_y,
+    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    return _scan_batched(lambda x, y: core(_ElementView(comps), x, y, e), seeds_x, seeds_y,
                          tol, max_iter, escape, probes_apart=True)
 
 
@@ -313,32 +315,46 @@ def _each(fn, xs, ys):
     return out, dropped
 
 
-def _each_of(fns, xs, ys):
-    # every fn of fns at each element of the arrays xs, ys (_each): a
-    # (len(fns), n) array and the mask of elements that any fn dropped,
-    # which hold nan in every row
-    xs, ys = xs.tolist(), ys.tolist()
-    vals, drops = zip(*[_each(fn, xs, ys) for fn in fns])
-    dropped = np.logical_or.reduce(drops)
-    vals = np.array(vals)
+def _each_of(fns, xs, ys, dropped=None):
+    """Each fn of fns in turn at every element of the arrays xs, ys (`_each`).
+
+    As the scalar calls fn(x, y) for fn in fns stop at the first drop, a
+    fn is called only at the elements that no earlier fn dropped and that
+    are not already set in the mask `dropped`.  Returns a (len(fns), n)
+    array, nan in every row of a dropped element, and the mask of the
+    dropped elements.
+    """
+    dropped = np.zeros(xs.shape, dtype=bool) if dropped is None else dropped.copy()
+    vals = np.full((len(fns), xs.size), np.nan)
+    live = np.flatnonzero(~dropped)
+    lx, ly = xs[live].tolist(), ys[live].tolist()
+    for row, fn in zip(vals, fns):
+        v, drop = _each(fn, lx, ly)
+        row[live] = v
+        if drop.any():
+            dropped[live[drop]] = True
+            live = live[~drop]
+            lx, ly = xs[live].tolist(), ys[live].tolist()
     vals[:, dropped] = np.nan
     return vals, dropped
 
 
 class _ElementView:
-    """A system as the scheme cores and balances see it on arrays.
+    """A system as the scheme cores see it on arrays, for one map call.
 
-    components(xs, ys) calls the four component callables once per element
-    (`_each`) and returns their four arrays; an element that one of them
-    drops is nan in all four, and `dropped` holds the mask of the last call.
+    components(xs, ys) calls the four component callables per element
+    (`_each_of`) and returns their four arrays, nan where one dropped.  The
+    cores pass the same elements in the same order to every stage, and an
+    element dropped in one stage is not called in a later one, as the
+    scalar map stops at the raise; so make one view per map call.
     """
 
-    def __init__(self, system):
-        self._comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
-        self.dropped = None
+    def __init__(self, comps):
+        self._comps = comps
+        self._dropped = None
 
     def components(self, xs, ys):
-        vals, self.dropped = _each_of(self._comps, xs, ys)
+        vals, self._dropped = _each_of(self._comps, xs, ys, self._dropped)
         return vals
 
 
@@ -349,9 +365,11 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=
     # with the same stored point and residual, and all share one iteration
     # counter.  A map on whole arrays takes each seed's point and its four
     # Jacobian probes in one call, and the probes of a seed that retires on
-    # its residual are computed and then ignored.  Where each element costs
-    # calls (probes_apart), a second call takes the probes only of the seeds
-    # that go on, as the scalar loop does.  A zero denominator gives a
+    # its residual are computed and then ignored: a second call per
+    # iteration would cost the built-in family's scan workload about 10%
+    # (BENCH_9.json).  Where each element costs calls (probes_apart), a
+    # second call takes the probes only of the seeds that go on, as the
+    # scalar loop does.  A zero denominator gives a
     # non-finite map value here where the scalar cores raise, and both
     # retire the seed with residual inf at the same point.
     x = np.array(seeds_x, dtype=np.float64)

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _ElementView
+from ._kernels import _each_of
 from .integrators import SchemeId, StepWeight, effective_step
 from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_each, partials_at
 
@@ -251,15 +251,19 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
     # set to inf.  The built-in family evaluates on whole arrays, with the
     # bits of the scalar calls, which raise ZeroDivisionError at
     # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.  Any
-    # other system calls only its callables per seed (_ElementView,
+    # other system calls only its callables per seed (_each_of,
     # _partials_each); the balances and differences run on arrays.
     if system.rma_params is not None:
         c = system.rma_params.c
         residual = lambda x, y: (*_balance_residual(system, x, y), c + x == 0.0)
         jacobian = lambda x, y: (system.partials.at(x, y), (c + x) * (c + x) == 0.0)
     else:
-        view = _ElementView(system)
-        residual = lambda x, y: (*_balance_residual(view, x, y), view.dropped)
+        comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+
+        def residual(x, y):
+            (fp, fm, gp, gm), dropped = _each_of(comps, x, y)
+            return fp - fm, gp - gm, dropped
+
         jacobian = partial(_partials_each, system)
 
     x = np.repeat(xs, ys.size)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _each, _each_of
+from ._kernels import _each_of
 
 Component = Callable[[float, float], float]
 
@@ -414,32 +414,30 @@ def _fd_y(comp: Component, x: float, y: float) -> float:
     return _one_sided(comp(x, y), comp(x, y + step), comp(x, y + 2.0 * step), step)
 
 
-def _fd_each(comp: Component, x, y, along_x: bool):
+def _fd_each(comp: Component, x, y, along_x: bool, dropped):
     """_fd_x (along_x) or _fd_y of comp at every element of the arrays x, y.
 
-    comp is called once per point on python floats (`_kernels._each`), and
-    only at the points the scalar stencil of each element samples, so never
-    at x - step < 0.  Returns the differences and the mask of elements
-    where a call dropped.
+    comp is called once per point on python floats (`_kernels._each_of`),
+    and only at the points the scalar stencil of each element samples, in
+    its order: never at x - step < 0, not after a call for that element
+    has dropped, and not at the elements set in the mask dropped.  Returns
+    the differences and that mask updated with the elements dropped here.
     """
     v = x if along_x else y
     # python's max(1.0, nan) is 1.0; np.maximum would give nan
     step = _FD_EPS * np.fmax(1.0, np.abs(v))
-    out = np.empty(v.shape)
-    dropped = np.zeros(v.shape, dtype=bool)
+    central = v >= step
 
-    def at(m, w):  # comp at the elements of m, with v moved to w
-        w = w.tolist()
-        vals, drop = _each(comp, w, y[m].tolist()) if along_x else _each(comp, x[m].tolist(), w)
-        dropped[m] |= drop
-        return vals
+    def at(w, skip):  # comp at the elements not in skip, with v moved to w
+        (vals,), drop = _each_of((comp,), w, y, skip) if along_x else _each_of((comp,), x, w, skip)
+        return vals, drop
 
-    m = v >= step
-    w, s = v[m], step[m]
-    out[m] = _central(at(m, w + s), at(m, w - s), s)
-    m = ~m
-    w, s = v[m], step[m]
-    out[m] = _one_sided(at(m, w), at(m, w + s), at(m, w + 2.0 * s), s)
+    # central: v + step, v - step; one-sided: v, v + step, v + 2 step
+    one, dropped = at(np.where(central, v + step, v), dropped)
+    two, dropped = at(np.where(central, v - step, v + step), dropped)
+    three, drop = at(v + 2.0 * step, dropped | central)
+    dropped |= drop & ~central
+    out = np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
     return out, dropped
 
 
@@ -482,19 +480,23 @@ def _partials_each(system: SplitSystem, xs, ys):
     """partials_at at each element of the arrays xs, ys.
 
     Every callable is called once per point on python floats
-    (`_kernels._each`).  Returns PartialValues of arrays and the mask of
-    elements dropped where a call raised ZeroDivisionError, OverflowError
-    or ValueError or returned a complex value; those are nan throughout.
+    (`_kernels._each_of`), in the order of the scalar calls, and not again
+    at an element after one of them dropped it.  Returns PartialValues of
+    arrays and the mask of elements dropped where a call raised
+    ZeroDivisionError, OverflowError or ValueError or returned a complex
+    value; those are nan throughout.
     """
     if system.partials is not None:
         analytic = [getattr(system.partials, f) for f in PartialValues._fields]
         vals, dropped = _each_of(analytic, xs, ys)
     else:
-        comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        vals, dropped = [], np.zeros(xs.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals, drops = zip(*[_fd_each(comp, xs, ys, along_x)
-                                for comp in comps for along_x in (True, False)])
-        vals, dropped = np.array(vals), np.logical_or.reduce(drops)
+            for comp in (system.f_plus, system.f_minus, system.g_plus, system.g_minus):
+                for along_x in (True, False):
+                    d, dropped = _fd_each(comp, xs, ys, along_x, dropped)
+                    vals.append(d)
+        vals = np.array(vals)
         vals[:, dropped] = np.nan
     return PartialValues(*vals), dropped
 

@@ -488,8 +488,8 @@ def _callable_system(kind, p, twist):
 def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme, h, gx, gy,
                                                          box):
     # seeds off the quadrant, on both poles x = -c and x = -0.7, and where
-    # x ** 2 overflows; in rk2 and rk4 a stage that drops a seed feeds nan
-    # into the next stage, where the seed-by-seed map stops at the raise
+    # x ** 2 overflows; in rk2 and rk4 a stage can drop a seed that an
+    # earlier stage kept, and the later stages skip a dropped seed
     system = _callable_system(kind, p, twist)
     xs = np.array(gx + [-p[2], -0.7, 1e160])
     ys = np.array(gy)
@@ -501,6 +501,48 @@ def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme,
     core, e = _scheme_core(scheme, h)
     rows = _kernels.scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
     assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
+
+
+def test_a_guard_behind_a_dropping_component_is_never_reached():
+    # f_plus raises ValueError off the quadrant, and g_minus, called after
+    # it, guards the same points with a KeyError that no search drops: the
+    # seed-by-seed searches stop at the ValueError and never reach the
+    # guard, nor do the searches on arrays, in any stage, at any point of a
+    # stencil or probe, or in a later residual.  Both make the same calls.
+    calls = []
+
+    def recorded(k, fn):
+        def call(x, y):
+            calls.append((k, float(x).hex(), float(y).hex()))
+            return fn(x, y)
+        return call
+
+    def g_minus(x, y):
+        if x < 0.0:
+            raise KeyError(x)
+        return 0.4 * x + y
+
+    def run(search):  # what search() returns, and the calls it made
+        calls.clear()
+        return search(), sorted(calls)
+
+    system = SplitSystem(*(recorded(k, fn) for k, fn in enumerate((
+        lambda x, y: 1.0 + 0.1 * math.sqrt(x), lambda x, y: x * x + 0.5 * y,
+        lambda x, y: 0.8, g_minus))), x_max=3.0)
+    assert _bits(find_equilibria(system)) == _bits(_oracle_search(system, (3.0, 3.0)))
+    xs = np.array([-1.0, -1e-7, 0.0, 1e-7, 0.5, 2.0, 3.0])
+    ys = np.array([0.0, 0.5, 2.0])
+    on_arrays = run(lambda: _hex(nsfd.equilibria._balance_newton(system, xs, ys, 60.0)))
+    assert on_arrays == run(lambda: _hex(scalar_balance_newton(system, xs, ys, 60.0)))
+    sx, sy = [g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")]
+    for scheme in (NSFD, EULER, RK2, RK4):
+        for h in (0.1, 1.0, 3.0):
+            core, e = _scheme_core(scheme, h)
+            rows, on_arrays = run(lambda: _kernels.scan_fixed_points(
+                system, scheme.kind, core, e, h, sx, sy).tobytes())
+            oracle, seed_by_seed = run(lambda: scalar_scan(
+                lambda x, y: core(system, x, y, e), sx, sy).tobytes())
+            assert rows == oracle and on_arrays == seed_by_seed
 
 
 @pytest.mark.parametrize("twist,exc", [("pole", ZeroDivisionError), ("power", OverflowError),

@@ -231,23 +231,28 @@ def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
 
 
 @pytest.mark.parametrize("scheme", [RK2, RK4], ids=["rk2", "rk4"])
-def test_a_stage_one_drop_feeds_nan_to_the_next_stage(scheme):
-    # math.sqrt raises at the seed x = -1, in the first stage; on arrays the
-    # seed goes on as nan, so the next stage calls the components at nan,
-    # and the seed fails as where the seed-by-seed map stops at the raise
-    seen = []
+def test_a_stage_one_drop_is_not_called_again(scheme):
+    # math.sqrt raises at the seed x = -1, in the first stage, and the
+    # seed-by-seed map stops there; on arrays the seed is nan after that
+    # stage, and no later call, in this stage or the next, is made for it
+    seen_f, seen_g = [], []
 
     def f_minus(x, y):
-        seen.append(x)
+        seen_f.append(x)
         return math.sqrt(x) + 0.5 * y
 
-    system = SplitSystem(lambda x, y: 1.0, f_minus, lambda x, y: 0.8,
-                         lambda x, y: 0.4 * x + y, x_max=3.0)
+    def g_plus(x, y):
+        seen_g.append(x)
+        return 0.8
+
+    system = SplitSystem(lambda x, y: 1.0, f_minus, g_plus, lambda x, y: 0.4 * x + y, x_max=3.0)
     sx, sy = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
     core, e = _scheme_core(scheme, 0.5)
-    seen.clear()
+    seen_f.clear()
+    seen_g.clear()
     rows = _scan(system, scheme, 0.5, sx, sy)
-    assert any(math.isnan(x) for x in seen)
+    assert -1.0 in seen_f and -1.0 not in seen_g
+    assert not any(math.isnan(x) for x in seen_f + seen_g)
     assert rows[0, 2] == math.inf
     assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
 

@@ -142,12 +142,26 @@ _fd_coords = st.one_of(st.floats(-3.0, 3.0), st.floats(-2.0 * _FD_EPS, 2.0 * _FD
 def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
     # the array stencils of _partials_each give _numeric_partial_values'
     # bits at every point, one-sided near an axis and central elsewhere, and
-    # drop exactly the points where a scalar call raises or turns complex
+    # drop exactly the points where a scalar call raises or turns complex;
+    # no component is called at a point where the scalar stencils do not
+    # call it, which they stop doing for a point at its first raise
+    calls = set()
+
+    def recorded(k, fn):
+        def call(x, y):
+            calls.add((k, float(x).hex(), float(y).hex()))
+            return fn(x, y)
+        return call
+
     with _unchecked():
-        system = SplitSystem(lambda x, y: 1.0 + 0.1 * y, _FD_LOSSES[loss],
-                             lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y)
+        system = SplitSystem(*(recorded(k, fn) for k, fn in enumerate((
+            lambda x, y: 1.0 + 0.1 * y, _FD_LOSSES[loss],
+            lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y))))
     xs, ys = (np.array(v, dtype=float) for v in zip(*points))
+    calls.clear()
     got, dropped = _partials_each(system, xs, ys)
+    on_arrays = set(calls)
+    calls.clear()
     got = np.array(got)
     for i, (x, y) in enumerate(points):
         try:
@@ -159,6 +173,7 @@ def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
         else:
             assert not dropped[i]
             assert got[:, i].tobytes() == np.array(want, dtype=float).tobytes()
+    assert on_arrays <= calls
 
 
 def test_constructor_rejects_nonpositive_parameters():
