@@ -15,10 +15,8 @@ from pathlib import Path
 from .diagnostics import (ReferenceUnavailable, compare_schemes, detect_ghosts,
                           estimate_order)
 from .equilibria import stability_report, find_equilibria
-from .integrators import IDENTITY, integrate, scheme_from_name, weight_from_name
+from .integrators import IDENTITY, SCHEME_KINDS, integrate, scheme_from_name, weight_from_name
 from .systems import State, _float_tag, from_selector
-
-SCHEME_CHOICES = ("nsfd", "ensfd", "euler", "rk2", "rk4")
 
 
 def _fmt(v: float) -> str:
@@ -48,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one orbit and write it as CSV")
     add_model(p)
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
     p.add_argument("--h", type=float, required=True)
     add_state(p)
     add_weight(p)
@@ -65,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several schemes side by side")
     add_model(p)
     p.add_argument("--scheme", required=True,
-                   help="comma-separated list from " + "/".join(SCHEME_CHOICES))
+                   help="comma-separated list from " + "/".join(SCHEME_KINDS))
     p.add_argument("--h", required=True, help="comma-separated step sizes")
     add_state(p)
     add_weight(p)
@@ -73,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="observed-order study against an rk4 reference")
     add_model(p)
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
     p.add_argument("--h", required=True,
                    help="comma-separated step sizes, descending, at least 4")
     add_state(p)
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghosts", help="fixed points of one scheme's update map as JSON")
     add_model(p)
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
+    p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--box", default="", help="search box as X,Y (default model box)")
     add_weight(p)
@@ -122,10 +120,9 @@ def _run_stem(system, scheme, h: "float | None" = None) -> str:
     """File stem naming one run: model, scheme (with its weight unless
     identity) and step size if given, each written so that distinct runs
     never share a name."""
-    label = scheme.label
+    stem = f"{system.name}_{scheme.kind}"
     if scheme.weight is not None and scheme.weight is not IDENTITY:
-        label += "-" + scheme.weight.name.replace(":", "")
-    stem = f"{system.name}_{label}"
+        stem += "-" + scheme.weight.name.replace(":", "")
     return stem if h is None else f"{stem}_h{_float_tag(h)}"
 
 
@@ -163,9 +160,7 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "equilibria":
         hs = tuple(_parse_floats(parser, args.h, "--h")) if args.h else ()
-        weight = None
-        if args.weight != "identity":
-            weight = weight_from_name(args.weight)
+        weight = None if args.weight == "identity" else weight_from_name(args.weight)
         box = _parse_box(parser, args.box)
         eqs = find_equilibria(system, box)
         payload = {
@@ -187,7 +182,7 @@ def _dispatch(parser, args) -> int:
         if not names:
             parser.error("--scheme expects at least one scheme name")
         for name in names:
-            if name not in SCHEME_CHOICES:
+            if name not in SCHEME_KINDS:
                 parser.error(f"unknown scheme {name!r}")
         schemes = [_build_scheme(parser, name, args.weight) for name in names]
         hs = _parse_floats(parser, args.h, "--h")

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .integrators import (RK4, SchemeId, Trajectory, _require_step, _scheme_core, integrate,
-                          step_count)
+from .integrators import (RK4, SchemeId, Trajectory, _WEIGHTED_KINDS, _require_step,
+                          _scheme_core, integrate, step_count)
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -72,7 +72,7 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
         traj = integrate(system, scheme, s0, h, t_end)
         if traj.truncated:
             raise ReferenceUnavailable(
-                f"{scheme.label} at h={h!r} left the finite range at step {traj.halt_step}")
+                f"{scheme.kind} at h={h!r} left the finite range at step {traj.halt_step}")
         ratio = h / h_ref
         err = 0.0
         for k in range(len(traj)):
@@ -89,7 +89,7 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     slope, intercept = np.polyfit(log_h, log_e, 1)
     fit = slope * log_h + intercept
     residual = float(np.sqrt(np.mean((log_e - fit) ** 2)))
-    return OrderEstimate(scheme.label, steps, tuple(errors),
+    return OrderEstimate(scheme.kind, steps, tuple(errors),
                          float(slope), float(intercept), residual)
 
 
@@ -163,7 +163,7 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)
             or seeds_per_axis < 1):
         raise ValueError(f"seeds_per_axis must be an int of at least 1, got {seeds_per_axis!r}")
-    classical = scheme.kind in ("euler", "rk2", "rk4")
+    classical = scheme.kind not in _WEIGHTED_KINDS
     lox, hix = (-0.1 * bx, 1.1 * bx) if classical else (0.0, bx)
     loy, hiy = (-0.1 * by, 1.1 * by) if classical else (0.0, by)
     gx = np.linspace(lox, hix, seeds_per_axis)
@@ -198,7 +198,7 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
         dist = min((math.hypot(x - p.x, y - p.y) for p in eqs), default=math.inf)
         points.append(MapFixedPoint(x, y, res, dist < GHOST_MATCH_TOL))
     points.sort(key=lambda p: (p.x, p.y))
-    return GhostReport(scheme.label, float(h), (bx, by), tuple(points))
+    return GhostReport(scheme.kind, float(h), (bx, by), tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +255,13 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values,
             try:
                 traj = integrate(system, scheme, s0, h, t_end)
             except DomainError:
-                rows.append(ComparisonRow(scheme.label, h, s0.x, s0.y, t_end,
+                rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
                                           math.nan, math.nan, math.nan, None, True))
                 continue
             audit = audit_positivity(traj)
             fin = traj.final()
             dist = _nearest_equilibrium_distance(eqs, fin.x, fin.y)
-            rows.append(ComparisonRow(scheme.label, h, s0.x, s0.y, t_end,
+            rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
                                       fin.x, fin.y, dist,
                                       audit.violation_step, traj.truncated))
     return ComparisonTable(tuple(rows))

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from ._kernels import _each_of
-from .integrators import SchemeId, StepWeight, effective_step
+from .integrators import NSFD, StepWeight, effective_step, ensfd
 from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_each, partials_at
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
@@ -459,7 +459,7 @@ def continuous_eigs(system: SplitSystem, point: EquilibriumPoint) -> ContinuousS
 def nsfd_map_jacobian(system: SplitSystem, state: State, h: float,
                       weight: "StepWeight | None" = None) -> np.ndarray:
     """Jacobian of the denominator-weighted update map at any state."""
-    e = h if weight is None else effective_step(SchemeId("ensfd", weight), h)
+    e = effective_step(NSFD if weight is None else ensfd(weight), h)
     x, y = state.x, state.y
     fp, fm, gp, gm = system.components(x, y)
     p = partials_at(system, x, y)
@@ -482,7 +482,7 @@ def discrete_eigs(system: SplitSystem, point: EquilibriumPoint, h: float,
     1 + e*slope/(1 + e*gain).  Coexistence points use the trace/determinant
     pair (T_phi, D_phi) of that damped Jacobian.
     """
-    e = h if weight is None else effective_step(SchemeId("ensfd", weight), h)
+    e = effective_step(NSFD if weight is None else ensfd(weight), h)
     x, y = point.x, point.y
     fp, fm, gp, gm = system.components(x, y)
     p = partials_at(system, x, y)

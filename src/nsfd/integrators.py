@@ -1,7 +1,7 @@
-"""One-step integrators for split systems.
+"""Integrators for split systems: `integrate` for orbits, `step` for one step.
 
-The denominator-weighted schemes (`nsfd_step`, `ensfd_step`) update each
-coordinate through
+The denominator-weighted schemes (nsfd, ensfd) update each coordinate
+through
 
     x_next = x * (1 + e * f_plus) / (1 + e * f_minus)
 
@@ -20,9 +20,11 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .systems import DomainError, SplitSystem, State, _float_tag
+from .systems import SplitSystem, State, _float_tag, _require_quadrant
 
-SCHEME_KINDS = ("nsfd", "ensfd", "euler", "rk2", "rk4")
+# the denominator-weighted kinds, which keep the quadrant; the rest are classical
+_WEIGHTED_KINDS = ("nsfd", "ensfd")
+SCHEME_KINDS = (*_WEIGHTED_KINDS, "euler", "rk2", "rk4")
 
 # Most steps one integrate call takes: 24 bytes of arrays each, 2.4 GB in all.
 MAX_STEPS = 100_000_000
@@ -31,7 +33,8 @@ CSV_HEADER = "k,t,x,y"
 
 
 class NonFiniteError(ArithmeticError):
-    """A scheme stage or result evaluated to inf or nan."""
+    """A step that `integrate` would halt on: a stage raised, or the result
+    is non-finite or complex."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,6 @@ class SchemeId:
         if self.kind != "ensfd" and self.weight is not None:
             raise ValueError(f"scheme {self.kind!r} does not take a weight")
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
 
 NSFD = SchemeId("nsfd")
 EULER = SchemeId("euler")
@@ -116,13 +115,9 @@ def _require_step(h: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
 
 
-def _require_quadrant(state: State) -> None:
-    if state.x < 0.0 or state.y < 0.0:
-        raise DomainError(f"state ({state.x!r}, {state.y!r}) outside the closed quadrant")
-
-
 def effective_step(scheme: SchemeId, h: float) -> float:
-    """The denominator weight actually applied at step size h."""
+    """The step a scheme's core takes at step size h: e = phi(h) for ensfd,
+    h for the rest.  Refuses a step size that is not positive and finite."""
     _require_step(h)
     if scheme.weight is None:
         return float(h)
@@ -176,70 +171,27 @@ _CLASSICAL_CORES = {"euler": _euler_core, "rk2": _rk2_core, "rk4": _rk4_core}
 
 
 def _scheme_core(scheme: SchemeId, h: float):
-    """The scheme's core and its last argument: e for nsfd/ensfd, h otherwise."""
-    if scheme.kind in ("nsfd", "ensfd"):
-        return _nsfd_core, effective_step(scheme, h)
-    return _CLASSICAL_CORES[scheme.kind], float(h)
-
-
-def nsfd_step(system: SplitSystem, state: State, h: float) -> State:
-    """One positivity-preserving step of size h.
-
-    Requires a state in the closed positive quadrant (DomainError otherwise)
-    and returns one; no step-size restriction applies.
-    """
-    _require_step(h)
-    _require_quadrant(state)
-    xn, yn = _nsfd_core(system, state.x, state.y, h)
-    return State(xn, yn, state.t + h)
-
-
-def ensfd_step(system: SplitSystem, state: State, h: float, weight: StepWeight) -> State:
-    """Weighted variant: identical to nsfd_step with e = weight.phi(h).
-
-    The time coordinate still advances by h; the weight only reshapes the
-    denominators.
-    """
-    e = effective_step(SchemeId("ensfd", weight), h)
-    _require_quadrant(state)
-    xn, yn = _nsfd_core(system, state.x, state.y, e)
-    return State(xn, yn, state.t + h)
-
-
-def _classical_step(core, system: SplitSystem, state: State, h: float) -> State:
-    _require_step(h)
-    try:
-        xn, yn = core(system, state.x, state.y, h)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NonFiniteError(f"stage evaluation failed at t={state.t!r}: {exc}") from None
-    # IEEE propagation means a non-finite stage always surfaces in the result
-    if not (math.isfinite(xn) and math.isfinite(yn)):
-        raise NonFiniteError(f"non-finite state after step from t={state.t!r}")
-    return State(xn, yn, state.t + h)
-
-
-def euler_step(system: SplitSystem, state: State, h: float) -> State:
-    """Forward Euler. No positivity protection; raises NonFiniteError on blow-up."""
-    return _classical_step(_euler_core, system, state, h)
-
-
-def rk2_step(system: SplitSystem, state: State, h: float) -> State:
-    """Explicit midpoint rule (second order)."""
-    return _classical_step(_rk2_core, system, state, h)
-
-
-def rk4_step(system: SplitSystem, state: State, h: float) -> State:
-    """Classical fourth-order Runge-Kutta."""
-    return _classical_step(_rk4_core, system, state, h)
+    """The scheme's core and its last argument, effective_step(scheme, h)."""
+    core = _nsfd_core if scheme.kind in _WEIGHTED_KINDS else _CLASSICAL_CORES[scheme.kind]
+    return core, effective_step(scheme, h)
 
 
 def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State:
-    """Dispatch one step of any scheme."""
-    if scheme.kind == "nsfd":
-        return nsfd_step(system, state, h)
-    if scheme.kind == "ensfd":
-        return ensfd_step(system, state, h, scheme.weight)
-    return _classical_step(_CLASSICAL_CORES[scheme.kind], system, state, h)
+    """One step of size h of any scheme: `integrate`'s first step, in its
+    bits, as python floats.
+
+    Raises ValueError for a step size that is not positive and finite,
+    DomainError for nsfd/ensfd from outside the closed quadrant, and
+    NonFiniteError wherever `integrate` would halt.
+    """
+    core, e = _scheme_core(scheme, h)
+    if scheme.kind in _WEIGHTED_KINDS:
+        _require_quadrant(state)
+    xs, ys, m = _kernels._step_loop(core, system, state.x, state.y, e, 1)
+    if m == 1:
+        raise NonFiniteError(f"{scheme.kind} step of h={h!r} from ({state.x!r}, {state.y!r}) "
+                             f"at t={state.t!r} gives no finite real state")
+    return State(float(xs[1]), float(ys[1]), state.t + h)
 
 
 def step_count(t0: float, t_end: float, h: float) -> int:
@@ -323,14 +275,13 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     a component evaluated off the quadrant) or yields a non-finite or
     complex state halts the run with halt_reason "nonfinite".
     """
-    _require_step(h)
+    core, e = _scheme_core(scheme, h)
     if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):
         raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
     if not (math.isfinite(t_end) and t_end > s0.t):
         raise ValueError(f"t_end {t_end!r} must exceed the initial time {s0.t!r}")
-    if scheme.kind in ("nsfd", "ensfd"):
+    if scheme.kind in _WEIGHTED_KINDS:
         _require_quadrant(s0)
-    core, e = _scheme_core(scheme, h)
     n = step_count(s0.t, t_end, h)
     if n > MAX_STEPS:
         raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")

@@ -149,8 +149,9 @@ class SplitSystem:
         is non-finite, or the two disagree, at a node of a coarser subgrid;
         or if a component or partial raises ZeroDivisionError,
         OverflowError or ValueError, or returns a complex value, at a
-        node; or if rma_params is set and the system has no partials, or
-        a component differs from the family's formula at a node.  The
+        node; or if rma_params is set and the system has no partials, a
+        component differs from the family's formula at a node, or an
+        analytic partial takes no numpy arrays.  The
         message names the first failing node: components in field order,
         then x, then y for the sign and family checks; x, then y, then
         PartialValues order for the partials.
@@ -211,7 +212,7 @@ def _check_sign_structure(sys: SplitSystem):
 
     def on_arrays():
         try:
-            return _on_mesh(comps, nodes)
+            return _on_mesh(comps, labels, nodes)
         except Exception:
             # a component that takes only python floats (math.sqrt, say) is
             # not the family's closure: check it per node, and let
@@ -262,7 +263,8 @@ def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     analytic = tuple(getattr(sys.partials, f) for f in PartialValues._fields)
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
     numeric = tuple(fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp)))
-    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, nodes))
+    names = [f"analytic partial {f}" for f in PartialValues._fields]
+    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, names, nodes))
     num, num_odd = _grid_values(sys, numeric, nodes, lambda: _fd_mesh(comps, nodes))
     with np.errstate(invalid="ignore", over="ignore"):
         mismatch = np.abs(ana - num) > rtol * np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
@@ -330,11 +332,18 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     return vals, odd
 
 
-def _on_mesh(fns, nodes) -> np.ndarray:
+def _on_mesh(fns, names, nodes) -> np.ndarray:
+    # names the first of fns that takes no numpy arrays; the family's
+    # searches call its partials on arrays, so there the refusal stands
     x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
     out = np.empty((len(fns), len(nodes), len(nodes)))
     for k, fn in enumerate(fns):
-        out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
+        try:
+            out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
+        except Exception as exc:
+            raise ConstructionError(
+                f"{names[k]} does not take numpy arrays ({type(exc).__name__}: {exc}); "
+                "set rma_params=None for other callables") from exc
     return out
 
 
@@ -364,13 +373,17 @@ def _refuse_odd(where: str, v) -> None:
         raise ConstructionError(f"{where} = {v!r} is complex")
 
 
+def _require_quadrant(state: State) -> None:
+    if state.x < 0.0 or state.y < 0.0:
+        raise DomainError(f"state ({state.x!r}, {state.y!r}) outside the closed quadrant")
+
+
 def vector_field(system: SplitSystem, state: State):
     """Right-hand side (x*(f_plus - f_minus), y*(g_plus - g_minus)).
 
     Raises DomainError if the state leaves the closed positive quadrant.
     """
-    if state.x < 0.0 or state.y < 0.0:
-        raise DomainError(f"state ({state.x!r}, {state.y!r}) outside the closed quadrant")
+    _require_quadrant(state)
     fp, fm, gp, gm = system.components(state.x, state.y)
     return state.x * (fp - fm), state.y * (gp - gm)
 
@@ -457,8 +470,7 @@ def numeric_partials(system: SplitSystem, state: State) -> PartialValues:
     closer to an axis than one step use a one-sided three-point stencil so
     the components are never sampled at negative coordinates.
     """
-    if state.x < 0.0 or state.y < 0.0:
-        raise DomainError(f"state ({state.x!r}, {state.y!r}) outside the closed quadrant")
+    _require_quadrant(state)
     return _numeric_partial_values(system, state.x, state.y)
 
 

@@ -29,8 +29,8 @@ from nsfd import (
     jury_check,
     model1,
     model2,
-    nsfd_step,
     oscillation_stats,
+    step,
 )
 
 RESULTS = []
@@ -104,7 +104,7 @@ def test_criterion_3_equilibria_are_fixed_points_at_every_step_size():
             eqs = find_equilibria(system)
             for h in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
                 for p in eqs:
-                    nxt = nsfd_step(system, p.state, h)
+                    nxt = step(system, NSFD, p.state, h)
                     assert abs(nxt.x - p.x) <= 1e-12 * (1.0 + abs(p.x)), (p, h)
                     assert abs(nxt.y - p.y) <= 1e-12 * (1.0 + abs(p.y)), (p, h)
                 report = detect_ghosts(system, NSFD, h)

@@ -200,6 +200,25 @@ def test_runtime_errors_exit_1(capsys):
     assert "step size" in err
 
 
+@pytest.mark.parametrize("bad", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("scheme", ["nsfd", "ensfd", "euler", "rk2", "rk4"])
+def test_ghosts_refuses_a_bad_step(capsys, scheme, bad):
+    code, out, err = run_cli(capsys, "ghosts", "--model", "model1", "--scheme", scheme,
+                             f"--h={bad}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: step size must be positive and finite")
+
+
+@pytest.mark.parametrize("weight", ["identity", "exp:2"])
+@pytest.mark.parametrize("bad", ["0", "-0.1", "nan", "inf"])
+def test_equilibria_refuses_a_bad_step(tmp_path, capsys, weight, bad):
+    code, out, err = run_cli(capsys, "equilibria", "--model", "model2", f"--h=0.5,{bad}",
+                             "--weight", weight, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: step size must be positive and finite")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nsfd", "simulate", "--model", "model2",

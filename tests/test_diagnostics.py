@@ -192,6 +192,14 @@ def test_detect_ghosts_refuses_a_bad_seed_count(bad):
         detect_ghosts(model1(), NSFD, 0.1, seeds_per_axis=bad)
 
 
+@pytest.mark.parametrize("scheme", [NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4],
+                         ids=["nsfd", "ensfd", "euler", "rk2", "rk4"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_detect_ghosts_refuses_a_bad_step(scheme, bad):
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        detect_ghosts(model1(), scheme, bad, seeds_per_axis=4)
+
+
 def test_compare_schemes_table():
     m1 = model1()
     table = compare_schemes(m1, [NSFD, EULER], State(15.0, 0.1), [0.1, 1.0], 5.0)

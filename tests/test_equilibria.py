@@ -37,8 +37,8 @@ from nsfd import (
     model1,
     model2,
     nsfd_map_jacobian,
-    nsfd_step,
     stability_report,
+    step,
     vector_field,
 )
 from nsfd import _kernels
@@ -189,7 +189,7 @@ def test_map_jacobian_matches_finite_differences():
     eps = 1e-6
 
     def map_xy(x, y):
-        nxt = nsfd_step(m2, State(x, y), h)
+        nxt = step(m2, NSFD, State(x, y), h)
         return np.array([nxt.x, nxt.y])
 
     fd = np.column_stack([
@@ -337,6 +337,20 @@ def test_weighted_discrete_eigs_use_the_effective_step():
     # scheme keeps the coexistence point stable at any h
     for h in (1.0, 10.0, 1e3):
         assert discrete_eigs(m2, p3, h, weight=w).verdict == ASYMPTOTICALLY_STABLE
+
+
+@pytest.mark.parametrize("weight", [None, exponential_weight(2.0)], ids=["plain", "weighted"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_discrete_analysis_refuses_a_bad_step(weight, bad):
+    m2 = model2()
+    p3 = find_equilibria(m2)[1]
+    match = "step size must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        discrete_eigs(m2, p3, bad, weight)
+    with pytest.raises(ValueError, match=match):
+        nsfd_map_jacobian(m2, p3.state, bad, weight)
+    with pytest.raises(ValueError, match=match):
+        stability_report(m2, p3, (0.5, bad), weight)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd import (
@@ -21,15 +21,11 @@ from nsfd import (
     State,
     StepWeight,
     ensfd,
-    ensfd_step,
-    euler_step,
     exponential_weight,
     integrate,
+    make_rosenzweig_macarthur,
     model1,
     model2,
-    nsfd_step,
-    rk2_step,
-    rk4_step,
     scheme_from_name,
     step,
     step_count,
@@ -37,17 +33,18 @@ from nsfd import (
 )
 from nsfd import cli, integrators
 from nsfd.integrators import effective_step
+from oracles import equality_settings
 
 
 def test_nsfd_step_frozen_value():
-    s = nsfd_step(model1(), State(15.0, 0.1), 0.1)
+    s = step(model1(), NSFD, State(15.0, 0.1), 0.1)
     assert s.x == pytest.approx(6.596595305648697, abs=1e-14)
     assert s.y == pytest.approx(0.06854838709677419, abs=1e-16)
     assert s.t == 0.1
 
 
 def test_euler_step_frozen_value():
-    s = euler_step(model1(), State(15.0, 0.1), 0.1)
+    s = step(model1(), EULER, State(15.0, 0.1), 0.1)
     assert s.x == pytest.approx(-6.019354838709681, abs=1e-13)
     assert s.y == pytest.approx(0.04967741935483871, abs=1e-16)
 
@@ -67,7 +64,7 @@ def test_rk4_step_matches_independent_reimplementation():
     ref_x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     ref_y = y + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
-    s = rk4_step(m1, State(x, y), h)
+    s = step(m1, RK4, State(x, y), h)
     assert s.x == pytest.approx(ref_x, rel=1e-15)
     assert s.y == pytest.approx(ref_y, rel=1e-15)
 
@@ -83,7 +80,7 @@ def test_rk2_step_matches_independent_reimplementation():
     x, y, h = 0.4, 0.4, 0.2
     k1 = vf(x, y)
     k2 = vf(x + h / 2 * k1[0], y + h / 2 * k1[1])
-    s = rk2_step(m2, State(x, y), h)
+    s = step(m2, RK2, State(x, y), h)
     assert s.x == pytest.approx(x + h * k2[0], rel=1e-15)
     assert s.y == pytest.approx(y + h * k2[1], rel=1e-15)
 
@@ -98,7 +95,7 @@ def test_nsfd_step_preserves_positivity(x, y, h):
     # The defining property of the scheme: positive states stay positive
     # for every step size, with no stability restriction.
     for system in (model1(), model2()):
-        s = nsfd_step(system, State(x, y), h)
+        s = step(system, NSFD, State(x, y), h)
         assert s.x > 0.0
         assert s.y > 0.0
         assert math.isfinite(s.x) and math.isfinite(s.y)
@@ -106,7 +103,7 @@ def test_nsfd_step_preserves_positivity(x, y, h):
 
 def test_nsfd_step_rejects_points_outside_quadrant():
     with pytest.raises(DomainError):
-        nsfd_step(model1(), State(-1.0, 1.0), 0.1)
+        step(model1(), NSFD, State(-1.0, 1.0), 0.1)
 
 
 def test_consistency_defect_shrinks_quadratically():
@@ -116,8 +113,8 @@ def test_consistency_defect_shrinks_quadratically():
     s0 = State(0.5, 0.5)
 
     def defect(h):
-        a = nsfd_step(m1, s0, h)
-        b = euler_step(m1, s0, h)
+        a = step(m1, NSFD, s0, h)
+        b = step(m1, EULER, s0, h)
         return math.hypot(a.x - b.x, a.y - b.y)
 
     for h in (1e-2, 1e-3):
@@ -129,8 +126,8 @@ def test_ensfd_with_identity_weight_is_plain_nsfd():
     m2 = model2()
     s0 = State(0.7, 0.9)
     for h in (0.01, 0.5, 3.0):
-        a = nsfd_step(m2, s0, h)
-        b = ensfd_step(m2, s0, h, IDENTITY)
+        a = step(m2, NSFD, s0, h)
+        b = step(m2, ensfd(IDENTITY), s0, h)
         assert (a.x, a.y, a.t) == (b.x, b.y, b.t)
 
 
@@ -143,8 +140,8 @@ def test_ensfd_equals_nsfd_at_the_transformed_step():
     h = 0.5
     e = w.phi(h)
     assert e == pytest.approx(0.31606027941427883, abs=1e-17)
-    a = ensfd_step(m1, s0, h, w)
-    b = nsfd_step(m1, s0, e)
+    a = step(m1, ensfd(w), s0, h)
+    b = step(m1, NSFD, s0, e)
     assert (a.x, a.y) == (b.x, b.y)
     assert a.t == h
 
@@ -186,14 +183,64 @@ def test_effective_step():
         0.31606027941427883, abs=1e-17)
 
 
-def test_step_dispatch_agrees_with_direct_calls():
-    m1 = model1()
-    s0 = State(0.9, 1.1)
-    for scheme, fn in [(NSFD, nsfd_step), (EULER, euler_step),
-                       (RK2, rk2_step), (RK4, rk4_step)]:
-        a = step(m1, scheme, s0, 0.2)
-        b = fn(m1, s0, 0.2)
-        assert (a.x, a.y, a.t) == (b.x, b.y, b.t)
+SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
+SQRT_LOSS = SplitSystem(lambda x, y: 1.0, lambda x, y: math.sqrt(x),
+                        lambda x, y: 0.5, lambda x, y: 1.0, name="sqrt_loss")
+MODELS = {"model1": model1(), "model2": model2()}
+
+
+def _first_step(system, scheme, s0, h):
+    """integrate's first step from s0 as (x, y, t), or the error type it raises or
+    NonFiniteError where the orbit halts at step 1."""
+    try:
+        traj = integrate(system, scheme, s0, h, h)
+    except DomainError:
+        return DomainError
+    if traj.halt_step == 1:
+        return NonFiniteError
+    return (traj.xs[1], traj.ys[1], traj.ts[1])
+
+
+@given(kind=st.sampled_from(["model1", "model2", "rma", "sqrt_loss", "root_loss"]),
+       clone=st.booleans(), params=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0),
+                                             st.floats(0.05, 2.0), st.floats(0.02, 0.9)),
+       scheme=st.sampled_from(SCHEMES),
+       x=st.one_of(st.floats(-8.0, 25.0), st.just(1e308)),
+       y=st.one_of(st.floats(-8.0, 25.0), st.just(1e308)),
+       h=st.one_of(st.floats(1e-4, 20.0), st.just(1e10)))
+@example(kind="sqrt_loss", clone=False, params=(1.0, 1.0, 1.0, 0.5), scheme=EULER,
+         x=-4.0, y=1.0, h=2.0).via("math.sqrt raises off the quadrant")
+@example(kind="root_loss", clone=False, params=(1.0, 1.0, 1.0, 0.5), scheme=RK2,
+         x=-4.0, y=1.0, h=2.0).via("x ** 0.5 turns complex off the quadrant")
+@example(kind="model1", clone=False, params=(1.0, 1.0, 1.0, 0.5), scheme=NSFD,
+         x=1e308, y=1e308, h=1e10).via("an overflowing nsfd step")
+@equality_settings(150)
+def test_step_is_the_first_step_of_integrate(root_loss_system, kind, clone, params, scheme,
+                                             x, y, h):
+    # one stepping loop: step has integrate's bits, as python floats, and
+    # raises NonFiniteError wherever integrate halts at step 1
+    if kind == "rma":
+        system = make_rosenzweig_macarthur(*params)
+    else:
+        system = {**MODELS, "sqrt_loss": SQRT_LOSS, "root_loss": root_loss_system}[kind]
+    if clone and system.rma_params is not None:
+        system = dataclasses.replace(system, rma_params=None)  # its callables run
+    s0 = State(x, y)
+    want = _first_step(system, scheme, s0, h)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            step(system, scheme, s0, h)
+        return
+    got = step(system, scheme, s0, h)
+    assert all(type(v) is float for v in (got.x, got.y, got.t))
+    assert np.array([got.x, got.y, got.t]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.kind for s in SCHEMES])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_step_refuses_a_bad_step_size(scheme, bad):
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        step(model1(), scheme, State(0.4, 0.4), bad)
 
 
 def test_step_count_rounding():
@@ -262,7 +309,7 @@ def test_integrate_grid_and_final_state():
         stored = traj.state(k)
         assert stored.x == pytest.approx(s.x, rel=1e-15, abs=1e-300)
         assert stored.y == pytest.approx(s.y, rel=1e-15, abs=1e-300)
-        s = nsfd_step(m1, s, 0.1)
+        s = step(m1, NSFD, s, 0.1)
 
 
 def test_integrate_truncates_on_nonfinite_states():
@@ -279,9 +326,7 @@ def test_integrate_truncates_on_nonfinite_states():
 def test_integrate_halts_on_a_math_domain_error():
     # Euler overshoots to x = -4, where the loss sqrt(x) has no value; the
     # generic loop halts there as it does on any non-finite step.
-    system = SplitSystem(lambda x, y: 1.0, lambda x, y: math.sqrt(x),
-                         lambda x, y: 0.5, lambda x, y: 1.0, name="sqrt_loss")
-    traj = integrate(system, EULER, State(4.0, 1.0), 2.0, 10.0)
+    traj = integrate(SQRT_LOSS, EULER, State(4.0, 1.0), 2.0, 10.0)
     assert traj.halt_reason == "nonfinite"
     assert traj.halt_step == 2
     assert list(traj.xs) == [4.0, -4.0]
@@ -306,7 +351,7 @@ def test_integrate_keeps_negative_classical_states():
 def test_classical_step_raises_on_nonfinite_result():
     huge = State(1e308, 1.0)
     with pytest.raises(NonFiniteError):
-        euler_step(model1(), huge, 10.0)
+        step(model1(), EULER, huge, 10.0)
 
 
 def test_csv_round_trip_is_exact():

@@ -294,6 +294,19 @@ def test_rma_params_promise_is_enforced():
     assert [p.family for p in find_equilibria(free)] == ["O", "E3", "E1"]
 
 
+def test_a_float_only_analytic_partial_is_refused_by_name():
+    # the family's interior search calls its analytic partials on numpy
+    # arrays, so one that takes only python floats cannot keep rma_params
+    fmy = lambda x, y: 2.0 / math.fsum([1.0, x])
+    partials = dataclasses.replace(model2().partials, fmy=fmy)
+    with pytest.raises(ConstructionError,
+                       match=r"^analytic partial fmy does not take numpy arrays \(TypeError: .*\); "
+                             r"set rma_params=None for other callables$"):
+        dataclasses.replace(model2(), partials=partials)
+    free = dataclasses.replace(model2(), partials=partials, rma_params=None)
+    assert [p.family for p in find_equilibria(free)] == [p.family for p in find_equilibria(model2())]
+
+
 # The scalar validation loops that construction ran before it checked whole
 # arrays, plus the refusals added since: a call that raises
 # ZeroDivisionError, OverflowError or ValueError, a complex value, and a
