@@ -2,8 +2,9 @@
 
 Subcommands: simulate, equilibria, compare, convergence, ghosts.
 Exit codes: 0 on success, 1 on runtime failures (bad model parameters,
-reference blow-up, unwritable output), 2 on usage errors (argparse's own
-convention for missing or malformed flags).
+a convergence reference that blows up or misses its error budget,
+unwritable output), 2 on usage errors (argparse's own convention for
+missing or malformed flags).
 """
 
 import argparse
@@ -207,6 +208,7 @@ def _dispatch(parser, args) -> int:
         path.write_text("\n".join(lines) + "\n")
         print(path)
         print(f"slope {_fmt(est.slope)}")
+        print(f"reference h={_fmt(est.reference_step)} error={_fmt(est.reference_error)}")
         return 0
 
     if args.command == "ghosts":

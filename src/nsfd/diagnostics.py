@@ -19,7 +19,14 @@ _COMPARISON_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{}
 GHOST_SEEDS_PER_AXIS = 60
 GHOST_MATCH_TOL = 1e-6
 GHOST_DEDUP_TOL = 1e-6
-REFERENCE_REFINEMENT = 100
+# the rk4 reference is refined until its Richardson error estimate is at
+# most REFERENCE_BUDGET times the smallest error it measures; where rounding
+# stops the estimate falling, FLOOR_BUDGET times it will do
+REFERENCE_BUDGET = 1e-7
+FLOOR_BUDGET = 1e-2
+MAX_REFINEMENT = 1024
+# the grid every step nests in may be no finer than min(steps)/BASE_LIMIT
+BASE_LIMIT = 100
 
 
 class ReferenceUnavailable(RuntimeError):
@@ -28,7 +35,9 @@ class ReferenceUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Least-squares slope of log(error) against log(h)."""
+    """Least-squares slope of log(error) against log(h), with the step of
+    the rk4 reference the errors were measured against and its estimated
+    sup-norm error."""
 
     scheme: str
     steps: "tuple[float, ...]"
@@ -36,6 +45,8 @@ class OrderEstimate:
     slope: float
     intercept: float
     residual: float
+    reference_step: float
+    reference_error: float
 
 
 def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: float,
@@ -43,9 +54,18 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     """Observed convergence order against an rk4 reference orbit.
 
     steps must be at least four step sizes, each positive and finite,
-    strictly descending, each dividing t_end - t0 evenly (ValueError
-    otherwise).  The reference runs at min(steps)/100 and errors are
-    sup-norm over the grid points the runs share with it.
+    strictly descending, each dividing t_end - t0 evenly, with grids that
+    all nest in one grid no finer than min(steps)/100 (ValueError
+    otherwise).  Errors are sup-norm over each run's grid.
+
+    The reference runs at h_base/r for r = 1, 2, 4, ..., where h_base is
+    the largest step whose grid contains every run's grid.  Run r's error
+    is estimated by Richardson, sup |ref_r - ref_(r/2)| / 15, and the first
+    run within 1e-7 of the smallest error is accepted.  Refinement stops
+    at the rounding floor, where the estimate no longer falls at least 4x
+    over one doubling, or after r = 1024; that run is accepted if within
+    1e-2 of the smallest error.  Otherwise, or if a run leaves the finite
+    range, ReferenceUnavailable is raised.
     """
     steps = tuple(float(h) for h in steps)
     if len(steps) < 4:
@@ -55,34 +75,47 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"step sizes must be strictly descending, got {steps}")
     horizon = t_end - s0.t
+    counts = []
     for h in steps:
         step_count(s0.t, t_end, h)  # refuses a ratio that overflows, where round would raise
-        r = horizon / h
-        if abs(r - round(r)) > 1e-9 * max(1.0, r):
+        ratio = horizon / h
+        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"step {h!r} does not divide the horizon {horizon!r} evenly")
+        counts.append(round(ratio))
+    base = math.lcm(*counts)
+    if base > BASE_LIMIT * counts[-1]:
+        raise ValueError(f"the grids of steps {steps} nest only in a grid of {base} steps, "
+                         f"finer than min(steps)/{BASE_LIMIT}")
 
-    h_ref = steps[-1] / REFERENCE_REFINEMENT
-    ref = integrate(system, RK4, s0, h_ref, t_end)
-    if ref.truncated:
-        raise ReferenceUnavailable(
-            f"rk4 reference at h={h_ref!r} left the finite range at step {ref.halt_step}")
-
-    errors = []
+    runs = []
     for h in steps:
         traj = integrate(system, scheme, s0, h, t_end)
         if traj.truncated:
             raise ReferenceUnavailable(
                 f"{scheme.kind} at h={h!r} left the finite range at step {traj.halt_step}")
-        ratio = h / h_ref
-        err = 0.0
-        for k in range(len(traj)):
-            j = int(round(k * ratio))
-            if j >= len(ref) or abs(traj.ts[k] - ref.ts[j]) > 1e-9 * max(1.0, abs(traj.ts[k])):
-                raise ValueError(f"grids for h={h!r} and the reference do not align at k={k}")
-            err = max(err, abs(traj.xs[k] - ref.xs[j]), abs(traj.ys[k] - ref.ys[j]))
-        if err <= 0.0:
-            raise ValueError(f"zero error at h={h!r}; orbit coincides with the reference")
-        errors.append(err)
+        runs.append(traj)
+
+    coarse, coarse_est = _reference(system, s0, t_end, horizon / base), math.inf
+    r = 1
+    while True:
+        r *= 2
+        ref = _reference(system, s0, t_end, horizon / (base * r))
+        est = _sup_distance(coarse, ref, 2) / 15.0
+        errors = [_sup_distance(traj, ref, base // n * r) for traj, n in zip(runs, counts)]
+        for h, err in zip(steps, errors):
+            if err <= 0.0:
+                raise ValueError(f"zero error at h={h!r}; orbit coincides with the reference")
+        smallest = min(errors)
+        if est <= REFERENCE_BUDGET * smallest:
+            break
+        if est > coarse_est / 4.0 or r >= MAX_REFINEMENT:
+            if est > FLOOR_BUDGET * smallest:
+                raise ReferenceUnavailable(
+                    f"rk4 reference at h={ref.h!r} has estimated error {est:.3g}, above the "
+                    f"budget {FLOOR_BUDGET * smallest:.3g} ({FLOOR_BUDGET:g} of the smallest "
+                    f"error {smallest:.3g}) where refinement stops")
+            break
+        coarse, coarse_est = ref, est
 
     log_h = np.log(np.array(steps))
     log_e = np.log(np.array(errors))
@@ -90,7 +123,29 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     fit = slope * log_h + intercept
     residual = float(np.sqrt(np.mean((log_e - fit) ** 2)))
     return OrderEstimate(scheme.kind, steps, tuple(errors),
-                         float(slope), float(intercept), residual)
+                         float(slope), float(intercept), residual, ref.h, est)
+
+
+def _reference(system: SplitSystem, s0: State, t_end: float, h: float) -> Trajectory:
+    ref = integrate(system, RK4, s0, h, t_end)
+    if ref.truncated:
+        raise ReferenceUnavailable(
+            f"rk4 reference at h={h!r} left the finite range at step {ref.halt_step}")
+    return ref
+
+
+def _sup_distance(coarse: Trajectory, fine: Trajectory, stride: int) -> float:
+    """Sup-norm distance of coarse from fine over coarse's grid, whose step k
+    is fine's step k*stride (ValueError where the grids do not align)."""
+    n = len(coarse)
+    ts = fine.ts[::stride][:n]
+    at = coarse.ts[:len(ts)]
+    off = np.flatnonzero(np.abs(at - ts) > 1e-9 * np.maximum(1.0, np.abs(at)))
+    if len(ts) < n or off.size:
+        k = int(off[0]) if off.size else len(ts)
+        raise ValueError(f"grids for h={coarse.h!r} and the reference do not align at k={k}")
+    return float(max(np.max(np.abs(coarse.xs - fine.xs[::stride][:n])),
+                     np.max(np.abs(coarse.ys - fine.ys[::stride][:n]))))
 
 
 @dataclass(frozen=True)

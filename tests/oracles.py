@@ -1,11 +1,14 @@
-"""Seed-by-seed python forms of the two Newton searches.
+"""Seed-by-seed python forms of the two Newton searches, and a
+fixed-refinement convergence study.
 
 The package runs both searches over all seeds at once on numpy arrays
 (`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
 plain loops, one seed at a time on python floats, are the references the
 tests hold those drivers to, byte for byte.  `equality_settings` gives the
 hypothesis properties that hold array code to such references their
-example counts.
+example counts.  `fixed_refinement_errors` measures a scheme's errors
+against one rk4 orbit at min(steps)/100, point by point, the reference
+`nsfd.estimate_order` refines only as far as its error budget needs.
 """
 
 import math
@@ -13,6 +16,7 @@ import math
 import numpy as np
 from hypothesis import settings
 
+from nsfd import RK4, integrate
 from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
                            _make_fixed_point_driver)
 from nsfd.equilibria import BALANCE_TOL, _balance_residual
@@ -110,3 +114,23 @@ def scalar_balance_newton(system, xs, ys, escape):
             if best is not None and best[0] < BALANCE_TOL:
                 found.append((best[1], best[2]))
     return found
+
+
+def fixed_refinement_errors(system, scheme, s0, t_end, steps, refinement=100):
+    """Sup-norm errors of scheme at each step against one rk4 orbit at
+    min(steps)/refinement, over the grid points each run shares with it."""
+    h_ref = steps[-1] / refinement
+    ref = integrate(system, RK4, s0, h_ref, t_end)
+    assert not ref.truncated
+    errors = []
+    for h in steps:
+        traj = integrate(system, scheme, s0, h, t_end)
+        assert not traj.truncated
+        ratio = h / h_ref
+        err = 0.0
+        for k in range(len(traj)):
+            j = int(round(k * ratio))
+            assert abs(traj.ts[k] - ref.ts[j]) <= 1e-9 * max(1.0, abs(traj.ts[k]))
+            err = max(err, abs(traj.xs[k] - ref.xs[j]), abs(traj.ys[k] - ref.ys[j]))
+        errors.append(err)
+    return errors

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process plus one real subprocess."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -118,6 +119,8 @@ def test_convergence_writes_errors_and_slope(tmp_path, capsys):
         "--t-end", "5", "--out", str(tmp_path))
     assert code == 0
     assert "slope 0.98" in out
+    reference = re.fullmatch(r"reference h=(\S+) error=(\S+)", out.splitlines()[2])
+    assert 0.0 < float(reference[2]) <= 1e-7 * 0.006
     lines = (tmp_path / "model1_nsfd_convergence.csv").read_text().splitlines()
     assert lines[0] == "scheme,h,sup_error,slope,residual"
     assert len(lines) == 5

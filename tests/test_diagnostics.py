@@ -28,6 +28,7 @@ from nsfd import (
     oscillation_stats,
 )
 from nsfd import cli
+from oracles import fixed_refinement_errors
 
 ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
 
@@ -65,6 +66,80 @@ def test_estimate_order_input_validation():
         estimate_order(m1, NSFD, s0, 5.0, (0.05, 0.1, 0.025, 0.0125))  # not descending
     with pytest.raises(ValueError):
         estimate_order(m1, NSFD, s0, 5.0, (0.1, 0.05, 0.03, 0.0125))  # 0.03 not a divisor
+    with pytest.raises(ValueError, match="nest only in a grid of 3003 steps"):
+        estimate_order(m1, NSFD, s0, 1.0, (1 / 3, 1 / 7, 1 / 11, 1 / 13))
+
+
+def _richardson(system, s0, t_end, h):
+    """sup |ref(h) - ref(2h)| / 15 over the grid of the rk4 run at 2h."""
+    fine = integrate(system, RK4, s0, h, t_end)
+    coarse = integrate(system, RK4, s0, 2.0 * h, t_end)
+    return max(np.max(np.abs(coarse.xs - fine.xs[::2])),
+               np.max(np.abs(coarse.ys - fine.ys[::2]))) / 15.0
+
+
+ALL_SCHEMES = [NSFD, ensfd(exponential_weight(1.0)), EULER, RK2, RK4]
+ALL_SCHEME_IDS = ["nsfd", "ensfd-exp1", "euler", "rk2", "rk4"]
+
+
+@pytest.mark.parametrize("model", [model1, model2])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=ALL_SCHEME_IDS)
+def test_estimate_order_reference_meets_its_budget(model, scheme):
+    system, s0 = model(), State(0.4, 0.4)
+    est = estimate_order(system, scheme, s0, 5.0, ORDER_STEPS)
+    # the reference runs at h_base / r, h_base = min(ORDER_STEPS) here
+    r = ORDER_STEPS[-1] / est.reference_step
+    assert r == pytest.approx(2 ** round(math.log2(r)), rel=1e-12) and 2 <= r <= 1024
+    assert est.reference_error == _richardson(system, s0, 5.0, est.reference_step)
+    smallest = min(est.errors)
+    if est.reference_error > 1e-7 * smallest:
+        # accepted at the rounding floor: one more doubling did not cut the
+        # estimate 4x, and it is still within 1e-2 of the smallest error
+        assert est.reference_error <= 1e-2 * smallest
+        previous = _richardson(system, s0, 5.0, 2.0 * est.reference_step)
+        assert est.reference_error > previous / 4.0 or r == 1024
+
+
+@pytest.mark.parametrize("model", [model1, model2])
+@pytest.mark.parametrize("scheme", [NSFD, EULER], ids=["nsfd", "euler"])
+def test_estimate_order_errors_match_a_fixed_refinement_reference(model, scheme):
+    s0 = State(0.4, 0.4)
+    est = estimate_order(model(), scheme, s0, 5.0, ORDER_STEPS)
+    oracle = fixed_refinement_errors(model(), scheme, s0, 5.0, ORDER_STEPS)
+    assert est.errors == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
+
+def test_estimate_order_takes_steps_whose_grids_nest_only_below_the_smallest():
+    # 0.5, 0.3, 0.2 and 0.125 all divide 3 but no power-of-two refinement
+    # of 0.125 contains the 0.3 and 0.2 grids; they all nest at 3/120
+    steps = (0.5, 0.3, 0.2, 0.125)
+    s0 = State(0.4, 0.4)
+    est = estimate_order(model1(), NSFD, s0, 3.0, steps)
+    oracle = fixed_refinement_errors(model1(), NSFD, s0, 3.0, steps)
+    assert est.errors == pytest.approx(oracle, rel=1e-6, abs=0.0)
+    assert est.slope == pytest.approx(0.886, abs=1e-3)
+    assert (0.025 / est.reference_step) in (2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+def test_estimate_order_refuses_a_reference_below_the_rounding_floor(tmp_path, capsys):
+    # rk4 errors at these steps are within a few hundred ulps of the
+    # orbit, where no rk4 reference is accurate enough to measure them
+    steps = (0.001, 0.0005, 0.00025, 0.000125)
+    with pytest.raises(ReferenceUnavailable, match="estimated error") as info:
+        estimate_order(model1(), RK4, State(0.4, 0.4), 1.0, steps)
+    found = re.search(r"estimated error (\S+), above the budget (\S+) ", str(info.value))
+    assert float(found[1]) > float(found[2]) > 0.0
+    assert cli.main(["convergence", "--model", "model1", "--scheme", "rk4",
+                     "--h", ",".join(map(repr, steps)), "--x0", "0.4", "--y0", "0.4",
+                     "--t-end", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", [(0.04, 0.02, 0.01, 0.005), (0.004, 0.002, 0.001, 0.0005)])
+def test_estimate_order_keeps_rk4_studies_above_the_floor(steps):
+    est = estimate_order(model1(), RK4, State(0.4, 0.4), 1.0, steps)
+    assert 3.9 <= est.slope <= 4.1
 
 
 def test_estimate_order_refuses_a_step_count_that_overflows(tmp_path, capsys):
