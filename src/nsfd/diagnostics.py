@@ -64,8 +64,11 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     run within 1e-7 of the smallest error is accepted.  Refinement stops
     at the rounding floor, where the estimate no longer falls at least 4x
     over one doubling, or after r = 1024; that run is accepted if within
-    1e-2 of the smallest error.  Otherwise, or if a run leaves the finite
-    range, ReferenceUnavailable is raised.
+    1e-2 of the smallest error.  A reference run that leaves the finite
+    range has an infinite estimate and refinement goes on.
+    ReferenceUnavailable is raised where the run refinement stops at
+    misses its budget, where the run at r = 1024 leaves the finite range,
+    or where a run of the studied scheme does.
     """
     steps = tuple(float(h) for h in steps)
     if len(steps) < 4:
@@ -95,12 +98,21 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
                 f"{scheme.kind} at h={h!r} left the finite range at step {traj.halt_step}")
         runs.append(traj)
 
-    coarse, coarse_est = _reference(system, s0, t_end, horizon / base), math.inf
+    # a run that leaves the finite range is not usable yet: its estimate,
+    # and the next run's, is inf and refinement goes on
+    coarse, coarse_est = integrate(system, RK4, s0, horizon / base, t_end), math.inf
     r = 1
     while True:
         r *= 2
-        ref = _reference(system, s0, t_end, horizon / (base * r))
-        est = _sup_distance(coarse, ref, 2) / 15.0
+        ref = integrate(system, RK4, s0, horizon / (base * r), t_end)
+        if ref.truncated:
+            if r >= MAX_REFINEMENT:
+                raise ReferenceUnavailable(
+                    f"rk4 reference at h={ref.h!r} left the finite range at step "
+                    f"{ref.halt_step}")
+            coarse, coarse_est = ref, math.inf
+            continue
+        est = math.inf if coarse.truncated else _sup_distance(coarse, ref, 2) / 15.0
         errors = [_sup_distance(traj, ref, base // n * r) for traj, n in zip(runs, counts)]
         for h, err in zip(steps, errors):
             if err <= 0.0:
@@ -124,14 +136,6 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     residual = float(np.sqrt(np.mean((log_e - fit) ** 2)))
     return OrderEstimate(scheme.kind, steps, tuple(errors),
                          float(slope), float(intercept), residual, ref.h, est)
-
-
-def _reference(system: SplitSystem, s0: State, t_end: float, h: float) -> Trajectory:
-    ref = integrate(system, RK4, s0, h, t_end)
-    if ref.truncated:
-        raise ReferenceUnavailable(
-            f"rk4 reference at h={h!r} left the finite range at step {ref.halt_step}")
-    return ref
 
 
 def _sup_distance(coarse: Trajectory, fine: Trajectory, stride: int) -> float:

@@ -109,6 +109,19 @@ def test_estimate_order_errors_match_a_fixed_refinement_reference(model, scheme)
     assert est.errors == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
 
+def test_estimate_order_refines_past_a_reference_that_blows_up():
+    # from this stiff start rk4 at h_base = 0.125 overshoots to x < 0 and
+    # runs off to -inf; the nsfd runs stay positive and finer rk4 runs
+    # stay finite, so refinement goes on past the truncated run
+    steps = (1.0, 0.5, 0.25, 0.125)
+    s0 = State(15.0, 0.1)
+    assert integrate(model1(), RK4, s0, 0.125, 5.0).truncated
+    est = estimate_order(model1(), NSFD, s0, 5.0, steps)
+    oracle = fixed_refinement_errors(model1(), NSFD, s0, 5.0, steps)
+    assert est.errors == pytest.approx(oracle, rel=1e-6, abs=0.0)
+    assert est.reference_error <= 1e-7 * min(est.errors)
+
+
 def test_estimate_order_takes_steps_whose_grids_nest_only_below_the_smallest():
     # 0.5, 0.3, 0.2 and 0.125 all divide 3 but no power-of-two refinement
     # of 0.125 contains the 0.3 and 0.2 grids; they all nest at 3/120
