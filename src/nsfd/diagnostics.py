@@ -54,9 +54,10 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     """Observed convergence order against an rk4 reference orbit.
 
     steps must be at least four step sizes, each positive and finite,
-    strictly descending, each dividing t_end - t0 evenly, with grids that
-    all nest in one grid no finer than min(steps)/100 (ValueError
-    otherwise).  Errors are sup-norm over each run's grid.
+    strictly descending, each dividing t_end - t0 evenly (its step_count
+    within 1e-9 relative of (t_end - t0)/h), with grids that all nest in
+    one grid no finer than min(steps)/100 (ValueError otherwise).  Errors
+    are sup-norm over each run's grid.
 
     The reference runs at h_base/r for r = 1, 2, 4, ..., where h_base is
     the largest step whose grid contains every run's grid.  Run r's error
@@ -80,11 +81,12 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     horizon = t_end - s0.t
     counts = []
     for h in steps:
-        step_count(s0.t, t_end, h)  # refuses a ratio that overflows, where round would raise
+        # integrate's own count, so a run that stops short of t_end is refused
+        n = step_count(s0.t, t_end, h)
         ratio = horizon / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if abs(ratio - n) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"step {h!r} does not divide the horizon {horizon!r} evenly")
-        counts.append(round(ratio))
+        counts.append(n)
     base = math.lcm(*counts)
     if base > BASE_LIMIT * counts[-1]:
         raise ValueError(f"the grids of steps {steps} nest only in a grid of {base} steps, "

@@ -124,16 +124,16 @@ class SplitSystem:
         Short identifier used in file names and reports.
     x_max
         Half-width of the square validation/search box [0, x_max]^2.
-    rma_params
-        Set by :func:`make_rosenzweig_macarthur` for systems of the
-        built-in family.  Construction refuses a system that sets it
-        without partials, or with a component that is not the family's
-        formula at a validation node, so a ``dataclasses.replace`` of a
-        component must also set it None.  The construction checks, the
-        numba kernels, the array evaluation in the Newton searches and
-        :meth:`components` (all four components in one call) key on it;
-        systems built from arbitrary callables leave it None and call
-        each component once.
+
+    The read-only attribute ``rma_params`` holds the parameters of a
+    system built by :func:`make_rosenzweig_macarthur`, the only code that
+    sets it, and is None for every other system.  The construction checks,
+    the numba kernels, the array evaluation in the Newton searches and
+    :meth:`components` (all four components in one call) key on it.  It
+    is no constructor argument, so ``dataclasses.replace`` of a system of
+    the family, even with no changes, gives a system of callables that
+    computes the same bits on the generic paths; call the factory again
+    (with ``x_max``, say) to keep the fast paths.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -149,11 +149,8 @@ class SplitSystem:
         is non-finite, or the two disagree, at a node of a coarser subgrid;
         or if a component or partial raises ZeroDivisionError,
         OverflowError or ValueError, or returns a complex value, at a
-        node; or if rma_params is set and the system has no partials, a
-        component differs from the family's formula at a node, or an
-        analytic partial takes no numpy arrays.  The
-        message names the first failing node: components in field order,
-        then x, then y for the sign and family checks; x, then y, then
+        node.  The message names the first failing node: components in
+        field order, then x, then y for the sign check; x, then y, then
         PartialValues order for the partials.
     """
 
@@ -164,17 +161,16 @@ class SplitSystem:
     partials: "Partials | None" = None
     name: str = "custom"
     x_max: float = X_MAX_DEFAULT
-    rma_params: "ModelParams | None" = None
+    # __init__ leaves an init=False field with a plain default unassigned,
+    # so only make_rosenzweig_macarthur, which sets it before __init__, can
+    # give it a value; replace() refuses it
+    rma_params: "ModelParams | None" = field(default=None, init=False, compare=False)
     _equilibria: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise ConstructionError(f"x_max must be positive and finite, got {self.x_max!r}")
-        nodes, vals = _check_sign_structure(self)
-        if self.rma_params is not None:
-            _check_rma_promise(self, nodes, vals)
-            # an instance attribute, so it shadows the method below
-            object.__setattr__(self, "components", _rma_components(self.rma_params))
+        _check_sign_structure(self)
         if self.partials is not None:
             _check_partials_consistency(self)
 
@@ -204,28 +200,17 @@ def _rma_components(p: ModelParams):
     return components
 
 
-def _check_sign_structure(sys: SplitSystem):
-    # returns the nodes and the (4, n, n) component values it checked
+def _check_sign_structure(sys: SplitSystem) -> None:
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-
-    def on_arrays():
-        try:
-            return _on_mesh(comps, labels, nodes)
-        except Exception:
-            # a component that takes only python floats (math.sqrt, say) is
-            # not the family's closure: check it per node, and let
-            # _check_rma_promise compare it with the formula
-            return None
-
-    vals, odd = _grid_values(sys, comps, nodes, on_arrays)
+    vals, odd = _grid_values(sys, comps, nodes, lambda: _on_mesh(comps, nodes))
     inside = np.array(nodes) > 0.0
     inside = inside[:, None] & inside[None, :]
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(vals) | np.where(inside, ~(vals > 0.0), vals < 0.0)
     if not bad.any():
-        return nodes, vals
+        return
     # first failure in label-major, then x, then y order: C order of vals
     k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
     x, y = nodes[i], nodes[j]
@@ -239,32 +224,13 @@ def _check_sign_structure(sys: SplitSystem):
     raise ConstructionError(f"{where} = {v!r} must be non-negative on the quadrant boundary")
 
 
-def _check_rma_promise(sys: SplitSystem, nodes, vals) -> None:
-    # the numba kernels, the searches and `components` use the family's
-    # formulas; vals are the callables on the grid, from the sign check
-    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
-    with np.errstate(all="ignore"):
-        ref = np.array(np.broadcast_arrays(*_rma_components(sys.rma_params)(x, y)))
-    bad = vals.view(np.int64) != ref.view(np.int64)
-    if bad.any():
-        k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ConstructionError(
-            f"{('f_plus', 'f_minus', 'g_plus', 'g_minus')[k]}({nodes[i]:g}, {nodes[j]:g}) = "
-            f"{float(vals[k, i, j])!r} is not the rma_params formula's "
-            f"{float(ref[k, i, j])!r}; set rma_params=None for other components")
-    if sys.partials is None:
-        raise ConstructionError("a system with rma_params must carry the family's analytic "
-                                "partials; set rma_params=None for other components")
-
-
 def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     # spot check on a coarse subgrid; the full-grid property lives in the tests
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7].tolist()
     analytic = tuple(getattr(sys.partials, f) for f in PartialValues._fields)
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
     numeric = tuple(fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp)))
-    names = [f"analytic partial {f}" for f in PartialValues._fields]
-    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, names, nodes))
+    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, nodes))
     num, num_odd = _grid_values(sys, numeric, nodes, lambda: _fd_mesh(comps, nodes))
     with np.errstate(invalid="ignore", over="ignore"):
         mismatch = np.abs(ana - num) > rtol * np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
@@ -299,20 +265,19 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     each checker's own order, decides the verdict.
 
     A system of the built-in family is evaluated on whole arrays by
-    on_arrays(): its closures use only + - * /, so every finite entry is the
-    bits of the scalar call.  Where the scalar call divides by zero the
-    array holds inf or nan instead, so each non-finite node is called again
-    on scalars.  Any other system, and one of the family for which
-    on_arrays() returns None, is called once per node.
+    on_arrays(): the tag guarantees that fns are the family's closures,
+    which use only + - * /, so every finite entry is the bits of the
+    scalar call.  Where the scalar call divides by zero the array holds
+    inf or nan instead, so each non-finite node is called again on
+    scalars.  Any other system is called once per node.
     """
     shape = (len(fns), len(nodes), len(nodes))
-    vals = None
-    if sys.rma_params is not None:
-        with np.errstate(all="ignore"):
-            vals = on_arrays()
-    if vals is None:
+    if sys.rma_params is None:
+        vals = None
         todo = itertools.product(*map(range, shape))
     else:
+        with np.errstate(all="ignore"):
+            vals = on_arrays()
         todo = np.argwhere(~np.isfinite(vals)).tolist()
     odd = {}
     got = []
@@ -332,18 +297,11 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     return vals, odd
 
 
-def _on_mesh(fns, names, nodes) -> np.ndarray:
-    # names the first of fns that takes no numpy arrays; the family's
-    # searches call its partials on arrays, so there the refusal stands
+def _on_mesh(fns, nodes) -> np.ndarray:
     x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
     out = np.empty((len(fns), len(nodes), len(nodes)))
     for k, fn in enumerate(fns):
-        try:
-            out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
-        except Exception as exc:
-            raise ConstructionError(
-                f"{names[k]} does not take numpy arrays ({type(exc).__name__}: {exc}); "
-                "set rma_params=None for other callables") from exc
+        out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
     return out
 
 
@@ -525,10 +483,14 @@ def make_rosenzweig_macarthur(
         g_plus = x/(c + x)            g_minus = d
 
     All four parameters must be strictly positive.  The returned system
-    carries analytic partials and is tagged (rma_params) so its Newton
-    searches run batched in numpy and, on the numba backend, its orbits
-    and ghost scans run compiled kernels.  The default name writes each
-    parameter exactly (see _float_tag).
+    carries analytic partials and is tagged (rma_params) so its
+    construction checks and Newton searches run on whole numpy arrays,
+    its four components are evaluated in one call and, on the numba
+    backend, its orbits and ghost scans run compiled kernels.  This is
+    the only code that sets the tag: a ``dataclasses.replace`` of the
+    result is a system of callables with the same bits, and a system of
+    the family in another box is made by calling this with ``x_max``.
+    The default name writes each parameter exactly (see _float_tag).
     """
     for label, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not (math.isfinite(v) and v > 0.0):
@@ -560,11 +522,15 @@ def make_rosenzweig_macarthur(
     )
     if name is None:
         name = "rma-" + "-".join(_float_tag(v) for v in (a, b, c, d))
-    return SplitSystem(
-        f_plus, f_minus, g_plus, g_minus,
-        partials=partials, name=name, x_max=x_max,
-        rma_params=ModelParams(a, b, c, d),
-    )
+    # the tag and the fused closure go on before __init__, whose checks
+    # then take the whole-array path; "components" is an instance
+    # attribute, so it shadows the method
+    p = ModelParams(a, b, c, d)
+    system = SplitSystem.__new__(SplitSystem)
+    object.__setattr__(system, "rma_params", p)
+    object.__setattr__(system, "components", _rma_components(p))
+    system.__init__(f_plus, f_minus, g_plus, g_minus, partials=partials, name=name, x_max=x_max)
+    return system
 
 
 MODEL1_PARAMS = ModelParams(a=2.0, b=1.0, c=0.5, d=6.0)

@@ -70,6 +70,16 @@ def test_estimate_order_input_validation():
         estimate_order(m1, NSFD, s0, 1.0, (1 / 3, 1 / 7, 1 / 11, 1 / 13))
 
 
+def test_estimate_order_refuses_a_step_whose_run_stops_short_of_the_horizon():
+    # 1000 / h is within 1e-9 relative of 8000, but integrate rounds only
+    # within 1e-9 absolute, so its run would stop one step short of t_end
+    m1, s0, h = model1(), State(0.4, 0.4), 0.125 * (1 + 4e-10)
+    short = integrate(m1, NSFD, s0, h, 1000.0)
+    assert short.requested_steps == 7999 and short.ts[-1] < 999.9
+    with pytest.raises(ValueError, match=r"^step 0\.12500000005 does not divide the horizon"):
+        estimate_order(m1, NSFD, s0, 1000.0, (1.0, 0.5, 0.25, h))
+
+
 def _richardson(system, s0, t_end, h):
     """sup |ref(h) - ref(2h)| / 15 over the grid of the rk4 run at 2h."""
     fine = integrate(system, RK4, s0, h, t_end)

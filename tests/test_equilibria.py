@@ -423,7 +423,7 @@ def _oracle_search(system, box):
 @equality_settings(30)
 def test_batched_interior_search_is_the_scalar_search(a, b, c, d, bx, by):
     system = make_rosenzweig_macarthur(a, b, c, d)
-    clone = dataclasses.replace(system, rma_params=None)
+    clone = dataclasses.replace(system)
     oracle = _bits(_oracle_search(system, (bx, by)))
     assert _bits(find_equilibria(system, (bx, by))) == oracle
     assert _bits(find_equilibria(clone, (bx, by))) == oracle
@@ -465,7 +465,7 @@ def _callable_system(kind, p, twist):
         base = make_rosenzweig_macarthur(a, b, c, d, x_max=5.0)
         fmx = lambda x, y: base.partials.fmx(x, y) + 0.0 * extra(x, y)
         partials = dataclasses.replace(base.partials, fmx=fmx)
-        return dataclasses.replace(base, partials=partials, rma_params=None)
+        return dataclasses.replace(base, partials=partials)
     if kind == "rma":
         base = make_rosenzweig_macarthur(a, b, c, d, x_max=5.0)
         f_minus = lambda x, y: base.f_minus(x, y) + extra(x, y)

@@ -1,5 +1,6 @@
 """One python path for every system, and the numba kernels bit-equal to it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 
 import nsfd
 from nsfd import (EULER, NSFD, RK2, RK4, SplitSystem, State, detect_ghosts, ensfd,
-                  exponential_weight, integrate, make_rosenzweig_macarthur, model1, model2)
+                  exponential_weight, find_equilibria, integrate, make_rosenzweig_macarthur,
+                  model1, model2)
 from nsfd import _kernels
 from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
                            SCHEME_TAGS, _make_fixed_point_driver, _make_trajectory_driver,
                            _rma_step, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
+from nsfd.systems import MODEL2_PARAMS
 from oracles import equality_settings, scalar_scan
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
@@ -59,14 +62,6 @@ def python_path(monkeypatch):
     monkeypatch.setenv("NSFD_BACKEND", "python")
     for name in ("_rma_step", "_trajectory_jit", "_fixed_points_jit"):
         monkeypatch.setattr(_kernels, name, refuse, raising=False)
-
-
-def _clone(system):
-    """The same system built from its callables, so it has no rma_params."""
-    clone = SplitSystem(system.f_plus, system.f_minus, system.g_plus, system.g_minus,
-                        partials=system.partials, name=system.name)
-    assert clone.rma_params is None
-    return clone
 
 
 def _recorded_scans(monkeypatch):
@@ -144,7 +139,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
     scans = _recorded_scans(monkeypatch)
     reports = []
     for system in (model1(), model2()):
-        clone = _clone(system)
+        clone = dataclasses.replace(system)
         traj = integrate(system, scheme, State(0.4, 0.4), 0.1, 5.0)
         assert len(traj) == 51
         twin = integrate(clone, scheme, State(0.4, 0.4), 0.1, 5.0)
@@ -157,9 +152,9 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
     assert scans == ["batched", "generic", "batched"] * 2
     monkeypatch.setattr(_kernels, "scan_fixed_points_generic", _oracle_generic_scan)
     for system, report in zip((model1(), model2()), reports):
-        assert detect_ghosts(_clone(system), scheme, 0.1, seeds_per_axis=8) == report
+        assert detect_ghosts(dataclasses.replace(system), scheme, 0.1, seeds_per_axis=8) == report
     for system in draws:
-        clone = _clone(system)
+        clone = dataclasses.replace(system)
         for h, t_end in ((0.1, 20.0), (1.5, 300.0)):
             traj = integrate(system, scheme, State(0.4, 0.4), h, t_end)
             twin = integrate(clone, scheme, State(0.4, 0.4), h, t_end)
@@ -192,7 +187,7 @@ def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, s
     sx, sy = _ghost_seeds(system, scheme, seeds)
     rows = _scan(system, scheme, h, sx, sy)
     assert rows.tobytes() == _plain_scan(system, scheme, h, sx, sy).tobytes()
-    assert rows.tobytes() == _scan(_clone(system), scheme, h, sx, sy).tobytes()
+    assert rows.tobytes() == _scan(dataclasses.replace(system), scheme, h, sx, sy).tobytes()
     res = rows[:, 2]
     assert (res < NEWTON_TOL).any()
     if system.name == "model1" and scheme.kind in ("euler", "rk2", "rk4"):
@@ -304,18 +299,43 @@ def test_environment_flag_routes_integrate(monkeypatch):
 
 
 def test_generic_loop_matches_kernel_path():
-    # A system built from plain callables with the same component forms
-    # must reproduce the tagged fast path exactly; truncation and storage
-    # semantics are shared.
+    # A replace of a system of the family is a system of callables with the
+    # same component forms; it must reproduce the tagged fast path exactly.
     m1 = model1()
-    clone = SplitSystem(m1.f_plus, m1.f_minus, m1.g_plus, m1.g_minus,
-                        partials=m1.partials, name="clone")
+    clone = dataclasses.replace(m1)
     assert clone.rma_params is None
     for scheme in (NSFD, RK4):
         fast = integrate(m1, scheme, State(0.5, 0.5), 0.25, 50.0)
         slow = integrate(clone, scheme, State(0.5, 0.5), 0.25, 50.0)
         assert np.array_equal(fast.xs, slow.xs)
         assert np.array_equal(fast.ys, slow.ys)
+
+
+def test_only_the_factory_tags_a_system(python_path, monkeypatch):
+    # replace gives a system of callables: the generic paths run, with the
+    # bits of the family built by the factory in the same box
+    box = dataclasses.replace(model2(), x_max=5.0, name="box")
+    family = make_rosenzweig_macarthur(2.0, 1.0, 1.0, 0.2, name="box", x_max=5.0)
+    assert box.rma_params is None and family.rma_params == MODEL2_PARAMS
+    scans = _recorded_scans(monkeypatch)
+    for scheme in (NSFD, RK4):
+        got, want = (detect_ghosts(s, scheme, 0.5, seeds_per_axis=8) for s in (box, family))
+        assert repr(got) == repr(want)
+    assert scans == ["generic", "batched", "batched"] * 2
+    assert repr(find_equilibria(box)) == repr(find_equilibria(family))
+    got, want = (integrate(s, RK4, State(0.4, 0.4), 0.5, 50.0) for s in (box, family))
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+    # a float-only partial constructs, and runs as a callable; a non-family
+    # loss and forging the tag are in test_systems
+    fmy = lambda x, y: 2.0 / math.fsum([1.0, x])
+    float_only = dataclasses.replace(model2(), partials=dataclasses.replace(model2().partials,
+                                                                            fmy=fmy))
+    assert float_only.rma_params is None
+    del scans[:]
+    detect_ghosts(float_only, NSFD, 0.5, seeds_per_axis=8)
+    assert scans == ["generic", "batched"]
+    assert [p.family for p in find_equilibria(float_only)] == ["O", "E3", "E1"]
 
 
 def test_generic_loop_truncates_like_the_kernel():

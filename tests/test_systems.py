@@ -269,42 +269,22 @@ def test_component_that_turns_complex_is_refused():
 
 def test_rma_params_promise_is_enforced():
     # the numba kernels, the batched searches and `components` use the
-    # family's formulas, not the callables, so a system with rma_params
-    # must have the family's components and carry partials
-    other = lambda x, y: 1.0 * x + 0.5 * y
-    with pytest.raises(ConstructionError,
-                       match=r"^f_minus\(0, 0\.408163\) = 0\.2040816\d* is not the rma_params "
-                             r"formula's 0\.8163265\d*; set rma_params=None for other components$"):
-        dataclasses.replace(model2(), f_minus=other, partials=None)
-    # math.sqrt takes no arrays: the grid checks call it per node instead,
-    # and the refusal names it
-    with pytest.raises(ConstructionError,
-                       match=r"^f_minus\(0, 0\.408163\) = 0\.2040816\d* is not the rma_params "
-                             r"formula's 0\.8163265\d*; set rma_params=None for other components$"):
-        dataclasses.replace(model2(), f_minus=lambda x, y: math.sqrt(x) + 0.5 * y)
-    with pytest.raises(ConstructionError, match=r"^f_plus\(0, 0\) = 1\.0000001 is not"):
-        dataclasses.replace(model2(), f_plus=lambda x, y: 1.0000001)
-    with pytest.raises(ConstructionError, match=r"^a system with rma_params must carry"):
-        dataclasses.replace(model2(), partials=None)
-    assert dataclasses.replace(model2(), x_max=5.0).rma_params == MODEL2_PARAMS
-    free = dataclasses.replace(model2(), f_minus=other, partials=None, rma_params=None)
-    # its own f_minus steps the orbit, and the equilibrium search runs
+    # family's formulas, not the callables, so only make_rosenzweig_macarthur
+    # may tag a system: the tag cannot be passed or replaced in
+    m2 = model2()
+    with pytest.raises(TypeError, match="rma_params"):
+        SplitSystem(m2.f_plus, m2.f_minus, m2.g_plus, m2.g_minus, partials=m2.partials,
+                    rma_params=MODEL2_PARAMS)
+    with pytest.raises(ValueError, match="rma_params"):
+        dataclasses.replace(m2, rma_params=MODEL2_PARAMS)
+    assert dataclasses.replace(m2, x_max=5.0).rma_params is None
+    # other components construct without the tag: their own f_minus steps
+    # the orbit, and the equilibrium search runs
+    free = dataclasses.replace(m2, f_minus=lambda x, y: 1.0 * x + 0.5 * y, partials=None)
+    assert free.rma_params is None
     x1 = integrate(free, NSFD, State(0.4, 0.4), 0.5, 0.5).xs[1]
     assert x1 == 0.4 * 1.5 / (1.0 + 0.5 * (0.4 + 0.2))
     assert [p.family for p in find_equilibria(free)] == ["O", "E3", "E1"]
-
-
-def test_a_float_only_analytic_partial_is_refused_by_name():
-    # the family's interior search calls its analytic partials on numpy
-    # arrays, so one that takes only python floats cannot keep rma_params
-    fmy = lambda x, y: 2.0 / math.fsum([1.0, x])
-    partials = dataclasses.replace(model2().partials, fmy=fmy)
-    with pytest.raises(ConstructionError,
-                       match=r"^analytic partial fmy does not take numpy arrays \(TypeError: .*\); "
-                             r"set rma_params=None for other callables$"):
-        dataclasses.replace(model2(), partials=partials)
-    free = dataclasses.replace(model2(), partials=partials, rma_params=None)
-    assert [p.family for p in find_equilibria(free)] == [p.family for p in find_equilibria(model2())]
 
 
 # The scalar validation loops that construction ran before it checked whole
@@ -397,7 +377,7 @@ def _unchecked():
 def _assert_same_verdicts(system):
     # the system itself, then a callable clone that takes the per-node path
     with _unchecked():
-        clone = dataclasses.replace(system, rma_params=None)
+        clone = dataclasses.replace(system)
     for s in (system, clone):
         assert _outcome(_array_checks, s) == _outcome(_oracle_checks, s)
 
@@ -438,8 +418,7 @@ def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
 def _unvalidated():
     # construct systems, fused components and all, without the checks that
     # refuse many wide draws
-    with mock.patch.object(systems, "_check_sign_structure", lambda s: (None, None)), \
-            mock.patch.object(systems, "_check_rma_promise", lambda s, nodes, vals: None), \
+    with mock.patch.object(systems, "_check_sign_structure", lambda s: None), \
             mock.patch.object(systems, "_check_partials_consistency", lambda s: None):
         yield
 
@@ -464,7 +443,7 @@ def test_fused_components_are_the_single_closures(params, points):
     *abcd, x_max = params
     with _unvalidated():
         system = make_rosenzweig_macarthur(*abcd, x_max=x_max)
-        clone = dataclasses.replace(system, rma_params=None)
+        clone = dataclasses.replace(system)
     assert "components" in vars(system) and "components" not in vars(clone)
     c = system.rma_params.c
     points = points + [(-c, y) for _, y in points] + [(-c, 0.0)]
@@ -492,9 +471,7 @@ def _fake_partials(**wrong):
     return dataclasses.replace(model2().partials, **wrong)
 
 
-# systems that fail validation, built with the built-in family's tag unless
-# a case drops it (so the closures run on arrays) and checked again as a
-# callable clone
+# model2 with a component or partial replaced so that validation fails
 _REFUSED = {
     "interior-negative f_minus": dict(
         f_minus=lambda x, y: y * ((x - 5.0) * (x - 5.0) - 1.0),
@@ -520,8 +497,6 @@ _REFUSED = {
     "gpx divides by zero": dict(
         partials=_fake_partials(gpx=lambda x, y: 1.0 / y),
         match=r"^analytic partial gpx\(0, 0\) raised ZeroDivisionError"),
-    # math functions take no arrays, so under the family's tag too these
-    # two are called per node
     "g_minus raises ValueError": dict(
         g_minus=lambda x, y: math.sqrt(x - 1.0),
         match=r"^g_minus\(0, 0\) raised ValueError: math domain error$"),
@@ -530,18 +505,18 @@ _REFUSED = {
         match=r"^f_plus\(0, 0\) raised OverflowError: math range error$"),
     # any other exception escapes as it is, from the first failing node
     "f_minus raises KeyError": dict(
-        f_minus=lambda x, y: {}[x] if x > 1.0 else 1.0, rma_params=None,
+        f_minus=lambda x, y: {}[x] if x > 1.0 else 1.0,
         error=KeyError, match=r"^1\.22448"),
 }
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))
 def test_array_checks_give_the_scalar_verdicts_for_refused_systems(case):
-    changes = {"rma_params": MODEL2_PARAMS, **_REFUSED[case]}
+    changes = dict(_REFUSED[case])
     match = changes.pop("match")
     error = changes.pop("error", ConstructionError)
     with _unchecked():
         system = dataclasses.replace(model2(), **changes)
-    _assert_same_verdicts(system)
+    assert _outcome(_array_checks, system) == _outcome(_oracle_checks, system)
     with pytest.raises(error, match=match):
         _array_checks(system)
