@@ -5,10 +5,15 @@ system.  Which code runs behind them depends on the system and on the
 backend:
 
 * the python backend, and any system built from arbitrary callables:
-  `run_trajectory` runs `_step_loop` over the scheme cores of
-  nsfd.integrators, and `scan_fixed_points` runs `_scan_batched`, Newton
-  over all seeds at once as numpy arrays, with the scheme cores evaluated
-  on arrays.  The built-in predator-prey family (systems with
+  `run_trajectory` runs `_step_loop` over the scheme's step, and
+  `scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
+  as numpy arrays, with the same step evaluated on arrays.  The steps
+  come from the factories of nsfd.integrators: make(components, e)
+  binds a system's components and the scheme's e (or h) once per run
+  or scan and returns step(x, y), so one step costs one python call
+  plus its arithmetic and its component calls (per-step rates in the
+  README, Backends).  The built-in
+  predator-prey family (systems with
   rma_params) evaluates its components on whole arrays too; any other
   system goes through `scan_fixed_points_generic`, where only its four
   component callables are called once per element (`_each_of`), in the
@@ -16,12 +21,12 @@ backend:
   on the arrays;
 * the built-in family on the numba backend: compiled kernels, made by
   numba from `_rma_step` (one step of that family, written like the
-  scheme cores) and the loop drivers below.
+  scheme steps) and the loop drivers below.
 
 Both give bit-identical outputs.  numpy's elementwise + - * / and
 python's float arithmetic are the same correctly rounded IEEE operations,
 and fastmath stays off, so the same expression order gives the same bits;
-do not "optimise" the expression order in this file or in the cores.
+do not "optimise" the expression order in this file or in the steps.
 
 The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
 when importable).
@@ -72,7 +77,7 @@ def _rma_step(tag, a, b, c, d, x, y, e, h):
     # One step of the selected scheme for f+ = b, f- = b*x + a*y/(c+x),
     # g+ = x/(c+x), g- = d.  e is the denominator weight (nsfd only), h the
     # grid step.  A zero denominator yields nan where the python scheme
-    # cores raise ZeroDivisionError; both end an orbit or a Newton seed at
+    # steps raise ZeroDivisionError; both end an orbit or a Newton seed at
     # the same point, so the two paths stay bit-equal.
     def field(u, v):
         den = c + u
@@ -208,42 +213,47 @@ def warmup() -> None:
         _fixed_points_jit(tag, 2.0, 1.0, 0.5, 6.0, 0.01, 0.01, sx, sy, 2, NEWTON_TOL, NEWTON_ESCAPE, out)
 
 
-def _step_loop(core, system, x0, y0, e, n):
-    # The python stepping loop: n steps of core(system, x, y, e), stopping
-    # just before the first state that is non-finite or complex (a
-    # fractional power of a negative coordinate), or whose step raised
-    # ZeroDivisionError, OverflowError or ValueError (a math domain error
-    # off the quadrant).
+def _step_loop(step, x0, y0, n):
+    # The python stepping loop: n steps of step(x, y), stopping just before
+    # the first state that is non-finite or complex (a fractional power of
+    # a negative coordinate), or whose step raised ZeroDivisionError,
+    # OverflowError or ValueError (a math domain error off the quadrant).
+    # A pair of python floats takes the fast check; anything else, numpy
+    # scalars included, first has complex ruled out, since math.isfinite
+    # of an np.complex128 only warns and tests its real part.
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     x = float(x0)
     y = float(y0)
     xs[0] = x
     ys[0] = y
-    for k in range(n):
+    isfinite = math.isfinite
+    for k in range(1, n + 1):
         try:
-            xn, yn = core(system, x, y, e)
+            x, y = step(x, y)
         except _DROPS:
-            return xs[:k + 1], ys[:k + 1], k + 1
-        if (isinstance(xn, complex) or isinstance(yn, complex)
-                or not (math.isfinite(xn) and math.isfinite(yn))):
-            return xs[:k + 1], ys[:k + 1], k + 1
-        xs[k + 1] = xn
-        ys[k + 1] = yn
-        x = xn
-        y = yn
+            return xs[:k], ys[:k], k
+        if type(x) is float and type(y) is float:
+            if not (isfinite(x) and isfinite(y)):
+                return xs[:k], ys[:k], k
+        elif (isinstance(x, complex) or isinstance(y, complex)
+              or not (isfinite(x) and isfinite(y))):
+            return xs[:k], ys[:k], k
+        xs[k] = x
+        ys[k] = y
     return xs, ys, n + 1
 
 
-def run_trajectory(system, kind, core, x0, y0, e, h, n):
+def run_trajectory(system, kind, make, x0, y0, e, h, n):
     """n steps of scheme `kind` from (x0, y0). Returns (xs, ys, stored_count).
 
-    core(system, x, y, e) is the scheme's step, e being the denominator
-    weight for nsfd/ensfd and h for the classical schemes.  A stored count
-    m <= n means the orbit stopped just before grid index m.
+    make(system.components, e) is the scheme's step (x, y) -> (x', y'), e
+    being the denominator weight for nsfd/ensfd and h for the classical
+    schemes.  A stored count m <= n means the orbit stopped just before
+    grid index m.
     """
     if system.rma_params is None or resolve_backend() != "numba":
-        return _step_loop(core, system, x0, y0, e, n)
+        return _step_loop(make(system.components, e), x0, y0, n)
     p = system.rma_params
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
@@ -252,18 +262,17 @@ def run_trajectory(system, kind, core, x0, y0, e, h, n):
     return xs[:m], ys[:m], m
 
 
-def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL,
+def scan_fixed_points(system, kind, make, e, h, seeds_x, seeds_y, tol=NEWTON_TOL,
                       max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """Newton scan for fixed points of the step core(system, x, y, e).
+    """Newton scan for fixed points of the step make(system.components, e).
 
     Returns an (n, 3) array of (x, y, residual) rows, one per seed, in seed
     order; a seed whose residual is not below tol failed.
     """
     if system.rma_params is None:
-        return scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol, max_iter, escape)
+        return scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol, max_iter, escape)
     if resolve_backend() != "numba":
-        return _scan_batched(lambda x, y: core(system, x, y, e), seeds_x, seeds_y,
-                             tol, max_iter, escape)
+        return _scan_batched(make(system.components, e), seeds_x, seeds_y, tol, max_iter, escape)
     seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
     seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
     p = system.rma_params
@@ -273,11 +282,11 @@ def scan_fixed_points(system, kind, core, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     return out
 
 
-def scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol=NEWTON_TOL,
+def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """The python Newton scan of core(system, x, y, e) for any system.
+    """The python Newton scan of the step make(components, e) for any system.
 
-    `_scan_batched` over the core evaluated on arrays, with the system's
+    `_scan_batched` over the step evaluated on arrays, with the system's
     four component callables called once per element on python floats
     (`_ElementView`), and only where the seed-by-seed scan calls them.  A
     seed fails, rather than aborting the scan, where a component raises
@@ -285,8 +294,8 @@ def scan_fixed_points_generic(system, core, e, seeds_x, seeds_y, tol=NEWTON_TOL,
     number (a fractional power of a negative coordinate).
     """
     comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
-    return _scan_batched(lambda x, y: core(_ElementView(comps), x, y, e), seeds_x, seeds_y,
-                         tol, max_iter, escape, probes_apart=True)
+    return _scan_batched(lambda x, y: make(_ElementView(comps).components, e)(x, y),
+                         seeds_x, seeds_y, tol, max_iter, escape, probes_apart=True)
 
 
 def _each(fn, xs, ys):
@@ -340,11 +349,12 @@ def _each_of(fns, xs, ys, dropped=None):
 
 
 class _ElementView:
-    """A system as the scheme cores see it on arrays, for one map call.
+    """A system's components as the scheme steps see them on arrays, for
+    one map call.
 
     components(xs, ys) calls the four component callables per element
     (`_each_of`) and returns their four arrays, nan where one dropped.  The
-    cores pass the same elements in the same order to every stage, and an
+    steps pass the same elements in the same order to every stage, and an
     element dropped in one stage is not called in a later one, as the
     scalar map stops at the raise; so make one view per map call.
     """
@@ -370,7 +380,7 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=
     # (BENCH_9.json).  Where each element costs calls (probes_apart), a
     # second call takes the probes only of the seeds that go on, as the
     # scalar loop does.  A zero denominator gives a
-    # non-finite map value here where the scalar cores raise, and both
+    # non-finite map value here where the scalar steps raise, and both
     # retire the seed with residual inf at the same point.
     x = np.array(seeds_x, dtype=np.float64)
     y = np.array(seeds_y, dtype=np.float64)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .integrators import (RK4, SchemeId, Trajectory, _WEIGHTED_KINDS, _require_step,
-                          _scheme_core, integrate, step_count)
+                          _require_t_end, _scheme_core, integrate, step_count)
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -54,10 +54,11 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     """Observed convergence order against an rk4 reference orbit.
 
     steps must be at least four step sizes, each positive and finite,
-    strictly descending, each dividing t_end - t0 evenly (its step_count
-    within 1e-9 relative of (t_end - t0)/h), with grids that all nest in
-    one grid no finer than min(steps)/100 (ValueError otherwise).  Errors
-    are sup-norm over each run's grid.
+    strictly descending, and t_end finite and above t0.  Each step must
+    divide t_end - t0 evenly (its step_count within 1e-9 relative of
+    (t_end - t0)/h), with grids that all nest in one grid no finer than
+    min(steps)/100.  ValueError otherwise.  Errors are sup-norm over each
+    run's grid.
 
     The reference runs at h_base/r for r = 1, 2, 4, ..., where h_base is
     the largest step whose grid contains every run's grid.  Run r's error
@@ -78,6 +79,7 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
         _require_step(h)
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"step sizes must be strictly descending, got {steps}")
+    _require_t_end(s0.t, t_end)
     horizon = t_end - s0.t
     counts = []
     for h in steps:
@@ -231,11 +233,11 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     gy = np.linspace(loy, hiy, seeds_per_axis)
     sx, sy = [g.ravel() for g in np.meshgrid(gx, gy, indexing="ij")]
 
-    core, e = _scheme_core(scheme, h)
-    rows = _kernels.scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
+    make, e = _scheme_core(scheme, h)
+    rows = _kernels.scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
 
     tol_in = 1e-9 * (1.0 + max(bx, by))
-    hits = [(float(x), float(y), float(res)) for x, y, res in rows
+    hits = [(x, y, res) for x, y, res in rows.tolist()
             if res < _kernels.NEWTON_TOL
             and lox - tol_in <= x <= hix + tol_in
             and loy - tol_in <= y <= hiy + tol_in]

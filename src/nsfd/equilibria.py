@@ -309,6 +309,8 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
             idx, nx, ny, ddx, ddy = idx[go], nx[go], ny[go], ddx[go], ddy[go]
             tiny = (np.maximum(np.abs(ddx), np.abs(ddy))
                     <= 1e-15 * np.maximum(np.maximum(1.0, np.abs(nx)), np.abs(ny)))
+            if not tiny.any():  # the usual case: no seed to retire on its step
+                continue
             last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
             idx = idx[~tiny]
             rx, ry, dropped = residual(lx, ly)

@@ -115,8 +115,13 @@ def _require_step(h: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
 
 
+def _require_t_end(t0: float, t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end > t0):
+        raise ValueError(f"t_end {t_end!r} must exceed the initial time {t0!r}")
+
+
 def effective_step(scheme: SchemeId, h: float) -> float:
-    """The step a scheme's core takes at step size h: e = phi(h) for ensfd,
+    """The step a scheme's update takes at step size h: e = phi(h) for ensfd,
     h for the rest.  Refuses a step size that is not positive and finite."""
     _require_step(h)
     if scheme.weight is None:
@@ -127,53 +132,66 @@ def effective_step(scheme: SchemeId, h: float) -> float:
     return e
 
 
-# The scheme cores: one system.components call per stage, so one call per
-# step for nsfd/ensfd and euler, two for rk2 and four for rk4.
+# The scheme steps.  Each factory binds a system's `components` and the
+# scheme's last argument once and returns step(x, y), which makes one
+# components call per stage: one per step for nsfd/ensfd and euler, two for
+# rk2 and four for rk4.  The same steps run on python floats in the
+# stepping loop and on numpy arrays in the Newton scans.
 # nsfd._kernels._rma_step compiles the same arithmetic for the built-in
 # family; tests/test_kernels.py holds the two bit-equal.
 
-def _nsfd_core(system: SplitSystem, x: float, y: float, e: float):
-    fp, fm, gp, gm = system.components(x, y)
-    return x * (1.0 + e * fp) / (1.0 + e * fm), y * (1.0 + e * gp) / (1.0 + e * gm)
+def _nsfd_step(components, e: float):
+    def step(x, y):
+        fp, fm, gp, gm = components(x, y)
+        return x * (1.0 + e * fp) / (1.0 + e * fm), y * (1.0 + e * gp) / (1.0 + e * gm)
+    return step
 
 
-def _euler_core(system: SplitSystem, x: float, y: float, h: float):
-    fp, fm, gp, gm = system.components(x, y)
-    return x + h * (x * (fp - fm)), y + h * (y * (gp - gm))
+def _euler_step(components, h: float):
+    def step(x, y):
+        fp, fm, gp, gm = components(x, y)
+        return x + h * (x * (fp - fm)), y + h * (y * (gp - gm))
+    return step
 
 
-def _rk2_core(system: SplitSystem, x: float, y: float, h: float):
-    fp, fm, gp, gm = system.components(x, y)
-    u, v = x + 0.5 * h * (x * (fp - fm)), y + 0.5 * h * (y * (gp - gm))
-    fp, fm, gp, gm = system.components(u, v)
-    return x + h * (u * (fp - fm)), y + h * (v * (gp - gm))
+def _rk2_step(components, h: float):
+    def step(x, y):
+        fp, fm, gp, gm = components(x, y)
+        u, v = x + 0.5 * h * (x * (fp - fm)), y + 0.5 * h * (y * (gp - gm))
+        fp, fm, gp, gm = components(u, v)
+        return x + h * (u * (fp - fm)), y + h * (v * (gp - gm))
+    return step
 
 
-def _rk4_core(system: SplitSystem, x: float, y: float, h: float):
-    fp, fm, gp, gm = system.components(x, y)
-    k1x, k1y = x * (fp - fm), y * (gp - gm)
-    u, v = x + 0.5 * h * k1x, y + 0.5 * h * k1y
-    fp, fm, gp, gm = system.components(u, v)
-    k2x, k2y = u * (fp - fm), v * (gp - gm)
-    u, v = x + 0.5 * h * k2x, y + 0.5 * h * k2y
-    fp, fm, gp, gm = system.components(u, v)
-    k3x, k3y = u * (fp - fm), v * (gp - gm)
-    u, v = x + h * k3x, y + h * k3y
-    fp, fm, gp, gm = system.components(u, v)
-    k4x, k4y = u * (fp - fm), v * (gp - gm)
-    return (
-        x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-    )
+def _rk4_step(components, h: float):
+    def step(x, y):
+        fp, fm, gp, gm = components(x, y)
+        k1x, k1y = x * (fp - fm), y * (gp - gm)
+        u, v = x + 0.5 * h * k1x, y + 0.5 * h * k1y
+        fp, fm, gp, gm = components(u, v)
+        k2x, k2y = u * (fp - fm), v * (gp - gm)
+        u, v = x + 0.5 * h * k2x, y + 0.5 * h * k2y
+        fp, fm, gp, gm = components(u, v)
+        k3x, k3y = u * (fp - fm), v * (gp - gm)
+        u, v = x + h * k3x, y + h * k3y
+        fp, fm, gp, gm = components(u, v)
+        k4x, k4y = u * (fp - fm), v * (gp - gm)
+        return (
+            x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        )
+    return step
 
 
-_CLASSICAL_CORES = {"euler": _euler_core, "rk2": _rk2_core, "rk4": _rk4_core}
+_CLASSICAL_STEPS = {"euler": _euler_step, "rk2": _rk2_step, "rk4": _rk4_step}
 
 
 def _scheme_core(scheme: SchemeId, h: float):
-    """The scheme's core and its last argument, effective_step(scheme, h)."""
-    core = _nsfd_core if scheme.kind in _WEIGHTED_KINDS else _CLASSICAL_CORES[scheme.kind]
-    return core, effective_step(scheme, h)
+    """The scheme's step factory and its last argument, effective_step(scheme, h):
+    make(components, e) is the step (x, y) -> (x', y') of a system with
+    those components."""
+    make = _nsfd_step if scheme.kind in _WEIGHTED_KINDS else _CLASSICAL_STEPS[scheme.kind]
+    return make, effective_step(scheme, h)
 
 
 def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State:
@@ -184,10 +202,10 @@ def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State
     DomainError for nsfd/ensfd from outside the closed quadrant, and
     NonFiniteError wherever `integrate` would halt.
     """
-    core, e = _scheme_core(scheme, h)
+    make, e = _scheme_core(scheme, h)
     if scheme.kind in _WEIGHTED_KINDS:
         _require_quadrant(state)
-    xs, ys, m = _kernels._step_loop(core, system, state.x, state.y, e, 1)
+    xs, ys, m = _kernels._step_loop(make(system.components, e), state.x, state.y, 1)
     if m == 1:
         raise NonFiniteError(f"{scheme.kind} step of h={h!r} from ({state.x!r}, {state.y!r}) "
                              f"at t={state.t!r} gives no finite real state")
@@ -211,7 +229,9 @@ def step_count(t0: float, t_end: float, h: float) -> int:
 
 
 # one CSV row; 17 significant digits read back as exactly the same float
-_CSV_ROW = "{},{:.17g},{:.17g},{:.17g}"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+# rows formatted by one % on a repeated template
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +270,26 @@ class Trajectory:
     def final(self) -> State:
         return self.state(len(self.ts) - 1)
 
+    def _csv_blocks(self):
+        # the header, then the rows in blocks of _CSV_BLOCK, each block one
+        # % on a repeated template with the row fields interleaved
+        yield CSV_HEADER + "\n"
+        n = len(self.ts)
+        for a in range(0, n, _CSV_BLOCK):
+            b = min(a + _CSV_BLOCK, n)
+            fields = [None] * (4 * (b - a))
+            fields[0::4] = range(a, b)
+            fields[1::4] = self.ts[a:b].tolist()
+            fields[2::4] = self.xs[a:b].tolist()
+            fields[3::4] = self.ys[a:b].tolist()
+            yield _CSV_ROW * (b - a) % tuple(fields)
+
     def to_csv(self) -> str:
-        rows = map(_CSV_ROW.format, range(len(self.ts)),
-                   self.ts.tolist(), self.xs.tolist(), self.ys.tolist())
-        return "\n".join([CSV_HEADER, *rows]) + "\n"
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_blocks())
 
 
 def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
@@ -267,7 +299,12 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     The step count is floor((t_end - t0)/h); a trailing fraction of a step
     is never taken.  Every system runs the one python loop of
     nsfd._kernels, except that on the numba backend a system of the
-    built-in family runs its compiled kernel, with bit-equal results.
+    built-in family runs its compiled kernel, with bit-equal results.  The
+    loop runs the scheme's step bound once per run to the system's
+    components and to e (or h), so a step costs one python call plus its
+    arithmetic and component calls: on model2 at h = 0.1, python backend,
+    about 0.72 microseconds per nsfd step and 1.86 per rk4 step on a
+    2-vCPU Intel Xeon VM (README, Backends).
 
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises
@@ -275,17 +312,16 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     a component evaluated off the quadrant) or yields a non-finite or
     complex state halts the run with halt_reason "nonfinite".
     """
-    core, e = _scheme_core(scheme, h)
+    make, e = _scheme_core(scheme, h)
     if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):
         raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
-    if not (math.isfinite(t_end) and t_end > s0.t):
-        raise ValueError(f"t_end {t_end!r} must exceed the initial time {s0.t!r}")
+    _require_t_end(s0.t, t_end)
     if scheme.kind in _WEIGHTED_KINDS:
         _require_quadrant(s0)
     n = step_count(s0.t, t_end, h)
     if n > MAX_STEPS:
         raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
-    xs, ys, m = _kernels.run_trajectory(system, scheme.kind, core, s0.x, s0.y, e, h, n)
+    xs, ys, m = _kernels.run_trajectory(system, scheme.kind, make, s0.x, s0.y, e, h, n)
     ts = s0.t + h * np.arange(m)
     halt_step = None if m == n + 1 else m
     halt_reason = None if halt_step is None else "nonfinite"

@@ -1,12 +1,14 @@
-"""Seed-by-seed python forms of the two Newton searches, and a
-fixed-refinement convergence study.
+"""Seed-by-seed python forms of the two Newton searches, a row-by-row
+stepping loop, and a fixed-refinement convergence study.
 
 The package runs both searches over all seeds at once on numpy arrays
 (`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
 plain loops, one seed at a time on python floats, are the references the
-tests hold those drivers to, byte for byte.  `equality_settings` gives the
-hypothesis properties that hold array code to such references their
-example counts.  `fixed_refinement_errors` measures a scheme's errors
+tests hold those drivers to, byte for byte.  `step_loop` checks every
+state of an orbit the plain way, where `nsfd._kernels._step_loop` takes a
+fast check for pairs of python floats; `integrate` is held to it.
+`equality_settings` gives the hypothesis properties that hold array code
+to such references their example counts.  `fixed_refinement_errors` measures a scheme's errors
 against one rk4 orbit at min(steps)/100, point by point, the reference
 `nsfd.estimate_order` refines only as far as its error budget needs.
 """
@@ -29,6 +31,34 @@ def equality_settings(max_examples):
     if settings.default is settings.get_profile("ci"):
         return settings(deadline=None)
     return settings(max_examples=max_examples, deadline=None)
+
+
+def step_loop(step, x0, y0, n):
+    """n steps of step(x, y) from (x0, y0), as (xs, ys, stored_count).
+
+    Stops just before the first state that is complex or non-finite, or
+    whose step raised ZeroDivisionError, OverflowError or ValueError; any
+    other exception propagates.
+    """
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    x = float(x0)
+    y = float(y0)
+    xs[0] = x
+    ys[0] = y
+    for k in range(n):
+        try:
+            xn, yn = step(x, y)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return xs[:k + 1], ys[:k + 1], k + 1
+        if (isinstance(xn, complex) or isinstance(yn, complex)
+                or not (math.isfinite(xn) and math.isfinite(yn))):
+            return xs[:k + 1], ys[:k + 1], k + 1
+        xs[k + 1] = xn
+        ys[k + 1] = yn
+        x = xn
+        y = yn
+    return xs, ys, n + 1
 
 
 def scalar_scan(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,

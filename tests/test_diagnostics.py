@@ -180,6 +180,22 @@ def test_estimate_order_refuses_a_step_count_that_overflows(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, math.nan, math.inf])
+def test_estimate_order_refuses_a_horizon_that_does_not_lie_ahead(tmp_path, capsys, t_end):
+    # refused with integrate's message before any step is counted: at
+    # t_end = -1 the negative counts passed the divisibility check, and
+    # math.lcm made them positive, so the refusal named a nesting grid
+    steps = [1.0, 0.5, 0.25, 0.125]
+    message = f"t_end {t_end!r} must exceed the initial time 0.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate_order(model1(), NSFD, State(0.4, 0.4), t_end, steps)
+    assert cli.main(["convergence", "--model", "model1", "--scheme", "nsfd",
+                     "--h", ",".join(map(repr, steps)), "--x0", "0.4", "--y0", "0.4",
+                     f"--t-end={t_end!r}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [0.0, math.nan, -0.0625])
 def test_estimate_order_refuses_a_bad_step_by_its_value(tmp_path, capsys, bad):
     # each step is checked before any division by it: zero was a bare

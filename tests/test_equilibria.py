@@ -512,9 +512,9 @@ def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme,
     assert (_hex(nsfd.equilibria._balance_newton(system, xs, ys, escape))
             == _hex(scalar_balance_newton(system, xs, ys, escape)))
     sx, sy = [g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")]
-    core, e = _scheme_core(scheme, h)
-    rows = _kernels.scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
-    assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
+    make, e = _scheme_core(scheme, h)
+    rows = _kernels.scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
+    assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
 def test_a_guard_behind_a_dropping_component_is_never_reached():
@@ -551,11 +551,11 @@ def test_a_guard_behind_a_dropping_component_is_never_reached():
     sx, sy = [g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")]
     for scheme in (NSFD, EULER, RK2, RK4):
         for h in (0.1, 1.0, 3.0):
-            core, e = _scheme_core(scheme, h)
+            make, e = _scheme_core(scheme, h)
             rows, on_arrays = run(lambda: _kernels.scan_fixed_points(
-                system, scheme.kind, core, e, h, sx, sy).tobytes())
+                system, scheme.kind, make, e, h, sx, sy).tobytes())
             oracle, seed_by_seed = run(lambda: scalar_scan(
-                lambda x, y: core(system, x, y, e), sx, sy).tobytes())
+                make(system.components, e), sx, sy).tobytes())
             assert rows == oracle and on_arrays == seed_by_seed
 
 
@@ -640,9 +640,9 @@ def test_other_exceptions_propagate_from_both_searches():
     xs = np.array([1.0, 2.0])
     with pytest.raises(KeyError, match="component bug"):
         nsfd.equilibria._balance_newton(system, xs, xs, 100.0)
-    core, e = _scheme_core(RK2, 0.5)
+    make, e = _scheme_core(RK2, 0.5)
     with pytest.raises(KeyError, match="component bug"):
-        _kernels.scan_fixed_points(system, "rk2", core, e, 0.5, xs, xs)
+        _kernels.scan_fixed_points(system, "rk2", make, e, 0.5, xs, xs)
 
 
 def test_interior_search_drops_seeds_where_a_component_turns_complex(root_loss_system):

@@ -32,8 +32,8 @@ from nsfd import (
     weight_from_name,
 )
 from nsfd import cli, integrators
-from nsfd.integrators import effective_step
-from oracles import equality_settings
+from nsfd.integrators import _scheme_core, effective_step
+from oracles import equality_settings, step_loop
 
 
 def test_nsfd_step_frozen_value():
@@ -348,6 +348,114 @@ def test_integrate_keeps_negative_classical_states():
     assert not traj.truncated
 
 
+# what a twisted component gives at its armed call: a numpy float (and
+# from then on), a complex of either kind, a non-finite value, or a raise
+TWISTS = ("float64", "complex", "complex128", "inf", "-inf", "nan",
+          ZeroDivisionError, OverflowError, ValueError, TypeError)
+
+
+class _Twist:
+    """One component, passed through until `arm(kind, at)`; then its at-th
+    call gives the twist `kind` instead of its value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = None
+
+    def arm(self, kind, at):
+        self.kind, self.at, self.calls = kind, at, 0
+
+    def __call__(self, x, y):
+        v = self.fn(x, y)
+        if self.calls is None:
+            return v
+        self.calls += 1
+        if self.calls < self.at:
+            return v
+        if self.kind == "float64":
+            return np.float64(v)
+        if self.calls > self.at:
+            return v
+        if isinstance(self.kind, type):
+            raise self.kind("twisted component")
+        if self.kind == "complex":
+            return complex(v)
+        if self.kind == "complex128":
+            return np.complex128(v)
+        return float(self.kind)
+
+
+def _outcome(run):
+    """run()'s (xs, ys, stored count) as bytes, or the type of what it raised."""
+    try:
+        xs, ys, m = run()
+    except Exception as exc:
+        return type(exc)
+    return xs.tobytes(), ys.tobytes(), m
+
+
+@given(kind=st.sampled_from(["model1", "model2", "rma"]),
+       params=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.05, 2.0),
+                        st.floats(0.02, 0.9)),
+       form=st.sampled_from(["family", "clone", "twisted"]),
+       twist=st.sampled_from(TWISTS), which=st.integers(0, 3), at=st.integers(1, 60),
+       scheme=st.sampled_from(SCHEMES),
+       x=st.floats(-2.0, 25.0), y=st.floats(-2.0, 25.0),
+       h=st.one_of(st.floats(1e-3, 20.0), st.just(1e10)), n=st.integers(1, 30))
+@example(kind="model1", params=(1.0, 1.0, 1.0, 0.5), form="twisted", twist="complex128",
+         which=1, at=5, scheme=EULER, x=0.4, y=0.4, h=0.1, n=30).via(
+    "an np.complex128 component, which math.isfinite only warns about")
+@example(kind="model1", params=(1.0, 1.0, 1.0, 0.5), form="twisted", twist=TypeError,
+         which=2, at=3, scheme=RK2, x=0.4, y=0.4, h=0.1, n=10).via(
+    "a component error that is not a drop")
+@equality_settings(150)
+def test_integrate_is_the_row_by_row_loop(kind, params, form, twist, which, at, scheme,
+                                          x, y, h, n):
+    # the stepping loop's fast check for python floats changes no orbit:
+    # integrate stores and halts where the plain check does, with numpy
+    # scalars, complex values of either kind, non-finite values and drops,
+    # and lets any other exception through
+    system = make_rosenzweig_macarthur(*params) if kind == "rma" else MODELS[kind]
+    twisted = None
+    if form == "clone":
+        system = dataclasses.replace(system)
+    elif form == "twisted":
+        comps = [system.f_plus, system.f_minus, system.g_plus, system.g_minus]
+        comps[which] = twisted = _Twist(comps[which])
+        system = SplitSystem(*comps, x_max=system.x_max, name="twisted")
+    if scheme.kind in ("nsfd", "ensfd"):
+        x, y = abs(x), abs(y)
+    t_end = n * h
+    make, e = _scheme_core(scheme, h)
+
+    def run(go):
+        if twisted is not None:
+            twisted.arm(twist, at)
+        return _outcome(go)
+
+    def by_integrate():
+        traj = integrate(system, scheme, State(x, y), h, t_end)
+        return traj.xs, traj.ys, len(traj)
+
+    got = run(by_integrate)
+    want = run(lambda: step_loop(make(system.components, e), x, y, step_count(0.0, t_end, h)))
+    assert got == want
+    if twist in (ZeroDivisionError, OverflowError, ValueError):
+        assert not isinstance(got, type)
+
+
+def test_an_orbit_halts_where_a_component_turns_np_complex128():
+    # at call 5 f_minus is an np.complex128 with no imaginary part, which
+    # math.isfinite passes with a ComplexWarning; the orbit halts there
+    m1 = model1()
+    f_minus = _Twist(m1.f_minus)
+    system = SplitSystem(m1.f_plus, f_minus, m1.g_plus, m1.g_minus, name="complex_loss")
+    f_minus.arm("complex128", 5)
+    traj = integrate(system, EULER, State(0.4, 0.4), 0.1, 3.0)
+    assert traj.halt_step == 5 and traj.halt_reason == "nonfinite"
+    assert traj.xs.dtype == np.float64 and len(traj) == 5
+
+
 def test_classical_step_raises_on_nonfinite_result():
     huge = State(1e308, 1.0)
     with pytest.raises(NonFiniteError):
@@ -388,6 +496,18 @@ def test_csv_is_the_row_by_row_text():
     for traj in (full, truncated, odd_values):
         assert traj.to_csv() == _csv_row_by_row(traj)
     assert "nan" in odd_values.to_csv()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
+def test_csv_blocks_join_at_every_boundary(monkeypatch, tmp_path, n):
+    # rows are formatted in blocks of _CSV_BLOCK; with blocks of 3, orbits
+    # of 1 to 7 rows end inside a block, on its edge, and one row past it
+    monkeypatch.setattr(integrators, "_CSV_BLOCK", 3)
+    traj = integrate(model2(), RK4, State(0.4, 0.4), 0.5, 0.5 * (n - 1) + 0.25)
+    assert len(traj) == n
+    assert traj.to_csv() == _csv_row_by_row(traj)
+    traj.write_csv(tmp_path / "orbit.csv")
+    assert (tmp_path / "orbit.csv").read_bytes() == _csv_row_by_row(traj).encode()
 
 
 def test_integration_is_deterministic(tmp_path):

@@ -76,9 +76,9 @@ def _recorded_scans(monkeypatch):
     return calls
 
 
-def _oracle_generic_scan(system, core, e, *args):
+def _oracle_generic_scan(system, make, e, *args):
     """scan_fixed_points_generic run by the seed-by-seed oracle."""
-    return scalar_scan(lambda x, y: core(system, x, y, e), *args)
+    return scalar_scan(make(system.components, e), *args)
 
 
 def _ghost_seeds(system, scheme, n):
@@ -90,8 +90,8 @@ def _ghost_seeds(system, scheme, n):
 
 
 def _scan(system, scheme, h, sx, sy):
-    core, e = _scheme_core(scheme, h)
-    return scan_fixed_points(system, scheme.kind, core, e, h, sx, sy)
+    make, e = _scheme_core(scheme, h)
+    return scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
 
 
 def test_resolve_backend_explicit_choice(monkeypatch):
@@ -131,9 +131,9 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
     loops = []
     original = _kernels._step_loop
 
-    def recording(core, system, *args):
-        loops.append(system.name)
-        return original(core, system, *args)
+    def recording(step, x0, y0, n):
+        loops.append(n)
+        return original(step, x0, y0, n)
 
     monkeypatch.setattr(_kernels, "_step_loop", recording)
     scans = _recorded_scans(monkeypatch)
@@ -148,7 +148,7 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         assert report.genuine
         assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
         reports.append(report)
-    assert loops == ["model1"] * 2 + ["model2"] * 2
+    assert loops == [50] * 4
     assert scans == ["batched", "generic", "batched"] * 2
     monkeypatch.setattr(_kernels, "scan_fixed_points_generic", _oracle_generic_scan)
     for system, report in zip((model1(), model2()), reports):
@@ -211,18 +211,18 @@ def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, s
 @equality_settings(60)
 def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
     # off-quadrant seeds, with columns on x = -c, the zero of c + x, and
-    # where a Jacobian probe x -/+ 1e-6 lands on it; the core on whole
-    # arrays and the core with each component called per element both
+    # where a Jacobian probe x -/+ 1e-6 lands on it; the step on whole
+    # arrays and the step with each component called per element both
     # give the oracle's rows
     system = make_rosenzweig_macarthur(a, b, c, d)
     gx = np.array(gx + [-c, -c + 1e-6, -c - 1e-6])
     sx, sy = [g.ravel() for g in np.meshgrid(gx, np.array(gy), indexing="ij")]
-    core, e = _scheme_core(scheme, h)
-    map_fn = lambda x, y: core(system, x, y, e)
+    make, e = _scheme_core(scheme, h)
+    map_fn = make(system.components, e)
     args = (NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_ESCAPE)
     oracle = scalar_scan(map_fn, sx, sy, *args).tobytes()
     assert _kernels._scan_batched(map_fn, sx, sy, *args).tobytes() == oracle
-    assert scan_fixed_points_generic(system, core, e, sx, sy, *args).tobytes() == oracle
+    assert scan_fixed_points_generic(system, make, e, sx, sy, *args).tobytes() == oracle
 
 
 @pytest.mark.parametrize("scheme", [RK2, RK4], ids=["rk2", "rk4"])
@@ -242,14 +242,14 @@ def test_a_stage_one_drop_is_not_called_again(scheme):
 
     system = SplitSystem(lambda x, y: 1.0, f_minus, g_plus, lambda x, y: 0.4 * x + y, x_max=3.0)
     sx, sy = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    core, e = _scheme_core(scheme, 0.5)
+    make, e = _scheme_core(scheme, 0.5)
     seen_f.clear()
     seen_g.clear()
     rows = _scan(system, scheme, 0.5, sx, sy)
     assert -1.0 in seen_f and -1.0 not in seen_g
     assert not any(math.isnan(x) for x in seen_f + seen_g)
     assert rows[0, 2] == math.inf
-    assert rows.tobytes() == scalar_scan(lambda x, y: core(system, x, y, e), sx, sy).tobytes()
+    assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
 @needs_numba
