@@ -302,9 +302,7 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     built-in family runs its compiled kernel, with bit-equal results.  The
     loop runs the scheme's step bound once per run to the system's
     components and to e (or h), so a step costs one python call plus its
-    arithmetic and component calls: on model2 at h = 0.1, python backend,
-    about 0.72 microseconds per nsfd step and 1.86 per rk4 step on a
-    2-vCPU Intel Xeon VM (README, Backends).
+    arithmetic and component calls (per-step rates in the README, Backends).
 
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises

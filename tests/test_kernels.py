@@ -132,14 +132,18 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
     original = _kernels._step_loop
 
     def recording(step, x0, y0, n):
-        loops.append(n)
+        # the components the step was bound to name the system it runs
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        loops.append((cells["components"].cell_contents, n))
         return original(step, x0, y0, n)
 
     monkeypatch.setattr(_kernels, "_step_loop", recording)
     scans = _recorded_scans(monkeypatch)
     reports = []
+    runs = []
     for system in (model1(), model2()):
         clone = dataclasses.replace(system)
+        runs += [(system.components, 50), (clone.components, 50)]
         traj = integrate(system, scheme, State(0.4, 0.4), 0.1, 5.0)
         assert len(traj) == 51
         twin = integrate(clone, scheme, State(0.4, 0.4), 0.1, 5.0)
@@ -148,7 +152,8 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
         assert report.genuine
         assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
         reports.append(report)
-    assert loops == [50] * 4
+    # the family system and then its clone, of model1 and then of model2
+    assert loops == runs
     assert scans == ["batched", "generic", "batched"] * 2
     monkeypatch.setattr(_kernels, "scan_fixed_points_generic", _oracle_generic_scan)
     for system, report in zip((model1(), model2()), reports):
