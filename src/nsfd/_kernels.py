@@ -1,55 +1,28 @@
-"""The stepping loop and the Newton scan, and numba kernels for them.
+"""The stepping loop and the Newton scan.
 
 `run_trajectory` and `scan_fixed_points` are the entry points for every
-system.  Which code runs behind them depends on the system and on the
-backend:
+system.  `run_trajectory` runs `_step_loop` over the scheme's step, and
+`scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once as
+numpy arrays, with the same step evaluated on arrays.  The steps come from
+the factories of nsfd.integrators: make(components, e) binds a system's
+components and the scheme's e (or h) once per run or scan and returns
+step(x, y), so one step costs one python call plus its arithmetic and its
+component calls (per-step rates in the README, Backends).  The built-in
+predator-prey family (systems with rma_params) evaluates its components
+on whole arrays too; any other system goes through
+`scan_fixed_points_generic`, where only its four component callables are
+called once per element (`_each_of`), in the order of the seed-by-seed
+scan, and everything derived from them runs on the arrays.
 
-* the python backend, and any system built from arbitrary callables:
-  `run_trajectory` runs `_step_loop` over the scheme's step, and
-  `scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
-  as numpy arrays, with the same step evaluated on arrays.  The steps
-  come from the factories of nsfd.integrators: make(components, e)
-  binds a system's components and the scheme's e (or h) once per run
-  or scan and returns step(x, y), so one step costs one python call
-  plus its arithmetic and its component calls (per-step rates in the
-  README, Backends).  The built-in
-  predator-prey family (systems with
-  rma_params) evaluates its components on whole arrays too; any other
-  system goes through `scan_fixed_points_generic`, where only its four
-  component callables are called once per element (`_each_of`), in the
-  order of the seed-by-seed scan, and everything derived from them runs
-  on the arrays;
-* the built-in family on the numba backend: compiled kernels, made by
-  numba from `_rma_step` (one step of that family, written like the
-  scheme steps) and the loop drivers below.
-
-Both give bit-identical outputs.  numpy's elementwise + - * / and
-python's float arithmetic are the same correctly rounded IEEE operations,
-and fastmath stays off, so the same expression order gives the same bits;
-do not "optimise" the expression order in this file or in the steps.
-
-The one switch is NSFD_BACKEND ("numba" or "python"; unset means numba
-when importable).
+Both scans give the bits of the seed-by-seed scan.  numpy's elementwise
++ - * / and python's float arithmetic are the same correctly rounded IEEE
+operations, so the same expression order gives the same bits; do not
+"optimise" the expression order in this file or in the steps.
 """
 
 import math
-import os
-import warnings
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-    njit = None
-
-ENV_VAR = "NSFD_BACKEND"
-
-# the scheme tag _rma_step dispatches on; ensfd is nsfd at a weighted e
-SCHEME_TAGS = {"nsfd": 0, "ensfd": 0, "euler": 1, "rk2": 2, "rk4": 3}
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 80
@@ -60,167 +33,24 @@ _DROPS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def resolve_backend(requested: "str | None" = None) -> str:
-    """Pick "numba" or "python" from an explicit request or the environment."""
-    choice = requested if requested is not None else os.environ.get(ENV_VAR, "")
-    choice = choice.strip().lower()
-    if not choice:
-        choice = "numba" if HAVE_NUMBA else "python"
-    if choice not in ("numba", "python"):
-        raise ValueError(f"unknown backend {choice!r}; expected 'numba' or 'python'")
-    if choice == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba not importable, using the python backend", RuntimeWarning)
-        return "python"
-    return choice
-
-
-def _rma_step(tag, a, b, c, d, x, y, e, h):
-    # One step of the selected scheme for f+ = b, f- = b*x + a*y/(c+x),
-    # g+ = x/(c+x), g- = d.  e is the denominator weight (nsfd only), h the
-    # grid step.  A zero denominator yields nan where the python scheme
-    # steps raise ZeroDivisionError; both end an orbit or a Newton seed at
-    # the same point, so the two paths stay bit-equal.
-    def field(u, v):
-        den = c + u
-        if den == 0.0:
-            return np.nan, np.nan
-        fp = b
-        fm = b * u + a * v / den
-        gp = u / den
-        gm = d
-        return u * (fp - fm), v * (gp - gm)
-
-    if tag == 0:
-        den = c + x
-        if den == 0.0:
-            return np.nan, np.nan
-        fp = b
-        fm = b * x + a * y / den
-        gp = x / den
-        gm = d
-        dfm = 1.0 + e * fm
-        dgm = 1.0 + e * gm
-        if dfm == 0.0 or dgm == 0.0:
-            return np.nan, np.nan
-        return x * (1.0 + e * fp) / dfm, y * (1.0 + e * gp) / dgm
-    if tag == 1:
-        ux, uy = field(x, y)
-        return x + h * ux, y + h * uy
-    if tag == 2:
-        k1x, k1y = field(x, y)
-        k2x, k2y = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        return x + h * k2x, y + h * k2y
-    k1x, k1y = field(x, y)
-    k2x, k2y = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = field(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-    k4x, k4y = field(x + h * k3x, y + h * k3y)
-    return (
-        x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-    )
-
-
-def _make_trajectory_driver(step):
-    def drive(tag, a, b, c, d, x0, y0, e, h, n, xs, ys):
-        # Fills xs/ys (length n+1) and returns the number of stored states.
-        # A return value m <= n means the state at grid index m went
-        # non-finite and the orbit is truncated just before it.
-        x = x0
-        y = y0
-        xs[0] = x
-        ys[0] = y
-        for k in range(n):
-            xn, yn = step(tag, a, b, c, d, x, y, e, h)
-            if not (math.isfinite(xn) and math.isfinite(yn)):
-                return k + 1
-            xs[k + 1] = xn
-            ys[k + 1] = yn
-            x = xn
-            y = yn
-        return n + 1
-
-    return drive
-
-
-def _make_fixed_point_driver(step):
-    def drive(tag, a, b, c, d, e, h, seeds_x, seeds_y, max_iter, tol, escape, out):
-        # Newton iteration on step(s) - s = 0 from every seed, with a
-        # central-difference Jacobian.  out[i] = (x, y, residual); a seed
-        # that breaks down reports residual inf, one that runs out of
-        # iterations its last residual.  The stored residual is always the
-        # sup-norm of the map defect measured at the stored point.  Seeds
-        # start as floats, not numpy scalars: faster in python, and a zero
-        # denominator raises there instead of warning.
-        n = seeds_x.shape[0]
-        for i in range(n):
-            x = float(seeds_x[i])
-            y = float(seeds_y[i])
-            res = np.inf
-            for _ in range(max_iter):
-                mx, my = step(tag, a, b, c, d, x, y, e, h)
-                rx = mx - x
-                ry = my - y
-                if not (math.isfinite(rx) and math.isfinite(ry)):
-                    res = np.inf
-                    break
-                res = abs(rx)
-                if abs(ry) > res:
-                    res = abs(ry)
-                if res < tol:
-                    break
-                dx = 1e-6 * max(1.0, abs(x))
-                dy = 1e-6 * max(1.0, abs(y))
-                px1, py1 = step(tag, a, b, c, d, x + dx, y, e, h)
-                px0, py0 = step(tag, a, b, c, d, x - dx, y, e, h)
-                qx1, qy1 = step(tag, a, b, c, d, x, y + dy, e, h)
-                qx0, qy0 = step(tag, a, b, c, d, x, y - dy, e, h)
-                j11 = (px1 - px0) / (2.0 * dx) - 1.0
-                j21 = (py1 - py0) / (2.0 * dx)
-                j12 = (qx1 - qx0) / (2.0 * dy)
-                j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
-                det = j11 * j22 - j12 * j21
-                if not math.isfinite(det) or abs(det) < 1e-14:
-                    res = np.inf
-                    break
-                x = x + (-rx * j22 + ry * j12) / det
-                y = y + (-j11 * ry + j21 * rx) / det
-                if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > escape or abs(y) > escape:
-                    res = np.inf
-                    break
-            out[i, 0] = x
-            out[i, 1] = y
-            out[i, 2] = res
-
-    return drive
-
-
-if HAVE_NUMBA:
-    _rma_step_jit = njit(cache=True, fastmath=False)(_rma_step)
-    _trajectory_jit = njit(cache=True, fastmath=False)(_make_trajectory_driver(_rma_step_jit))
-    _fixed_points_jit = njit(cache=True, fastmath=False)(_make_fixed_point_driver(_rma_step_jit))
-
-
-def warmup() -> None:
-    """Force jit compilation so later calls run at steady-state speed."""
-    if not HAVE_NUMBA:
-        return
-    xs = np.empty(2)
-    ys = np.empty(2)
-    out = np.empty((1, 3))
-    sx = np.array([0.5])
-    sy = np.array([0.5])
-    for tag in sorted(set(SCHEME_TAGS.values())):
-        _trajectory_jit(tag, 2.0, 1.0, 0.5, 6.0, 0.5, 0.5, 0.01, 0.01, 1, xs, ys)
-        _fixed_points_jit(tag, 2.0, 1.0, 0.5, 6.0, 0.01, 0.01, sx, sy, 2, NEWTON_TOL, NEWTON_ESCAPE, out)
+    """The backend that runs: "python", the only one.  Any other request
+    raises ValueError."""
+    if requested is not None and requested.strip().lower() != "python":
+        raise ValueError(f"unknown backend {requested!r}; expected 'python'")
+    return "python"
 
 
 def _step_loop(step, x0, y0, n):
-    # The python stepping loop: n steps of step(x, y), stopping just before
-    # the first state that is non-finite or complex (a fractional power of
-    # a negative coordinate), or whose step raised ZeroDivisionError,
+    # The stepping loop: n steps of step(x, y), stopping just before the
+    # first state that is non-finite or complex (a fractional power of a
+    # negative coordinate), or whose step raised ZeroDivisionError,
     # OverflowError or ValueError (a math domain error off the quadrant).
     # A pair of python floats takes the fast check; anything else, numpy
     # scalars included, first has complex ruled out, since math.isfinite
-    # of an np.complex128 only warns and tests its real part.
+    # of an np.complex128 only warns and tests its real part.  numpy
+    # scalar arithmetic that overflows on the way to such a state only
+    # warns, so its warnings are off for the run: the orbit halts silently,
+    # as with python floats.
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     x = float(x0)
@@ -228,41 +58,35 @@ def _step_loop(step, x0, y0, n):
     xs[0] = x
     ys[0] = y
     isfinite = math.isfinite
-    for k in range(1, n + 1):
-        try:
-            x, y = step(x, y)
-        except _DROPS:
-            return xs[:k], ys[:k], k
-        if type(x) is float and type(y) is float:
-            if not (isfinite(x) and isfinite(y)):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, n + 1):
+            try:
+                x, y = step(x, y)
+            except _DROPS:
                 return xs[:k], ys[:k], k
-        elif (isinstance(x, complex) or isinstance(y, complex)
-              or not (isfinite(x) and isfinite(y))):
-            return xs[:k], ys[:k], k
-        xs[k] = x
-        ys[k] = y
+            if type(x) is float and type(y) is float:
+                if not (isfinite(x) and isfinite(y)):
+                    return xs[:k], ys[:k], k
+            elif (isinstance(x, complex) or isinstance(y, complex)
+                  or not (isfinite(x) and isfinite(y))):
+                return xs[:k], ys[:k], k
+            xs[k] = x
+            ys[k] = y
     return xs, ys, n + 1
 
 
-def run_trajectory(system, kind, make, x0, y0, e, h, n):
-    """n steps of scheme `kind` from (x0, y0). Returns (xs, ys, stored_count).
+def run_trajectory(system, make, x0, y0, e, n):
+    """n steps of the step make(system.components, e) from (x0, y0).
+    Returns (xs, ys, stored_count).
 
-    make(system.components, e) is the scheme's step (x, y) -> (x', y'), e
-    being the denominator weight for nsfd/ensfd and h for the classical
-    schemes.  A stored count m <= n means the orbit stopped just before
-    grid index m.
+    make is a scheme's step factory, e the denominator weight for
+    nsfd/ensfd and h for the classical schemes.  A stored count m <= n
+    means the orbit stopped just before grid index m.
     """
-    if system.rma_params is None or resolve_backend() != "numba":
-        return _step_loop(make(system.components, e), x0, y0, n)
-    p = system.rma_params
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    m = int(_trajectory_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d,
-                            float(x0), float(y0), float(e), float(h), int(n), xs, ys))
-    return xs[:m], ys[:m], m
+    return _step_loop(make(system.components, e), x0, y0, n)
 
 
-def scan_fixed_points(system, kind, make, e, h, seeds_x, seeds_y, tol=NEWTON_TOL,
+def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                       max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
     """Newton scan for fixed points of the step make(system.components, e).
 
@@ -271,15 +95,7 @@ def scan_fixed_points(system, kind, make, e, h, seeds_x, seeds_y, tol=NEWTON_TOL
     """
     if system.rma_params is None:
         return scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol, max_iter, escape)
-    if resolve_backend() != "numba":
-        return _scan_batched(make(system.components, e), seeds_x, seeds_y, tol, max_iter, escape)
-    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
-    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
-    p = system.rma_params
-    out = np.empty((seeds_x.shape[0], 3))
-    _fixed_points_jit(SCHEME_TAGS[kind], p.a, p.b, p.c, p.d, float(e), float(h),
-                      seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
-    return out
+    return _scan_batched(make(system.components, e), seeds_x, seeds_y, tol, max_iter, escape)
 
 
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
@@ -369,19 +185,24 @@ class _ElementView:
 
 
 def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False):
-    # _make_fixed_point_driver over all seeds at once: map_fn takes and
-    # returns arrays, nan where the scalar map fails a seed.  idx holds the
-    # seeds still iterating; each one retires where the scalar loop breaks,
-    # with the same stored point and residual, and all share one iteration
-    # counter.  A map on whole arrays takes each seed's point and its four
-    # Jacobian probes in one call, and the probes of a seed that retires on
-    # its residual are computed and then ignored: a second call per
-    # iteration would cost the built-in family's scan workload about 10%
-    # (BENCH_9.json).  Where each element costs calls (probes_apart), a
+    # Newton iteration on map_fn(s) - s = 0 from every seed at once, with a
+    # central-difference Jacobian; the seed-by-seed form is
+    # tests/oracles.scalar_scan.  map_fn takes and returns arrays, nan where
+    # the scalar map fails a seed.  Rows are (x, y, residual): a seed that
+    # breaks down (non-finite map, singular Jacobian, escape) reports
+    # residual inf, one that runs out of iterations its last residual,
+    # always the sup-norm of the map defect at the stored point.  idx holds
+    # the seeds still iterating; each one retires where the scalar loop
+    # breaks, with the same stored point and residual, and all share one
+    # iteration counter.  A map on whole arrays takes each seed's point and
+    # its four Jacobian probes in one call, and the probes of a seed that
+    # retires on its residual are computed and then ignored: a second call
+    # per iteration would cost the built-in family's scan workload about
+    # 10% (BENCH_9.json).  Where each element costs calls (probes_apart), a
     # second call takes the probes only of the seeds that go on, as the
-    # scalar loop does.  A zero denominator gives a
-    # non-finite map value here where the scalar steps raise, and both
-    # retire the seed with residual inf at the same point.
+    # scalar loop does.  A zero denominator gives a non-finite map value
+    # here where the scalar steps raise, and both retire the seed with
+    # residual inf at the same point.
     x = np.array(seeds_x, dtype=np.float64)
     y = np.array(seeds_y, dtype=np.float64)
     res = np.full(x.shape[0], np.inf)

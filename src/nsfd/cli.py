@@ -109,9 +109,16 @@ def _parse_box(parser, text):
     return (vals[0], vals[1])
 
 
-def _build_scheme(parser, name, weight_text):
+def _parse_weight(parser, text):
     try:
-        weight = weight_from_name(weight_text)
+        return weight_from_name(text)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _build_scheme(parser, name, weight_text):
+    weight = _parse_weight(parser, weight_text)
+    try:
         return scheme_from_name(name, weight)
     except ValueError as exc:
         parser.error(str(exc))
@@ -161,7 +168,8 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "equilibria":
         hs = tuple(_parse_floats(parser, args.h, "--h")) if args.h else ()
-        weight = None if args.weight == "identity" else weight_from_name(args.weight)
+        weight = _parse_weight(parser, args.weight)
+        weight = None if weight is IDENTITY else weight
         box = _parse_box(parser, args.box)
         eqs = find_equilibria(system, box)
         payload = {

@@ -234,7 +234,7 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     sx, sy = [g.ravel() for g in np.meshgrid(gx, gy, indexing="ij")]
 
     make, e = _scheme_core(scheme, h)
-    rows = _kernels.scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
+    rows = _kernels.scan_fixed_points(system, make, e, sx, sy)
 
     tol_in = 1e-9 * (1.0 + max(bx, by))
     hits = [(x, y, res) for x, y, res in rows.tolist()

@@ -345,13 +345,13 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     equations, coexistence points from a 40x40-seeded Newton iteration on
     both balances; everything is deduplicated at 1e-7 and sorted.
 
-    The Newton iteration runs over all 1600 seeds at once as numpy arrays,
-    on every backend.  A system of the built-in family (one with
-    rma_params) evaluates its balances and partials on whole arrays.  Any
-    other system calls only its callables once per seed and point on python
-    floats: its components, and its analytic partials or else the points of
-    the finite-difference stencils.  The balances and the differences run
-    on arrays, with the bits of the scalar forms.  A seed is dropped where
+    The Newton iteration runs over all 1600 seeds at once as numpy arrays.
+    A system of the built-in family (one with rma_params) evaluates its
+    balances and partials on whole arrays.  Any other system calls only
+    its callables once per seed and point on python floats: its
+    components, and its analytic partials or else the points of the
+    finite-difference stencils.  The balances and the differences run on
+    arrays, with the bits of the scalar forms.  A seed is dropped where
     a call raises ZeroDivisionError, OverflowError or ValueError or returns
     a complex value.
 

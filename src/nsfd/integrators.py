@@ -136,9 +136,8 @@ def effective_step(scheme: SchemeId, h: float) -> float:
 # scheme's last argument once and returns step(x, y), which makes one
 # components call per stage: one per step for nsfd/ensfd and euler, two for
 # rk2 and four for rk4.  The same steps run on python floats in the
-# stepping loop and on numpy arrays in the Newton scans.
-# nsfd._kernels._rma_step compiles the same arithmetic for the built-in
-# family; tests/test_kernels.py holds the two bit-equal.
+# stepping loop and on numpy arrays in the Newton scans; this is the one
+# place each scheme's arithmetic is written.
 
 def _nsfd_step(components, e: float):
     def step(x, y):
@@ -297,12 +296,11 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     """Run a scheme from s0 to t_end with fixed step h.
 
     The step count is floor((t_end - t0)/h); a trailing fraction of a step
-    is never taken.  Every system runs the one python loop of
-    nsfd._kernels, except that on the numba backend a system of the
-    built-in family runs its compiled kernel, with bit-equal results.  The
-    loop runs the scheme's step bound once per run to the system's
-    components and to e (or h), so a step costs one python call plus its
-    arithmetic and component calls (per-step rates in the README, Backends).
+    is never taken.  Every system runs the one stepping loop of
+    nsfd._kernels over the scheme's step, bound once per run to the
+    system's components and to e (or h), so a step costs one python call
+    plus its arithmetic and component calls (per-step rates in the README,
+    Backends).
 
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises
@@ -319,7 +317,7 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     n = step_count(s0.t, t_end, h)
     if n > MAX_STEPS:
         raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
-    xs, ys, m = _kernels.run_trajectory(system, scheme.kind, make, s0.x, s0.y, e, h, n)
+    xs, ys, m = _kernels.run_trajectory(system, make, s0.x, s0.y, e, n)
     ts = s0.t + h * np.arange(m)
     halt_step = None if m == n + 1 else m
     halt_reason = None if halt_step is None else "nonfinite"

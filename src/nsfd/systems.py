@@ -128,8 +128,8 @@ class SplitSystem:
     The read-only attribute ``rma_params`` holds the parameters of a
     system built by :func:`make_rosenzweig_macarthur`, the only code that
     sets it, and is None for every other system.  The construction checks,
-    the numba kernels, the array evaluation in the Newton searches and
-    :meth:`components` (all four components in one call) key on it.  It
+    the array evaluation in the Newton searches and :meth:`components`
+    (all four components in one call) key on it.  It
     is no constructor argument, so ``dataclasses.replace`` of a system of
     the family, even with no changes, gives a system of callables that
     computes the same bits on the generic paths; call the factory again
@@ -484,10 +484,9 @@ def make_rosenzweig_macarthur(
 
     All four parameters must be strictly positive.  The returned system
     carries analytic partials and is tagged (rma_params) so its
-    construction checks and Newton searches run on whole numpy arrays,
-    its four components are evaluated in one call and, on the numba
-    backend, its orbits and ghost scans run compiled kernels.  This is
-    the only code that sets the tag: a ``dataclasses.replace`` of the
+    construction checks and Newton searches run on whole numpy arrays and
+    its four components are evaluated in one call.  This is the only
+    code that sets the tag: a ``dataclasses.replace`` of the
     result is a system of callables with the same bits, and a system of
     the family in another box is made by calling this with ``x_max``.
     The default name writes each parameter exactly (see _float_tag).

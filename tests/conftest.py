@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from nsfd import SplitSystem, _kernels
+from nsfd import SplitSystem
 
 # --hypothesis-profile=ci runs each byte-equality property (those decorated
 # with oracles.equality_settings) with this many examples
@@ -20,13 +20,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             for line in mod.RESULTS:
                 terminalreporter.write_line(line)
             return
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # Compile the jit kernels once up front so the timed acceptance
-    # checks never pay for compilation.
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

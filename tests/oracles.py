@@ -1,5 +1,6 @@
 """Seed-by-seed python forms of the two Newton searches, a row-by-row
-stepping loop, and a fixed-refinement convergence study.
+stepping loop, the built-in family's step written out by hand, and a
+fixed-refinement convergence study.
 
 The package runs both searches over all seeds at once on numpy arrays
 (`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
@@ -7,8 +8,12 @@ plain loops, one seed at a time on python floats, are the references the
 tests hold those drivers to, byte for byte.  `step_loop` checks every
 state of an orbit the plain way, where `nsfd._kernels._step_loop` takes a
 fast check for pairs of python floats; `integrate` is held to it.
-`equality_settings` gives the hypothesis properties that hold array code
-to such references their example counts.  `fixed_refinement_errors` measures a scheme's errors
+`rma_step` is one step of each scheme for the Rosenzweig-MacArthur family,
+written from its formulas rather than through the scheme step factories;
+fed through `step_loop` and `scalar_scan` it is the reference the family's
+orbits and ghost scans are held to.  `equality_settings` gives the
+hypothesis properties that hold array code to such references their
+example counts.  `fixed_refinement_errors` measures a scheme's errors
 against one rk4 orbit at min(steps)/100, point by point, the reference
 `nsfd.estimate_order` refines only as far as its error budget needs.
 """
@@ -19,8 +24,7 @@ import numpy as np
 from hypothesis import settings
 
 from nsfd import RK4, integrate
-from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
-                           _make_fixed_point_driver)
+from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
 from nsfd.equilibria import BALANCE_TOL, _balance_residual
 from nsfd.systems import partials_at
 
@@ -33,12 +37,71 @@ def equality_settings(max_examples):
     return settings(max_examples=max_examples, deadline=None)
 
 
+def rma_step(kind, params, e):
+    """One step (x, y) -> (x', y') of scheme `kind` for the family
+    f+ = b, f- = b*x + a*y/(c + x), g+ = x/(c + x), g- = d of params, at
+    e: the denominator weight for nsfd/ensfd, h for the classical schemes.
+
+    A zero denominator gives nan where the scheme steps raise
+    ZeroDivisionError; both end an orbit or a Newton seed at the same
+    point.
+    """
+    a, b, c, d = params.a, params.b, params.c, params.d
+    h = e
+
+    def field(u, v):
+        den = c + u
+        if den == 0.0:
+            return math.nan, math.nan
+        fp = b
+        fm = b * u + a * v / den
+        gp = u / den
+        gm = d
+        return u * (fp - fm), v * (gp - gm)
+
+    def nsfd(x, y):
+        den = c + x
+        if den == 0.0:
+            return math.nan, math.nan
+        fp = b
+        fm = b * x + a * y / den
+        gp = x / den
+        gm = d
+        dfm = 1.0 + e * fm
+        dgm = 1.0 + e * gm
+        if dfm == 0.0 or dgm == 0.0:
+            return math.nan, math.nan
+        return x * (1.0 + e * fp) / dfm, y * (1.0 + e * gp) / dgm
+
+    def euler(x, y):
+        ux, uy = field(x, y)
+        return x + h * ux, y + h * uy
+
+    def rk2(x, y):
+        k1x, k1y = field(x, y)
+        k2x, k2y = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        return x + h * k2x, y + h * k2y
+
+    def rk4(x, y):
+        k1x, k1y = field(x, y)
+        k2x, k2y = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = field(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = field(x + h * k3x, y + h * k3y)
+        return (
+            x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        )
+
+    return {"nsfd": nsfd, "ensfd": nsfd, "euler": euler, "rk2": rk2, "rk4": rk4}[kind]
+
+
 def step_loop(step, x0, y0, n):
     """n steps of step(x, y) from (x0, y0), as (xs, ys, stored_count).
 
     Stops just before the first state that is complex or non-finite, or
     whose step raised ZeroDivisionError, OverflowError or ValueError; any
-    other exception propagates.
+    other exception propagates.  numpy scalar overflow on the way there
+    does not warn.
     """
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
@@ -46,18 +109,19 @@ def step_loop(step, x0, y0, n):
     y = float(y0)
     xs[0] = x
     ys[0] = y
-    for k in range(n):
-        try:
-            xn, yn = step(x, y)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return xs[:k + 1], ys[:k + 1], k + 1
-        if (isinstance(xn, complex) or isinstance(yn, complex)
-                or not (math.isfinite(xn) and math.isfinite(yn))):
-            return xs[:k + 1], ys[:k + 1], k + 1
-        xs[k + 1] = xn
-        ys[k + 1] = yn
-        x = xn
-        y = yn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            try:
+                xn, yn = step(x, y)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                return xs[:k + 1], ys[:k + 1], k + 1
+            if (isinstance(xn, complex) or isinstance(yn, complex)
+                    or not (math.isfinite(xn) and math.isfinite(yn))):
+                return xs[:k + 1], ys[:k + 1], k + 1
+            xs[k + 1] = xn
+            ys[k + 1] = yn
+            x = xn
+            y = yn
     return xs, ys, n + 1
 
 
@@ -65,26 +129,60 @@ def scalar_scan(map_fn, seeds_x, seeds_y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_IT
                 escape=NEWTON_ESCAPE):
     """Newton scan for fixed points of map_fn, (x, y) -> (x', y'), seed by seed.
 
-    The numba kernels' driver run in python over map_fn; a seed fails where
-    the map raises ZeroDivisionError, OverflowError or ValueError or
-    returns a complex number.
+    Newton iteration on map_fn(s) - s = 0 from every seed, with a
+    central-difference Jacobian.  Returns an (n, 3) array of (x, y,
+    residual) rows: a seed that breaks down reports residual inf, one that
+    runs out of iterations its last residual, always the sup-norm of the
+    map defect at the stored point.  A seed fails where the map raises
+    ZeroDivisionError, OverflowError or ValueError or returns a complex
+    number.
     """
 
-    def adapter(tag, a, b, c, d, x, y, e, h):
+    def step(x, y):
         try:
             mx, my = map_fn(x, y)
         except (ZeroDivisionError, OverflowError, ValueError):
-            return np.nan, np.nan
+            return math.nan, math.nan
         if isinstance(mx, complex) or isinstance(my, complex):
-            return np.nan, np.nan
+            return math.nan, math.nan
         return mx, my
 
-    drive = _make_fixed_point_driver(adapter)
-    seeds_x = np.ascontiguousarray(seeds_x, dtype=np.float64)
-    seeds_y = np.ascontiguousarray(seeds_y, dtype=np.float64)
-    out = np.empty((seeds_x.shape[0], 3))
-    drive(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-          seeds_x, seeds_y, int(max_iter), float(tol), float(escape), out)
+    out = np.empty((len(seeds_x), 3))
+    for i, (x, y) in enumerate(zip(np.asarray(seeds_x, dtype=np.float64).tolist(),
+                                   np.asarray(seeds_y, dtype=np.float64).tolist())):
+        res = math.inf
+        for _ in range(max_iter):
+            mx, my = step(x, y)
+            rx = mx - x
+            ry = my - y
+            if not (math.isfinite(rx) and math.isfinite(ry)):
+                res = math.inf
+                break
+            res = abs(rx)
+            if abs(ry) > res:
+                res = abs(ry)
+            if res < tol:
+                break
+            dx = 1e-6 * max(1.0, abs(x))
+            dy = 1e-6 * max(1.0, abs(y))
+            px1, py1 = step(x + dx, y)
+            px0, py0 = step(x - dx, y)
+            qx1, qy1 = step(x, y + dy)
+            qx0, qy0 = step(x, y - dy)
+            j11 = (px1 - px0) / (2.0 * dx) - 1.0
+            j21 = (py1 - py0) / (2.0 * dx)
+            j12 = (qx1 - qx0) / (2.0 * dy)
+            j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
+            det = j11 * j22 - j12 * j21
+            if not math.isfinite(det) or abs(det) < 1e-14:
+                res = math.inf
+                break
+            x = x + (-rx * j22 + ry * j12) / det
+            y = y + (-j11 * ry + j21 * rx) / det
+            if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > escape or abs(y) > escape:
+                res = math.inf
+                break
+        out[i] = x, y, res
     return out
 
 

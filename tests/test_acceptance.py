@@ -3,8 +3,7 @@
 Every test prints a single "[criterion N] ...: PASS/FAIL" line; the
 conftest terminal-summary hook repeats the collected lines at the end of
 the run so they are visible without -s.  Timed criteria assert a
-wall-clock budget; the session-wide warmup fixture has already paid the
-jit compilation cost before any of these run.
+wall-clock budget.
 """
 
 import math

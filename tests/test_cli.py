@@ -166,6 +166,13 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbit"])
     assert exc.value.code == 2
+    # a malformed --weight of equilibria, as of every other subcommand
+    for weight in ("bogus", "exp:-1"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["equilibria", "--model", "model2", "--h", "1", "--weight", weight])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_the_shared_parser_survives_usage_errors(tmp_path, capsys, monkeypatch):

@@ -513,7 +513,7 @@ def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme,
             == _hex(scalar_balance_newton(system, xs, ys, escape)))
     sx, sy = [g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")]
     make, e = _scheme_core(scheme, h)
-    rows = _kernels.scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
+    rows = _kernels.scan_fixed_points(system, make, e, sx, sy)
     assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
@@ -552,8 +552,8 @@ def test_a_guard_behind_a_dropping_component_is_never_reached():
     for scheme in (NSFD, EULER, RK2, RK4):
         for h in (0.1, 1.0, 3.0):
             make, e = _scheme_core(scheme, h)
-            rows, on_arrays = run(lambda: _kernels.scan_fixed_points(
-                system, scheme.kind, make, e, h, sx, sy).tobytes())
+            rows, on_arrays = run(
+                lambda: _kernels.scan_fixed_points(system, make, e, sx, sy).tobytes())
             oracle, seed_by_seed = run(lambda: scalar_scan(
                 make(system.components, e), sx, sy).tobytes())
             assert rows == oracle and on_arrays == seed_by_seed
@@ -642,7 +642,7 @@ def test_other_exceptions_propagate_from_both_searches():
         nsfd.equilibria._balance_newton(system, xs, xs, 100.0)
     make, e = _scheme_core(RK2, 0.5)
     with pytest.raises(KeyError, match="component bug"):
-        _kernels.scan_fixed_points(system, "rk2", make, e, 0.5, xs, xs)
+        _kernels.scan_fixed_points(system, make, e, xs, xs)
 
 
 def test_interior_search_drops_seeds_where_a_component_turns_complex(root_loss_system):

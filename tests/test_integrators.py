@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,20 @@ def test_an_orbit_halts_where_a_component_turns_np_complex128():
     traj = integrate(system, EULER, State(0.4, 0.4), 0.1, 3.0)
     assert traj.halt_step == 5 and traj.halt_reason == "nonfinite"
     assert traj.xs.dtype == np.float64 and len(traj) == 5
+
+
+def test_an_np_float64_orbit_halts_without_a_warning():
+    # with f_plus an np.float64 the Euler state overflows in numpy scalar
+    # arithmetic, which warns; the orbit halts at step 8 as with python
+    # floats, and nothing reaches the user
+    m1 = model1()
+    system = SplitSystem(lambda x, y: np.float64(m1.f_plus(x, y)), m1.f_minus, m1.g_plus,
+                         m1.g_minus, name="float64_growth")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(system, EULER, State(15.0, 0.1), 10.0, 1000.0)
+    assert traj.halt_step == 8 and traj.halt_reason == "nonfinite"
+    assert traj.xs.tobytes() == integrate(m1, EULER, State(15.0, 0.1), 10.0, 1000.0).xs.tobytes()
 
 
 def test_classical_step_raises_on_nonfinite_result():

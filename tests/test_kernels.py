@@ -1,4 +1,5 @@
-"""One python path for every system, and the numba kernels bit-equal to it."""
+"""One stepping loop and one Newton scan for every system, bit-equal to the
+family's hand-written step and to seed-by-seed oracles."""
 
 import dataclasses
 import math
@@ -13,55 +14,19 @@ from nsfd import (EULER, NSFD, RK2, RK4, SplitSystem, State, detect_ghosts, ensf
                   exponential_weight, find_equilibria, integrate, make_rosenzweig_macarthur,
                   model1, model2)
 from nsfd import _kernels
-from nsfd._kernels import (HAVE_NUMBA, NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL,
-                           SCHEME_TAGS, _make_fixed_point_driver, _make_trajectory_driver,
-                           _rma_step, resolve_backend, scan_fixed_points,
-                           scan_fixed_points_generic)
+from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, resolve_backend,
+                           scan_fixed_points, scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
 from nsfd.systems import MODEL2_PARAMS
-from oracles import equality_settings, scalar_scan
+from oracles import equality_settings, rma_step, scalar_scan, step_loop
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 
-# The plain-python form of the numba kernels: the source numba compiles,
-# run without compiling it.
-_plain_trajectory = _make_trajectory_driver(_rma_step)
-_plain_fixed_points = _make_fixed_point_driver(_rma_step)
-
-
-def _weight(scheme, h):
-    return _scheme_core(scheme, h)[1]
-
-
-def _plain_orbit(system, scheme, s0, h, n):
-    p = system.rma_params
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    m = _plain_trajectory(SCHEME_TAGS[scheme.kind], p.a, p.b, p.c, p.d,
-                          s0.x, s0.y, _weight(scheme, h), h, n, xs, ys)
-    return xs[:m], ys[:m]
-
-
-def _plain_scan(system, scheme, h, sx, sy):
-    p = system.rma_params
-    out = np.empty((sx.shape[0], 3))
-    _plain_fixed_points(SCHEME_TAGS[scheme.kind], p.a, p.b, p.c, p.d, _weight(scheme, h), h,
-                        sx, sy, NEWTON_MAX_ITER, NEWTON_TOL, NEWTON_ESCAPE, out)
-    return out
-
-
-@pytest.fixture
-def python_path(monkeypatch):
-    """The python backend, with the numba step and kernels made to fail."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("compiled kernel called on the python backend")
-
-    monkeypatch.setenv("NSFD_BACKEND", "python")
-    for name in ("_rma_step", "_trajectory_jit", "_fixed_points_jit"):
-        monkeypatch.setattr(_kernels, name, refuse, raising=False)
+def _plain_step(system, scheme, h):
+    """The family's hand-written step (oracles.rma_step) of scheme at h."""
+    return rma_step(scheme.kind, system.rma_params, _scheme_core(scheme, h)[1])
 
 
 def _recorded_scans(monkeypatch):
@@ -91,34 +56,18 @@ def _ghost_seeds(system, scheme, n):
 
 def _scan(system, scheme, h, sx, sy):
     make, e = _scheme_core(scheme, h)
-    return scan_fixed_points(system, scheme.kind, make, e, h, sx, sy)
+    return scan_fixed_points(system, make, e, sx, sy)
 
 
-def test_resolve_backend_explicit_choice(monkeypatch):
-    monkeypatch.delenv("NSFD_BACKEND", raising=False)
+def test_resolve_backend_explicit_choice():
+    assert resolve_backend() == "python"
     assert resolve_backend("python") == "python"
-    assert resolve_backend() in ("numba", "python")
     with pytest.raises(ValueError):
         resolve_backend("fortran")
 
 
-def test_resolve_backend_reads_environment(monkeypatch):
-    monkeypatch.setenv("NSFD_BACKEND", "python")
-    assert resolve_backend() == "python"
-    monkeypatch.setenv("NSFD_BACKEND", " PYTHON ")
-    assert resolve_backend() == "python"
-    monkeypatch.setenv("NSFD_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        resolve_backend()
-    # explicit argument beats the environment
-    monkeypatch.setenv("NSFD_BACKEND", "python")
-    if HAVE_NUMBA:
-        assert resolve_backend("numba") == "numba"
-
-
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
-def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkeypatch,
-                                                             scheme):
+def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme):
     # integrate runs one loop for every system; the ghost scan of a system
     # of the built-in family runs batched on whole arrays, that of a
     # callable clone through the generic scan, which runs the same batched
@@ -174,9 +123,9 @@ def test_python_backend_runs_the_builtin_family_as_callables(python_path, monkey
     (model2(), State(0.4, 0.4), 0.5, 100.0, False),
     (model1(), State(15.0, 0.1), 0.1, 5.0, None),
 ], ids=["model1", "model2", "model1-far"])
-def test_plain_rma_step_matches_integrate(python_path, scheme, system, s0, h, t_end, truncates):
+def test_plain_rma_step_matches_integrate(scheme, system, s0, h, t_end, truncates):
     traj = integrate(system, scheme, s0, h, t_end)
-    xs, ys = _plain_orbit(system, scheme, s0, h, traj.requested_steps)
+    xs, ys, _ = step_loop(_plain_step(system, scheme, h), s0.x, s0.y, traj.requested_steps)
     assert np.array_equal(traj.xs, xs)
     assert np.array_equal(traj.ys, ys)
     if truncates is None:
@@ -188,10 +137,10 @@ def test_plain_rma_step_matches_integrate(python_path, scheme, system, s0, h, t_
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("system,h,seeds", [(model1(), 0.1, 17), (model2(), 2.0, 15)],
                          ids=["model1", "model2"])
-def test_plain_rma_step_matches_the_ghost_scan(python_path, scheme, system, h, seeds):
+def test_plain_rma_step_matches_the_ghost_scan(scheme, system, h, seeds):
     sx, sy = _ghost_seeds(system, scheme, seeds)
     rows = _scan(system, scheme, h, sx, sy)
-    assert rows.tobytes() == _plain_scan(system, scheme, h, sx, sy).tobytes()
+    assert rows.tobytes() == scalar_scan(_plain_step(system, scheme, h), sx, sy).tobytes()
     assert rows.tobytes() == _scan(dataclasses.replace(system), scheme, h, sx, sy).tobytes()
     res = rows[:, 2]
     assert (res < NEWTON_TOL).any()
@@ -257,52 +206,6 @@ def test_a_stage_one_drop_is_not_called_again(scheme):
     assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
-@needs_numba
-@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
-def test_jit_trajectories_match_the_python_path(monkeypatch, scheme):
-    runs = {}
-    for backend in ("numba", "python"):
-        monkeypatch.setenv("NSFD_BACKEND", backend)
-        runs[backend] = (integrate(model1(), scheme, State(0.5, 0.5), 0.1, 50.0),
-                         integrate(model1(), scheme, State(15.0, 0.1), 0.1, 5.0))
-    for jit, py in zip(runs["numba"], runs["python"]):
-        assert jit.halt_step == py.halt_step
-        assert np.array_equal(jit.xs, py.xs)
-        assert np.array_equal(jit.ys, py.ys)
-
-
-@needs_numba
-@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
-def test_jit_fixed_point_scans_match_the_python_path(monkeypatch, scheme):
-    sx, sy = _ghost_seeds(model1(), scheme, 17)
-    monkeypatch.setenv("NSFD_BACKEND", "python")
-    rows = _scan(model1(), scheme, 0.1, sx, sy)
-    py = detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17)
-    monkeypatch.setenv("NSFD_BACKEND", "numba")
-    assert _scan(model1(), scheme, 0.1, sx, sy).tobytes() == rows.tobytes()
-    assert detect_ghosts(model1(), scheme, 0.1, seeds_per_axis=17) == py
-
-
-@needs_numba
-def test_environment_flag_routes_integrate(monkeypatch):
-    calls = []
-    original = _kernels._step_loop
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, "_step_loop", counting)
-    monkeypatch.setenv("NSFD_BACKEND", "python")
-    py = integrate(model2(), NSFD, State(0.4, 0.4), 0.5, 50.0)
-    assert len(calls) == 1
-    monkeypatch.setenv("NSFD_BACKEND", "numba")
-    jit = integrate(model2(), NSFD, State(0.4, 0.4), 0.5, 50.0)
-    assert len(calls) == 1
-    assert np.array_equal(jit.xs, py.xs)
-    assert np.array_equal(jit.ys, py.ys)
-
-
 def test_generic_loop_matches_kernel_path():
     # A replace of a system of the family is a system of callables with the
     # same component forms; it must reproduce the tagged fast path exactly.
@@ -316,7 +219,7 @@ def test_generic_loop_matches_kernel_path():
         assert np.array_equal(fast.ys, slow.ys)
 
 
-def test_only_the_factory_tags_a_system(python_path, monkeypatch):
+def test_only_the_factory_tags_a_system(monkeypatch):
     # replace gives a system of callables: the generic paths run, with the
     # bits of the family built by the factory in the same box
     box = dataclasses.replace(model2(), x_max=5.0, name="box")
@@ -352,7 +255,3 @@ def test_generic_loop_truncates_like_the_kernel():
     assert fast.halt_step == slow.halt_step
     assert np.array_equal(fast.xs, slow.xs)
 
-
-def test_warmup_is_idempotent():
-    nsfd._kernels.warmup()
-    nsfd._kernels.warmup()

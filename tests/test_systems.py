@@ -268,9 +268,9 @@ def test_component_that_turns_complex_is_refused():
 
 
 def test_rma_params_promise_is_enforced():
-    # the numba kernels, the batched searches and `components` use the
-    # family's formulas, not the callables, so only make_rosenzweig_macarthur
-    # may tag a system: the tag cannot be passed or replaced in
+    # the batched searches and `components` use the family's formulas, not
+    # the callables, so only make_rosenzweig_macarthur may tag a system:
+    # the tag cannot be passed or replaced in
     m2 = model2()
     with pytest.raises(TypeError, match="rma_params"):
         SplitSystem(m2.f_plus, m2.f_minus, m2.g_plus, m2.g_minus, partials=m2.partials,
