@@ -10,9 +10,12 @@ step(x, y), so one step costs one python call plus its arithmetic and its
 component calls (per-step rates in the README, Backends).  The built-in
 predator-prey family (systems with rma_params) evaluates its components
 on whole arrays too; any other system goes through
-`scan_fixed_points_generic`, where only its four component callables are
-called once per element (`_each_of`), in the order of the seed-by-seed
-scan, and everything derived from them runs on the arrays.
+`scan_fixed_points_generic`, where its four component callables are
+evaluated by `_each_of`, in the order of the seed-by-seed scan, and
+everything derived from them runs on the arrays.  `_each_of` calls a
+callable once on the whole arrays where `_on_arrays` shows that this
+gives the bits of every scalar call (a plain + - * / expression in x and
+y), and once per element on python floats otherwise.
 
 Both scans give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
@@ -20,7 +23,12 @@ operations, so the same expression order gives the same bits; do not
 "optimise" the expression order in this file or in the steps.
 """
 
+import dis
+import inspect
 import math
+import sys
+import types
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,15 +111,143 @@ def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
     """The python Newton scan of the step make(components, e) for any system.
 
     `_scan_batched` over the step evaluated on arrays, with the system's
-    four component callables called once per element on python floats
-    (`_ElementView`), and only where the seed-by-seed scan calls them.  A
-    seed fails, rather than aborting the scan, where a component raises
-    ZeroDivisionError, OverflowError or ValueError or returns a complex
-    number (a fractional power of a negative coordinate).
+    four component callables evaluated by `_each_of` (`_ElementView`):
+    once on the arrays where a callable passes the array rule, otherwise
+    once per element on python floats, and only where the seed-by-seed
+    scan calls them.  A seed fails, rather than aborting the scan, where a
+    component raises ZeroDivisionError, OverflowError or ValueError or
+    returns a complex number (a fractional power of a negative
+    coordinate).  Where all four pass the rule, each seed's point and its
+    Jacobian probes go in one map call, as for the built-in family: the
+    probes of a retiring seed then cost no call that can be observed.
     """
     comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    apart = not all(map(_plain_arithmetic, comps))
     return _scan_batched(lambda x, y: make(_ElementView(comps).components, e)(x, y),
-                         seeds_x, seeds_y, tol, max_iter, escape, probes_apart=True)
+                         seeds_x, seeds_y, tol, max_iter, escape, probes_apart=apart)
+
+
+# The array rule.  A callable written as one + - * / expression in x and y
+# (through locals, unary minus, closure cells, globals and constants that
+# hold python floats or small ints) performs, called on float arrays,
+# numpy's elementwise form of the operations its scalar call performs on
+# python floats, in the same order: the same correctly rounded IEEE
+# operations.  The bits can differ only where a scalar call would raise
+# or meet a non-finite value: python raises ZeroDivisionError for any
+# divisor 0, where numpy gives inf or nan, silently for a non-finite
+# numerator.  So the rule asks for finite inputs and finite scalars, lets
+# no operation combine two scalars (a python float that overflows to inf
+# sets no numpy flag), and makes numpy raise on divide, overflow and
+# invalid: with none raised, every divisor was non-zero and every value
+# finite, and each scalar call gives the bits and raises nothing.  An
+# instruction outside the list costs speed, never bits.
+
+_EXACT_INT = 2 ** 53  # every int up to this is a float, exactly
+_REFUSED_FLAGS = (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS | inspect.CO_GENERATOR
+                  | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+                  | inspect.CO_ITERABLE_COROUTINE)
+_ARITH_OPS = ("+", "-", "*", "/")  # BINARY_OP's argrepr, python 3.11 and later
+_ARITH_OPNAMES = ("BINARY_ADD", "BINARY_SUBTRACT", "BINARY_MULTIPLY", "BINARY_TRUE_DIVIDE")
+_NULL_BIT = sys.version_info >= (3, 11)  # LOAD_GLOBAL's low bit pushes NULL for a call
+
+
+def _plain_number(v) -> bool:
+    """A finite python float, or an int that a float holds exactly."""
+    return ((type(v) is float and math.isfinite(v))
+            or (type(v) is int and -_EXACT_INT <= v <= _EXACT_INT))
+
+
+@lru_cache(maxsize=512)
+def _arithmetic_loads(code):
+    """The static half of the rule, once per code object: None unless code
+    is a plain + - * / expression in its two parameters, else the indices
+    of the closure cells and the names of the globals it loads.
+
+    Tracks whether each stack value is computed from a parameter (an
+    array when the function is called on arrays) and refuses a binary
+    operation of two other values, so every scalar that meets an array is
+    a cell, global or constant, or one negated.
+    """
+    if code.co_argcount != 2 or code.co_kwonlyargcount or code.co_flags & _REFUSED_FLAGS:
+        return None
+    local = dict.fromkeys(code.co_varnames[:2], True)  # name -> computed from x or y
+    stack, cells, names = [], set(), set()
+    try:
+        for ins in dis.get_instructions(code):
+            op = ins.opname
+            if op in ("RESUME", "NOP", "CACHE", "COPY_FREE_VARS"):
+                continue
+            if op in ("LOAD_FAST", "LOAD_FAST_CHECK"):
+                stack.append(local[ins.argval])
+            elif op == "LOAD_FAST_LOAD_FAST":
+                stack += [local[n] for n in ins.argval]
+            elif op == "STORE_FAST":
+                local[ins.argval] = stack.pop()
+            elif op == "STORE_FAST_LOAD_FAST":
+                local[ins.argval[0]] = stack.pop()
+                stack.append(local[ins.argval[1]])
+            elif op == "STORE_FAST_STORE_FAST":
+                for n in ins.argval:
+                    local[n] = stack.pop()
+            elif op == "LOAD_DEREF":
+                cells.add(code.co_freevars.index(ins.argval))
+                stack.append(False)
+            elif op == "LOAD_GLOBAL" and not (_NULL_BIT and ins.arg & 1):
+                names.add(ins.argval)
+                stack.append(False)
+            elif op == "LOAD_CONST" and _plain_number(ins.argval):
+                stack.append(False)
+            elif op == "UNARY_NEGATIVE":
+                stack.append(stack.pop())
+            elif ((op == "BINARY_OP" and ins.argrepr in _ARITH_OPS)
+                  or op in _ARITH_OPNAMES):
+                if not (stack.pop() | stack.pop()):
+                    return None
+                stack.append(True)
+            elif op == "RETURN_VALUE":
+                stack.pop()
+                return tuple(sorted(cells)), tuple(sorted(names))
+            elif op == "RETURN_CONST" and _plain_number(ins.argval):
+                return tuple(sorted(cells)), tuple(sorted(names))
+            else:
+                return None
+    except (IndexError, KeyError, ValueError):  # an unbound local, a cell var, a short stack
+        return None
+
+
+def _plain_arithmetic(fn) -> bool:
+    """The whole rule but for the inputs: fn is a plain function whose
+    code passes `_arithmetic_loads` and whose cells and globals hold plain
+    numbers now (a builtin, a numpy scalar or an array refuses it)."""
+    if type(fn) is not types.FunctionType or fn.__defaults__ or fn.__kwdefaults__:
+        return False
+    loads = _arithmetic_loads(fn.__code__)
+    if loads is None:
+        return False
+    cells, names = loads
+    try:
+        if not all(_plain_number(fn.__closure__[i].cell_contents) for i in cells):
+            return False
+    except ValueError:  # an empty cell
+        return False
+    g = fn.__globals__
+    return all(n in g and _plain_number(g[n]) for n in names)
+
+
+def _on_arrays(fn, xs, ys):
+    """fn(xs, ys) in one call on the finite float arrays xs, ys where the
+    rule holds: an array, or the python float that every scalar call
+    returns, with the bits of fn(x, y) at every element; None where fn
+    must be called per element.  The array may be an input itself."""
+    if not _plain_arithmetic(fn):
+        return None
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        try:
+            v = fn(xs, ys)
+        except FloatingPointError:
+            return None
+    # an int result reads as an int per element, which _grid_values records
+    return v if type(v) is float or isinstance(v, np.ndarray) else None
 
 
 def _each(fn, xs, ys):
@@ -141,25 +277,38 @@ def _each(fn, xs, ys):
 
 
 def _each_of(fns, xs, ys, dropped=None):
-    """Each fn of fns in turn at every element of the arrays xs, ys (`_each`).
+    """Each fn of fns in turn at every element of the arrays xs, ys.
 
-    As the scalar calls fn(x, y) for fn in fns stop at the first drop, a
-    fn is called only at the elements that no earlier fn dropped and that
-    are not already set in the mask `dropped`.  Returns a (len(fns), n)
-    array, nan in every row of a dropped element, and the mask of the
-    dropped elements.
+    A fn that passes the array rule (`_on_arrays`) is called once on the
+    arrays when every element it takes is finite; it drops no element and
+    gives the bits of the scalar calls.  Any other fn is called once per
+    element on python floats (`_each`).  As the scalar calls fn(x, y) for
+    fn in fns stop at the first drop, a fn is called only at the elements
+    that no earlier fn dropped and that are not already set in the mask
+    `dropped`.  Returns a (len(fns), n) array, nan in every row of a
+    dropped element, and the mask of the dropped elements.
     """
     dropped = np.zeros(xs.shape, dtype=bool) if dropped is None else dropped.copy()
     vals = np.full((len(fns), xs.size), np.nan)
     live = np.flatnonzero(~dropped)
-    lx, ly = xs[live].tolist(), ys[live].tolist()
+    ax, ay = xs[live], ys[live]
+    finite = np.isfinite(ax).all() and np.isfinite(ay).all()
+    lx = None
     for row, fn in zip(vals, fns):
+        v = _on_arrays(fn, ax, ay) if finite else None
+        if v is not None:
+            row[live] = v
+            continue
+        if lx is None:
+            lx, ly = ax.tolist(), ay.tolist()
         v, drop = _each(fn, lx, ly)
         row[live] = v
         if drop.any():
             dropped[live[drop]] = True
             live = live[~drop]
-            lx, ly = xs[live].tolist(), ys[live].tolist()
+            ax, ay = xs[live], ys[live]
+            finite = np.isfinite(ax).all() and np.isfinite(ay).all()
+            lx = None
     vals[:, dropped] = np.nan
     return vals, dropped
 
@@ -168,7 +317,7 @@ class _ElementView:
     """A system's components as the scheme steps see them on arrays, for
     one map call.
 
-    components(xs, ys) calls the four component callables per element
+    components(xs, ys) evaluates the four component callables
     (`_each_of`) and returns their four arrays, nan where one dropped.  The
     steps pass the same elements in the same order to every stage, and an
     element dropped in one stage is not called in a later one, as the

@@ -219,8 +219,9 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     schemes the grid and the acceptance region extend 10% beyond each side,
     since their spurious points can sit just outside the quadrant.  Found
     points are deduplicated at 1e-6 and labelled genuine when they match a
-    flow equilibrium to 1e-6.  The box must have positive finite extent
-    and seeds_per_axis must be an int of at least 1 (ValueError otherwise).
+    flow equilibrium to 1e-6.  The box must be a pair of real numbers
+    with positive finite extent and seeds_per_axis an int of at least 1
+    (ValueError otherwise).
     """
     bx, by = _resolve_box(system, box)
     if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)

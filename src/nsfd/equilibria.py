@@ -11,6 +11,7 @@ stability boundary is reported as marginal rather than guessed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -251,8 +252,9 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
     # set to inf.  The built-in family evaluates on whole arrays, with the
     # bits of the scalar calls, which raise ZeroDivisionError at
     # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.  Any
-    # other system calls only its callables per seed (_each_of,
-    # _partials_each); the balances and differences run on arrays.
+    # other system evaluates its callables with _each_of (_partials_each
+    # too): on the arrays where a callable passes the array rule, per seed
+    # otherwise; the balances and differences run on arrays.
     if system.rma_params is not None:
         c = system.rma_params.c
         residual = lambda x, y: (*_balance_residual(system, x, y), c + x == 0.0)
@@ -327,11 +329,18 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
 def _resolve_box(system: SplitSystem, box: "tuple[float, float] | None") -> "tuple[float, float]":
     """The search box (bx, by) as floats; None means the system's own box.
 
-    Raises ValueError unless both extents are positive and finite.
+    Raises ValueError unless box is a pair of real numbers (not bools, not
+    strings) and both extents are positive and finite.
     """
     if box is None:
         box = (system.x_max, system.x_max)
-    bx, by = float(box[0]), float(box[1])
+    try:
+        bx, by = box
+    except (TypeError, ValueError):
+        bx = by = None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (bx, by)):
+        raise ValueError(f"search box must be a pair of real numbers (bx, by), got {box!r}")
+    bx, by = float(bx), float(by)
     if not (0.0 < bx < math.inf and 0.0 < by < math.inf):
         raise ValueError(f"search box must have positive finite extent, got {box!r}")
     return bx, by
@@ -347,18 +356,21 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
 
     The Newton iteration runs over all 1600 seeds at once as numpy arrays.
     A system of the built-in family (one with rma_params) evaluates its
-    balances and partials on whole arrays.  Any other system calls only
-    its callables once per seed and point on python floats: its
-    components, and its analytic partials or else the points of the
-    finite-difference stencils.  The balances and the differences run on
-    arrays, with the bits of the scalar forms.  A seed is dropped where
-    a call raises ZeroDivisionError, OverflowError or ValueError or returns
-    a complex value.
+    balances and partials on whole arrays.  Any other system evaluates
+    its callables (its components, and its analytic partials or else the
+    points of the finite-difference stencils) once on the arrays where a
+    callable is a plain + - * / expression that the array rule of
+    nsfd._kernels proves bit-equal, and once per seed and point on python
+    floats otherwise.  The balances and the differences run on arrays,
+    with the bits of the scalar forms.  A seed is dropped where a call
+    raises ZeroDivisionError, OverflowError or ValueError or returns a
+    complex value.
 
-    The box defaults to the system's own and must have positive finite
-    extent (ValueError otherwise).  Each search is run once per system and
-    box: the result is kept in a private store on the system, and a later
-    call with the same (bx, by) returns that same EquilibriumSet object.
+    The box defaults to the system's own and must be a pair of real
+    numbers with positive finite extent (ValueError otherwise).  Each
+    search is run once per system and box: the result is kept in a
+    private store on the system, and a later call with the same (bx, by)
+    returns that same EquilibriumSet object.
     This is sound because the system is frozen and its components, like
     everywhere else in the package, are assumed pure: the same (x, y)
     always gives the same value.  Components that read mutable state must

@@ -12,8 +12,10 @@ the denominator-weighted difference schemes in :mod:`nsfd.integrators`
 positivity preserving and the closed-form equilibrium analysis in
 :mod:`nsfd.equilibria` possible, so construction checks the sign structure
 eagerly on a sample grid instead of trusting the caller.  The checks
-evaluate a system of the built-in family on whole numpy grids and any other
-system once per grid node, with the same verdict and message either way.
+evaluate a system of the built-in family on whole numpy grids, and any
+other system's callables on whole grids where they pass the array rule of
+nsfd._kernels and once per grid node otherwise, with the same verdict and
+message either way.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _each_of
+from ._kernels import _each_of, _on_arrays
 
 Component = Callable[[float, float], float]
 
@@ -117,6 +119,15 @@ class SplitSystem:
     ----------
     f_plus, f_minus, g_plus, g_minus
         The four component callables, each mapping (x, y) to a float.
+        A plain python function whose body is one + - * / expression,
+        each operation taking x, y or a value computed from them, over
+        closure cells, globals and constants that hold finite python
+        floats or ints up to 2**53 (as Lotka-Volterra, Holling II and
+        Beddington-DeAngelis terms are usually written), is evaluated on
+        whole numpy arrays in the construction checks and the Newton
+        searches, with the bits of its scalar calls (the array rule,
+        README Backends); any other callable is called once per point on
+        python floats.
     partials
         Analytic partial derivatives.  Optional; code that needs
         derivatives falls back to finite differences when absent.
@@ -269,12 +280,22 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     which use only + - * /, so every finite entry is the bits of the
     scalar call.  Where the scalar call divides by zero the array holds
     inf or nan instead, so each non-finite node is called again on
-    scalars.  Any other system is called once per node.
+    scalars.  For any other system, each fn that passes the array rule
+    (`_kernels._on_arrays`) is called once on the whole grid, where every
+    scalar call would return a python float with the same bits; every
+    other fn is called once per node.
     """
     shape = (len(fns), len(nodes), len(nodes))
     if sys.rma_params is None:
-        vals = None
-        todo = itertools.product(*map(range, shape))
+        vals = np.empty(shape)
+        todo = []
+        x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
+        for k, fn in enumerate(fns):
+            v = _on_arrays(fn, x, y)
+            if v is None:
+                todo += itertools.product((k,), range(shape[1]), range(shape[2]))
+            else:
+                vals[k] = v  # broadcasts a constant, or a function of x alone
     else:
         with np.errstate(all="ignore"):
             vals = on_arrays()
@@ -290,8 +311,6 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
             odd[k, i, j] = v
             v = float(v) if isinstance(v, numbers.Real) else math.nan
         got.append(v)
-    if vals is None:
-        return np.array(got).reshape(shape), odd
     if got:
         vals[tuple(np.array(todo).T)] = got
     return vals, odd
@@ -388,8 +407,9 @@ def _fd_y(comp: Component, x: float, y: float) -> float:
 def _fd_each(comp: Component, x, y, along_x: bool, dropped):
     """_fd_x (along_x) or _fd_y of comp at every element of the arrays x, y.
 
-    comp is called once per point on python floats (`_kernels._each_of`),
-    and only at the points the scalar stencil of each element samples, in
+    comp is evaluated by `_kernels._each_of` (on the arrays where it
+    passes the array rule, else once per point on python floats), and
+    only at the points the scalar stencil of each element samples, in
     its order: never at x - step < 0, not after a call for that element
     has dropped, and not at the elements set in the mask dropped.  Returns
     the differences and that mask updated with the elements dropped here.
@@ -438,8 +458,8 @@ def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     At one point, on python floats.  The interior equilibrium search of a
     system built from callables evaluates the same partials at all its
     seeds at once (`_partials_each`), with the same bits: each callable
-    is called once per point, and the differences are taken on numpy
-    arrays.
+    is evaluated by `_kernels._each_of`, and the differences are taken on
+    numpy arrays.
     """
     if system.partials is not None:
         return system.partials.at(x, y)
@@ -449,12 +469,12 @@ def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
 def _partials_each(system: SplitSystem, xs, ys):
     """partials_at at each element of the arrays xs, ys.
 
-    Every callable is called once per point on python floats
-    (`_kernels._each_of`), in the order of the scalar calls, and not again
-    at an element after one of them dropped it.  Returns PartialValues of
-    arrays and the mask of elements dropped where a call raised
-    ZeroDivisionError, OverflowError or ValueError or returned a complex
-    value; those are nan throughout.
+    Every callable is evaluated by `_kernels._each_of`, in the order of
+    the scalar calls, and not again at an element after one of them
+    dropped it.  Returns PartialValues of arrays and the mask of
+    elements dropped where a call raised ZeroDivisionError,
+    OverflowError or ValueError or returned a complex value; those are
+    nan throughout.
     """
     if system.partials is not None:
         analytic = [getattr(system.partials, f) for f in PartialValues._fields]

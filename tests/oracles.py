@@ -13,7 +13,8 @@ written from its formulas rather than through the scheme step factories;
 fed through `step_loop` and `scalar_scan` it is the reference the family's
 orbits and ghost scans are held to.  `equality_settings` gives the
 hypothesis properties that hold array code to such references their
-example counts.  `fixed_refinement_errors` measures a scheme's errors
+example counts, and `point_bits` the bits of an equilibrium search.
+`fixed_refinement_errors` measures a scheme's errors
 against one rk4 orbit at min(steps)/100, point by point, the reference
 `nsfd.estimate_order` refines only as far as its error budget needs.
 """
@@ -35,6 +36,11 @@ def equality_settings(max_examples):
     if settings.default is settings.get_profile("ci"):
         return settings(deadline=None)
     return settings(max_examples=max_examples, deadline=None)
+
+
+def point_bits(eqs):
+    """The exact points, families and degenerate families of an EquilibriumSet."""
+    return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
 
 
 def rma_step(kind, params, e):

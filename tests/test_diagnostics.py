@@ -284,6 +284,24 @@ def test_search_boxes_must_be_positive_and_finite(box):
         detect_ghosts(model2(), NSFD, 0.5, box=box)
 
 
+@pytest.mark.parametrize("box", ["55", (5.0, 5.0, 5.0), (5.0,), 5.0, (True, 5.0), ("5", 5.0),
+                                 {"bx": 5.0}])
+def test_search_boxes_must_be_pairs_of_real_numbers(box):
+    # a string of two digits was a box of its digits, a triple was cut to a
+    # pair, and a single number raised IndexError or TypeError
+    with pytest.raises(ValueError, match="pair of real numbers"):
+        find_equilibria(model2(), box)
+    with pytest.raises(ValueError, match="pair of real numbers"):
+        detect_ghosts(model2(), NSFD, 0.5, box=box)
+
+
+def test_search_boxes_take_numpy_and_integer_pairs():
+    want = find_equilibria(model2(), (5.0, 4.0))
+    for box in ([5, 4], np.array([5.0, 4.0]), (np.float64(5.0), np.int64(4))):
+        assert find_equilibria(model2(), box) == want
+        assert detect_ghosts(model2(), NSFD, 0.5, box=box).box == (5.0, 4.0)
+
+
 def test_ghost_report_respects_requested_box():
     report = detect_ghosts(model1(), NSFD, 0.5, box=(5.0, 5.0))
     assert report.box == (5.0, 5.0)

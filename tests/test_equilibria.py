@@ -44,7 +44,7 @@ from nsfd import (
 from nsfd import _kernels
 from nsfd.integrators import _scheme_core
 from nsfd.systems import Partials
-from oracles import equality_settings, scalar_balance_newton, scalar_scan
+from oracles import equality_settings, point_bits, scalar_balance_newton, scalar_scan
 
 SQRT47_OVER_20 = math.sqrt(47.0) / 20.0
 
@@ -385,15 +385,11 @@ def test_one_search_serves_every_analysis_of_a_system(search_count):
     assert search_count == [("model2", 20.0, 20.0), ("model2", 5.0, 5.0)]
 
 
-def _bits(eqs):
-    return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
-
-
 def test_stored_result_is_bitwise_a_fresh_search():
     m2 = model2()
     first = find_equilibria(m2)
     assert find_equilibria(m2) is first
-    assert _bits(find_equilibria(model2())) == _bits(first)
+    assert point_bits(find_equilibria(model2())) == point_bits(first)
 
 
 def test_store_is_invisible_to_equality_hash_and_repr(search_count):
@@ -424,9 +420,9 @@ def _oracle_search(system, box):
 def test_batched_interior_search_is_the_scalar_search(a, b, c, d, bx, by):
     system = make_rosenzweig_macarthur(a, b, c, d)
     clone = dataclasses.replace(system)
-    oracle = _bits(_oracle_search(system, (bx, by)))
-    assert _bits(find_equilibria(system, (bx, by))) == oracle
-    assert _bits(find_equilibria(clone, (bx, by))) == oracle
+    oracle = point_bits(_oracle_search(system, (bx, by)))
+    assert point_bits(find_equilibria(system, (bx, by))) == oracle
+    assert point_bits(find_equilibria(clone, (bx, by))) == oracle
 
     # off-quadrant seeds too, with a column on x = -c, the zero of c + x
     xs = np.append(np.linspace(-2.0 * c, bx, 7), -c)
@@ -507,7 +503,7 @@ def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme,
     system = _callable_system(kind, p, twist)
     xs = np.array(gx + [-p[2], -0.7, 1e160])
     ys = np.array(gy)
-    assert _bits(find_equilibria(system, box)) == _bits(_oracle_search(system, box))
+    assert point_bits(find_equilibria(system, box)) == point_bits(_oracle_search(system, box))
     escape = 10.0 * (box[0] + box[1])
     assert (_hex(nsfd.equilibria._balance_newton(system, xs, ys, escape))
             == _hex(scalar_balance_newton(system, xs, ys, escape)))
@@ -543,7 +539,7 @@ def test_a_guard_behind_a_dropping_component_is_never_reached():
     system = SplitSystem(*(recorded(k, fn) for k, fn in enumerate((
         lambda x, y: 1.0 + 0.1 * math.sqrt(x), lambda x, y: x * x + 0.5 * y,
         lambda x, y: 0.8, g_minus))), x_max=3.0)
-    assert _bits(find_equilibria(system)) == _bits(_oracle_search(system, (3.0, 3.0)))
+    assert point_bits(find_equilibria(system)) == point_bits(_oracle_search(system, (3.0, 3.0)))
     xs = np.array([-1.0, -1e-7, 0.0, 1e-7, 0.5, 2.0, 3.0])
     ys = np.array([0.0, 0.5, 2.0])
     on_arrays = run(lambda: _hex(nsfd.equilibria._balance_newton(system, xs, ys, 60.0)))
@@ -607,7 +603,7 @@ def test_a_raise_drops_the_best_iterate(site):
     batched = nsfd.equilibria._balance_newton(system, xs, xs, 60.0)
     assert traps
     assert _hex(batched) == _hex(scalar_balance_newton(system, xs, xs, 60.0))
-    assert _bits(find_equilibria(system)) == _bits(_oracle_search(system, (3.0, 3.0)))
+    assert point_bits(find_equilibria(system)) == point_bits(_oracle_search(system, (3.0, 3.0)))
 
 
 def test_a_complex_partial_drops_the_seed():

@@ -2,6 +2,7 @@
 family's hand-written step and to seed-by-seed oracles."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,15 +11,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nsfd
-from nsfd import (EULER, NSFD, RK2, RK4, SplitSystem, State, detect_ghosts, ensfd,
-                  exponential_weight, find_equilibria, integrate, make_rosenzweig_macarthur,
-                  model1, model2)
+from nsfd import (EULER, NSFD, RK2, RK4, ConstructionError, SplitSystem, State, detect_ghosts,
+                  ensfd, exponential_weight, find_equilibria, integrate,
+                  make_rosenzweig_macarthur, model1, model2)
 from nsfd import _kernels
-from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, resolve_backend,
-                           scan_fixed_points, scan_fixed_points_generic)
+from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _each_of, _on_arrays,
+                           _plain_arithmetic, resolve_backend, scan_fixed_points,
+                           scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
 from nsfd.systems import MODEL2_PARAMS
-from oracles import equality_settings, rma_step, scalar_scan, step_loop
+from oracles import equality_settings, point_bits, rma_step, scalar_scan, step_loop
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -255,3 +257,224 @@ def test_generic_loop_truncates_like_the_kernel():
     assert fast.halt_step == slow.halt_step
     assert np.array_equal(fast.xs, slow.xs)
 
+
+# ---------------------------------------------------------------------------
+# the array rule: plain + - * / callables on whole arrays, in the same bits
+
+
+def _per_element(fn):
+    """fn behind a call, which the array rule refuses: per element always."""
+    return lambda x, y: fn(x, y)
+
+
+def _each_of_outcome(fns, xs, ys, dropped=None):
+    """The bytes of _each_of's values and mask, or the type it raised."""
+    try:
+        vals, mask = _each_of(fns, xs, ys, dropped)
+    except Exception as exc:  # int results too large for a float, say
+        return type(exc)
+    return vals.tobytes(), mask.tobytes()
+
+
+def _expression_fn(expr, c0, c1, g0):
+    """lambda x, y: expr, with c0 and c1 closure cells and g0 a global."""
+    ns = {"g0": g0}
+    exec(f"def make(c0, c1):\n    return lambda x, y: {expr}\n", ns)
+    return ns["make"](c0, c1)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0,
+                1e154, 1e300, 1e308, -1e308, 1.7976931348623157e308]
+_plain_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+_plain_ints = st.one_of(st.sampled_from([0, 1, 2, -3, 2 ** 53, -2 ** 53]),
+                        st.integers(-2 ** 53, 2 ** 53))
+_expressions = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "c0", "c1", "g0"]), _plain_floats.map(repr),
+              _plain_ints.map(repr)),
+    lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from("+-*/"), kids).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        kids.map(lambda a: f"(-{a})")),
+    max_leaves=10)
+
+
+@given(exprs=st.lists(_expressions, min_size=1, max_size=3),
+       cells=st.tuples(*[st.one_of(_plain_floats, _plain_ints,
+                                   st.sampled_from([math.inf, -math.inf, math.nan]))] * 3),
+       px=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), max_size=6),
+       py=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()), max_size=6),
+       skip=st.integers(0, 4))
+@example(exprs=["(c0 / (x - c1))", "(y * g0)"], cells=(1.0, 2.0, 1e308), px=[3.0], py=[2.0],
+         skip=0).via("a pole and an overflow")
+@example(exprs=["((x * 1e+308) / 1e+308)"], cells=(0.0, 0.0, 0.0), px=[-0.0, 5e-324],
+         py=[1.0], skip=0).via("an overflow that a later division would hide")
+@example(exprs=["(x / y)", "(-x)"], cells=(0.0, 0.0, 0.0), px=[0.0, 1.0, math.nan],
+         py=[0.0, -0.0, 1.0], skip=2).via("0/0, a zero divisor and a non-finite input")
+@equality_settings(150)
+def test_the_array_rule_gives_the_per_element_bits(exprs, cells, px, py, skip):
+    # every point is taken against every other, and the scalars themselves
+    # join the points, so x - c1 and the like meet their zeros
+    extra = [float(c) for c in cells]
+    gx = np.array(px + extra + [-v for v in extra] + [0.0, 1.0])
+    gy = np.array(py + extra + [0.0, 2.0])
+    xs, ys = [g.ravel() for g in np.meshgrid(gx, gy, indexing="ij")]
+    fns = [_expression_fn(e, *cells) for e in exprs]
+    dropped = (np.arange(xs.size) % 5 == 1) if skip else None
+    assert (_each_of_outcome(fns, xs, ys, dropped)
+            == _each_of_outcome([_per_element(f) for f in fns], xs, ys, dropped))
+
+
+def test_the_array_rule_takes_population_forms():
+    # the forms population models are written in pass the rule, at
+    # positive points with no zero divisor, and a scalar result is broadcast
+    r, k, a, b, c = 1.5, 4.0, 2.0, 0.5, 0.3
+    forms = [lambda x, y: r * x * (1 - x / k), lambda x, y: a * x / (1.0 + b * x),
+             lambda x, y: a * y / (1.0 + b * x + c * y), lambda x, y: a * x + b * y - c,
+             lambda x, y: -x + 2 * y, lambda x, y: r, lambda x, y: x]
+
+    def local(x, y):
+        t = x + c
+        return t * t - x / t
+
+    def unpacked(x, y):  # python 3.13 stores both names in one instruction
+        t, u = x, c
+        return u * t
+
+    xs, ys = np.linspace(0.1, 5.0, 9), np.linspace(0.2, 3.0, 9)
+    for fn in forms + [local, unpacked]:
+        assert _plain_arithmetic(fn)
+        assert _on_arrays(fn, xs, ys) is not None
+        assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+
+
+def test_a_non_finite_input_is_called_per_element():
+    # nan / 0 and inf / 0 raise no numpy flag, but the scalar calls raise
+    # ZeroDivisionError and drop the elements
+    fn = lambda x, y: y / x
+    xs, ys = np.array([0.0, 1.0, 0.0]), np.array([math.nan, 1.0, math.inf])
+    vals, dropped = _each_of([fn], xs, ys)
+    assert dropped.tolist() == [True, False, True]
+    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+
+
+class _Rates:
+    def rate(self, x, y):
+        return 0.5 * x + y
+
+
+def _cell(v):
+    return lambda x, y: v * x + y
+
+
+def _scalar_local(c):
+    def fn(x, y):  # t * c multiplies two scalars
+        t, u = c, x
+        return t * c + u
+    return fn
+
+
+def _population_system(form, p, x_max, wrap=lambda fn: fn):
+    """A Lotka-Volterra, Holling II or Beddington-DeAngelis system of the
+    parameters p, each component passed through wrap."""
+    r, a, b, c, d, e = p
+    if form == "lv":
+        comps = (lambda x, y: r, lambda x, y: a * x + b * y,
+                 lambda x, y: e, lambda x, y: c * x + d * y)
+    elif form == "holling":
+        comps = (lambda x, y: r, lambda x, y: r * x + a * y / (c + x),
+                 lambda x, y: x / (c + x), lambda x, y: d)
+    else:
+        comps = (lambda x, y: r, lambda x, y: r * x / e + a * y / (1.0 + b * x + c * y),
+                 lambda x, y: a * x * 0.6 / (1.0 + b * x + c * y), lambda x, y: d)
+    return SplitSystem(*map(wrap, comps), x_max=x_max)
+
+
+_GLOBALS = {"G": 2.0}
+_REBOUND = eval("lambda x, y: G * x + y", _GLOBALS)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x, y: math.exp(x) + y,
+    lambda x, y: x ** 2 + y,
+    lambda x, y: x // 2 + y,
+    lambda x, y: x % 2 + y,
+    lambda x, y: abs(x) + y,
+    lambda x, y: x if x > y else y,
+    pytest.param(None, id="in-place"),
+    lambda x, y=1.0: x + y,
+    lambda *args: args[0] * args[1],
+    functools.partial(lambda a, x, y: a * x + y, 2.0),
+    _Rates().rate,
+    np.add,
+    _cell(np.float64(2.0)),
+    _cell(np.array(2.0)),
+    _cell(2 ** 53 + 1),
+    lambda x, y: 1e400 / x + y,  # an inf constant
+    (lambda v: lambda x, y: v / x + y)(math.inf),
+    (lambda a, b: lambda x, y: a / b * x + y)(1.0, 3.0),
+    _scalar_local(3.0),
+    lambda x, y: 1,
+], ids=["exp", "pow", "floordiv", "mod", "abs", "branch", "in-place", "default", "args",
+        "partial", "bound-method", "ufunc", "np-float64-cell", "array-cell", "big-int-cell",
+        "inf-const", "inf-cell", "scalar-op", "scalar-local", "int-result"])
+def test_the_array_rule_refuses_what_it_cannot_prove(fn):
+    if fn is None:
+        def fn(x, y):
+            t = x
+            t += y
+            return t
+    xs = np.array([-2.0, -0.5, 0.0, 0.5, 3.0, 800.0])
+    ys = np.array([0.25, 1.0, 2.0, 0.0, -1.0, 3.0])
+    assert _on_arrays(fn, xs, ys) is None
+    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+
+
+def test_a_global_rebound_to_an_array_is_refused_after_construction():
+    comps = (lambda x, y: 1.0, _REBOUND, lambda x, y: 0.5, lambda x, y: 0.2 + 0.1 * x)
+    system = SplitSystem(*comps, x_max=4.0)
+    twin = SplitSystem(*map(_per_element, comps), x_max=4.0)
+    xs, ys = np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 7)
+    assert _plain_arithmetic(_REBOUND)
+    try:
+        _GLOBALS["G"] = np.array(0.5)
+        assert not _plain_arithmetic(_REBOUND)
+        assert _on_arrays(_REBOUND, xs, ys) is None
+        assert (_each_of_outcome(comps, xs, ys)
+                == _each_of_outcome(list(map(_per_element, comps)), xs, ys))
+        assert point_bits(find_equilibria(system)) == point_bits(find_equilibria(twin))
+    finally:
+        _GLOBALS["G"] = 2.0
+
+
+@given(form=st.sampled_from(["lv", "holling", "bd"]),
+       p=st.tuples(*[st.floats(-0.3, 3.0)] * 6), x_max=st.floats(1.0, 8.0),
+       h=st.floats(0.05, 4.0),
+       gx=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=4),
+       gy=st.lists(st.floats(-3.0, 6.0), min_size=1, max_size=3))
+@example(form="holling", p=(1.0, 2.0, 0.5, 1.0, 0.2, 1.0), x_max=5.0, h=0.5, gx=[1.0],
+         gy=[0.5]).via("a coexistence point, and a pole on x = -c")
+@example(form="lv", p=(1.0, 1.0, 0.5, 0.4, 1.1, -0.2), x_max=5.0, h=0.5, gx=[1.0],
+         gy=[0.5]).via("a refused construction")
+@equality_settings(15)
+def test_population_systems_take_the_array_rule_in_the_same_bits(form, p, x_max, h, gx, gy):
+    # the same system with each component behind a call, so per element
+    # everywhere: the same construction verdict and message, equilibria
+    # and ghost-scan rows of every scheme, seeds off the quadrant included
+    def build(wrap=lambda fn: fn):
+        try:
+            return _population_system(form, p, x_max, wrap), None
+        except ConstructionError as exc:
+            return None, str(exc)
+
+    system, refusal = build()
+    twin, twin_refusal = build(_per_element)
+    assert refusal == twin_refusal
+    if system is None:
+        return
+    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    assert all(map(_plain_arithmetic, comps))
+    assert point_bits(find_equilibria(system)) == point_bits(find_equilibria(twin))
+    xs = np.array(gx + [-p[3], 0.0])
+    sx, sy = [g.ravel() for g in np.meshgrid(xs, np.array(gy + [0.0]), indexing="ij")]
+    for scheme in (NSFD, EULER, RK2, RK4):
+        assert _scan(system, scheme, h, sx, sy).tobytes() == _scan(twin, scheme, h, sx, sy).tobytes()
