@@ -7,17 +7,15 @@ numpy arrays, with the same step evaluated on arrays.  The steps come from
 the factories of nsfd.integrators: make(components, e) binds a system's
 components and the scheme's e (or h) once per run or scan and returns
 step(x, y), so one step costs one python call plus its arithmetic and its
-component calls (per-step rates in the README, Backends).  The built-in
-predator-prey family (systems with rma_params) evaluates its components
-on whole arrays too; any other system goes through
-`scan_fixed_points_generic`, where its four component callables are
-evaluated by `_each_of`, in the order of the seed-by-seed scan, and
-everything derived from them runs on the arrays.  `_each_of` calls a
-callable once on the whole arrays where `_on_arrays` shows that this
-gives the bits of every scalar call (a plain + - * / expression in x and
-y), and once per element on python floats otherwise.
+component calls (per-step rates in the README, Backends).
 
-Both scans give the bits of the seed-by-seed scan.  numpy's elementwise
+Every system takes one path.  Where its callables pass the array rule
+(`_plain_arithmetic`: plain + - * / in x and y, verdict taken once per
+scan, search or check), they run on whole arrays under `_raising`, and a
+call that trips a numpy flag runs again through `_each_of`, which calls
+a callable that fails the rule once per element on python floats.
+
+Both forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
 operations, so the same expression order gives the same bits; do not
 "optimise" the expression order in this file or in the steps.
@@ -99,32 +97,45 @@ def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
     """Newton scan for fixed points of the step make(system.components, e).
 
     Returns an (n, 3) array of (x, y, residual) rows, one per seed, in seed
-    order; a seed whose residual is not below tol failed.
+    order; a seed whose residual is not below tol failed.  Every system
+    runs `scan_fixed_points_generic`.
     """
-    if system.rma_params is None:
-        return scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol, max_iter, escape)
-    return _scan_batched(make(system.components, e), seeds_x, seeds_y, tol, max_iter, escape)
+    return scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol, max_iter, escape)
 
 
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """The python Newton scan of the step make(components, e) for any system.
+    """The Newton scan of the step make(components, e) for any system:
+    `_scan_batched` over the step on arrays.
 
-    `_scan_batched` over the step evaluated on arrays, with the system's
-    four component callables evaluated by `_each_of` (`_ElementView`):
-    once on the arrays where a callable passes the array rule, otherwise
-    once per element on python floats, and only where the seed-by-seed
+    Where the four components pass the array rule and every map input is
+    finite (seeds and escape at most 1e300, so the probes are finite too),
+    make(system.components, e) runs on whole arrays under `_raising`, each
+    seed's point and its Jacobian probes in one call.  A call that raises
+    a numpy flag, and every call where a component fails the rule,
+    evaluates the components by `_each_of`, only where the seed-by-seed
     scan calls them.  A seed fails, rather than aborting the scan, where a
     component raises ZeroDivisionError, OverflowError or ValueError or
-    returns a complex number (a fractional power of a negative
-    coordinate).  Where all four pass the rule, each seed's point and its
-    Jacobian probes go in one map call, as for the built-in family: the
-    probes of a retiring seed then cost no call that can be observed.
+    returns a complex number (a fractional power of a negative coordinate).
     """
     comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
-    apart = not all(map(_plain_arithmetic, comps))
-    return _scan_batched(lambda x, y: make(_ElementView(comps).components, e)(x, y),
-                         seeds_x, seeds_y, tol, max_iter, escape, probes_apart=apart)
+    seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
+
+    def each(x, y):
+        dropped = None  # a seed dropped in one stage is not called in a later one
+
+        def components(xs, ys):
+            nonlocal dropped
+            vals, dropped = _each_of(comps, xs, ys, dropped)
+            return vals
+
+        return make(components, e)(x, y)
+
+    if not (all(map(_plain_arithmetic, comps)) and np.abs(seeds).max(initial=escape) <= 1e300):
+        return _scan_batched(each, *seeds, tol, max_iter, escape, probes_apart=True)
+    step = make(system.components, e)
+    return _scan_batched(lambda x, y: _raising(step, x, y) or each(x, y), *seeds, tol,
+                         max_iter, escape)
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -226,12 +237,27 @@ def _plain_arithmetic(fn) -> bool:
         return False
     cells, names = loads
     try:
-        if not all(_plain_number(fn.__closure__[i].cell_contents) for i in cells):
-            return False
+        for i in cells:
+            if not _plain_number(fn.__closure__[i].cell_contents):
+                return False
     except ValueError:  # an empty cell
         return False
     g = fn.__globals__
-    return all(n in g and _plain_number(g[n]) for n in names)
+    for n in names:
+        if not (n in g and _plain_number(g[n])):
+            return False
+    return True
+
+
+@np.errstate(divide="raise", over="raise", invalid="raise", under="ignore")
+def _raising(fn, *args):
+    """fn(*args), or None where numpy raised a divide, overflow or invalid
+    flag.  Unguarded, a zero divisor can give a finite value (1 / (y / 0)
+    is 0) where the scalar call raises ZeroDivisionError."""
+    try:
+        return fn(*args)
+    except FloatingPointError:
+        return None
 
 
 def _on_arrays(fn, xs, ys):
@@ -241,11 +267,7 @@ def _on_arrays(fn, xs, ys):
     must be called per element.  The array may be an input itself."""
     if not _plain_arithmetic(fn):
         return None
-    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-        try:
-            v = fn(xs, ys)
-        except FloatingPointError:
-            return None
+    v = _raising(fn, xs, ys)
     # an int result reads as an int per element, which _grid_values records
     return v if type(v) is float or isinstance(v, np.ndarray) else None
 
@@ -313,26 +335,6 @@ def _each_of(fns, xs, ys, dropped=None):
     return vals, dropped
 
 
-class _ElementView:
-    """A system's components as the scheme steps see them on arrays, for
-    one map call.
-
-    components(xs, ys) evaluates the four component callables
-    (`_each_of`) and returns their four arrays, nan where one dropped.  The
-    steps pass the same elements in the same order to every stage, and an
-    element dropped in one stage is not called in a later one, as the
-    scalar map stops at the raise; so make one view per map call.
-    """
-
-    def __init__(self, comps):
-        self._comps = comps
-        self._dropped = None
-
-    def components(self, xs, ys):
-        vals, self._dropped = _each_of(self._comps, xs, ys, self._dropped)
-        return vals
-
-
 def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False):
     # Newton iteration on map_fn(s) - s = 0 from every seed at once, with a
     # central-difference Jacobian; the seed-by-seed form is
@@ -346,12 +348,9 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=
     # iteration counter.  A map on whole arrays takes each seed's point and
     # its four Jacobian probes in one call, and the probes of a seed that
     # retires on its residual are computed and then ignored: a second call
-    # per iteration would cost the built-in family's scan workload about
-    # 10% (BENCH_9.json).  Where each element costs calls (probes_apart), a
-    # second call takes the probes only of the seeds that go on, as the
-    # scalar loop does.  A zero denominator gives a non-finite map value
-    # here where the scalar steps raise, and both retire the seed with
-    # residual inf at the same point.
+    # per iteration would cost the scan workload about 10% (BENCH_9.json).
+    # Where each element costs calls (probes_apart), a second call takes
+    # the probes only of the seeds that go on, as the scalar loop does.
     x = np.array(seeds_x, dtype=np.float64)
     y = np.array(seeds_y, dtype=np.float64)
     res = np.full(x.shape[0], np.inf)

@@ -17,6 +17,9 @@ COMPARISON_HEADER = ("scheme,h,x0,y0,t_end,final_x,final_y,"
 _COMPARISON_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{},{}"
 
 GHOST_SEEDS_PER_AXIS = 60
+# Most seeds one detect_ghosts call scans: tracemalloc measured at most
+# ~1.5 kB a seed at its peak (rk4 with per-element components), 2.4 GB in all.
+GHOST_MAX_SEEDS = 1_600_000
 GHOST_MATCH_TOL = 1e-6
 GHOST_DEDUP_TOL = 1e-6
 # the rk4 reference is refined until its Richardson error estimate is at
@@ -221,12 +224,16 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     points are deduplicated at 1e-6 and labelled genuine when they match a
     flow equilibrium to 1e-6.  The box must be a pair of real numbers
     with positive finite extent and seeds_per_axis an int of at least 1
-    (ValueError otherwise).
+    whose square is at most GHOST_MAX_SEEDS (ValueError otherwise, before
+    any seed is allocated).
     """
     bx, by = _resolve_box(system, box)
     if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)
             or seeds_per_axis < 1):
         raise ValueError(f"seeds_per_axis must be an int of at least 1, got {seeds_per_axis!r}")
+    if int(seeds_per_axis) ** 2 > GHOST_MAX_SEEDS:
+        raise ValueError(f"seeds_per_axis = {seeds_per_axis} gives {int(seeds_per_axis) ** 2} "
+                         f"seeds, more than GHOST_MAX_SEEDS = {GHOST_MAX_SEEDS}")
     classical = scheme.kind not in _WEIGHTED_KINDS
     lox, hix = (-0.1 * bx, 1.1 * bx) if classical else (0.0, bx)
     loy, hiy = (-0.1 * by, 1.1 * by) if classical else (0.0, by)
@@ -361,6 +368,11 @@ class OscillationStats:
 
 def oscillation_stats(traj: Trajectory, center: "tuple[float, float]",
                       tail_fraction: float = 0.25) -> OscillationStats:
+    """Tail statistics of traj around center, over the last tail_fraction
+    of its states (at least two).  Raises ValueError unless tail_fraction
+    is finite and in (0, 1]."""
+    if not (math.isfinite(tail_fraction) and 0.0 < tail_fraction <= 1.0):
+        raise ValueError(f"tail_fraction must be finite and in (0, 1], got {tail_fraction!r}")
     cx, cy = center
     n_tail = max(2, int(math.ceil(tail_fraction * len(traj))))
     xs = traj.xs[-n_tail:]

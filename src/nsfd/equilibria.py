@@ -17,9 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _each_of
+from ._kernels import _each_of, _on_arrays, _plain_arithmetic, _raising
 from .integrators import NSFD, StepWeight, effective_step, ensfd
-from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_each, partials_at
+from .systems import (AXIS_ZERO_TOL, PartialValues, SplitSystem, State, _fd_on_arrays,
+                      _partials_each, partials_at)
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -165,23 +166,34 @@ def _discrete_verdict(g1: complex, g2: complex) -> str:
 # equilibrium location
 
 
-def _axis_family(plus, minus, d_balance, hi):
-    """Roots of plus(s) - minus(s) on (0, hi].
+def _axis_family(system: SplitSystem, along_x: bool, hi: float):
+    """Roots in s of the balance f+ - f- at (s, 0) (along_x) or g+ - g- at
+    (0, s), for s in (0, hi].
 
     Returns (roots, degenerate).  Bracketing on a uniform grid, bisection
     to 1e-12, then a short Newton polish so the balance residual reaches
     machine precision.  degenerate means the balance vanishes along the
     whole grid and the family is a continuum.
     """
+    plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
+    at = (lambda s: (s, 0.0)) if along_x else (lambda s: (0.0, s))
     nodes = np.linspace(0.0, hi, AXIS_GRID_N + 1)
-    pv = np.array([plus(float(s)) for s in nodes])
-    mv = np.array([minus(float(s)) for s in nodes])
+    xs, ys = (nodes, 0.0 * nodes) if along_x else (0.0 * nodes, nodes)
+    # on the arrays where the rule holds, else per node, where a raise propagates
+    pv, mv = [np.broadcast_to(v, nodes.shape) if (v := _on_arrays(fn, xs, ys)) is not None
+              else np.array([fn(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+              for fn in (plus, minus)]
     r = pv - mv
     scale = max(1.0, float(np.max(np.abs(pv))), float(np.max(np.abs(mv))))
     if float(np.max(np.abs(r))) <= 1e-10 * scale:
         return [], True
 
-    balance = lambda s: plus(s) - minus(s)
+    balance = lambda s: plus(*at(s)) - minus(*at(s))
+
+    def d_balance(s):
+        p = partials_at(system, *at(s))
+        return p.fpx - p.fmx if along_x else p.gpy - p.gmy
+
     roots = []
     for i in range(AXIS_GRID_N):
         lo, hi_ = float(nodes[i]), float(nodes[i + 1])
@@ -249,24 +261,30 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
     # arrays and also return a mask of the seeds they drop, where a scalar
     # call raises or turns complex (a fractional power of a negative
     # coordinate): a dropped seed loses its best iterate, its best residual
-    # set to inf.  The built-in family evaluates on whole arrays, with the
-    # bits of the scalar calls, which raise ZeroDivisionError at
-    # c + x == 0 in a balance and (c + x) * (c + x) == 0 in a partial.  Any
-    # other system evaluates its callables with _each_of (_partials_each
-    # too): on the arrays where a callable passes the array rule, per seed
-    # otherwise; the balances and differences run on arrays.
-    if system.rma_params is not None:
-        c = system.rma_params.c
-        residual = lambda x, y: (*_balance_residual(system, x, y), c + x == 0.0)
-        jacobian = lambda x, y: (system.partials.at(x, y), (c + x) * (c + x) == 0.0)
+    # set to inf.  Where every component and analytic partial passes the
+    # array rule, both run on whole arrays under _raising and drop no seed;
+    # a call that trips a flag, and every call where one fails the rule,
+    # goes through _each_of (and _partials_each).  A balance of two
+    # constant components is a python float, so it is broadcast.
+    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    if system.partials is None:
+        analytic, at = (), partial(_fd_on_arrays, system.components)
     else:
-        comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        analytic = tuple(getattr(system.partials, f) for f in PartialValues._fields)
+        at = system.partials.at
+    whole = all(map(_plain_arithmetic, comps + analytic))
 
-        def residual(x, y):
+    def residual(x, y):
+        r = _raising(_balance_residual, system, x, y) if whole else None
+        if r is None:
             (fp, fm, gp, gm), dropped = _each_of(comps, x, y)
             return fp - fm, gp - gm, dropped
+        rx, ry = (v if type(v) is np.ndarray else np.full(x.shape, v) for v in r)
+        return rx, ry, np.zeros(x.shape, dtype=bool)
 
-        jacobian = partial(_partials_each, system)
+    def jacobian(x, y):
+        p = _raising(at, x, y) if whole else None
+        return _partials_each(system, x, y) if p is None else (p, np.zeros(x.shape, dtype=bool))
 
     x = np.repeat(xs, ys.size)
     y = np.tile(ys, xs.size)
@@ -354,17 +372,14 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     equations, coexistence points from a 40x40-seeded Newton iteration on
     both balances; everything is deduplicated at 1e-7 and sorted.
 
-    The Newton iteration runs over all 1600 seeds at once as numpy arrays.
-    A system of the built-in family (one with rma_params) evaluates its
-    balances and partials on whole arrays.  Any other system evaluates
-    its callables (its components, and its analytic partials or else the
-    points of the finite-difference stencils) once on the arrays where a
-    callable is a plain + - * / expression that the array rule of
-    nsfd._kernels proves bit-equal, and once per seed and point on python
-    floats otherwise.  The balances and the differences run on arrays,
-    with the bits of the scalar forms.  A seed is dropped where a call
-    raises ZeroDivisionError, OverflowError or ValueError or returns a
-    complex value.
+    The Newton iteration runs over all 1600 seeds at once, and the axis
+    brackets over their 201 nodes at once.  The callables (components,
+    and analytic partials or else finite-difference stencils) run on
+    whole arrays where the array rule of nsfd._kernels proves them
+    bit-equal, and per seed, node and point otherwise or where a
+    whole-array call meets a pole or an overflow.  A seed is dropped
+    where a call raises ZeroDivisionError, OverflowError or ValueError
+    or returns a complex value; an axis node's raise propagates.
 
     The box defaults to the system's own and must be a pair of real
     numbers with positive finite extent (ValueError otherwise).  Each
@@ -387,25 +402,11 @@ def _search(system: SplitSystem, bx: float, by: float) -> EquilibriumSet:
     candidates = [(0.0, 0.0)]
     degenerate = []
 
-    x_roots, x_degen = _axis_family(
-        lambda s: system.f_plus(s, 0.0),
-        lambda s: system.f_minus(s, 0.0),
-        lambda s: (lambda p: p.fpx - p.fmx)(partials_at(system, s, 0.0)),
-        bx,
-    )
-    if x_degen:
-        degenerate.append("E1")
-    candidates += [(r, 0.0) for r in x_roots]
-
-    y_roots, y_degen = _axis_family(
-        lambda s: system.g_plus(0.0, s),
-        lambda s: system.g_minus(0.0, s),
-        lambda s: (lambda p: p.gpy - p.gmy)(partials_at(system, 0.0, s)),
-        by,
-    )
-    if y_degen:
-        degenerate.append("E2")
-    candidates += [(0.0, r) for r in y_roots]
+    for along_x, hi, family in ((True, bx, "E1"), (False, by, "E2")):
+        roots, degen = _axis_family(system, along_x, hi)
+        if degen:
+            degenerate.append(family)
+        candidates += [(r, 0.0) if along_x else (0.0, r) for r in roots]
 
     candidates += _interior_points(system, (bx, by))
 

@@ -12,10 +12,9 @@ the denominator-weighted difference schemes in :mod:`nsfd.integrators`
 positivity preserving and the closed-form equilibrium analysis in
 :mod:`nsfd.equilibria` possible, so construction checks the sign structure
 eagerly on a sample grid instead of trusting the caller.  The checks
-evaluate a system of the built-in family on whole numpy grids, and any
-other system's callables on whole grids where they pass the array rule of
-nsfd._kernels and once per grid node otherwise, with the same verdict and
-message either way.
+evaluate a system's callables on whole numpy grids where they pass the
+array rule of nsfd._kernels and once per grid node otherwise, with the
+same verdict and message either way.
 """
 
 import itertools
@@ -27,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _each_of, _on_arrays
+from ._kernels import _each_of, _on_arrays, _plain_arithmetic, _raising
 
 Component = Callable[[float, float], float]
 
@@ -138,13 +137,10 @@ class SplitSystem:
 
     The read-only attribute ``rma_params`` holds the parameters of a
     system built by :func:`make_rosenzweig_macarthur`, the only code that
-    sets it, and is None for every other system.  The construction checks,
-    the array evaluation in the Newton searches and :meth:`components`
-    (all four components in one call) key on it.  It
-    is no constructor argument, so ``dataclasses.replace`` of a system of
-    the family, even with no changes, gives a system of callables that
-    computes the same bits on the generic paths; call the factory again
-    (with ``x_max``, say) to keep the fast paths.
+    sets it, and is None for every other system.  It is a label that no
+    code path reads, and no constructor argument: ``dataclasses.replace``
+    of a system of the family gives a system without it, with the same
+    bits on the same path.
 
     The instance also holds a private store of equilibrium searches,
     filled by :func:`nsfd.equilibria.find_equilibria`.  It takes no part
@@ -215,7 +211,7 @@ def _check_sign_structure(sys: SplitSystem) -> None:
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    vals, odd = _grid_values(sys, comps, nodes, lambda: _on_mesh(comps, nodes))
+    vals, odd = _grid_values(comps, nodes)
     inside = np.array(nodes) > 0.0
     inside = inside[:, None] & inside[None, :]
     with np.errstate(invalid="ignore"):
@@ -240,9 +236,14 @@ def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7].tolist()
     analytic = tuple(getattr(sys.partials, f) for f in PartialValues._fields)
     comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    numeric = tuple(fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp)))
-    ana, ana_odd = _grid_values(sys, analytic, nodes, lambda: _on_mesh(analytic, nodes))
-    num, num_odd = _grid_values(sys, numeric, nodes, lambda: _fd_mesh(comps, nodes))
+    ana, ana_odd = _grid_values(analytic, nodes)
+    # the differences on the grid where every component passes the array
+    # rule, else per node, where the refusal messages read them
+    line = np.array(nodes)
+    num = (_raising(_fd_on_arrays, sys.components, line[:, None], line[None, :])
+           if all(map(_plain_arithmetic, comps)) else None)
+    num, num_odd = (np.array(num), {}) if num is not None else _grid_values(
+        [fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp))], nodes)
     with np.errstate(invalid="ignore", over="ignore"):
         mismatch = np.abs(ana - num) > rtol * np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
     bad = ~np.isfinite(ana) | ~np.isfinite(num) | mismatch
@@ -265,7 +266,7 @@ def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     )
 
 
-def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
+def _grid_values(fns, nodes):
     """Each of fns at every node (x, y) of nodes x nodes.
 
     Returns a (len(fns), n, n) float array indexed [fn, x, y], and a dict
@@ -275,31 +276,20 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     are kept rather than raised because only the first failing node, in
     each checker's own order, decides the verdict.
 
-    A system of the built-in family is evaluated on whole arrays by
-    on_arrays(): the tag guarantees that fns are the family's closures,
-    which use only + - * /, so every finite entry is the bits of the
-    scalar call.  Where the scalar call divides by zero the array holds
-    inf or nan instead, so each non-finite node is called again on
-    scalars.  For any other system, each fn that passes the array rule
-    (`_kernels._on_arrays`) is called once on the whole grid, where every
-    scalar call would return a python float with the same bits; every
-    other fn is called once per node.
+    Each fn that passes the array rule (`_kernels._on_arrays`) is called
+    once on the whole grid, where every scalar call would return a python
+    float with the same bits; every other fn is called once per node.
     """
     shape = (len(fns), len(nodes), len(nodes))
-    if sys.rma_params is None:
-        vals = np.empty(shape)
-        todo = []
-        x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
-        for k, fn in enumerate(fns):
-            v = _on_arrays(fn, x, y)
-            if v is None:
-                todo += itertools.product((k,), range(shape[1]), range(shape[2]))
-            else:
-                vals[k] = v  # broadcasts a constant, or a function of x alone
-    else:
-        with np.errstate(all="ignore"):
-            vals = on_arrays()
-        todo = np.argwhere(~np.isfinite(vals)).tolist()
+    vals = np.empty(shape)
+    todo = []
+    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
+    for k, fn in enumerate(fns):
+        v = _on_arrays(fn, x, y)
+        if v is None:
+            todo += itertools.product((k,), range(shape[1]), range(shape[2]))
+        else:
+            vals[k] = v  # broadcasts a constant, or a function of x alone
     odd = {}
     got = []
     for k, i, j in todo:
@@ -314,26 +304,6 @@ def _grid_values(sys: SplitSystem, fns, nodes, on_arrays):
     if got:
         vals[tuple(np.array(todo).T)] = got
     return vals, odd
-
-
-def _on_mesh(fns, nodes) -> np.ndarray:
-    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
-    out = np.empty((len(fns), len(nodes), len(nodes)))
-    for k, fn in enumerate(fns):
-        out[k] = fn(x, y)  # broadcasts a constant such as f_plus = b
-    return out
-
-
-def _fd_mesh(comps, nodes) -> np.ndarray:
-    # _fd_x and _fd_y of each component, one call per grid line: the step
-    # and the stencil depend only on the coordinate that is differenced
-    line = np.array(nodes)
-    out = np.empty((2 * len(comps), line.size, line.size))
-    for k, comp in enumerate(comps):
-        for i, v in enumerate(nodes):
-            out[2 * k, i, :] = _fd_x(comp, v, line)
-            out[2 * k + 1, :, i] = _fd_y(comp, line, v)
-    return out
 
 
 def _refuse_odd(where: str, v) -> None:
@@ -432,6 +402,26 @@ def _fd_each(comp: Component, x, y, along_x: bool, dropped):
     return out, dropped
 
 
+def _fd_on_arrays(components, x, y) -> PartialValues:
+    """_fd_x and _fd_y of the four components(x, y) at every element of
+    the arrays x, y, broadcast together, in the bits of the scalar
+    stencils: two calls, at all the x and at all the y stencil points,
+    those a scalar stencil skips included.  So call it only for components
+    that pass the array rule, under `_kernels._raising`."""
+    diffs = []
+    for along_x, v in ((True, x), (False, y)):
+        step = _FD_EPS * np.fmax(1.0, np.abs(v))
+        central = v >= step
+        # central: v + step, v - step; one-sided: v, v + step, v + 2 step
+        at = np.stack((np.where(central, v + step, v), np.where(central, v - step, v + step),
+                       v + 2.0 * step))
+        vals = components(at, y) if along_x else components(x, at)
+        shape = np.broadcast_shapes(at.shape, np.shape(y if along_x else x))
+        diffs.append([np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
+                      for one, two, three in (np.broadcast_to(c, shape) for c in vals)])
+    return PartialValues(*(d for pair in zip(*diffs) for d in pair))
+
+
 def _numeric_partial_values(system: SplitSystem, x: float, y: float) -> PartialValues:
     return PartialValues(
         _fd_x(system.f_plus, x, y), _fd_y(system.f_plus, x, y),
@@ -455,11 +445,10 @@ def numeric_partials(system: SplitSystem, state: State) -> PartialValues:
 def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     """Analytic partials when the system carries them, finite differences otherwise.
 
-    At one point, on python floats.  The interior equilibrium search of a
-    system built from callables evaluates the same partials at all its
-    seeds at once (`_partials_each`), with the same bits: each callable
-    is evaluated by `_kernels._each_of`, and the differences are taken on
-    numpy arrays.
+    At one point, on python floats.  The interior equilibrium search
+    takes the same partials at all its seeds at once, in the same bits:
+    on whole arrays where the callables pass the array rule (analytic, or
+    `_fd_on_arrays`), else by `_partials_each`.
     """
     if system.partials is not None:
         return system.partials.at(x, y)
@@ -503,13 +492,11 @@ def make_rosenzweig_macarthur(
         g_plus = x/(c + x)            g_minus = d
 
     All four parameters must be strictly positive.  The returned system
-    carries analytic partials and is tagged (rma_params) so its
-    construction checks and Newton searches run on whole numpy arrays and
-    its four components are evaluated in one call.  This is the only
-    code that sets the tag: a ``dataclasses.replace`` of the
-    result is a system of callables with the same bits, and a system of
-    the family in another box is made by calling this with ``x_max``.
-    The default name writes each parameter exactly (see _float_tag).
+    carries analytic partials, evaluates its four components in one call
+    (``components``), and is labelled with ``rma_params``, which only this
+    sets.  Its twelve closures pass the array rule, so it runs on whole
+    arrays, as a ``dataclasses.replace`` of it does, in the same bits.  The
+    default name writes each parameter exactly (see _float_tag).
     """
     for label, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not (math.isfinite(v) and v > 0.0):
@@ -541,9 +528,9 @@ def make_rosenzweig_macarthur(
     )
     if name is None:
         name = "rma-" + "-".join(_float_tag(v) for v in (a, b, c, d))
-    # the tag and the fused closure go on before __init__, whose checks
-    # then take the whole-array path; "components" is an instance
-    # attribute, so it shadows the method
+    # the label and the fused closure go on before __init__, whose checks
+    # then call the fused closure; "components" is an instance attribute,
+    # so it shadows the method
     p = ModelParams(a, b, c, d)
     system = SplitSystem.__new__(SplitSystem)
     object.__setattr__(system, "rma_params", p)

@@ -13,7 +13,9 @@ written from its formulas rather than through the scheme step factories;
 fed through `step_loop` and `scalar_scan` it is the reference the family's
 orbits and ghost scans are held to.  `equality_settings` gives the
 hypothesis properties that hold array code to such references their
-example counts, and `point_bits` the bits of an equilibrium search.
+example counts, `point_bits` the bits of an equilibrium search, and
+`per_element` and `per_element_clone` put callables behind a call, which
+the array rule refuses, so they run per element.
 `fixed_refinement_errors` measures a scheme's errors
 against one rk4 orbit at min(steps)/100, point by point, the reference
 `nsfd.estimate_order` refines only as far as its error budget needs.
@@ -24,7 +26,7 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from nsfd import RK4, integrate
+from nsfd import RK4, Partials, PartialValues, SplitSystem, integrate
 from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
 from nsfd.equilibria import BALANCE_TOL, _balance_residual
 from nsfd.systems import partials_at
@@ -41,6 +43,20 @@ def equality_settings(max_examples):
 def point_bits(eqs):
     """The exact points, families and degenerate families of an EquilibriumSet."""
     return [(p.x.hex(), p.y.hex(), p.family) for p in eqs], eqs.degenerate
+
+
+def per_element(fn):
+    """fn behind a call, which the array rule refuses: per element always."""
+    return lambda x, y: fn(x, y)
+
+
+def per_element_clone(system):
+    """system with each of its callables behind a call: per element always."""
+    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    partials = None if system.partials is None else Partials(
+        *(per_element(getattr(system.partials, f)) for f in PartialValues._fields))
+    return SplitSystem(*map(per_element, comps), partials=partials, name=system.name,
+                       x_max=system.x_max)
 
 
 def rma_step(kind, params, e):

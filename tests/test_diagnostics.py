@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nsfd import (
     oscillation_stats,
 )
 from nsfd import cli
+from nsfd.diagnostics import GHOST_MAX_SEEDS
 from oracles import fixed_refinement_errors
 
 ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
@@ -324,6 +326,21 @@ def test_detect_ghosts_refuses_a_bad_seed_count(bad):
         detect_ghosts(model1(), NSFD, 0.1, seeds_per_axis=bad)
 
 
+def test_detect_ghosts_refuses_more_seeds_than_its_cap():
+    # one seed per axis past the cap is refused before the seed grid, or
+    # anything else of its size, is allocated
+    n = math.isqrt(GHOST_MAX_SEEDS) + 1
+    system = model1()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"seeds_per_axis = {n} gives {n * n} seeds"):
+            detect_ghosts(system, NSFD, 0.1, seeds_per_axis=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("scheme", [NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4],
                          ids=["nsfd", "ensfd", "euler", "rk2", "rk4"])
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
@@ -416,6 +433,15 @@ def test_compare_schemes_is_deterministic(tmp_path):
     args = (m1, [NSFD, RK4], State(0.7, 0.2), [0.25, 0.5], 10.0)
     a, b = compare_schemes(*args), compare_schemes(*args)
     assert a.to_csv() == b.to_csv()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0, 5.0, 1.0 + 1e-15])
+def test_oscillation_stats_refuses_a_bad_tail_fraction(bad):
+    traj = integrate(model2(), NSFD, State(0.4, 0.4), 0.5, 10.0)
+    with pytest.raises(ValueError, match="tail_fraction"):
+        oscillation_stats(traj, (1.0, 1.0), tail_fraction=bad)
+    whole = oscillation_stats(traj, (1.0, 1.0), tail_fraction=1.0)
+    assert whole.min_tail_distance == float(np.hypot(traj.xs - 1.0, traj.ys - 1.0).min())
 
 
 def test_oscillation_stats_detect_the_two_regimes():

@@ -513,6 +513,27 @@ def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme,
     assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
+def test_a_zero_divisor_under_a_whole_array_balance_drops_the_seed():
+    # at x = -c, y / (1 + y / (c + x)) is y / inf = 0 on arrays, so the
+    # balances are finite there, while the scalar call raises
+    # ZeroDivisionError; the divide flag sends that call per seed, and the
+    # seeds on x = -c are dropped, as in the seed-by-seed search, rather
+    # than run on to the coexistence point
+    c = 0.5
+    comps = (lambda x, y: 1.0, lambda x, y: 0.2 * x + 2.0 * y / (1.0 + y / (c + x)),
+             lambda x, y: 0.6, lambda x, y: 0.2 + 0.4 * x + 0.1 * y)
+    system = SplitSystem(*comps, x_max=4.0)
+    assert all(map(_kernels._plain_arithmetic, comps))
+    with np.errstate(divide="ignore"):
+        rx, ry = nsfd.equilibria._balance_residual(system, np.array([-c]), np.array([1.0]))
+    assert np.isfinite(rx).all() and np.isfinite(ry).all()
+    with pytest.raises(ZeroDivisionError):
+        nsfd.equilibria._balance_residual(system, -c, 1.0)
+    xs, ys = np.array([-c, 0.5, 2.0]), np.array([0.5, 1.0, 3.0])
+    found = _hex(nsfd.equilibria._balance_newton(system, xs, ys, 60.0))
+    assert found and found == _hex(scalar_balance_newton(system, xs, ys, 60.0))
+
+
 def test_a_guard_behind_a_dropping_component_is_never_reached():
     # f_plus raises ValueError off the quadrant, and g_minus, called after
     # it, guards the same points with a KeyError that no search drops: the

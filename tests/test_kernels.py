@@ -19,8 +19,9 @@ from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _each_of,
                            _plain_arithmetic, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
-from nsfd.systems import MODEL2_PARAMS
-from oracles import equality_settings, point_bits, rma_step, scalar_scan, step_loop
+from nsfd.systems import MODEL2_PARAMS, PartialValues
+from oracles import (equality_settings, per_element, per_element_clone, point_bits, rma_step,
+                     scalar_scan, step_loop)
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -29,18 +30,6 @@ SCHEME_IDS = [s.kind for s in SCHEMES]
 def _plain_step(system, scheme, h):
     """The family's hand-written step (oracles.rma_step) of scheme at h."""
     return rma_step(scheme.kind, system.rma_params, _scheme_core(scheme, h)[1])
-
-
-def _recorded_scans(monkeypatch):
-    """Record which python Newton scan runs: "batched" or "generic"."""
-    calls = []
-    for label, name in (("batched", "_scan_batched"), ("generic", "scan_fixed_points_generic")):
-        def recording(*args, _label=label, _original=getattr(_kernels, name), **kwargs):
-            calls.append(_label)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(_kernels, name, recording)
-    return calls
 
 
 def _oracle_generic_scan(system, make, e, *args):
@@ -70,10 +59,10 @@ def test_resolve_backend_explicit_choice():
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme):
-    # integrate runs one loop for every system; the ghost scan of a system
-    # of the built-in family runs batched on whole arrays, that of a
-    # callable clone through the generic scan, which runs the same batched
-    # driver over per-element calls.  Both give the report of the
+    # integrate runs one loop for every system, and every ghost scan one
+    # path: a system of the built-in family, its replace clone and a clone
+    # with each callable behind a call (per element everywhere) give the
+    # same rows, seeds on the pole x = -c included, and the report of the
     # seed-by-seed oracle.  Seeded random draws join the two models: their
     # orbits at a small and a large step must be the clone's bits too.
     rng = np.random.default_rng(20)
@@ -89,7 +78,6 @@ def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme
         return original(step, x0, y0, n)
 
     monkeypatch.setattr(_kernels, "_step_loop", recording)
-    scans = _recorded_scans(monkeypatch)
     reports = []
     runs = []
     for system in (model1(), model2()):
@@ -101,13 +89,20 @@ def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme
         assert np.array_equal(traj.xs, twin.xs) and np.array_equal(traj.ys, twin.ys)
         report = detect_ghosts(system, scheme, 0.1, seeds_per_axis=8)
         assert report.genuine
-        assert report == detect_ghosts(clone, scheme, 0.1, seeds_per_axis=8)
+        for other in (clone, per_element_clone(system)):
+            assert report == detect_ghosts(other, scheme, 0.1, seeds_per_axis=8)
+        sx, sy = _ghost_seeds(system, scheme, 8)
+        sx = np.append(sx, -system.rma_params.c)
+        sy = np.append(sy, 1.0)
+        rows = _scan(system, scheme, 0.1, sx, sy).tobytes()
+        assert rows == _scan(clone, scheme, 0.1, sx, sy).tobytes()
+        assert rows == _scan(per_element_clone(system), scheme, 0.1, sx, sy).tobytes()
         reports.append(report)
     # the family system and then its clone, of model1 and then of model2
     assert loops == runs
-    assert scans == ["batched", "generic", "batched"] * 2
     monkeypatch.setattr(_kernels, "scan_fixed_points_generic", _oracle_generic_scan)
     for system, report in zip((model1(), model2()), reports):
+        assert detect_ghosts(system, scheme, 0.1, seeds_per_axis=8) == report
         assert detect_ghosts(dataclasses.replace(system), scheme, 0.1, seeds_per_axis=8) == report
     for system in draws:
         clone = dataclasses.replace(system)
@@ -209,8 +204,8 @@ def test_a_stage_one_drop_is_not_called_again(scheme):
 
 
 def test_generic_loop_matches_kernel_path():
-    # A replace of a system of the family is a system of callables with the
-    # same component forms; it must reproduce the tagged fast path exactly.
+    # A replace of a system of the family calls its four callables where
+    # the family calls its fused components; the orbits are the same bits.
     m1 = model1()
     clone = dataclasses.replace(m1)
     assert clone.rma_params is None
@@ -221,31 +216,39 @@ def test_generic_loop_matches_kernel_path():
         assert np.array_equal(fast.ys, slow.ys)
 
 
-def test_only_the_factory_tags_a_system(monkeypatch):
-    # replace gives a system of callables: the generic paths run, with the
-    # bits of the family built by the factory in the same box
+def test_only_the_factory_tags_a_system():
+    # replace gives a system without the tag, on the one path every system
+    # takes: the bits of the family built by the factory in the same box,
+    # and of a clone with each callable behind a call, per element
     box = dataclasses.replace(model2(), x_max=5.0, name="box")
     family = make_rosenzweig_macarthur(2.0, 1.0, 1.0, 0.2, name="box", x_max=5.0)
+    elem = per_element_clone(family)
     assert box.rma_params is None and family.rma_params == MODEL2_PARAMS
-    scans = _recorded_scans(monkeypatch)
+    assert elem.rma_params is None
+    trio = (box, family, elem)
+    sx, sy = _ghost_seeds(family, RK4, 8)
     for scheme in (NSFD, RK4):
-        got, want = (detect_ghosts(s, scheme, 0.5, seeds_per_axis=8) for s in (box, family))
-        assert repr(got) == repr(want)
-    assert scans == ["generic", "batched", "batched"] * 2
-    assert repr(find_equilibria(box)) == repr(find_equilibria(family))
-    got, want = (integrate(s, RK4, State(0.4, 0.4), 0.5, 50.0) for s in (box, family))
-    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+        got, want, slow = (detect_ghosts(s, scheme, 0.5, seeds_per_axis=8) for s in trio)
+        assert repr(got) == repr(want) == repr(slow)
+        rows = [_scan(s, scheme, 0.5, np.append(sx, -1.0), np.append(sy, 2.0)).tobytes()
+                for s in trio]
+        assert rows[0] == rows[1] == rows[2]
+    assert point_bits(find_equilibria(box)) == point_bits(find_equilibria(family))
+    assert point_bits(find_equilibria(elem)) == point_bits(find_equilibria(family))
+    runs = [integrate(s, RK4, State(0.4, 0.4), 0.5, 50.0) for s in trio]
+    assert len({(t.xs.tobytes(), t.ys.tobytes()) for t in runs}) == 1
 
-    # a float-only partial constructs, and runs as a callable; a non-family
-    # loss and forging the tag are in test_systems
+    # a float-only partial constructs, and its search runs per seed, with
+    # the family's bits (fsum of two floats is their rounded sum); a
+    # non-family loss and forging the tag are in test_systems
     fmy = lambda x, y: 2.0 / math.fsum([1.0, x])
     float_only = dataclasses.replace(model2(), partials=dataclasses.replace(model2().partials,
                                                                             fmy=fmy))
-    assert float_only.rma_params is None
-    del scans[:]
-    detect_ghosts(float_only, NSFD, 0.5, seeds_per_axis=8)
-    assert scans == ["generic", "batched"]
+    assert float_only.rma_params is None and not _plain_arithmetic(fmy)
+    assert detect_ghosts(float_only, NSFD, 0.5, seeds_per_axis=8) == detect_ghosts(
+        model2(), NSFD, 0.5, seeds_per_axis=8)
     assert [p.family for p in find_equilibria(float_only)] == ["O", "E3", "E1"]
+    assert point_bits(find_equilibria(float_only)) == point_bits(find_equilibria(model2()))
 
 
 def test_generic_loop_truncates_like_the_kernel():
@@ -260,11 +263,6 @@ def test_generic_loop_truncates_like_the_kernel():
 
 # ---------------------------------------------------------------------------
 # the array rule: plain + - * / callables on whole arrays, in the same bits
-
-
-def _per_element(fn):
-    """fn behind a call, which the array rule refuses: per element always."""
-    return lambda x, y: fn(x, y)
 
 
 def _each_of_outcome(fns, xs, ys, dropped=None):
@@ -321,7 +319,7 @@ def test_the_array_rule_gives_the_per_element_bits(exprs, cells, px, py, skip):
     fns = [_expression_fn(e, *cells) for e in exprs]
     dropped = (np.arange(xs.size) % 5 == 1) if skip else None
     assert (_each_of_outcome(fns, xs, ys, dropped)
-            == _each_of_outcome([_per_element(f) for f in fns], xs, ys, dropped))
+            == _each_of_outcome([per_element(f) for f in fns], xs, ys, dropped))
 
 
 def test_the_array_rule_takes_population_forms():
@@ -344,17 +342,17 @@ def test_the_array_rule_takes_population_forms():
     for fn in forms + [local, unpacked]:
         assert _plain_arithmetic(fn)
         assert _on_arrays(fn, xs, ys) is not None
-        assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+        assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
-def test_a_non_finite_input_is_called_per_element():
+def test_a_non_finite_input_is_calledper_element():
     # nan / 0 and inf / 0 raise no numpy flag, but the scalar calls raise
     # ZeroDivisionError and drop the elements
     fn = lambda x, y: y / x
     xs, ys = np.array([0.0, 1.0, 0.0]), np.array([math.nan, 1.0, math.inf])
     vals, dropped = _each_of([fn], xs, ys)
     assert dropped.tolist() == [True, False, True]
-    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
 class _Rates:
@@ -426,13 +424,13 @@ def test_the_array_rule_refuses_what_it_cannot_prove(fn):
     xs = np.array([-2.0, -0.5, 0.0, 0.5, 3.0, 800.0])
     ys = np.array([0.25, 1.0, 2.0, 0.0, -1.0, 3.0])
     assert _on_arrays(fn, xs, ys) is None
-    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([_per_element(fn)], xs, ys)
+    assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
 def test_a_global_rebound_to_an_array_is_refused_after_construction():
     comps = (lambda x, y: 1.0, _REBOUND, lambda x, y: 0.5, lambda x, y: 0.2 + 0.1 * x)
     system = SplitSystem(*comps, x_max=4.0)
-    twin = SplitSystem(*map(_per_element, comps), x_max=4.0)
+    twin = SplitSystem(*map(per_element, comps), x_max=4.0)
     xs, ys = np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 7)
     assert _plain_arithmetic(_REBOUND)
     try:
@@ -440,7 +438,7 @@ def test_a_global_rebound_to_an_array_is_refused_after_construction():
         assert not _plain_arithmetic(_REBOUND)
         assert _on_arrays(_REBOUND, xs, ys) is None
         assert (_each_of_outcome(comps, xs, ys)
-                == _each_of_outcome(list(map(_per_element, comps)), xs, ys))
+                == _each_of_outcome(list(map(per_element, comps)), xs, ys))
         assert point_bits(find_equilibria(system)) == point_bits(find_equilibria(twin))
     finally:
         _GLOBALS["G"] = 2.0
@@ -467,7 +465,7 @@ def test_population_systems_take_the_array_rule_in_the_same_bits(form, p, x_max,
             return None, str(exc)
 
     system, refusal = build()
-    twin, twin_refusal = build(_per_element)
+    twin, twin_refusal = build(per_element)
     assert refusal == twin_refusal
     if system is None:
         return
@@ -478,3 +476,40 @@ def test_population_systems_take_the_array_rule_in_the_same_bits(form, p, x_max,
     sx, sy = [g.ravel() for g in np.meshgrid(xs, np.array(gy + [0.0]), indexing="ij")]
     for scheme in (NSFD, EULER, RK2, RK4):
         assert _scan(system, scheme, h, sx, sy).tobytes() == _scan(twin, scheme, h, sx, sy).tobytes()
+
+
+def test_every_family_closure_passes_the_array_rule():
+    # the four components and eight partials of the family are plain
+    # + - * / expressions; if a python version compiled one otherwise, the
+    # family would go per element, in the same bits but slowly
+    system = make_rosenzweig_macarthur(2.0, 1.0, 0.5, 0.3)
+    closures = [system.f_plus, system.f_minus, system.g_plus, system.g_minus,
+                *(getattr(system.partials, f) for f in PartialValues._fields)]
+    assert len(closures) == 12
+    assert all(map(_plain_arithmetic, closures))
+
+
+@pytest.mark.parametrize("scheme", [NSFD, ensfd(exponential_weight(0.5))],
+                         ids=["nsfd", "ensfd"])
+def test_a_zero_divisor_under_the_array_call_goesper_element(scheme):
+    # at x = -c, f_minus divides by zero: the scalar step raises, but on
+    # arrays a * y / 0 is inf and x * (1 + e b) / inf a finite 0, and the
+    # constant g+- leave y finite, so the map has a finite value there.
+    # The divide flag sends that call per element, and the seed fails
+    # with residual inf, as in the seed-by-seed scan.
+    a, b, c = 2.0, 1.0, 0.5
+    comps = (lambda x, y: b, lambda x, y: b * x + a * y / (c + x),
+             lambda x, y: 0.6, lambda x, y: 0.2)
+    system = SplitSystem(*comps, x_max=4.0)
+    assert all(map(_plain_arithmetic, comps))
+    make, e = _scheme_core(scheme, 0.5)
+    step = make(system.components, e)
+    sx, sy = np.array([-c, 1.0, -c, 2.0]), np.array([1.0, 1.0, 2.0, 0.5])
+    with np.errstate(divide="ignore"):
+        mx, my = step(sx, sy)
+    assert np.isfinite(mx).all() and np.isfinite(my).all()
+    with pytest.raises(ZeroDivisionError):
+        step(-c, 1.0)
+    rows = _scan(system, scheme, 0.5, sx, sy)
+    assert rows.tobytes() == scalar_scan(step, sx, sy).tobytes()
+    assert np.isinf(rows[sx == -c, 2]).all() and np.isfinite(rows[sx != -c, 2]).all()

@@ -27,10 +27,10 @@ from nsfd import (
     numeric_partials,
     vector_field,
 )
-from nsfd import systems
-from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues, _fd_x,
-                          _fd_y, _numeric_partial_values, _partials_each, partials_at)
-from oracles import equality_settings
+from nsfd import _kernels, systems
+from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues,
+                          _fd_x, _fd_y, _numeric_partial_values, _partials_each, partials_at)
+from oracles import equality_settings, per_element_clone
 
 
 def test_model1_components_at_interior_point():
@@ -176,6 +176,32 @@ def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
     assert on_arrays <= calls
 
 
+@given(points=st.lists(st.tuples(_fd_coords, _fd_coords), min_size=1, max_size=10),
+       grid=st.booleans())
+@example(points=[(0.0, 0.0), (0.5 * _FD_EPS, 1.0), (-0.5, 2.0), (1e160, 1.0)], grid=False)
+@example(points=[(-0.7, 1.0), (1.0, 1.0)], grid=False)
+@example(points=[(0.0, 0.0), (0.5 * _FD_EPS, 1.0), (3.0, 2.0 * _FD_EPS)], grid=True)
+@equality_settings(200)
+def test_whole_array_stencils_are_the_scalar_partials(points, grid):
+    # _fd_on_arrays, under the flag guard, gives the scalar stencils' bits
+    # at every point, or at every node of a grid, or trips a flag: then
+    # the callers go per point.  The fused components of the family and a
+    # pole at x = -c are the case it serves.
+    system = make_rosenzweig_macarthur(2.0, 1.0, 0.7, 0.3)
+    xs, ys = (np.array(v, dtype=float) for v in zip(*points))
+    if grid:
+        xs, ys = xs[:, None], ys[None, :]
+    got = _kernels._raising(systems._fd_on_arrays, system.components, xs, ys)
+    if got is None:
+        return
+    got = np.broadcast_arrays(*got)
+    for idx in np.ndindex(got[0].shape):
+        x, y = float(np.broadcast_to(xs, got[0].shape)[idx]), float(
+            np.broadcast_to(ys, got[0].shape)[idx])
+        want = _numeric_partial_values(system, x, y)
+        assert np.array([g[idx] for g in got]).tobytes() == np.array(want).tobytes()
+
+
 def test_constructor_rejects_nonpositive_parameters():
     for bad in [(0.0, 1, 1, 1), (1, -2, 1, 1), (1, 1, math.nan, 1), (1, 1, 1, math.inf)]:
         with pytest.raises(ConstructionError):
@@ -268,9 +294,9 @@ def test_component_that_turns_complex_is_refused():
 
 
 def test_rma_params_promise_is_enforced():
-    # the batched searches and `components` use the family's formulas, not
-    # the callables, so only make_rosenzweig_macarthur may tag a system:
-    # the tag cannot be passed or replaced in
+    # the tag labels a system whose `components` is the family's fused
+    # closure, not its callables, so only make_rosenzweig_macarthur may
+    # set it: it cannot be passed or replaced in
     m2 = model2()
     with pytest.raises(TypeError, match="rma_params"):
         SplitSystem(m2.f_plus, m2.f_minus, m2.g_plus, m2.g_minus, partials=m2.partials,
@@ -375,10 +401,12 @@ def _unchecked():
 
 
 def _assert_same_verdicts(system):
-    # the system itself, then a callable clone that takes the per-node path
+    # the system itself, its replace clone, and a clone with each callable
+    # behind a call, which takes the per-node path
     with _unchecked():
         clone = dataclasses.replace(system)
-    for s in (system, clone):
+        elem = per_element_clone(system)
+    for s in (system, clone, elem):
         assert _outcome(_array_checks, s) == _outcome(_oracle_checks, s)
 
 
