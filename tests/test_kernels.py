@@ -345,7 +345,7 @@ def test_the_array_rule_takes_population_forms():
         assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
-def test_a_non_finite_input_is_calledper_element():
+def test_a_non_finite_input_is_called_per_element():
     # nan / 0 and inf / 0 raise no numpy flag, but the scalar calls raise
     # ZeroDivisionError and drop the elements
     fn = lambda x, y: y / x
@@ -491,7 +491,7 @@ def test_every_family_closure_passes_the_array_rule():
 
 @pytest.mark.parametrize("scheme", [NSFD, ensfd(exponential_weight(0.5))],
                          ids=["nsfd", "ensfd"])
-def test_a_zero_divisor_under_the_array_call_goesper_element(scheme):
+def test_a_zero_divisor_under_the_array_call_goes_per_element(scheme):
     # at x = -c, f_minus divides by zero: the scalar step raises, but on
     # arrays a * y / 0 is inf and x * (1 + e b) / inf a finite 0, and the
     # constant g+- leave y finite, so the map has a finite value there.
