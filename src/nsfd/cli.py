@@ -124,13 +124,17 @@ def _build_scheme(parser, name, weight_text):
         parser.error(str(exc))
 
 
+def _weight_tag(weight) -> str:
+    """What a file name carries of a step weight: "-exp2" for exp:2, ""
+    for identity or none."""
+    return "" if weight is None or weight is IDENTITY else "-" + weight.name.replace(":", "")
+
+
 def _run_stem(system, scheme, h: "float | None" = None) -> str:
     """File stem naming one run: model, scheme (with its weight unless
     identity) and step size if given, each written so that distinct runs
     never share a name."""
-    stem = f"{system.name}_{scheme.kind}"
-    if scheme.weight is not None and scheme.weight is not IDENTITY:
-        stem += "-" + scheme.weight.name.replace(":", "")
+    stem = f"{system.name}_{scheme.kind}{_weight_tag(scheme.weight)}"
     return stem if h is None else f"{stem}_h{_float_tag(h)}"
 
 
@@ -183,7 +187,7 @@ def _dispatch(parser, args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"{system.name}_equilibria.json").write_text(text + "\n")
+            (out / f"{system.name}_equilibria{_weight_tag(weight)}.json").write_text(text + "\n")
         return 0
 
     if args.command == "compare":
@@ -194,11 +198,12 @@ def _dispatch(parser, args) -> int:
             if name not in SCHEME_KINDS:
                 parser.error(f"unknown scheme {name!r}")
         schemes = [_build_scheme(parser, name, args.weight) for name in names]
+        weight = _parse_weight(parser, args.weight)
         hs = _parse_floats(parser, args.h, "--h")
         table = compare_schemes(system, schemes, State(args.x0, args.y0), hs, args.t_end)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{system.name}_compare.csv"
+        path = out / f"{system.name}_compare{_weight_tag(weight)}.csv"
         table.write_csv(path)
         print(path)
         return 0

@@ -222,10 +222,12 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     schemes the grid and the acceptance region extend 10% beyond each side,
     since their spurious points can sit just outside the quadrant.  Found
     points are deduplicated at 1e-6 and labelled genuine when they match a
-    flow equilibrium to 1e-6.  The box must be a pair of real numbers
-    with positive finite extent and seeds_per_axis an int of at least 1
-    whose square is at most GHOST_MAX_SEEDS (ValueError otherwise, before
-    any seed is allocated).
+    flow equilibrium to 1e-6: the converged seeds are filtered, sorted and
+    clustered on arrays, in one pass per fixed point rather than per seed,
+    with the result of the seed-by-seed loop (_cluster_hits).  The box
+    must be a pair of real numbers with positive finite extent and
+    seeds_per_axis an int of at least 1 whose square is at most
+    GHOST_MAX_SEEDS (ValueError otherwise, before any seed is allocated).
     """
     bx, by = _resolve_box(system, box)
     if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)
@@ -245,31 +247,51 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     rows = _kernels.scan_fixed_points(system, make, e, sx, sy)
 
     tol_in = 1e-9 * (1.0 + max(bx, by))
-    hits = [(x, y, res) for x, y, res in rows.tolist()
-            if res < _kernels.NEWTON_TOL
-            and lox - tol_in <= x <= hix + tol_in
-            and loy - tol_in <= y <= hiy + tol_in]
-    hits.sort()
-
-    clusters = []
-    for x, y, res in hits:
-        placed = False
-        for cl in clusters:
-            if math.hypot(x - cl[0][0], y - cl[0][1]) <= GHOST_DEDUP_TOL:
-                cl.append((x, y, res))
-                placed = True
-                break
-        if not placed:
-            clusters.append([(x, y, res)])
+    found = _cluster_hits(rows, (lox - tol_in, hix + tol_in), (loy - tol_in, hiy + tol_in))
 
     eqs = find_equilibria(system, (bx, by))
     points = []
-    for cl in clusters:
-        x, y, res = min(cl, key=lambda row: (row[2], row[0], row[1]))
+    for x, y, res in found:
         dist = min((math.hypot(x - p.x, y - p.y) for p in eqs), default=math.inf)
         points.append(MapFixedPoint(x, y, res, dist < GHOST_MATCH_TOL))
     points.sort(key=lambda p: (p.x, p.y))
     return GhostReport(scheme.kind, float(h), (bx, by), tuple(points))
+
+
+def _cluster_hits(rows, xlim, ylim):
+    """One (x, y, residual) row of python floats per cluster of the hits
+    among the scan rows: those with residual below NEWTON_TOL and x, y in
+    the closed ranges xlim, ylim.
+
+    In (x, y, residual) order, each hit joins the first cluster whose
+    first hit lies within GHOST_DEDUP_TOL of it (math.hypot), or starts
+    one; a cluster gives its hit that is least in (residual, x, y), the
+    first of them on a tie.  The loop runs once per cluster, on arrays: a
+    cluster's first hit is the first hit no earlier cluster took, and it
+    takes every later hit within reach.  np.hypot decides, but for the
+    hits within 1e-12 relative of the tolerance, where it can differ from
+    math.hypot by an ulp: math.hypot decides those.
+    """
+    x, y, res = rows.T
+    hit = ((res < _kernels.NEWTON_TOL) & (xlim[0] <= x) & (x <= xlim[1])
+           & (ylim[0] <= y) & (y <= ylim[1]))
+    x, y, res = x[hit], y[hit], res[hit]
+    order = np.lexsort((res, y, x))  # stable, as list.sort of the (x, y, res) rows
+    x, y, res = x[order], y[order], res[order]
+    found = []
+    while x.size:
+        ax, ay = x[0], y[0]
+        dx, dy = x - ax, y - ay
+        dist = np.hypot(dx, dy)
+        near = dist <= GHOST_DEDUP_TOL
+        for i in np.flatnonzero(np.abs(dist - GHOST_DEDUP_TOL) <= 1e-12 * GHOST_DEDUP_TOL):
+            near[i] = math.hypot(dx[i], dy[i]) <= GHOST_DEDUP_TOL
+        # in (x, y, residual) order, the first least residual is least in (residual, x, y)
+        cx, cy, cres = x[near], y[near], res[near]
+        k = np.argmin(cres)
+        found.append((cx[k].item(), cy[k].item(), cres[k].item()))
+        x, y, res = x[~near], y[~near], res[~near]
+    return found
 
 
 # ---------------------------------------------------------------------------

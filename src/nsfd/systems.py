@@ -177,6 +177,7 @@ class SplitSystem:
     def __post_init__(self):
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise ConstructionError(f"x_max must be positive and finite, got {self.x_max!r}")
+        _bind_components(self)
         _check_sign_structure(self)
         if self.partials is not None:
             _check_partials_consistency(self)
@@ -186,8 +187,12 @@ class SplitSystem:
 
         Scheme internals call this once per stage, for states that may sit
         outside the quadrant (classical schemes wander there); use
-        vector_field for validated evaluation.  The built-in family swaps in
-        one closure with the bits (or exception) of the four single calls.
+        vector_field for validated evaluation.  Construction binds it once
+        per instance, as a closure over the four callables that calls each
+        once, in field order, without the attribute lookups of this method;
+        the built-in family binds one fused closure with the bits (or
+        exception) of the four single calls instead.  A subclass that
+        overrides this method keeps its own.
         """
         return (
             self.f_plus(x, y),
@@ -195,6 +200,37 @@ class SplitSystem:
             self.g_plus(x, y),
             self.g_minus(x, y),
         )
+
+    def __getstate__(self):
+        # copy and pickle without the bound closure, which is local and so
+        # not picklable; __setstate__ binds it anew
+        state = dict(vars(self))
+        if getattr(state.get("components"), "__code__", None) is _BOUND_CODE:
+            del state["components"]
+        return state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        _bind_components(self)
+
+
+def _bound_components(f_plus, f_minus, g_plus, g_minus):
+    # SplitSystem.components closed over the four callables
+    def components(x, y):
+        return f_plus(x, y), f_minus(x, y), g_plus(x, y), g_minus(x, y)
+
+    return components
+
+
+_BOUND_CODE = _bound_components(None, None, None, None).__code__
+
+
+def _bind_components(system: SplitSystem) -> None:
+    # an instance attribute shadows the method: bound once, unless the
+    # family's fused closure is already on or a subclass overrides it
+    if "components" not in vars(system) and type(system).components is SplitSystem.components:
+        object.__setattr__(system, "components", _bound_components(
+            system.f_plus, system.f_minus, system.g_plus, system.g_minus))
 
 
 def _rma_components(p: ModelParams):
@@ -406,19 +442,27 @@ def _fd_on_arrays(components, x, y) -> PartialValues:
     """_fd_x and _fd_y of the four components(x, y) at every element of
     the arrays x, y, broadcast together, in the bits of the scalar
     stencils: two calls, at all the x and at all the y stencil points,
-    those a scalar stencil skips included.  So call it only for components
-    that pass the array rule, under `_kernels._raising`."""
+    those a scalar stencil skips included.  Where every element takes the
+    central stencil (every interior Newton seed), the calls take its two
+    rows only.  So call it only for components that pass the array rule,
+    under `_kernels._raising`."""
     diffs = []
     for along_x, v in ((True, x), (False, y)):
         step = _FD_EPS * np.fmax(1.0, np.abs(v))
         central = v >= step
         # central: v + step, v - step; one-sided: v, v + step, v + 2 step
-        at = np.stack((np.where(central, v + step, v), np.where(central, v - step, v + step),
-                       v + 2.0 * step))
+        all_central = central.all()
+        if all_central:
+            at = np.stack((v + step, v - step))
+        else:
+            at = np.stack((np.where(central, v + step, v), np.where(central, v - step, v + step),
+                           v + 2.0 * step))
         vals = components(at, y) if along_x else components(x, at)
         shape = np.broadcast_shapes(at.shape, np.shape(y if along_x else x))
-        diffs.append([np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
-                      for one, two, three in (np.broadcast_to(c, shape) for c in vals)])
+        rows = (np.broadcast_to(c, shape) for c in vals)
+        diffs.append([_central(one, two, step) for one, two in rows] if all_central else
+                     [np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
+                      for one, two, three in rows])
     return PartialValues(*(d for pair in zip(*diffs) for d in pair))
 
 

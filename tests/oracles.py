@@ -19,6 +19,10 @@ the array rule refuses, so they run per element.
 `fixed_refinement_errors` measures a scheme's errors
 against one rk4 orbit at min(steps)/100, point by point, the reference
 `nsfd.estimate_order` refines only as far as its error budget needs.
+`distinct_points` and `cluster_hits` are the bookkeeping of the two
+searches point by point on python floats: every candidate of an
+equilibrium search, every hit of a ghost scan, the references for
+`nsfd.equilibria._distinct_points` and `nsfd.diagnostics._cluster_hits`.
 """
 
 import math
@@ -28,8 +32,9 @@ from hypothesis import settings
 
 from nsfd import RK4, Partials, PartialValues, SplitSystem, integrate
 from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
-from nsfd.equilibria import BALANCE_TOL, _balance_residual
-from nsfd.systems import partials_at
+from nsfd.diagnostics import GHOST_DEDUP_TOL
+from nsfd.equilibria import BALANCE_TOL, DEDUP_TOL, _balance_residual
+from nsfd.systems import AXIS_ZERO_TOL, partials_at
 
 
 def equality_settings(max_examples):
@@ -264,6 +269,54 @@ def scalar_balance_newton(system, xs, ys, escape):
             if best is not None and best[0] < BALANCE_TOL:
                 found.append((best[1], best[2]))
     return found
+
+
+def distinct_points(candidates, bx, by):
+    """The candidates (x, y) of an equilibrium search, one by one: each
+    snapped onto the axes within AXIS_ZERO_TOL and kept inside the box up
+    to 1e-9 * (1 + max(bx, by)); then sorted, and each dropped within
+    DEDUP_TOL of the last point kept."""
+    tol_in = 1e-9 * (1.0 + max(bx, by))
+    cleaned = []
+    for x, y in candidates:
+        if abs(x) < AXIS_ZERO_TOL:
+            x = 0.0
+        if abs(y) < AXIS_ZERO_TOL:
+            y = 0.0
+        if x < 0.0 or y < 0.0 or x > bx + tol_in or y > by + tol_in:
+            continue
+        cleaned.append((x, y))
+    cleaned.sort()
+
+    deduped = []
+    for x, y in cleaned:
+        if deduped and math.hypot(x - deduped[-1][0], y - deduped[-1][1]) <= DEDUP_TOL:
+            continue
+        deduped.append((x, y))
+    return deduped
+
+
+def cluster_hits(rows, xlim, ylim):
+    """The (x, y, residual) rows of a ghost scan, hit by hit: the rows with
+    residual below NEWTON_TOL and x, y in the closed ranges xlim, ylim,
+    sorted; each joins the first cluster whose first hit lies within
+    GHOST_DEDUP_TOL of it, or starts one.  One row per cluster, its least
+    in (residual, x, y)."""
+    hits = [(x, y, res) for x, y, res in rows.tolist()
+            if res < NEWTON_TOL and xlim[0] <= x <= xlim[1] and ylim[0] <= y <= ylim[1]]
+    hits.sort()
+
+    clusters = []
+    for x, y, res in hits:
+        placed = False
+        for cl in clusters:
+            if math.hypot(x - cl[0][0], y - cl[0][1]) <= GHOST_DEDUP_TOL:
+                cl.append((x, y, res))
+                placed = True
+                break
+        if not placed:
+            clusters.append([(x, y, res)])
+    return [min(cl, key=lambda row: (row[2], row[0], row[1])) for cl in clusters]
 
 
 def fixed_refinement_errors(system, scheme, s0, t_end, steps, refinement=100):

@@ -137,6 +137,34 @@ def test_convergence_files_keep_the_weight(tmp_path, capsys):
         "model1_ensfd_convergence.csv"]
 
 
+def test_compare_files_keep_the_weight(tmp_path, capsys):
+    base = ("compare", "--model", "model2", "--scheme", "ensfd", "--h", "0.5,2",
+            "--x0", "0.4", "--y0", "0.4", "--t-end", "5", "--out", str(tmp_path))
+    names = {"exp:2": "model2_compare-exp2.csv", "exp:0.5": "model2_compare-exp0.5.csv",
+             "identity": "model2_compare.csv"}
+    for weight, name in names.items():
+        code, out, _ = run_cli(capsys, *base, "--weight", weight)
+        assert code == 0
+        assert out == f"{tmp_path / name}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names.values())
+    # each file holds its own weight's rows
+    assert len({(tmp_path / name).read_text() for name in names.values()}) == 3
+
+
+def test_equilibria_files_keep_the_weight(tmp_path, capsys):
+    base = ("equilibria", "--model", "model2", "--h", "0.5,2", "--out", str(tmp_path))
+    texts = {}
+    for weight in ("exp:2", "exp:1.0000001", "identity"):
+        code, out, _ = run_cli(capsys, *base, "--weight", weight)
+        assert code == 0
+        texts[weight] = out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model2_equilibria-exp1.0000001.json", "model2_equilibria-exp2.json",
+        "model2_equilibria.json"]
+    assert (tmp_path / "model2_equilibria-exp2.json").read_text() == texts["exp:2"]
+    assert (tmp_path / "model2_equilibria.json").read_text() == texts["identity"]
+
+
 def test_ghosts_reports_spurious_points_as_json(capsys):
     code, out, _ = run_cli(capsys, "ghosts", "--model", "model1",
                            "--scheme", "rk2", "--h", "0.1")

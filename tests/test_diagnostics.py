@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nsfd import (
     EULER,
@@ -29,8 +31,9 @@ from nsfd import (
     oscillation_stats,
 )
 from nsfd import cli
-from nsfd.diagnostics import GHOST_MAX_SEEDS
-from oracles import fixed_refinement_errors
+from nsfd._kernels import NEWTON_TOL
+from nsfd.diagnostics import GHOST_DEDUP_TOL, GHOST_MAX_SEEDS, _cluster_hits
+from oracles import cluster_hits, equality_settings, fixed_refinement_errors
 
 ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
 
@@ -318,6 +321,72 @@ def test_ghost_seeds_fail_where_a_component_turns_complex():
                          lambda x, y: 0.5, lambda x, y: 1.0, name="root_loss")
     report = detect_ghosts(system, RK2, 0.1, box=(2.0, 2.0), seeds_per_axis=9)
     assert [(round(p.x, 9), abs(round(p.y, 9))) for p in report.genuine] == [(1.0, 0.0)]
+
+
+# the acceptance ranges of a ghost scan, and scan rows around them: zeros
+# of both signs, points on and just past the range edges, residuals on
+# both sides of NEWTON_TOL, and failed seeds
+_XLIM, _YLIM = (-0.2, 2.2), (0.0, 2.0)
+_ROW_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.2, math.nextafter(-0.2, -1.0), 2.2, 2.0,
+                     math.nextafter(2.0, 3.0), 1.0]),
+    st.floats(-0.5, 2.5))
+_RESIDUALS = st.sampled_from([0.0, 1e-13, 5e-11, math.nextafter(NEWTON_TOL, 0.0), NEWTON_TOL,
+                              1e-3, math.inf])
+# offsets from a hit: exactly GHOST_DEDUP_TOL apart along an axis, a pair
+# that math.hypot puts at exactly the tolerance and glibc's hypot just
+# past it, and chain steps a-b-c with |a - b|, |b - c| <= tol < |a - c|
+_ROW_STEPS = st.sampled_from([
+    (GHOST_DEDUP_TOL, 0.0), (0.0, GHOST_DEDUP_TOL), (5.11518922132633e-07, 8.592720129855676e-07),
+    (0.6 * GHOST_DEDUP_TOL, 0.0), (0.0, -0.6 * GHOST_DEDUP_TOL),
+    (0.5 * GHOST_DEDUP_TOL, 0.5 * GHOST_DEDUP_TOL), (2.0 * GHOST_DEDUP_TOL, 0.0)])
+
+
+@st.composite
+def _scan_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        x, y, res = draw(_ROW_COORDS), draw(_ROW_COORDS), draw(_RESIDUALS)
+        rows.append((x, y, res))
+        shape = draw(st.sampled_from(["one", "twins", "flipped zeros", "chain", "failed"]))
+        if shape == "twins":  # the same point, its residual the same or not
+            rows += [(x, y, draw(_RESIDUALS)) for _ in range(draw(st.integers(1, 3)))]
+        elif shape == "flipped zeros":
+            rows.append((-x if x == 0.0 else x, -y if y == 0.0 else y, draw(_RESIDUALS)))
+        elif shape == "chain":
+            dx, dy = draw(_ROW_STEPS)
+            rows += [(x + dx, y + dy, draw(_RESIDUALS)),
+                     (x + 2.0 * dx, y + 2.0 * dy, draw(_RESIDUALS))]
+        elif shape == "failed":
+            rows.append((draw(st.sampled_from([math.nan, math.inf, x])), y, math.inf))
+    return np.array(draw(st.permutations(rows)), dtype=float).reshape(-1, 3)
+
+
+@given(rows=_scan_rows())
+@example(rows=np.array([[0.5, 0.5, 1e-12], [0.5 + 5.11518922132633e-07,
+                                            0.5 + 8.592720129855676e-07, 0.0]]))
+@example(rows=np.array([[0.0, 1.0, 1e-13], [GHOST_DEDUP_TOL, 1.0, 0.0],
+                        [2.0 * GHOST_DEDUP_TOL, 1.0, 0.0]]))
+@example(rows=np.array([[1.0, 1.0, 0.0], [1.0 + 0.6e-6, 1.0, 0.0], [1.0 + 1.2e-6, 1.0, 0.0],
+                        [-0.0, 0.5, 1e-13], [0.0, 0.5, 1e-13], [0.0, 0.5 + 1e-6, 0.0]]))
+@equality_settings(300)
+def test_hit_clusters_are_the_hit_by_hit_loop(rows):
+    # clustering on arrays, one loop per cluster, keeps every bit of the
+    # loop over hits: filter, sort, first cluster within reach, and each
+    # cluster's least (residual, x, y)
+    got = _cluster_hits(rows, _XLIM, _YLIM)
+    assert all(type(v) is float for row in got for v in row)
+    assert [tuple(map(float.hex, row)) for row in got] == [
+        tuple(map(float.hex, row)) for row in cluster_hits(rows, _XLIM, _YLIM)]
+
+
+def test_math_hypot_decides_a_hit_at_the_tolerance():
+    # math.hypot puts the pair at exactly GHOST_DEDUP_TOL, so it is one
+    # fixed point, whatever np.hypot makes of it
+    dx, dy = 5.11518922132633e-07, 8.592720129855676e-07
+    assert math.hypot(dx, dy) == GHOST_DEDUP_TOL
+    rows = np.array([[0.0, 0.0, 1e-12], [dx, dy, 0.0]])
+    assert _cluster_hits(rows, _XLIM, _YLIM) == [(dx, dy, 0.0)]
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.0, True, None])

@@ -42,9 +42,11 @@ from nsfd import (
     vector_field,
 )
 from nsfd import _kernels
+from nsfd.equilibria import DEDUP_TOL
 from nsfd.integrators import _scheme_core
-from nsfd.systems import Partials
-from oracles import equality_settings, point_bits, scalar_balance_newton, scalar_scan
+from nsfd.systems import AXIS_ZERO_TOL, Partials
+from oracles import (distinct_points, equality_settings, point_bits, scalar_balance_newton,
+                     scalar_scan)
 
 SQRT47_OVER_20 = math.sqrt(47.0) / 20.0
 
@@ -435,6 +437,55 @@ def test_batched_interior_search_is_the_scalar_search(a, b, c, d, bx, by):
 
 def _hex(points):
     return [(x.hex(), y.hex()) for x, y in points]
+
+
+# candidate coordinates: zeros of both signs, values on, within and just
+# past AXIS_ZERO_TOL of an axis, and a spread that reaches past the box
+_CANDIDATE_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-10, -5e-10, AXIS_ZERO_TOL, -AXIS_ZERO_TOL,
+                     math.nextafter(AXIS_ZERO_TOL, 0.0), 1.0, 2.5]),
+    st.floats(-1.0, 6.0))
+# steps along a chain a-b-c: at 0.6 DEDUP_TOL, |a - b| and |b - c| are
+# within the tolerance and |a - c| is not
+_CHAIN_STEPS = st.sampled_from([0.0, 0.3 * DEDUP_TOL, 0.6 * DEDUP_TOL, -0.6 * DEDUP_TOL,
+                                DEDUP_TOL, 2.0 * DEDUP_TOL])
+
+
+@st.composite
+def _search_candidates(draw):
+    bx, by = draw(st.sampled_from([1.0, 2.5, 5.0]) | st.floats(0.5, 6.0)), draw(
+        st.sampled_from([1.0, 2.5, 5.0]) | st.floats(0.5, 6.0))
+    edge = 1e-9 * (1.0 + max(bx, by))
+    coords = _CANDIDATE_COORDS | st.sampled_from([bx, bx + 0.5 * edge, bx + 2.0 * edge, by,
+                                                  by + edge])
+    candidates = []
+    for _ in range(draw(st.integers(1, 10))):
+        x, y = draw(coords), draw(coords)
+        candidates.append((x, y))
+        shape = draw(st.sampled_from(["one", "twins", "flipped zeros", "chain"]))
+        if shape == "twins":
+            candidates += [(x, y)] * draw(st.integers(1, 3))
+        elif shape == "flipped zeros":
+            candidates.append((-x if x == 0.0 else x, -y if y == 0.0 else y))
+        elif shape == "chain":
+            dx, dy = draw(_CHAIN_STEPS), draw(_CHAIN_STEPS)
+            candidates += [(x + dx, y + dy), (x + 2.0 * dx, y + 2.0 * dy)]
+    return draw(st.permutations(candidates)), bx, by
+
+
+@given(case=_search_candidates())
+@example(case=([(1.0, 1.0), (1.0 + 0.6e-7, 1.0), (1.0 + 1.2e-7, 1.0), (1.0, 1.0),
+                (0.0, 2.0), (-0.0, 2.0), (5e-10, 3.0), (-5e-10, -0.0), (0.0, 0.0)], 5.0, 5.0))
+@example(case=([(-0.0, 0.5), (0.0, 0.5), (2.5, 1e-9), (2.5, -1e-9)], 2.5, 2.5))
+@equality_settings(300)
+def test_distinct_points_are_the_candidate_by_candidate_loop(case):
+    # collapsing exact duplicates first keeps every bit of the loop over
+    # all candidates: snapping, box filter, sort, dedup against the last
+    # point kept
+    candidates, bx, by = case
+    got = nsfd.equilibria._distinct_points(candidates, bx, by)
+    assert all(type(v) is float for point in got for v in point)
+    assert _hex(got) == _hex(distinct_points(candidates, bx, by))
 
 
 # extra loss terms of the callable systems below, each failing a seed off

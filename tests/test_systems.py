@@ -1,8 +1,10 @@
 """System construction, validation, and derivative plumbing."""
 
 import contextlib
+import copy
 import dataclasses
 import math
+import pickle
 from functools import partial
 from unittest import mock
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from nsfd import (
     NSFD,
+    RK4,
     ConstructionError,
     DomainError,
     SplitSystem,
@@ -200,6 +203,109 @@ def test_whole_array_stencils_are_the_scalar_partials(points, grid):
             np.broadcast_to(ys, got[0].shape)[idx])
         want = _numeric_partial_values(system, x, y)
         assert np.array([g[idx] for g in got]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("xs,ys,rows", [
+    # every element central on both axes: the interior Newton seeds
+    ([0.5, 1.0, 3.0, 19.5], [0.25, 2.0, 7.0, 1e3], (2, 2)),
+    # one element one-sided in x, another in y
+    ([0.5, 0.5 * _FD_EPS, 3.0, 19.5], [0.25, 2.0, 0.0, 1e3], (3, 3)),
+    ([0.5, 1.0, 3.0, 19.5], [0.25, 2.0, -0.0, 1e3], (2, 3)),
+])
+def test_an_all_central_input_takes_two_stencil_rows(xs, ys, rows):
+    # _fd_on_arrays calls the components once per axis, on as many stencil
+    # rows as the stencils need, and every element keeps the bits of
+    # _fd_x and _fd_y
+    comps = (lambda x, y: 1.5 - 0.1 * y, lambda x, y: 0.7 * x + 0.3 * y / (1.0 + x),
+             lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y)
+    shapes = []
+
+    def components(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return tuple(fn(x, y) for fn in comps)
+
+    x, y = np.array(xs), np.array(ys)
+    got = systems._fd_on_arrays(components, x, y)
+    n = x.size
+    assert shapes == [((rows[0], n), (n,)), ((n,), (rows[1], n))]
+    want = [[fd(fn, a, b) for fn in comps for fd in (_fd_x, _fd_y)]
+            for a, b in zip(xs, ys)]
+    assert np.array(got).T.tobytes() == np.array(want).tobytes()
+
+
+def _counted(calls, label, fn):
+    def call(x, y):
+        calls.append(label)
+        return fn(x, y)
+    return call
+
+
+def test_a_generic_system_binds_its_components_once(monkeypatch):
+    # construction binds components once, as a closure over the four
+    # callables that calls each once per stage, in field order; later
+    # evaluations, orbits and searches bind nothing more
+    binds = []
+    bind = systems._bound_components
+    monkeypatch.setattr(systems, "_bound_components", lambda *fns: binds.append(fns) or bind(*fns))
+    calls = []
+    labels = ("f_plus", "f_minus", "g_plus", "g_minus")
+    fns = (lambda x, y: 1.5, lambda x, y: 0.7 * x + 0.3 * y, lambda x, y: 0.9,
+           lambda x, y: 0.2 * x + 0.6 * y)
+    system = SplitSystem(*(_counted(calls, k, fn) for k, fn in zip(labels, fns)), name="lv")
+    assert len(binds) == 1
+    assert system.components is vars(system)["components"] is system.components
+    assert system.components(0.3, 0.4) == tuple(fn(0.3, 0.4) for fn in fns)
+
+    calls.clear()
+    integrate(system, RK4, State(0.4, 0.5), 0.1, 0.3)
+    assert calls == list(labels) * 4 * 3
+    find_equilibria(system)
+    clone = dataclasses.replace(system, x_max=5.0)
+    assert len(binds) == 2 and clone.components is not system.components
+
+
+def _lv_gain(x, y):
+    return 1.5
+
+
+def _lv_loss(x, y):
+    return 0.7 * x + 0.3 * y
+
+
+def test_bound_components_survive_pickle_and_copy():
+    # the bound closure is not pickled; loading binds it anew, and a copy
+    # of a family system keeps the fused closure
+    system = SplitSystem(_lv_gain, _lv_loss, _lv_gain, _lv_loss, name="lv")
+    loaded = pickle.loads(pickle.dumps(system))
+    assert loaded == system
+    assert vars(loaded)["components"] is not vars(system)["components"]
+    assert loaded.components(0.3, 0.4) == system.components(0.3, 0.4)
+    m2 = model2()
+    for twin in (copy.copy(m2), copy.deepcopy(m2)):
+        assert twin.components is m2.components
+
+
+def test_a_subclass_that_overrides_components_keeps_its_own():
+    calls = []
+
+    class Scaled(SplitSystem):
+        def components(self, x, y):
+            calls.append((x, y))
+            return self.f_plus(x, y), self.f_minus(x, y), self.g_plus(x, y), 2.0 * self.g_minus(x, y)
+
+    class Plain(SplitSystem):
+        pass
+
+    fns = (lambda x, y: 1.5, lambda x, y: 0.7 * x + 0.3 * y, lambda x, y: 0.9,
+           lambda x, y: 0.2 * x + 0.6 * y)
+    scaled, plain = Scaled(*fns, name="scaled"), Plain(*fns, name="plain")
+    assert "components" not in vars(scaled)
+    assert scaled.components.__func__ is Scaled.components
+    assert vector_field(scaled, State(1.0, 1.0)) == (1.0 * (1.5 - 1.0), 1.0 * (0.9 - 1.6))
+    assert calls == [(1.0, 1.0)]
+    # a subclass that does not override it is bound like SplitSystem
+    assert "components" in vars(plain)
+    assert vector_field(plain, State(1.0, 1.0)) == (1.0 * (1.5 - 1.0), 1.0 * (0.9 - 0.8))
 
 
 def test_constructor_rejects_nonpositive_parameters():
@@ -472,7 +578,9 @@ def test_fused_components_are_the_single_closures(params, points):
     with _unvalidated():
         system = make_rosenzweig_macarthur(*abcd, x_max=x_max)
         clone = dataclasses.replace(system)
-    assert "components" in vars(system) and "components" not in vars(clone)
+    # the clone binds its own components over the four single closures
+    assert "components" in vars(system)
+    assert vars(clone)["components"].__code__ is not vars(system)["components"].__code__
     c = system.rma_params.c
     points = points + [(-c, y) for _, y in points] + [(-c, 0.0)]
     single = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
