@@ -3,7 +3,11 @@
 `run_trajectory` and `scan_fixed_points` are the entry points for every
 system.  `run_trajectory` runs `_step_loop` over the scheme's step, and
 `scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once as
-numpy arrays, with the same step evaluated on arrays.  The steps come from
+numpy arrays, with the same step evaluated on arrays, until at most
+`_SCALAR_SEEDS` seeds go on; each of those then finishes alone on python
+floats (`_newton_seed`), where a numpy iteration would cost more than its
+seeds' python iterations.  Both phases share the Jacobian and the Newton
+update (`_jacobian`, `_newton_update`).  The steps come from
 the factories of nsfd.integrators: make(components, e) binds a system's
 components and the scheme's e (or h) once per run or scan and returns
 step(x, y), so one step costs one python call plus its arithmetic and its
@@ -13,9 +17,11 @@ Every system takes one path.  Where its callables pass the array rule
 (`_plain_arithmetic`: plain + - * / in x and y, verdict taken once per
 scan, search or check), they run on whole arrays under `_raising`, and a
 call that trips a numpy flag runs again through `_each_of`, which calls
-a callable that fails the rule once per element on python floats.
+a callable that fails the rule once per element on python floats.  A
+class that overrides SplitSystem.components fails the rule
+(`_component_fields`), and its components run once per point.
 
-Both forms give the bits of the seed-by-seed scan.  numpy's elementwise
+All these forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
 operations, so the same expression order gives the same bits; do not
 "optimise" the expression order in this file or in the steps.
@@ -106,7 +112,8 @@ def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
     """The Newton scan of the step make(components, e) for any system:
-    `_scan_batched` over the step on arrays.
+    `_scan_batched` over the step on arrays, and over the step on python
+    floats for the last few seeds.
 
     Where the four components pass the array rule and every map input is
     finite (seeds and escape at most 1e300, so the probes are finite too),
@@ -114,28 +121,46 @@ def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
     seed's point and its Jacobian probes in one call.  A call that raises
     a numpy flag, and every call where a component fails the rule,
     evaluates the components by `_each_of`, only where the seed-by-seed
-    scan calls them.  A seed fails, rather than aborting the scan, where a
-    component raises ZeroDivisionError, OverflowError or ValueError or
-    returns a complex number (a fractional power of a negative coordinate).
+    scan calls them.  A class that overrides components fails the rule
+    (`_component_fields`): its step is called once per seed on python
+    floats, as in the last few seeds.  A seed fails, rather than aborting
+    the scan, where a component raises ZeroDivisionError, OverflowError or
+    ValueError or returns a complex number (a fractional power of a
+    negative coordinate).
     """
-    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    fields = _component_fields(system)
     seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
+    step = make(system.components, e)
+    if fields is None:
+        return _scan_batched(lambda x, y: _each_point(step, 2, x, y)[0], *seeds, tol, max_iter,
+                             escape, probes_apart=True, step=step)
 
     def each(x, y):
         dropped = None  # a seed dropped in one stage is not called in a later one
 
         def components(xs, ys):
             nonlocal dropped
-            vals, dropped = _each_of(comps, xs, ys, dropped)
+            vals, dropped = _each_of(fields, xs, ys, dropped)
             return vals
 
         return make(components, e)(x, y)
 
-    if not (all(map(_plain_arithmetic, comps)) and np.abs(seeds).max(initial=escape) <= 1e300):
-        return _scan_batched(each, *seeds, tol, max_iter, escape, probes_apart=True)
-    step = make(system.components, e)
+    if not (all(map(_plain_arithmetic, fields)) and np.abs(seeds).max(initial=escape) <= 1e300):
+        return _scan_batched(each, *seeds, tol, max_iter, escape, probes_apart=True, step=step)
     return _scan_batched(lambda x, y: _raising(step, x, y) or each(x, y), *seeds, tol,
-                         max_iter, escape)
+                         max_iter, escape, step=step)
+
+
+def _component_fields(system):
+    """The four component callables of system, which its components calls
+    once each in field order, or None where its class overrides
+    SplitSystem.components.  Construction binds components on the
+    instance (a closure over the four, or the family's fused closure with
+    their bits) exactly when the class keeps SplitSystem.components; an
+    override may compute anything, so the array rule refuses it."""
+    if "components" not in vars(system):
+        return None
+    return system.f_plus, system.f_minus, system.g_plus, system.g_minus
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -335,30 +360,93 @@ def _each_of(fns, xs, ys, dropped=None):
     return vals, dropped
 
 
-def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False):
+def _each_point(fn, width, xs, ys):
+    """fn(x, y), a tuple of `width` reals, called once for each pair of the
+    arrays xs, ys on python floats.
+
+    Returns a (width, n) float array and a mask of the pairs dropped
+    because fn raised one of _DROPS or returned a complex value; they hold
+    nan.  Any other exception propagates.
+    """
+    point = _dropping(fn)
+    vals = [point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    dropped = np.array([v is None for v in vals], dtype=bool)
+    nan = (math.nan,) * width
+    out = np.array([nan if v is None else v for v in vals], dtype=np.float64)
+    return out.reshape(-1, width).T, dropped
+
+
+def _dropping(fn, dropped=None):
+    """fn on python floats, returning `dropped` in place of a raise of one
+    of _DROPS or of a tuple that holds a complex value."""
+
+    def point(x, y):
+        try:
+            v = fn(x, y)
+        except _DROPS:
+            return dropped
+        for c in v:
+            if isinstance(c, complex):
+                return dropped
+        return v
+
+    return point
+
+
+# Once at most this many seeds iterate, _scan_batched finishes each on
+# python floats.  The break-even: up to ~16 seeds, a numpy iteration costs
+# about the same whatever their count, ~95 us for rk2 and ~69 us for nsfd
+# on model2, and a python iteration ~7.7 us and ~4.8 us a seed; that is
+# 12 and 14 seeds.  Any value from 8 to 24 gave the scan workload's ghost
+# scans the same time, within noise, about 25% below all-numpy.
+_SCALAR_SEEDS = 12
+
+
+def _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0):
+    # the central-difference Jacobian of map - identity from the four
+    # probes, and its determinant; on arrays or python floats alike
+    j11 = (px1 - px0) / (2.0 * dx) - 1.0
+    j21 = (py1 - py0) / (2.0 * dx)
+    j12 = (qx1 - qx0) / (2.0 * dy)
+    j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
+    return j11, j12, j21, j22, j11 * j22 - j12 * j21
+
+
+def _newton_update(x, y, rx, ry, j11, j12, j21, j22, det):
+    # the Newton step from (x, y) for the defect (rx, ry); det must be
+    # non-zero for python floats, which raise where numpy gives inf
+    return x + (-rx * j22 + ry * j12) / det, y + (-j11 * ry + j21 * rx) / det
+
+
+def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False,
+                  step=None):
     # Newton iteration on map_fn(s) - s = 0 from every seed at once, with a
     # central-difference Jacobian; the seed-by-seed form is
     # tests/oracles.scalar_scan.  map_fn takes and returns arrays, nan where
-    # the scalar map fails a seed.  Rows are (x, y, residual): a seed that
+    # the scalar map fails a seed; step is the same map on python floats
+    # (map_fn itself if None).  Rows are (x, y, residual): a seed that
     # breaks down (non-finite map, singular Jacobian, escape) reports
     # residual inf, one that runs out of iterations its last residual,
     # always the sup-norm of the map defect at the stored point.  idx holds
     # the seeds still iterating; each one retires where the scalar loop
-    # breaks, with the same stored point and residual, and all share one
-    # iteration counter.  A map on whole arrays takes each seed's point and
-    # its four Jacobian probes in one call, and the probes of a seed that
-    # retires on its residual are computed and then ignored: a second call
-    # per iteration would cost the scan workload about 10% (BENCH_9.json).
-    # Where each element costs calls (probes_apart), a second call takes
-    # the probes only of the seeds that go on, as the scalar loop does.
+    # breaks, with the same stored point and residual.  The seeds iterate
+    # together, one numpy iteration at a time, while more than
+    # _SCALAR_SEEDS of them go on; then each of the rest finishes alone on
+    # python floats (_newton_seed), with the iterations left of max_iter.
+    # A map on whole arrays takes each seed's point and its four Jacobian
+    # probes in one call, and the probes of a seed that retires on its
+    # residual are computed and then ignored: a second call per iteration
+    # would cost the scan workload about 10% (BENCH_9.json).  Where each
+    # element costs calls (probes_apart), a second call takes the probes
+    # only of the seeds that go on, as the scalar loop does.
     x = np.array(seeds_x, dtype=np.float64)
     y = np.array(seeds_y, dtype=np.float64)
     res = np.full(x.shape[0], np.inf)
     idx = np.arange(x.shape[0])
+    done = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
-            if idx.size == 0:
-                break
+        while idx.size > _SCALAR_SEEDS and done < max_iter:
+            done += 1
             ax = x[idx]
             ay = y[idx]
             dx = 1e-6 * np.maximum(1.0, np.abs(ax))
@@ -385,16 +473,11 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=
                 py[:, go] = vy.reshape(4, -1)
                 px1, px0, qx1, qx0 = px
                 py1, py0, qy1, qy0 = py
-            j11 = (px1 - px0) / (2.0 * dx) - 1.0
-            j21 = (py1 - py0) / (2.0 * dx)
-            j12 = (qx1 - qx0) / (2.0 * dy)
-            j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
-            det = j11 * j22 - j12 * j21
+            j11, j12, j21, j22, det = _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0)
             singular = go & ~(np.isfinite(det) & (np.abs(det) >= 1e-14))
             res[idx[singular]] = np.inf
             go &= ~singular
-            nx = ax + (-rx * j22 + ry * j12) / det
-            ny = ay + (-j11 * ry + j21 * rx) / det
+            nx, ny = _newton_update(ax, ay, rx, ry, j11, j12, j21, j22, det)
             idx, nx, ny = idx[go], nx[go], ny[go]
             x[idx] = nx
             y[idx] = ny
@@ -402,4 +485,39 @@ def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=
                    | (np.abs(nx) > escape) | (np.abs(ny) > escape))
             res[idx[out]] = np.inf
             idx = idx[~out]
+        point = _dropping(map_fn if step is None else step, (math.nan, math.nan))
+        for i in idx.tolist():
+            # python floats: an np.float64 divides by zero without raising
+            x[i], y[i], res[i] = _newton_seed(point, float(x[i]), float(y[i]), float(res[i]),
+                                              tol, max_iter - done, escape)
     return np.column_stack((x, y, res))
+
+
+def _newton_seed(point, x, y, res, tol, n, escape):
+    # at most n more iterations of one seed of _scan_batched on python
+    # floats, from (x, y) with last residual res: the loop of
+    # tests/oracles.scalar_scan, over point, the map with nan where it
+    # fails.  Returns the stored (x, y, residual).
+    isfinite = math.isfinite
+    for _ in range(n):
+        mx, my = point(x, y)
+        rx = mx - x
+        ry = my - y
+        if not (isfinite(rx) and isfinite(ry)):
+            return x, y, math.inf
+        res = max(abs(rx), abs(ry))
+        if res < tol:
+            break
+        dx = 1e-6 * max(1.0, abs(x))
+        dy = 1e-6 * max(1.0, abs(y))
+        px1, py1 = point(x + dx, y)
+        px0, py0 = point(x - dx, y)
+        qx1, qy1 = point(x, y + dy)
+        qx0, qy0 = point(x, y - dy)
+        j11, j12, j21, j22, det = _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0)
+        if not isfinite(det) or abs(det) < 1e-14:
+            return x, y, math.inf
+        x, y = _newton_update(x, y, rx, ry, j11, j12, j21, j22, det)
+        if not (isfinite(x) and isfinite(y)) or abs(x) > escape or abs(y) > escape:
+            return x, y, math.inf
+    return x, y, res

@@ -225,9 +225,10 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     flow equilibrium to 1e-6: the converged seeds are filtered, sorted and
     clustered on arrays, in one pass per fixed point rather than per seed,
     with the result of the seed-by-seed loop (_cluster_hits).  The box
-    must be a pair of real numbers with positive finite extent and
-    seeds_per_axis an int of at least 1 whose square is at most
-    GHOST_MAX_SEEDS (ValueError otherwise, before any seed is allocated).
+    must be a pair of real numbers with positive finite extent, also once
+    extended for a classical scheme, and seeds_per_axis an int of at least
+    1 whose square is at most GHOST_MAX_SEEDS (ValueError otherwise,
+    before any seed is allocated).
     """
     bx, by = _resolve_box(system, box)
     if (not isinstance(seeds_per_axis, (int, np.integer)) or isinstance(seeds_per_axis, bool)
@@ -239,6 +240,9 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     classical = scheme.kind not in _WEIGHTED_KINDS
     lox, hix = (-0.1 * bx, 1.1 * bx) if classical else (0.0, bx)
     loy, hiy = (-0.1 * by, 1.1 * by) if classical else (0.0, by)
+    if not (math.isfinite(hix - lox) and math.isfinite(hiy - loy)):
+        raise ValueError(f"search box {(bx, by)!r} is too large for {scheme.kind}: its seed "
+                         f"grid, 10% beyond each side, overflows")
     gx = np.linspace(lox, hix, seeds_per_axis)
     gy = np.linspace(loy, hiy, seeds_per_axis)
     sx, sy = [g.ravel() for g in np.meshgrid(gx, gy, indexing="ij")]

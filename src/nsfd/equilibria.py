@@ -17,7 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _each_of, _on_arrays, _plain_arithmetic, _raising
+from ._kernels import (_component_fields, _each_of, _each_point, _on_arrays, _plain_arithmetic,
+                       _raising)
 from .integrators import NSFD, StepWeight, effective_step, ensfd
 from .systems import (AXIS_ZERO_TOL, PartialValues, SplitSystem, State, _fd_on_arrays,
                       _partials_each, partials_at)
@@ -264,19 +265,24 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
     # set to inf.  Where every component and analytic partial passes the
     # array rule, both run on whole arrays under _raising and drop no seed;
     # a call that trips a flag, and every call where one fails the rule,
-    # goes through _each_of (and _partials_each).  A balance of two
-    # constant components is a python float, so it is broadcast.
-    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    # goes through _each_of (and _partials_each).  A class that overrides
+    # components fails the rule, and its residual calls the override once
+    # per seed (_each_point).  A balance of two constant components is a
+    # python float, so it is broadcast.
+    comps = _component_fields(system)
     if system.partials is None:
         analytic, at = (), partial(_fd_on_arrays, system.components)
     else:
         analytic = tuple(getattr(system.partials, f) for f in PartialValues._fields)
         at = system.partials.at
-    whole = all(map(_plain_arithmetic, comps + analytic))
+    whole = comps is not None and all(map(_plain_arithmetic, comps + analytic))
 
     def residual(x, y):
         r = _raising(_balance_residual, system, x, y) if whole else None
         if r is None:
+            if comps is None:  # an override of components, called per seed
+                (rx, ry), dropped = _each_point(partial(_balance_residual, system), 2, x, y)
+                return rx, ry, dropped
             (fp, fm, gp, gm), dropped = _each_of(comps, x, y)
             return fp - fm, gp - gm, dropped
         rx, ry = (v if type(v) is np.ndarray else np.full(x.shape, v) for v in r)

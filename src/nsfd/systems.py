@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _each_of, _on_arrays, _plain_arithmetic, _raising
+from ._kernels import _component_fields, _each_of, _on_arrays, _plain_arithmetic, _raising
 
 Component = Callable[[float, float], float]
 
@@ -192,7 +192,8 @@ class SplitSystem:
         once, in field order, without the attribute lookups of this method;
         the built-in family binds one fused closure with the bits (or
         exception) of the four single calls instead.  A subclass that
-        overrides this method keeps its own.
+        overrides this method keeps its own, and the Newton searches call
+        it once per point on python floats: the array rule refuses it.
         """
         return (
             self.f_plus(x, y),
@@ -277,7 +278,8 @@ def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     # rule, else per node, where the refusal messages read them
     line = np.array(nodes)
     num = (_raising(_fd_on_arrays, sys.components, line[:, None], line[None, :])
-           if all(map(_plain_arithmetic, comps)) else None)
+           if _component_fields(sys) is not None and all(map(_plain_arithmetic, comps))
+           else None)
     num, num_odd = (np.array(num), {}) if num is not None else _grid_values(
         [fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp))], nodes)
     with np.errstate(invalid="ignore", over="ignore"):

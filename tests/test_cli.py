@@ -247,6 +247,16 @@ def test_ghosts_refuses_a_bad_step(capsys, scheme, bad):
     assert err.startswith("error: step size must be positive and finite")
 
 
+@pytest.mark.filterwarnings("error")
+def test_ghosts_refuses_a_box_whose_extension_overflows(capsys):
+    # rk2's seed grid reaches 1.1 * 1.7e308, which overflows: a refusal,
+    # not a report of no fixed points, not even O
+    code, out, err = run_cli(capsys, "ghosts", "--model", "model2", "--scheme", "rk2",
+                             "--h", "1", "--box", "1.7e308,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: search box (1.7e+308, 1.0) is too large for rk2")
+
+
 @pytest.mark.parametrize("weight", ["identity", "exp:2"])
 @pytest.mark.parametrize("bad", ["0", "-0.1", "nan", "inf"])
 def test_equilibria_refuses_a_bad_step(tmp_path, capsys, weight, bad):

@@ -289,6 +289,20 @@ def test_search_boxes_must_be_positive_and_finite(box):
         detect_ghosts(model2(), NSFD, 0.5, box=box)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", [EULER, RK2, RK4], ids=["euler", "rk2", "rk4"])
+@pytest.mark.parametrize("box", [(1.7e308, 1.0), (1.0, 1.7e308), (1.55e308, 1.0)])
+def test_detect_ghosts_refuses_a_box_whose_extension_overflows(scheme, box):
+    # a classical scheme's seed grid reaches 10% beyond each side: 1.1 *
+    # 1.7e308 overflows, and so does the width 1.2 * 1.55e308 of the grid.
+    # np.linspace would warn and lay nan seeds, which find no point, not even O
+    with pytest.raises(ValueError, match="too large for"):
+        detect_ghosts(model2(), scheme, 1.0, box=box)
+    # a box whose extended grid is finite is scanned, without a warning
+    bx, by = (1.4e308, 1.0) if box[0] > box[1] else (1.0, 1.4e308)
+    assert detect_ghosts(model2(), scheme, 1.0, box=(bx, by), seeds_per_axis=3).box == (bx, by)
+
+
 @pytest.mark.parametrize("box", ["55", (5.0, 5.0, 5.0), (5.0,), 5.0, (True, 5.0), ("5", 5.0),
                                  {"bx": 5.0}])
 def test_search_boxes_must_be_pairs_of_real_numbers(box):

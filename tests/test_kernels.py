@@ -203,6 +203,159 @@ def test_a_stage_one_drop_is_not_called_again(scheme):
     assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the last few seeds of a scan, each on python floats
+
+_ALL_SCALAR = 10 ** 6  # a threshold above every seed count: no numpy iteration
+
+
+class _Rooted(SplitSystem):
+    """An override of components that is not plain arithmetic, with its
+    fields' bits at every finite point."""
+
+    def components(self, x, y):
+        fp, fm, gp, gm = SplitSystem.components(self, x, y)
+        return fp + 0.0 * math.sqrt(abs(x)), fm, gp, gm
+
+
+def _dropping_system(kind, a, b, c, d):
+    """The family of (a, b, c, d), or a system of its fields that the array
+    rule refuses: one whose f_minus is complex off the quadrant, one whose
+    f_minus raises ValueError there, or one that overrides components."""
+    if kind == "family":
+        return make_rosenzweig_macarthur(a, b, c, d)
+    fields = [lambda x, y: b, lambda x, y: b * x + a * y / (c + x),
+              lambda x, y: x / (c + x), lambda x, y: d]
+    if kind == "complex":
+        fields[1] = lambda x, y: x ** 0.5 + a * y / (c + x)
+    elif kind == "raise":
+        fields[1] = lambda x, y: math.sqrt(x) + a * y / (c + x)
+    return (_Rooted if kind == "override" else SplitSystem)(*fields)
+
+
+_thresholds = st.one_of(st.just(0), st.just(_ALL_SCALAR), st.integers(1, 30))
+
+
+@given(kind=st.sampled_from(["family", "complex", "raise", "override"]),
+       a=st.floats(0.2, 4.0), b=st.floats(0.2, 3.0), c=st.floats(0.2, 3.0),
+       d=st.floats(0.02, 0.95), scheme=st.sampled_from(SCHEMES), h=st.floats(0.01, 8.0),
+       gx=st.lists(st.floats(-4.0, 12.0), min_size=1, max_size=5),
+       gy=st.lists(st.floats(-4.0, 12.0), min_size=1, max_size=4),
+       big=st.booleans(), max_iter=st.integers(0, NEWTON_MAX_ITER),
+       escape=st.sampled_from([NEWTON_ESCAPE, 30.0]), threshold=_thresholds)
+@example(kind="complex", a=2.0, b=1.0, c=0.5, d=0.3, scheme=RK2, h=0.5, gx=[-1.0, 1.0],
+         gy=[0.5], big=False, max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE,
+         threshold=_ALL_SCALAR).via("a complex value on python floats")
+@example(kind="raise", a=2.0, b=1.0, c=0.5, d=0.3, scheme=RK4, h=0.5, gx=[-1.0, 1.0],
+         gy=[0.5], big=True, max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE,
+         threshold=_ALL_SCALAR).via("a raise on python floats, and seeds above 1e300")
+@example(kind="family", a=2.0, b=1.0, c=1.0, d=0.2, scheme=RK4, h=2.0, gx=[0.5, 3.0, 7.0],
+         gy=[0.5, 4.0], big=False, max_iter=6, escape=NEWTON_ESCAPE,
+         threshold=8).via("seeds that hit max_iter on python floats, after one numpy iteration")
+@equality_settings(60)
+def test_the_last_seeds_on_python_floats_give_the_oracle_rows(kind, a, b, c, d, scheme, h, gx,
+                                                               gy, big, max_iter, escape,
+                                                               threshold):
+    # every seed batched (threshold 0), every seed on python floats, or a
+    # switch after some numpy iterations: the rows of the seed-by-seed scan,
+    # with seeds on and beside the pole x = -c, seeds that drop off the
+    # quadrant, and seeds above 1e300, which take the probes apart
+    system = _dropping_system(kind, a, b, c, d)
+    gx = np.array(gx + [-c, -c + 1e-6, -c - 1e-6])
+    sx, sy = [g.ravel() for g in np.meshgrid(gx, np.array(gy), indexing="ij")]
+    if big:
+        sx, sy = np.append(sx, [1e301, 2.0]), np.append(sy, [1.0, -1e302])
+    make, e = _scheme_core(scheme, h)
+    step = make(system.components, e)
+    args = (NEWTON_TOL, max_iter, escape)
+    oracle = scalar_scan(step, sx, sy, *args).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
+        assert scan_fixed_points_generic(system, make, e, sx, sy, *args).tobytes() == oracle
+        if kind == "family":
+            for apart in (False, True):
+                rows = _kernels._scan_batched(step, sx, sy, *args, probes_apart=apart)
+                assert rows.tobytes() == oracle
+
+
+# maps on python floats and numpy arrays alike: one whose Jacobian is
+# singular, in exact arithmetic wherever x +- dx rounds exactly (at x = 0,
+# say), a triple root that Newton nears by 2/3 an iteration (so it runs
+# into max_iter), and a fixed point at (20, 0), beyond an escape bound of 5
+_HAND_MAPS = {
+    "singular": lambda x, y: (x, 0.5 + 0.0 * y),
+    "triple": lambda x, y: (x - x * x * x, 0.5 * y),
+    "far": lambda x, y: (0.5 * x + 10.0, 0.5 * y),
+}
+
+
+@given(name=st.sampled_from(sorted(_HAND_MAPS)),
+       gx=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       gy=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+       max_iter=st.integers(0, 30), escape=st.sampled_from([NEWTON_ESCAPE, 5.0]),
+       threshold=_thresholds, apart=st.booleans())
+@example(name="triple", gx=[1.0, 2.0], gy=[1.0], max_iter=12, escape=NEWTON_ESCAPE,
+         threshold=_ALL_SCALAR, apart=False).via("max_iter on python floats")
+@example(name="singular", gx=[0.0, 1.0], gy=[0.0, 2.0], max_iter=30, escape=NEWTON_ESCAPE,
+         threshold=_ALL_SCALAR, apart=False).via("a singular determinant on python floats")
+@example(name="far", gx=[1.0, 2.0], gy=[1.0], max_iter=30, escape=5.0,
+         threshold=_ALL_SCALAR, apart=True).via("an escape on python floats")
+@equality_settings(60)
+def test_the_scalar_phase_retires_seeds_where_the_oracle_does(name, gx, gy, max_iter, escape,
+                                                               threshold, apart):
+    fn = _HAND_MAPS[name]
+    sx, sy = [g.ravel() for g in np.meshgrid(np.array(gx), np.array(gy), indexing="ij")]
+    args = (NEWTON_TOL, max_iter, escape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
+        rows = _kernels._scan_batched(fn, sx, sy, *args, probes_apart=apart)
+    assert rows.tobytes() == scalar_scan(fn, sx, sy, *args).tobytes()
+
+
+@pytest.mark.parametrize("scheme", [NSFD, RK2], ids=["nsfd", "rk2"])
+def test_the_last_seeds_finish_on_python_floats(monkeypatch, scheme):
+    # a 12 x 12 scan of model2 iterates on arrays until at most
+    # _SCALAR_SEEDS seeds go on; each of those finishes on python floats,
+    # not numpy scalars, with the iterations left, in the oracle's rows
+    calls = []
+    original = _kernels._newton_seed
+
+    def recording(point, x, y, res, tol, n, escape):
+        calls.append((type(x), type(y), type(res), n))
+        return original(point, x, y, res, tol, n, escape)
+
+    monkeypatch.setattr(_kernels, "_newton_seed", recording)
+    system = model2()
+    sx, sy = _ghost_seeds(system, scheme, 12)
+    make, e = _scheme_core(scheme, 2.0 if scheme is NSFD else 0.3)
+    rows = scan_fixed_points(system, make, e, sx, sy)
+    assert rows.tobytes() == scalar_scan(make(system.components, e), sx, sy).tobytes()
+    assert 0 < len(calls) <= _kernels._SCALAR_SEEDS
+    assert {c[:3] for c in calls} == {(float, float, float)}
+    assert len({c[3] for c in calls}) == 1 and 0 < calls[0][3] < NEWTON_MAX_ITER
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+def test_a_subclass_that_overrides_components_searches_like_its_fields(scheme):
+    # an override that is not plain arithmetic fails the array rule in the
+    # scan, the balance Newton and the partials check, so each calls it per
+    # point (math.sqrt of an array raises TypeError).  Its bits are the
+    # fields', so are the equilibria and ghost reports
+    lv = (lambda x, y: 1.0, lambda x, y: 0.5 * x + 0.3 * y, lambda x, y: 0.6 * x,
+          lambda x, y: 0.2 + 0.1 * y)
+    m2 = model2()
+    for fields, partials in ((lv, None), ((m2.f_plus, m2.f_minus, m2.g_plus, m2.g_minus),
+                                          m2.partials)):
+        plain = SplitSystem(*fields, partials=partials, x_max=4.0)
+        rooted = _Rooted(*fields, partials=partials, x_max=4.0)
+        assert _kernels._component_fields(rooted) is None
+        assert _kernels._component_fields(plain) == fields
+        assert point_bits(find_equilibria(rooted)) == point_bits(find_equilibria(plain))
+        for h in (0.5, 2.5):
+            got = detect_ghosts(rooted, scheme, h, seeds_per_axis=12)
+            assert repr(got) == repr(detect_ghosts(plain, scheme, h, seeds_per_axis=12))
+
+
 def test_generic_loop_matches_kernel_path():
     # A replace of a system of the family calls its four callables where
     # the family calls its fused components; the orbits are the same bits.
