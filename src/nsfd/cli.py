@@ -197,8 +197,13 @@ def _dispatch(parser, args) -> int:
         for name in names:
             if name not in SCHEME_KINDS:
                 parser.error(f"unknown scheme {name!r}")
-        schemes = [_build_scheme(parser, name, args.weight) for name in names]
+        # the weight goes to the listed ensfd entries; it must have one to go to
         weight = _parse_weight(parser, args.weight)
+        if weight is not IDENTITY and "ensfd" not in names:
+            parser.error(f"--weight only applies to the ensfd scheme, which --scheme "
+                         f"{args.scheme!r} does not list")
+        schemes = [scheme_from_name(name, weight if name == "ensfd" else None)
+                   for name in names]
         hs = _parse_floats(parser, args.h, "--h")
         table = compare_schemes(system, schemes, State(args.x0, args.y0), hs, args.t_end)
         out = Path(args.out)

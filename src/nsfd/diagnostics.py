@@ -342,26 +342,39 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values,
     a non-finite state reports its last finite state and nonfinite=true; a
     run the scheme refuses with DomainError (for the weighted schemes, a
     negative initial state) records nan finals instead of aborting the rest
-    of the grid.  Any other error propagates.
+    of the grid.  Any other error propagates, at the pair that raises it.
+
+    Each distinct orbit is integrated once.  Pairs whose scheme runs the
+    same step map, the same step factory and effective step of
+    `_scheme_core`, at the same h share one run's final state, distance,
+    violation step and nonfinite flag under their own scheme label: nsfd
+    and ensfd at the identity weight, or a scheme or step listed twice.
+    Only those fields are kept per run, never the trajectory.
     """
     eqs = find_equilibria(system)
+    runs = {}  # (step factory, effective step, h) -> the row fields after the labels
     rows = []
     for scheme in schemes:
         for h in h_values:
             h = float(h)
-            try:
-                traj = integrate(system, scheme, s0, h, t_end)
-            except DomainError:
-                rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
-                                          math.nan, math.nan, math.nan, None, True))
-                continue
-            audit = audit_positivity(traj)
-            fin = traj.final()
-            dist = _nearest_equilibrium_distance(eqs, fin.x, fin.y)
-            rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
-                                      fin.x, fin.y, dist,
-                                      audit.violation_step, traj.truncated))
+            key = (*_scheme_core(scheme, h), h)
+            fields = runs.get(key)
+            if fields is None:
+                fields = runs[key] = _comparison_fields(system, scheme, s0, h, t_end, eqs)
+            rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end, *fields))
     return ComparisonTable(tuple(rows))
+
+
+def _comparison_fields(system, scheme, s0, h, t_end, eqs):
+    """final_x, final_y, dist_to_equilibrium, positivity_violation_step and
+    nonfinite of one compare_schemes run."""
+    try:
+        traj = integrate(system, scheme, s0, h, t_end)
+    except DomainError:
+        return math.nan, math.nan, math.nan, None, True
+    fin = traj.final()
+    return (fin.x, fin.y, _nearest_equilibrium_distance(eqs, fin.x, fin.y),
+            audit_positivity(traj).violation_step, traj.truncated)
 
 
 def _nearest_equilibrium_distance(eqs: EquilibriumSet, x: float, y: float) -> float:

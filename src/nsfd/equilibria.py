@@ -195,8 +195,17 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float):
         p = partials_at(system, *at(s))
         return p.fpx - p.fmx if along_x else p.gpy - p.gmy
 
+    # the intervals that bracket a root, as the python test below reads them:
+    # a zero at either node or a sign change (a product of python floats
+    # overflows and underflows as numpy's float64 does, with no error);
+    # balances that are not all floats take every interval
+    bracketed = range(AXIS_GRID_N)
+    if r.dtype == np.float64:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracketed = np.flatnonzero((r[1:] == 0.0) | (r[:-1] == 0.0)
+                                       | (r[:-1] * r[1:] < 0.0)).tolist()
     roots = []
-    for i in range(AXIS_GRID_N):
+    for i in bracketed:
         lo, hi_ = float(nodes[i]), float(nodes[i + 1])
         rlo, rhi = float(r[i]), float(r[i + 1])
         root = None

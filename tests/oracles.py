@@ -23,6 +23,11 @@ against one rk4 orbit at min(steps)/100, point by point, the reference
 searches point by point on python floats: every candidate of an
 equilibrium search, every hit of a ghost scan, the references for
 `nsfd.equilibria._distinct_points` and `nsfd.diagnostics._cluster_hits`.
+`axis_family` brackets the axis roots by testing every grid interval, the
+reference for `nsfd.equilibria._axis_family`, which tests only the
+intervals its arrays mark.  `compare_rows` integrates every (scheme, h)
+pair of a comparison on its own, the reference for
+`nsfd.compare_schemes`, which integrates each distinct orbit once.
 """
 
 import math
@@ -30,11 +35,13 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from nsfd import RK4, Partials, PartialValues, SplitSystem, integrate
+from nsfd import (RK4, ComparisonRow, ComparisonTable, Partials, PartialValues, SplitSystem,
+                  audit_positivity, find_equilibria, integrate)
 from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
 from nsfd.diagnostics import GHOST_DEDUP_TOL
-from nsfd.equilibria import BALANCE_TOL, DEDUP_TOL, _balance_residual
-from nsfd.systems import AXIS_ZERO_TOL, partials_at
+from nsfd.equilibria import (AXIS_BISECT_TOL, AXIS_GRID_N, BALANCE_TOL, DEDUP_TOL,
+                             _balance_residual)
+from nsfd.systems import AXIS_ZERO_TOL, DomainError, partials_at
 
 
 def equality_settings(max_examples):
@@ -271,6 +278,67 @@ def scalar_balance_newton(system, xs, ys, escape):
     return found
 
 
+def axis_family(system, along_x, hi):
+    """Roots in s of the balance f+ - f- at (s, 0) (along_x) or g+ - g- at
+    (0, s) for s in (0, hi], and the degenerate flag, as
+    `nsfd.equilibria._axis_family` finds them: the balance at each of the
+    AXIS_GRID_N + 1 nodes on python floats, then every interval tested in
+    turn for a zero at a node or a sign change, bisected and polished."""
+    plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
+    at = (lambda s: (s, 0.0)) if along_x else (lambda s: (0.0, s))
+    nodes = np.linspace(0.0, hi, AXIS_GRID_N + 1)
+    pv, mv = [np.array([fn(*at(s)) for s in nodes.tolist()]) for fn in (plus, minus)]
+    r = pv - mv
+    scale = max(1.0, float(np.max(np.abs(pv))), float(np.max(np.abs(mv))))
+    if float(np.max(np.abs(r))) <= 1e-10 * scale:
+        return [], True
+
+    balance = lambda s: plus(*at(s)) - minus(*at(s))
+
+    def d_balance(s):
+        p = partials_at(system, *at(s))
+        return p.fpx - p.fmx if along_x else p.gpy - p.gmy
+
+    roots = []
+    for i in range(AXIS_GRID_N):
+        lo, hi_ = float(nodes[i]), float(nodes[i + 1])
+        rlo, rhi = float(r[i]), float(r[i + 1])
+        root = None
+        if rhi == 0.0:
+            root = hi_
+        elif rlo == 0.0:
+            if i == 0 and lo == 0.0:
+                continue
+            root = lo
+        elif rlo * rhi < 0.0:
+            while hi_ - lo > AXIS_BISECT_TOL:
+                mid = 0.5 * (lo + hi_)
+                rm = balance(mid)
+                if rm == 0.0:
+                    lo = hi_ = mid
+                    break
+                if rlo * rm < 0.0:
+                    hi_ = mid
+                else:
+                    lo, rlo = mid, rm
+            root = 0.5 * (lo + hi_)
+        if root is None:
+            continue
+        for _ in range(8):
+            g = d_balance(root)
+            if not math.isfinite(g) or g == 0.0:
+                break
+            delta = balance(root) / g
+            if not math.isfinite(delta):
+                break
+            root -= delta
+            if abs(delta) < 1e-16 * max(1.0, abs(root)):
+                break
+        if root > AXIS_ZERO_TOL:
+            roots.append(float(root))
+    return roots, False
+
+
 def distinct_points(candidates, bx, by):
     """The candidates (x, y) of an equilibrium search, one by one: each
     snapped onto the axes within AXIS_ZERO_TOL and kept inside the box up
@@ -317,6 +385,28 @@ def cluster_hits(rows, xlim, ylim):
         if not placed:
             clusters.append([(x, y, res)])
     return [min(cl, key=lambda row: (row[2], row[0], row[1])) for cl in clusters]
+
+
+def compare_rows(system, schemes, s0, h_values, t_end):
+    """The ComparisonTable of `nsfd.compare_schemes`, one integrate call
+    per (scheme, h) pair, in order: a DomainError start gives a row of nan
+    finals and nonfinite=true, any other error propagates."""
+    eqs = find_equilibria(system)
+    rows = []
+    for scheme in schemes:
+        for h in h_values:
+            h = float(h)
+            try:
+                traj = integrate(system, scheme, s0, h, t_end)
+            except DomainError:
+                rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
+                                          math.nan, math.nan, math.nan, None, True))
+                continue
+            fin = traj.final()
+            dist = min((math.hypot(fin.x - p.x, fin.y - p.y) for p in eqs), default=math.inf)
+            rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end, fin.x, fin.y, dist,
+                                      audit_positivity(traj).violation_step, traj.truncated))
+    return ComparisonTable(tuple(rows))
 
 
 def fixed_refinement_errors(system, scheme, s0, t_end, steps, refinement=100):

@@ -151,6 +151,31 @@ def test_compare_files_keep_the_weight(tmp_path, capsys):
     assert len({(tmp_path / name).read_text() for name in names.values()}) == 3
 
 
+def test_compare_weighs_only_the_ensfd_entries(tmp_path, capsys):
+    base = ("compare", "--model", "model2", "--h", "0.5", "--x0", "1", "--y0", "1",
+            "--t-end", "5")
+    code, out, _ = run_cli(capsys, *base, "--scheme", "nsfd,ensfd", "--weight", "exp:2",
+                           "--out", str(tmp_path / "both"))
+    assert code == 0 and out == f"{tmp_path / 'both' / 'model2_compare-exp2.csv'}\n"
+    header, nsfd_row, ensfd_row = (tmp_path / "both" / "model2_compare-exp2.csv").read_text() \
+        .splitlines()
+    # each row is the row its scheme gives when listed alone
+    for scheme, weight, row in (("nsfd", "identity", nsfd_row), ("ensfd", "exp:2", ensfd_row)):
+        assert run_cli(capsys, *base, "--scheme", scheme, "--weight", weight,
+                       "--out", str(tmp_path / scheme))[0] == 0
+        alone = next((tmp_path / scheme).iterdir()).read_text().splitlines()
+        assert alone == [header, row]
+    assert nsfd_row.split(",")[1:] != ensfd_row.split(",")[1:]
+
+    # a weight with no ensfd entry to go to is a usage error
+    for schemes in ("nsfd", "nsfd,rk4"):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, "--scheme", schemes, "--weight", "exp:2", "--out", str(tmp_path / "no")])
+        assert exc.value.code == 2
+        assert "--weight only applies to the ensfd scheme" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
 def test_equilibria_files_keep_the_weight(tmp_path, capsys):
     base = ("equilibria", "--model", "model2", "--h", "0.5,2", "--out", str(tmp_path))
     texts = {}

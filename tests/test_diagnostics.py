@@ -1,5 +1,6 @@
 """Convergence measurement, positivity audit, ghost scan, scheme comparison."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from nsfd import (
     EULER,
+    IDENTITY,
     NSFD,
     RK2,
     RK4,
@@ -18,6 +20,7 @@ from nsfd import (
     ReferenceUnavailable,
     SplitSystem,
     State,
+    StepWeight,
     audit_positivity,
     compare_schemes,
     detect_ghosts,
@@ -25,15 +28,17 @@ from nsfd import (
     estimate_order,
     exponential_weight,
     find_equilibria,
+    from_selector,
     integrate,
     model1,
     model2,
     oscillation_stats,
 )
-from nsfd import cli
+from nsfd import cli, diagnostics
 from nsfd._kernels import NEWTON_TOL
 from nsfd.diagnostics import GHOST_DEDUP_TOL, GHOST_MAX_SEEDS, _cluster_hits
-from oracles import cluster_hits, equality_settings, fixed_refinement_errors
+from oracles import (cluster_hits, compare_rows, equality_settings, fixed_refinement_errors,
+                     per_element_clone)
 
 ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
 
@@ -516,6 +521,87 @@ def test_compare_schemes_is_deterministic(tmp_path):
     args = (m1, [NSFD, RK4], State(0.7, 0.2), [0.25, 0.5], 10.0)
     a, b = compare_schemes(*args), compare_schemes(*args)
     assert a.to_csv() == b.to_csv()
+
+
+# compare_schemes integrates each distinct orbit once: the systems it is
+# held to its row-by-row oracle on, built once so their searches are stored
+_COMPARED_SYSTEMS = (model1(), model2(), from_selector("rma:2,1,1,0.3"),
+                     per_element_clone(from_selector("rma:1.5,0.7,0.4,0.25")))
+# nsfd and ensfd at the identity run one map; the weight that refuses
+# steps above 1 raises ValueError at exactly those pairs
+_COMPARED_SCHEMES = (NSFD, ensfd(IDENTITY), EULER, RK2, RK4, ensfd(exponential_weight(2.0)),
+                     ensfd(exponential_weight(0.5)),
+                     ensfd(StepWeight("zero above 1", lambda h: h if h <= 1.0 else 0.0)))
+_SWEEP_SCHEMES = [NSFD, ensfd(IDENTITY), EULER, RK2, RK4]
+_SWEEP_HS = [0.05, 0.5, 4.0]
+
+
+def _comparison_outcome(compare, *args):
+    """Each row's fields, floats as hex, and the CSV; or the ValueError raised."""
+    try:
+        table = compare(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+             for r in table.rows], table.to_csv())
+
+
+@given(system=st.sampled_from(_COMPARED_SYSTEMS),
+       schemes=st.lists(st.sampled_from(_COMPARED_SCHEMES), min_size=1, max_size=6),
+       hs=st.lists(st.one_of(st.sampled_from([0.05, 0.5, 1.0, 4.0, 10.0]),
+                             st.floats(0.05, 12.0)), min_size=1, max_size=4),
+       x0=st.sampled_from([0.4, 1.0, 3.0, 15.0, -1.0, 0.0]),
+       y0=st.sampled_from([0.1, 0.4, 2.0, -0.5, 0.0]),
+       t_end=st.sampled_from([0.5, 5.0, 20.0]))
+@example(system=_COMPARED_SYSTEMS[2], schemes=_SWEEP_SCHEMES, hs=_SWEEP_HS, x0=3.0, y0=0.4,
+         t_end=40.0).via("the sweep shape, where euler, rk2 and rk4 halt at h = 4")
+@example(system=_COMPARED_SYSTEMS[0], schemes=[NSFD, NSFD, ensfd(IDENTITY), EULER, EULER],
+         hs=[0.5, 0.5, 1.0], x0=-1.0, y0=0.4, t_end=5.0).via(
+    "a repeated scheme and step from a negative start: DomainError rows")
+@example(system=_COMPARED_SYSTEMS[1], schemes=[RK4, NSFD, _COMPARED_SCHEMES[-1]],
+         hs=[0.5, 4.0], x0=1.0, y0=1.0, t_end=5.0).via("a ValueError after two runs")
+@example(system=_COMPARED_SYSTEMS[1], schemes=[_COMPARED_SCHEMES[5], NSFD],
+         hs=[1.0, exponential_weight(2.0).phi(1.0)], x0=1.0, y0=1.0, t_end=5.0).via(
+    "ensfd at h = 1 steps by the e of nsfd at h = phi(1), in fewer steps")
+@equality_settings(60)
+def test_compare_schemes_gives_the_row_by_row_rows(system, schemes, hs, x0, y0, t_end):
+    args = (system, schemes, State(x0, y0), hs, t_end)
+    assert (_comparison_outcome(compare_schemes, *args)
+            == _comparison_outcome(compare_rows, *args))
+
+
+def _counting_integrate(monkeypatch):
+    calls = []
+    real = diagnostics.integrate
+
+    def counted(system, scheme, s0, h, t_end):
+        calls.append((scheme, h))
+        return real(system, scheme, s0, h, t_end)
+
+    monkeypatch.setattr(diagnostics, "integrate", counted)
+    return calls
+
+
+def test_compare_schemes_integrates_each_distinct_orbit_once(monkeypatch):
+    system, s0 = _COMPARED_SYSTEMS[2], State(1.0, 0.4)
+    calls = _counting_integrate(monkeypatch)
+    table = compare_schemes(system, _SWEEP_SCHEMES, s0, _SWEEP_HS, 40.0)
+    # 5 schemes x 3 steps, of which ensfd at the identity reuses the nsfd runs
+    assert len(table.rows) == 15 and len(calls) == 12
+    assert ensfd(IDENTITY) not in {scheme for scheme, _ in calls}
+    rows = {(r.scheme, r.h): dataclasses.astuple(r)[2:] for r in table.rows}
+    assert all(rows[("ensfd", h)] == rows[("nsfd", h)] for h in _SWEEP_HS)
+
+    # a weighted ensfd runs a map of its own
+    calls.clear()
+    compare_schemes(system, [NSFD, ensfd(exponential_weight(2.0))], s0, _SWEEP_HS, 40.0)
+    assert len(calls) == 6
+    # a scheme or a step listed twice, and a refused start, run once each
+    calls.clear()
+    table = compare_schemes(system, [NSFD, NSFD, ensfd(IDENTITY)], State(-1.0, 0.4),
+                            [0.5, 0.5], 5.0)
+    assert len(table.rows) == 6 and calls == [(NSFD, 0.5)]
+    assert all(r.nonfinite and math.isnan(r.final_x) for r in table.rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0, 5.0, 1.0 + 1e-15])

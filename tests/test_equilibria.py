@@ -42,11 +42,11 @@ from nsfd import (
     vector_field,
 )
 from nsfd import _kernels
-from nsfd.equilibria import DEDUP_TOL
+from nsfd.equilibria import AXIS_GRID_N, DEDUP_TOL, _axis_family
 from nsfd.integrators import _scheme_core
 from nsfd.systems import AXIS_ZERO_TOL, Partials
-from oracles import (distinct_points, equality_settings, point_bits, scalar_balance_newton,
-                     scalar_scan)
+from oracles import (axis_family, distinct_points, equality_settings, point_bits,
+                     scalar_balance_newton, scalar_scan)
 
 SQRT47_OVER_20 = math.sqrt(47.0) / 20.0
 
@@ -81,6 +81,67 @@ def test_reported_equilibria_null_the_vector_field():
         for p in find_equilibria(system):
             vx, vy = vector_field(system, p.state)
             assert abs(vx) < 1e-12 and abs(vy) < 1e-12, (p, vx, vy)
+
+
+def _axis_system(roots, form, hi):
+    """A system whose balances on both axes are -c * (s - r0)...(s - r3),
+    in s = x on the x axis and s = y on the y axis; unused roots sit at -1.
+    Its validation grid is [0, 1e-3], where c keeps both losses above 1/2."""
+    r0, r1, r2, r3 = (*roots, -1.0, -1.0, -1.0, -1.0)[:4]
+    c = 0.0 if form == "flat" else 0.5 / math.prod(abs(r) + 1.0 for r in (r0, r1, r2, r3))
+    if form in ("arrays", "flat"):  # plain arithmetic: the array rule holds
+        on_x = lambda x, y: 1.0 + c * (x - r0) * (x - r1) * (x - r2) * (x - r3)
+        on_y = lambda x, y: 1.0 + c * (y - r0) * (y - r1) * (y - r2) * (y - r3)
+    else:  # a compare and a call: per element, nan above 0.6 hi or at one node
+        cut = 0.6 * hi
+        node = float(np.linspace(0.0, hi, AXIS_GRID_N + 1)[round(0.4 * AXIS_GRID_N)])
+
+        def loss(s):
+            if form == "nan_above" and s > cut or form == "nan_at_node" and s == node:
+                return math.nan
+            return 1.0 + c * (s - r0) * (s - r1) * (s - r2) * (s - r3)
+
+        on_x, on_y = (lambda x, y: loss(x)), (lambda x, y: loss(y))
+    return SplitSystem(lambda x, y: 1.0, on_x, lambda x, y: 1.0, on_y, name="axis",
+                       x_max=1e-3)
+
+
+_node_roots = st.integers(0, AXIS_GRID_N).map(lambda k: ("node", k))
+_edge_roots = st.floats(0.97, 1.03).map(lambda f: ("frac", f))
+_free_roots = st.floats(0.0, 1.2).map(lambda f: ("frac", f))
+
+
+@given(picks=st.lists(st.one_of(_node_roots, _edge_roots, _free_roots), max_size=4),
+       form=st.sampled_from(["arrays", "per_element", "nan_above", "nan_at_node", "flat"]),
+       hi=st.one_of(st.sampled_from([1.0, 20.0]), st.floats(0.01, 50.0)),
+       along_x=st.booleans())
+@example(picks=[("node", 0), ("node", 37), ("node", AXIS_GRID_N)], form="arrays", hi=20.0,
+         along_x=True).via("zeros at the origin, an inner node and the box edge")
+@example(picks=[("frac", 0.999), ("frac", 0.25)], form="per_element", hi=7.3,
+         along_x=False).via("a sign change in the last interval")
+@example(picks=[("frac", 0.3), ("frac", 0.7), ("node", 81)], form="nan_at_node", hi=20.0,
+         along_x=True).via("a nan node next to a zero node")
+@example(picks=[("frac", 0.3), ("frac", 0.7), ("frac", 0.5)], form="nan_above", hi=20.0,
+         along_x=False).via("nan nodes above a sign change")
+@example(picks=[("frac", 0.3)], form="flat", hi=20.0, along_x=True).via("a degenerate axis")
+@equality_settings(100)
+def test_axis_brackets_give_the_every_interval_roots(picks, form, hi, along_x):
+    nodes = np.linspace(0.0, hi, AXIS_GRID_N + 1)
+    roots = [float(nodes[v]) if kind == "node" else v * hi for kind, v in picks]
+    system = _axis_system(roots, form, hi)
+    found, degenerate = _axis_family(system, along_x, hi)
+    want, want_degenerate = axis_family(system, along_x, hi)
+    assert ([r.hex() for r in found], degenerate) == ([r.hex() for r in want], want_degenerate)
+
+
+def test_axis_brackets_take_every_interval_of_an_int_balance():
+    # a balance of python ints, 5e9 - 1 up to x = 5 and -2e9 above: its
+    # product across the sign change wraps positive in int64
+    system = SplitSystem(lambda x, y: 5 * 10 ** 9, lambda x, y: 7 * 10 ** 9 if x > 5.0 else 1,
+                         lambda x, y: 1.0, lambda x, y: 2.0, name="int_balance")
+    found = _axis_family(system, True, 20.0)
+    assert found == axis_family(system, True, 20.0)
+    assert len(found[0]) == 1 and abs(found[0][0] - 5.0) < 1e-4
 
 
 def test_degenerate_axis_family_is_flagged_not_enumerated():
