@@ -196,14 +196,15 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float):
         return p.fpx - p.fmx if along_x else p.gpy - p.gmy
 
     # the intervals that bracket a root, as the python test below reads them:
-    # a zero at either node or a sign change (a product of python floats
+    # a zero at the upper node or a sign change (a product of python floats
     # overflows and underflows as numpy's float64 does, with no error);
-    # balances that are not all floats take every interval
+    # balances that are not all floats take every interval.  A zero at a
+    # lower node is the upper node of the interval before, or the origin,
+    # which is its own family.
     bracketed = range(AXIS_GRID_N)
     if r.dtype == np.float64:
         with np.errstate(over="ignore", invalid="ignore"):
-            bracketed = np.flatnonzero((r[1:] == 0.0) | (r[:-1] == 0.0)
-                                       | (r[:-1] * r[1:] < 0.0)).tolist()
+            bracketed = np.flatnonzero((r[1:] == 0.0) | (r[:-1] * r[1:] < 0.0)).tolist()
     roots = []
     for i in bracketed:
         lo, hi_ = float(nodes[i]), float(nodes[i + 1])
@@ -211,10 +212,6 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float):
         root = None
         if rhi == 0.0:
             root = hi_
-        elif rlo == 0.0:
-            if i == 0 and lo == 0.0:
-                continue  # the origin is handled as its own family
-            root = lo
         elif rlo * rhi < 0.0:
             while hi_ - lo > AXIS_BISECT_TOL:
                 mid = 0.5 * (lo + hi_)

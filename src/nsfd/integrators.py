@@ -229,8 +229,182 @@ def step_count(t0: float, t_end: float, h: float) -> int:
 
 # one CSV row; 17 significant digits read back as exactly the same float
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
-# rows formatted by one % on a repeated template
-_CSV_BLOCK = 1024
+# rows formatted by one pass of whole-array work; larger blocks are no
+# faster and hold more memory at once
+_CSV_BLOCK = 512
+
+# The text of the rows is made with numpy.  A row whose t, x and y all have
+# magnitudes in [_TEXT_LO, 1e17), _TEXT_LO the least double not below
+# 1e-11, is laid out in uint32 words of four ASCII bytes, at fixed places
+# padded with NUL bytes, which one bytes.translate deletes.  Every other row
+# (one with a tiny, a huge or a non-finite value) is formatted by _CSV_ROW.
+#
+# %.17g writes D, the 17 significant digits of |v| rounded half to even, and
+# K, the decimal exponent of the rounded value: in fixed notation for
+# -4 <= K < 17, else as d.ddd...e-XX, with trailing zeros dropped, and the
+# point too when nothing follows it.  With |v| = M * 2**(e - 53), M < 2**53,
+# and p = 16 - K <= 27, D = round(M * 5**p / 2**(53 - e - p)); 5**p < 2**63,
+# so the product is exact in two uint64 halves.
+_K_MIN = -11
+
+
+def _decade_start(k):
+    # the least double not below 10**k: |v| >= 10**k exactly when |v| >= it
+    t = float(f"1e{k}")
+    num, den = t.as_integer_ratio()
+    return math.nextafter(t, math.inf) if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) else t
+
+
+# _DECADES[i] starts the decade K = _K_MIN + i
+_DECADES = np.array([_decade_start(k) for k in range(_K_MIN, 18)])
+_TEXT_LO, _TEXT_HI = _DECADES[0], _DECADES[-1]
+_POW5 = np.array([5 ** p for p in range(28)], dtype=np.uint64)
+_ONE, _HALF_BITS, _LOW_BITS = np.uint64(1), np.uint64(32), np.uint64(0xFFFFFFFF)
+
+
+def _words(text):
+    # bytes, four to a word, as native uint32
+    return np.frombuffer(text, np.uint8).view(np.uint32)
+
+
+def _chunk_tables():
+    # the digits of 0000 .. 9999 as words, then the leading digits 0 .. 9 as
+    # NUL NUL NUL d; and the trailing zero digits of 0000 .. 9999
+    digits = np.arange(48, 58, dtype=np.uint8)
+    text = np.zeros((10010, 4), np.uint8)
+    grid = text[:10000].reshape(10, 10, 10, 10, 4)
+    grid[..., 0] = digits[:, None, None, None]
+    grid[..., 1] = digits[:, None, None]
+    grid[..., 2] = digits[:, None]
+    grid[..., 3] = digits
+    text[10000:, 3] = digits
+    zeros = np.zeros((10, 10, 10, 10), np.int64)
+    zeros[:, :, :, 0] = 1
+    zeros[:, :, 0, 0] = 2
+    zeros[:, 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    return text.view(np.uint32).ravel(), zeros.ravel()
+
+
+_CHUNK, _CHUNK_ZEROS = _chunk_tables()
+# _FIRST_DIGITS[j] masks the first j of D's 17 digits in its five words: the
+# lead word, whose digit is its last byte, and four chunks of four
+_FIRST_DIGITS = _words(b"".join(b"\xff" * (j + 3) + b"\0" * (17 - j) for j in range(18))).reshape(18, 5)
+# _FIRST_BYTES[j] masks the first j bytes of three words
+_FIRST_BYTES = _words(b"".join(b"\xff" * j + b"\0" * (12 - j) for j in range(12))).reshape(12, 3)
+
+
+def _exponent_words():
+    # words of the layout that depend on K alone, one row per K: the head
+    # (the comma, and "0." below 1 in fixed notation), the zeros after that
+    # point, the point of every other layout and the exponent suffix; and
+    # the number of D's digits before the point
+    words, before = [], []
+    for k in range(_K_MIN, 17):
+        small = -4 <= k < 0
+        words.append((b",\0" + (b"0." if small else b"\0\0"))
+                     + (b"0" * (-k - 1) if small else b"").ljust(4, b"\0")
+                     + (b"\0" if small else b".").ljust(4, b"\0")
+                     + (b"e-%02d" % -k if k < -4 else b"\0" * 4))
+        before.append(0 if small else 1 if k < -4 else k + 1)
+    return _words(b"".join(words)).reshape(-1, 4), np.array(before)
+
+
+_BY_EXPONENT, _BEFORE_POINT = _exponent_words()
+_MINUS, _NEWLINE = _words(b"\0-\0\0\n\0\0\0")
+_VALUE_WORDS = 11
+
+
+def _product(M, q):
+    # M * q, for M < 2**58 and q < 2**63, as hi * 2**64 + lo in uint64s
+    mh, ml, qh, ql = M >> _HALF_BITS, M & _LOW_BITS, q >> _HALF_BITS, q & _LOW_BITS
+    low = ml * ql
+    mid = mh * ql + ml * qh
+    hi = mh * qh + (mid >> _HALF_BITS) + (((low >> _HALF_BITS) + (mid & _LOW_BITS)) >> _HALF_BITS)
+    return hi, low + (mid << _HALF_BITS)
+
+
+def _digits(a):
+    """D and K of each a in [_TEXT_LO, _TEXT_HI): a's 17 significant digits
+    rounded half to even, D in [10**16, 10**17), and a's decimal exponent."""
+    m, e = np.frexp(a)
+    # a lies in [2**(e-1), 2**e), which spans at most two decades
+    k = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)
+    k = np.where(a >= _DECADES.take(k + (1 - _K_MIN)), k + 1, k)
+    # D = round(M * 5**p / 2**s); where s < 1 (K >= 15), M is shifted left
+    # instead, which leaves the quotient exact
+    s = 53 - e - (16 - k)
+    M = (m * 2.0 ** 53).astype(np.uint64) << np.maximum(1 - s, 0).astype(np.uint64)
+    s = np.maximum(s, 1).astype(np.uint64)
+    hi, lo = _product(M, _POW5.take(16 - k))
+    d = (hi << (np.uint64(64) - s)) | (lo >> s)
+    # round half to even: up when the rest is above half, or half and d odd
+    lo &= (_ONE << s) - _ONE
+    lo += d & _ONE
+    d += lo > (_ONE << (s - _ONE))
+    # D < 10**17: the double below each power of ten in the range differs
+    # from it in 17 digits, so rounding never carries into the next decade
+    return d.astype(np.int64), k
+
+
+def _digit_words(d):
+    """The five words of D's digits, and the number of D's digits through
+    its last nonzero one."""
+    # indices into _CHUNK: D's leading digit, then four chunks of four
+    idx = np.empty(d.shape + (5,), np.int64)
+    lead, rest = np.divmod(d, 10 ** 16)
+    idx[..., 0] = lead + 10000
+    high, low = np.divmod(rest, 10 ** 8)
+    idx[..., 1], idx[..., 2] = np.divmod(high, 10 ** 4)
+    idx[..., 3], idx[..., 4] = np.divmod(low, 10 ** 4)
+    # trailing zeros of D: the chunks' own, read from the last chunk back
+    zeros = _CHUNK_ZEROS.take(idx[..., 1:])
+    tz = zeros[..., 3]
+    for j in (2, 1, 0):
+        tz = np.where(tz == 12 - 4 * j, tz + zeros[..., j], tz)
+    return _CHUNK.take(idx), 17 - tz
+
+
+def _value_words(v, out):
+    """Write the text ",%.17g" % x of each x of v, whose magnitudes lie in
+    [_TEXT_LO, _TEXT_HI), to out[..., :_VALUE_WORDS] as NUL-padded words."""
+    d, k = _digits(np.abs(v))
+    digits, nonzero = _digit_words(d)
+    k -= _K_MIN
+    # keep the digits through the last nonzero one, and all before the point
+    before = _BEFORE_POINT.take(k)
+    keep = np.maximum(nonzero, before)
+    digits &= _FIRST_DIGITS.take(keep, axis=0)
+    whole = digits & _FIRST_DIGITS.take(before, axis=0)
+    digits ^= whole
+    fixed = _BY_EXPONENT.take(k, axis=0)
+    out[..., 0] = fixed[..., 0] | whole[..., 0] | _MINUS * np.signbit(v)
+    out[..., 1:5] = whole[..., 1:]
+    out[..., 5] = fixed[..., 1] | digits[..., 0] | fixed[..., 2] * (keep > before)
+    out[..., 6:10] = digits[..., 1:]
+    out[..., 10] = fixed[..., 3]
+
+
+def _csv_text(start, ts, xs, ys):
+    """The _CSV_ROW text of rows start, start + 1, ..., as bytes."""
+    n = len(ts)
+    vals = np.stack((ts, xs, ys), axis=1)
+    fast = ((np.abs(vals) >= _TEXT_LO) & (np.abs(vals) < _TEXT_HI)).all(axis=1)
+    vals[~fast] = 1.0  # a stand-in, overwritten below
+    words = np.empty((n, 4 + 3 * _VALUE_WORDS), np.uint32)
+    # the row index as twelve digits, less its leading zeros
+    ks = np.arange(start, start + n)
+    lead = (ks[:, None] < 10 ** np.arange(1, 12)).sum(axis=1)
+    words[:, :3] = (_CHUNK.take(ks[:, None] // np.array([10 ** 8, 10 ** 4, 1]) % 10 ** 4)
+                    & ~_FIRST_BYTES.take(lead, axis=0))
+    _value_words(vals, words[:, 3:-1].reshape(n, 3, _VALUE_WORDS))
+    words[:, -1] = _NEWLINE
+    text = words.view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        row = np.frombuffer((_CSV_ROW % (start + i, ts[i], xs[i], ys[i])).encode(), np.uint8)
+        text[i, :len(row)] = row
+        text[i, len(row):] = 0
+    return text.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,24 +444,29 @@ class Trajectory:
         return self.state(len(self.ts) - 1)
 
     def _csv_blocks(self):
-        # the header, then the rows in blocks of _CSV_BLOCK, each block one
-        # % on a repeated template with the row fields interleaved
-        yield CSV_HEADER + "\n"
+        # the header, then the rows in blocks of _CSV_BLOCK, as bytes
+        yield (CSV_HEADER + "\n").encode()
         n = len(self.ts)
         for a in range(0, n, _CSV_BLOCK):
             b = min(a + _CSV_BLOCK, n)
-            fields = [None] * (4 * (b - a))
-            fields[0::4] = range(a, b)
-            fields[1::4] = self.ts[a:b].tolist()
-            fields[2::4] = self.xs[a:b].tolist()
-            fields[3::4] = self.ys[a:b].tolist()
-            yield _CSV_ROW * (b - a) % tuple(fields)
+            yield _csv_text(a, self.ts[a:b], self.xs[a:b], self.ys[a:b])
 
     def to_csv(self) -> str:
-        return "".join(self._csv_blocks())
+        """The orbit as CSV text: the header "k,t,x,y", then one row
+        "%d,%.17g,%.17g,%.17g\\n" % (k, t, x, y) per state, whose 17
+        significant digits read back as the same floats.
+
+        The rows are made with numpy, a block at a time.  A row whose
+        t, x or y is non-finite or has a magnitude below 1e-11 (zero and
+        the subnormals among them) or of 1e17 or more is formatted by that
+        % template itself; every row has the template's exact text.
+        """
+        return b"".join(self._csv_blocks()).decode("ascii")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        """Write `to_csv`'s text to path, block by block, so a long orbit's
+        text is never held whole."""
+        with open(path, "wb") as fh:
             fh.writelines(self._csv_blocks())
 
 

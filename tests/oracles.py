@@ -283,7 +283,8 @@ def axis_family(system, along_x, hi):
     (0, s) for s in (0, hi], and the degenerate flag, as
     `nsfd.equilibria._axis_family` finds them: the balance at each of the
     AXIS_GRID_N + 1 nodes on python floats, then every interval tested in
-    turn for a zero at a node or a sign change, bisected and polished."""
+    turn for a zero at its upper node or a sign change, bisected and
+    polished, so a root on a node is found once."""
     plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
     at = (lambda s: (s, 0.0)) if along_x else (lambda s: (0.0, s))
     nodes = np.linspace(0.0, hi, AXIS_GRID_N + 1)
@@ -306,10 +307,6 @@ def axis_family(system, along_x, hi):
         root = None
         if rhi == 0.0:
             root = hi_
-        elif rlo == 0.0:
-            if i == 0 and lo == 0.0:
-                continue
-            root = lo
         elif rlo * rhi < 0.0:
             while hi_ - lo > AXIS_BISECT_TOL:
                 mid = 0.5 * (lo + hi_)

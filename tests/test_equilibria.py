@@ -134,6 +134,15 @@ def test_axis_brackets_give_the_every_interval_roots(picks, form, hi, along_x):
     assert ([r.hex() for r in found], degenerate) == ([r.hex() for r in want], want_degenerate)
 
 
+def test_a_root_on_a_grid_node_is_found_once():
+    # the node ends one interval and starts the next; only the first takes it
+    nodes = np.linspace(0.0, 20.0, AXIS_GRID_N + 1)
+    system = _axis_system([float(nodes[37]), float(nodes[AXIS_GRID_N])], "arrays", 20.0)
+    roots, degenerate = _axis_family(system, True, 20.0)
+    assert not degenerate
+    assert roots == [3.7, 20.0]
+
+
 def test_axis_brackets_take_every_interval_of_an_int_balance():
     # a balance of python ints, 5e9 - 1 up to x = 5 and -2e9 above: its
     # product across the sign change wraps positive in int64

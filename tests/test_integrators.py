@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -499,7 +500,17 @@ def _csv_row_by_row(traj):
 
 
 def test_csv_is_the_row_by_row_text():
-    full = integrate(model2(), NSFD, State(0.4, 0.4), 0.1, 150.0)
+    full = [integrate(model2(), scheme, State(0.4, 0.4), 0.1, 150.0)
+            for scheme in (NSFD, ensfd(exponential_weight(2.0)), EULER, RK2, RK4)]
+    # classical orbits of model2 at large steps go negative and halt
+    wild = [integrate(model2(), EULER, State(0.4, 0.4), 2.5, 1000.0),
+            integrate(model2(), RK4, State(3.0, 0.01), 2.5, 1000.0),
+            integrate(model2(), RK4, State(0.05, 3.0), 4.0, 1000.0)]
+    assert all(traj.truncated and traj.xs.min() < 0.0 for traj in wild)
+    assert wild[2].ys.min() < 0.0
+    # grids from a negative and from huge initial times
+    shifted = [integrate(model2(), RK2, State(0.4, 0.4, t0), 0.5, t0 + 100.0)
+               for t0 in (-37.0, 1e16, 1e18)]
     truncated = integrate(model1(), EULER, State(15.0, 0.1), 10.0, 1000.0)
     assert truncated.truncated and len(truncated) < truncated.requested_steps
     odd_values = dataclasses.replace(
@@ -508,9 +519,57 @@ def test_csv_is_the_row_by_row_text():
         ys=np.array([-math.inf, 1e308, 0.1, -2.5][:len(truncated)]),
         ts=truncated.ts[:4],
     )
-    for traj in (full, truncated, odd_values):
-        assert traj.to_csv() == _csv_row_by_row(traj)
+    # rows with a zero, a subnormal, a huge or a non-finite value, which
+    # _CSV_ROW formats, between rows of the array formatting: order holds
+    base = full[0]
+    xs = base.xs.copy()
+    xs[[3, 4, 700, 1200, 1500]] = [0.0, 1e-320, -2e17, math.nan, -math.inf]
+    ys = base.ys.copy()
+    ys[[5, 701, 1499]] = [-1e-12, 3e300, -0.0]
+    mixed = dataclasses.replace(base, xs=xs, ys=ys)
+    for traj in (*full, *wild, *shifted, truncated, odd_values, mixed):
+        # line by line, so a failure reports its first row without diffing
+        # two whole files
+        assert traj.to_csv().split("\n") == _csv_row_by_row(traj).split("\n")
     assert "nan" in odd_values.to_csv()
+
+
+def _bits_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every power of ten from 1e-12 to 1e17, and the doubles on either side
+_DECADE_EDGES = [v for k in range(-12, 18) for p in [float(f"1e{k}")]
+                 for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+
+
+@given(values=st.lists(st.one_of(
+           st.floats(),
+           st.integers(0, 2 ** 64 - 1).map(_bits_float),
+           st.tuples(st.floats(-12.5, 17.5), st.booleans()).map(
+               lambda p: (-1.0) ** p[1] * 10.0 ** p[0]),
+       ), min_size=1, max_size=30),
+       start=st.integers(0, 10 ** 11))
+@example(values=[0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                 math.nan, math.inf, -math.inf, 1.7976931348623157e308,
+                 math.nextafter(1e-11, 0.0), 1e-11, math.nextafter(1e-11, 1.0),
+                 math.nextafter(1e17, 0.0), 1e17, math.nextafter(1e17, math.inf)],
+         start=0).via("zeros, subnormals, non-finite values and the ends of the fast range")
+@example(values=_DECADE_EDGES + [-v for v in _DECADE_EDGES],
+         start=10 ** 11 - 40).via("decade edges, row indices of 11 and 12 digits")
+@example(values=[1 + 2 ** -17, 1e12 + 2 ** -5, -(1 + 2 ** -17), 9.9999999999999995e-08,
+                 9.9999999999999995e-05, 0.1, 1200.0, 99999999999999984.0],
+         start=99_999_990).via("ties to even, and values just below a decade")
+@equality_settings(200)
+def test_csv_text_is_the_printf_text(values, start):
+    # each value as t, as x and as y of a row whose other two are 1.0
+    n = len(values)
+    cols = [np.ones(3 * n) for _ in range(3)]
+    for j, col in enumerate(cols):
+        col[j * n:(j + 1) * n] = values
+    want = "".join("%d,%.17g,%.17g,%.17g\n" % (start + i, t, x, y)
+                   for i, (t, x, y) in enumerate(zip(*(c.tolist() for c in cols))))
+    assert integrators._csv_text(start, *cols).decode() == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
