@@ -13,13 +13,16 @@ components and the scheme's e (or h) once per run or scan and returns
 step(x, y), so one step costs one python call plus its arithmetic and its
 component calls (per-step rates in the README, Backends).
 
-Every system takes one path.  Where its callables pass the array rule
-(`_plain_arithmetic`: plain + - * / in x and y, verdict taken once per
-scan, search or check), they run on whole arrays under `_raising`, and a
-call that trips a numpy flag runs again through `_each_of`, which calls
-a callable that fails the rule once per element on python floats.  A
-class that overrides SplitSystem.components fails the rule
-(`_component_fields`), and its components run once per point.
+Every system takes one path, and `_Evaluator` is the one place that
+evaluates its callables on arrays: the ghost scan here, the equilibrium
+search and the finite differences in nsfd.equilibria and nsfd.systems,
+and the construction checks.  One evaluator serves one scan, search or
+check and takes each callable's verdict under the array rule
+(`_plain_arithmetic`: plain + - * / in x and y) once.  A callable that
+passes runs on whole arrays under `_raising`; one that fails it, or whose
+call trips a numpy flag, runs once per element on python floats, in the
+order of the scalar calls.  A class that overrides SplitSystem.components
+fails the rule, and its components run once per point.
 
 All these forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
@@ -30,6 +33,7 @@ operations, so the same expression order gives the same bits; do not
 import dis
 import inspect
 import math
+import numbers
 import sys
 import types
 from functools import lru_cache
@@ -112,55 +116,21 @@ def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
     """The Newton scan of the step make(components, e) for any system:
-    `_scan_batched` over the step on arrays, and over the step on python
-    floats for the last few seeds.
+    `_scan_batched` over the step on arrays, by an `_Evaluator`, and on
+    python floats for the last few seeds.
 
-    Where the four components pass the array rule and every map input is
-    finite (seeds and escape at most 1e300, so the probes are finite too),
-    make(system.components, e) runs on whole arrays under `_raising`, each
-    seed's point and its Jacobian probes in one call.  A call that raises
-    a numpy flag, and every call where a component fails the rule,
-    evaluates the components by `_each_of`, only where the seed-by-seed
-    scan calls them.  A class that overrides components fails the rule
-    (`_component_fields`): its step is called once per seed on python
-    floats, as in the last few seeds.  A seed fails, rather than aborting
-    the scan, where a component raises ZeroDivisionError, OverflowError or
-    ValueError or returns a complex number (a fractional power of a
-    negative coordinate).
+    Where the four components pass the array rule, each seed's point and
+    its Jacobian probes go to the evaluator in one call; otherwise a second
+    call takes the probes only of the seeds that go on, as seed by seed.  A
+    seed fails, rather than aborting the scan, where a component raises
+    ZeroDivisionError, OverflowError or ValueError or returns a value that
+    is not a real number (a fractional power of a negative coordinate).
     """
-    fields = _component_fields(system)
+    calls = _Evaluator(system)
     seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
-    step = make(system.components, e)
-    if fields is None:
-        return _scan_batched(lambda x, y: _each_point(step, 2, x, y)[0], *seeds, tol, max_iter,
-                             escape, probes_apart=True, step=step)
-
-    def each(x, y):
-        dropped = None  # a seed dropped in one stage is not called in a later one
-
-        def components(xs, ys):
-            nonlocal dropped
-            vals, dropped = _each_of(fields, xs, ys, dropped)
-            return vals
-
-        return make(components, e)(x, y)
-
-    if not (all(map(_plain_arithmetic, fields)) and np.abs(seeds).max(initial=escape) <= 1e300):
-        return _scan_batched(each, *seeds, tol, max_iter, escape, probes_apart=True, step=step)
-    return _scan_batched(lambda x, y: _raising(step, x, y) or each(x, y), *seeds, tol,
-                         max_iter, escape, step=step)
-
-
-def _component_fields(system):
-    """The four component callables of system, which its components calls
-    once each in field order, or None where its class overrides
-    SplitSystem.components.  Construction binds components on the
-    instance (a closure over the four, or the family's fused closure with
-    their bits) exactly when the class keeps SplitSystem.components; an
-    override may compute anything, so the array rule refuses it."""
-    if "components" not in vars(system):
-        return None
-    return system.f_plus, system.f_minus, system.g_plus, system.g_minus
+    build = lambda components: make(components, e)
+    return _scan_batched(lambda x, y: calls.map(build, x, y)[0], *seeds, tol, max_iter, escape,
+                         probes_apart=not calls.whole, step=make(system.components, e))
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -285,95 +255,177 @@ def _raising(fn, *args):
         return None
 
 
-def _on_arrays(fn, xs, ys):
-    """fn(xs, ys) in one call on the finite float arrays xs, ys where the
-    rule holds: an array, or the python float that every scalar call
-    returns, with the bits of fn(x, y) at every element; None where fn
-    must be called per element.  The array may be an input itself."""
-    if not _plain_arithmetic(fn):
+def _guarded(fns, x, y):
+    # [fn(x, y) for fn in fns] under _raising, or None where a flag trips or
+    # a result is neither an array nor a python float: an int result reads
+    # as an int per element
+    out = _raising(lambda x, y: [fn(x, y) for fn in fns], x, y)
+    if out is None or not all(type(v) is float or isinstance(v, np.ndarray) for v in out):
         return None
-    v = _raising(fn, xs, ys)
-    # an int result reads as an int per element, which _grid_values records
-    return v if type(v) is float or isinstance(v, np.ndarray) else None
+    return out
 
 
-def _each(fn, xs, ys):
-    """fn(x, y), one real, called once for each pair of the lists of python
-    floats xs, ys (the tolist() of arrays).
+def _finite(*arrays):
+    # a dot product of finite values is finite unless it overflows, which
+    # takes values past 1e154; the exact test settles those
+    return all(math.isfinite(np.vdot(a, a)) or np.isfinite(a).all() for a in arrays)
 
-    Returns a float array and a mask of the elements dropped because fn
-    raised one of _DROPS or returned a complex value; they hold nan.  Any
-    other exception propagates.
+
+class _Evaluator:
+    """The calls of one scan, search or construction check to a system's
+    callables: the one place that chooses between a call on whole arrays
+    and calls per element, which give the same bits.
+
+    Each callable's verdict under the array rule is taken once, at its
+    first use; as it reads closure cells and globals, which may change, an
+    evaluator serves one operation.  A callable that passes the rule runs
+    in one call on finite arrays under `_raising`; one that fails it, or
+    whose call trips a flag, runs once per element on python floats, in
+    the order of the scalar calls.  whole says whether the four fields
+    pass, and so the fused components run on arrays: construction binds
+    components on the instance (a closure over the fields, or the family's
+    fused closure with their bits) exactly where the class keeps
+    SplitSystem.components.  An override may compute anything, so the rule
+    refuses it, and it runs once per point.
     """
+
+    def __init__(self, system):
+        self.components = system.components
+        self.fields = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        self.fused = "components" in vars(system)
+        self._verdicts = {}
+        self.whole = self.fused and all(map(self._plain, self.fields))
+
+    def _plain(self, fn):
+        got = self._verdicts.get(id(fn))
+        if got is None:  # the entry holds fn, so its id stays its own
+            got = self._verdicts[id(fn)] = fn, _plain_arithmetic(fn)
+        return got[1]
+
+    def on_arrays(self, fns, x, y):
+        """[fn(x, y) for fn in fns] in one guarded call on the float arrays
+        x, y where every fn passes the rule and every input is finite, each
+        an array or the python float of every scalar call, with the bits of
+        fn(x, y) at every element; None where one must go per element.  An
+        array may be an input itself."""
+        if all(map(self._plain, fns)) and _finite(x, y):
+            return _guarded(fns, x, y)
+        return None
+
+    def each(self, fns, x, y, dropped=None, skip=None, catch=_DROPS):
+        """Each fn of fns in turn at every point of the float arrays x, y,
+        broadcast together: the values, (len(fns),) + their shape, and the
+        mask of the elements dropped.
+
+        The points are the elements, or, where dropped (the mask of those
+        dropped already) gives the elements' shape, rows of points of them.
+        In the order fn, row, element, a fn is called at a point not set in
+        skip only if no call before it dropped the element, by raising one
+        of catch (any other exception propagates) or by returning a value
+        that is not a real number (where every fn passes the rule, they run
+        on the arrays at the skipped points too, which no one can tell).  A
+        point skipped or not called holds nan; a value called before its
+        element dropped is kept, for the construction checks, which read the
+        first failing call in fn order.
+        """
+        shape = np.broadcast(x, y).shape
+        fresh = dropped is None or not dropped.any()
+        dropped = np.zeros(shape, dtype=bool) if dropped is None else dropped.copy()
+        # the usual case: every fn on the arrays as given, the skipped points
+        # too, which no one can tell from plain arithmetic, then set to nan
+        out = self.on_arrays(fns, x, y) if fresh else None
+        if out is not None:
+            vals = np.empty((len(fns),) + shape)
+            for row, v in zip(vals, out):
+                row[...] = v
+            if skip is not None:
+                np.copyto(vals, np.nan, where=skip)
+            return vals, dropped
+        vals = np.full((len(fns),) + shape, np.nan)
+        flat = dropped.reshape(-1)  # a view: what it drops lands in dropped
+        rows = (math.prod(shape[:len(shape) - dropped.ndim]), flat.size)
+        px, py = _as_rows(x, shape, rows), _as_rows(y, shape, rows)
+        want = np.ones(rows, dtype=bool) if skip is None else ~_as_rows(skip, shape, rows)
+        ax, lists = None, {}  # the points to call, made again after a drop
+        for row, fn in zip(vals.reshape((len(fns),) + rows), fns):
+            if self._plain(fn):
+                if ax is None:
+                    at = want & ~flat
+                    ax, ay = px[at], py[at]
+                    finite = _finite(ax, ay)
+                v = _guarded([fn], ax, ay) if finite else None
+                if v is not None:
+                    row[at] = v[0]
+                    continue
+            for r in range(rows[0]):  # per element, row by row
+                if r not in lists:
+                    idx = np.flatnonzero(want[r] & ~flat)
+                    lists[r] = idx, px[r, idx].tolist(), py[r, idx].tolist()
+                idx, lx, ly = lists[r]
+                v, drop = _each(fn, lx, ly, catch)
+                row[r, idx] = v
+                if drop.any():
+                    flat[idx[drop]] = True
+                    ax, lists = None, {}
+        return vals, dropped
+
+    def map(self, build, x, y):
+        """The map build(components) from a point (x, y) to a pair, at every
+        element of the float arrays x, y: the pair's two arrays, nan where
+        dropped, and the mask of the elements dropped.  The fused components
+        run on the arrays where whole; else, or where that call trips a
+        flag, each call of components evaluates the fields by `each`, an
+        element dropped in one stage called in no later one; an override of
+        components is called once per element.
+        """
+        if self.whole and _finite(x, y):
+            v = _raising(build(self.components), x, y)
+            if v is not None:  # a balance of two constant components is a python float
+                return ([c if type(c) is np.ndarray else np.full(x.shape, c) for c in v],
+                        np.zeros(x.shape, dtype=bool))
+        if self.fused:
+            dropped = None
+
+            def components(xs, ys):
+                nonlocal dropped
+                vals, dropped = self.each(self.fields, xs, ys, dropped)
+                return vals
+
+            out = build(components)(x, y)
+            return [np.where(dropped, np.nan, c) for c in out] if dropped.any() else out, dropped
+        point = _dropping(build(self.components))
+        vals = [point(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        out = np.array([(math.nan, math.nan) if v is None else v for v in vals], dtype=np.float64)
+        return out.reshape(-1, 2).T, np.array([v is None for v in vals], dtype=bool)
+
+
+def _as_rows(v, shape, rows):
+    # v broadcast to shape, as rows of the elements; np.broadcast_to costs
+    # more than a small call, so only where the shape differs
+    return (v if np.shape(v) == shape else np.broadcast_to(v, shape)).reshape(rows)
+
+
+def _each(fn, xs, ys, catch):
+    """fn(x, y) called once for each pair of the lists of python floats xs,
+    ys: a float array, and the mask of the calls that raised one of catch
+    or returned a value that is not a real number (a complex one, say),
+    which hold nan.  Any other exception propagates."""
     vals, drops, calls = [], [], map(fn, xs, ys)
     while True:
         try:  # extend keeps the values before a raise, and calls goes on after it
             vals.extend(calls)
             break
-        except _DROPS:
+        except catch:
             drops.append(len(vals))
             vals.append(math.nan)
     dropped = np.zeros(len(vals), dtype=bool)
     dropped[drops] = True
     out = np.array(vals)
-    if out.dtype != np.float64:  # a complex value or an odd type somewhere
-        odd = [isinstance(v, complex) for v in vals]
+    if out.dtype != np.float64:  # a value of another type somewhere
+        odd = [type(v) is not float and not isinstance(v, numbers.Real) for v in vals]
         dropped |= odd
-        out = np.array([math.nan if c else v for v, c in zip(vals, odd)], dtype=np.float64)
+        out = np.array([math.nan if o else v for v, o in zip(vals, odd)], dtype=np.float64)
     return out, dropped
-
-
-def _each_of(fns, xs, ys, dropped=None):
-    """Each fn of fns in turn at every element of the arrays xs, ys.
-
-    A fn that passes the array rule (`_on_arrays`) is called once on the
-    arrays when every element it takes is finite; it drops no element and
-    gives the bits of the scalar calls.  Any other fn is called once per
-    element on python floats (`_each`).  As the scalar calls fn(x, y) for
-    fn in fns stop at the first drop, a fn is called only at the elements
-    that no earlier fn dropped and that are not already set in the mask
-    `dropped`.  Returns a (len(fns), n) array, nan in every row of a
-    dropped element, and the mask of the dropped elements.
-    """
-    dropped = np.zeros(xs.shape, dtype=bool) if dropped is None else dropped.copy()
-    vals = np.full((len(fns), xs.size), np.nan)
-    live = np.flatnonzero(~dropped)
-    ax, ay = xs[live], ys[live]
-    finite = np.isfinite(ax).all() and np.isfinite(ay).all()
-    lx = None
-    for row, fn in zip(vals, fns):
-        v = _on_arrays(fn, ax, ay) if finite else None
-        if v is not None:
-            row[live] = v
-            continue
-        if lx is None:
-            lx, ly = ax.tolist(), ay.tolist()
-        v, drop = _each(fn, lx, ly)
-        row[live] = v
-        if drop.any():
-            dropped[live[drop]] = True
-            live = live[~drop]
-            ax, ay = xs[live], ys[live]
-            finite = np.isfinite(ax).all() and np.isfinite(ay).all()
-            lx = None
-    vals[:, dropped] = np.nan
-    return vals, dropped
-
-
-def _each_point(fn, width, xs, ys):
-    """fn(x, y), a tuple of `width` reals, called once for each pair of the
-    arrays xs, ys on python floats.
-
-    Returns a (width, n) float array and a mask of the pairs dropped
-    because fn raised one of _DROPS or returned a complex value; they hold
-    nan.  Any other exception propagates.
-    """
-    point = _dropping(fn)
-    vals = [point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-    dropped = np.array([v is None for v in vals], dtype=bool)
-    nan = (math.nan,) * width
-    out = np.array([nan if v is None else v for v in vals], dtype=np.float64)
-    return out.reshape(-1, width).T, dropped
 
 
 def _dropping(fn, dropped=None):

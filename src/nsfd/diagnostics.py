@@ -18,7 +18,8 @@ _COMPARISON_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{}
 
 GHOST_SEEDS_PER_AXIS = 60
 # Most seeds one detect_ghosts call scans: tracemalloc measured at most
-# ~1.5 kB a seed at its peak (rk4 with per-element components), 2.4 GB in all.
+# 1500 B a seed at its peak (rk4 with per-element components, 100 x 100
+# seeds on model2; 973 B for the family itself), 2.4 GB in all.
 GHOST_MAX_SEEDS = 1_600_000
 GHOST_MATCH_TOL = 1e-6
 GHOST_DEDUP_TOL = 1e-6

@@ -17,11 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import (_component_fields, _each_of, _each_point, _on_arrays, _plain_arithmetic,
-                       _raising)
+from ._kernels import _Evaluator
 from .integrators import NSFD, StepWeight, effective_step, ensfd
-from .systems import (AXIS_ZERO_TOL, PartialValues, SplitSystem, State, _fd_on_arrays,
-                      _partials_each, partials_at)
+from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_on, partials_at
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -167,23 +165,25 @@ def _discrete_verdict(g1: complex, g2: complex) -> str:
 # equilibrium location
 
 
-def _axis_family(system: SplitSystem, along_x: bool, hi: float):
+def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
     """Roots in s of the balance f+ - f- at (s, 0) (along_x) or g+ - g- at
     (0, s), for s in (0, hi].
 
     Returns (roots, degenerate).  Bracketing on a uniform grid, bisection
     to 1e-12, then a short Newton polish so the balance residual reaches
     machine precision.  degenerate means the balance vanishes along the
-    whole grid and the family is a continuum.
+    whole grid and the family is a continuum.  The nodes are evaluated by
+    calls, the search's `_kernels._Evaluator` (a new one if None): a raise
+    at a node propagates, and a node where a component is complex brackets
+    no root.  So does a bisection midpoint where the balance is complex,
+    and a complex polish step ends the polish.
     """
+    calls = _Evaluator(system) if calls is None else calls
     plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
     at = (lambda s: (s, 0.0)) if along_x else (lambda s: (0.0, s))
     nodes = np.linspace(0.0, hi, AXIS_GRID_N + 1)
     xs, ys = (nodes, 0.0 * nodes) if along_x else (0.0 * nodes, nodes)
-    # on the arrays where the rule holds, else per node, where a raise propagates
-    pv, mv = [np.broadcast_to(v, nodes.shape) if (v := _on_arrays(fn, xs, ys)) is not None
-              else np.array([fn(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
-              for fn in (plus, minus)]
+    (pv, mv), _ = calls.each((plus, minus), xs, ys, catch=())
     r = pv - mv
     scale = max(1.0, float(np.max(np.abs(pv))), float(np.max(np.abs(mv))))
     if float(np.max(np.abs(r))) <= 1e-10 * scale:
@@ -197,41 +197,24 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float):
 
     # the intervals that bracket a root, as the python test below reads them:
     # a zero at the upper node or a sign change (a product of python floats
-    # overflows and underflows as numpy's float64 does, with no error);
-    # balances that are not all floats take every interval.  A zero at a
-    # lower node is the upper node of the interval before, or the origin,
-    # which is its own family.
-    bracketed = range(AXIS_GRID_N)
-    if r.dtype == np.float64:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bracketed = np.flatnonzero((r[1:] == 0.0) | (r[:-1] * r[1:] < 0.0)).tolist()
+    # overflows and underflows as numpy's float64 does, with no error).  A
+    # zero at a lower node is the upper node of the interval before, or the
+    # origin, which is its own family.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracketed = np.flatnonzero((r[1:] == 0.0) | (r[:-1] * r[1:] < 0.0)).tolist()
     roots = []
     for i in bracketed:
         lo, hi_ = float(nodes[i]), float(nodes[i + 1])
         rlo, rhi = float(r[i]), float(r[i + 1])
-        root = None
-        if rhi == 0.0:
-            root = hi_
-        elif rlo * rhi < 0.0:
-            while hi_ - lo > AXIS_BISECT_TOL:
-                mid = 0.5 * (lo + hi_)
-                rm = balance(mid)
-                if rm == 0.0:
-                    lo = hi_ = mid
-                    break
-                if rlo * rm < 0.0:
-                    hi_ = mid
-                else:
-                    lo, rlo = mid, rm
-            root = 0.5 * (lo + hi_)
+        root = hi_ if rhi == 0.0 else _bisect(balance, lo, hi_, rlo)
         if root is None:
             continue
         for _ in range(8):  # polish to machine precision
             g = d_balance(root)
-            if not math.isfinite(g) or g == 0.0:
+            if isinstance(g, complex) or not math.isfinite(g) or g == 0.0:
                 break
             delta = balance(root) / g
-            if not math.isfinite(delta):
+            if isinstance(delta, complex) or not math.isfinite(delta):
                 break
             root -= delta
             if abs(delta) < 1e-16 * max(1.0, abs(root)):
@@ -241,12 +224,38 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float):
     return roots, False
 
 
+def _bisect(balance, lo, hi, rlo):
+    # a root of balance in the bracket [lo, hi], whose balance at lo is
+    # rlo, to AXIS_BISECT_TOL; None where a midpoint's balance is complex
+    while hi - lo > AXIS_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        rm = balance(mid)
+        if isinstance(rm, complex):
+            return None
+        if rm == 0.0:
+            return mid
+        if rlo * rm < 0.0:
+            hi = mid
+        else:
+            lo, rlo = mid, rm
+    return 0.5 * (lo + hi)
+
+
+def _balance(components):
+    # the map (x, y) -> (f+ - f-, g+ - g-) of components, on python floats
+    # or arrays alike
+    def balance(x, y):
+        fp, fm, gp, gm = components(x, y)
+        return fp - fm, gp - gm
+
+    return balance
+
+
 def _balance_residual(system: SplitSystem, x: float, y: float):
-    fp, fm, gp, gm = system.components(x, y)
-    return fp - fm, gp - gm
+    return _balance(system.components)(x, y)
 
 
-def _interior_points(system: SplitSystem, box):
+def _interior_points(system: SplitSystem, box, calls):
     """Newton search for coexistence points from a uniform seed grid.
 
     Iterates past the acceptance tolerance down to the floating-point fixed
@@ -257,46 +266,22 @@ def _interior_points(system: SplitSystem, box):
     bx, by = box
     xs = np.linspace(0.0, bx, INTERIOR_SEED_N + 2)[1:-1]
     ys = np.linspace(0.0, by, INTERIOR_SEED_N + 2)[1:-1]
-    return _balance_newton(system, xs, ys, 10.0 * (bx + by))
+    return _balance_newton(system, xs, ys, 10.0 * (bx + by), calls)
 
 
-def _balance_newton(system: SplitSystem, xs, ys, escape):
+def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
     # Newton on both balances from every seed (x, y) of the grid xs x ys at
     # once; returns the best iterate of every seed whose best residual is
     # below BALANCE_TOL.  idx holds the seeds still iterating, and all
-    # share one iteration counter.  residual and jacobian evaluate on
-    # arrays and also return a mask of the seeds they drop, where a scalar
-    # call raises or turns complex (a fractional power of a negative
+    # share one iteration counter.  calls, the search's _Evaluator (a new
+    # one if None), evaluates the balances and the partials on arrays and
+    # also returns a mask of the seeds they drop, where a scalar call
+    # raises or turns complex (a fractional power of a negative
     # coordinate): a dropped seed loses its best iterate, its best residual
-    # set to inf.  Where every component and analytic partial passes the
-    # array rule, both run on whole arrays under _raising and drop no seed;
-    # a call that trips a flag, and every call where one fails the rule,
-    # goes through _each_of (and _partials_each).  A class that overrides
-    # components fails the rule, and its residual calls the override once
-    # per seed (_each_point).  A balance of two constant components is a
-    # python float, so it is broadcast.
-    comps = _component_fields(system)
-    if system.partials is None:
-        analytic, at = (), partial(_fd_on_arrays, system.components)
-    else:
-        analytic = tuple(getattr(system.partials, f) for f in PartialValues._fields)
-        at = system.partials.at
-    whole = comps is not None and all(map(_plain_arithmetic, comps + analytic))
-
-    def residual(x, y):
-        r = _raising(_balance_residual, system, x, y) if whole else None
-        if r is None:
-            if comps is None:  # an override of components, called per seed
-                (rx, ry), dropped = _each_point(partial(_balance_residual, system), 2, x, y)
-                return rx, ry, dropped
-            (fp, fm, gp, gm), dropped = _each_of(comps, x, y)
-            return fp - fm, gp - gm, dropped
-        rx, ry = (v if type(v) is np.ndarray else np.full(x.shape, v) for v in r)
-        return rx, ry, np.zeros(x.shape, dtype=bool)
-
-    def jacobian(x, y):
-        p = _raising(at, x, y) if whole else None
-        return _partials_each(system, x, y) if p is None else (p, np.zeros(x.shape, dtype=bool))
+    # set to inf.
+    calls = _Evaluator(system) if calls is None else calls
+    residual = partial(calls.map, _balance)
+    jacobian = partial(_partials_on, system, calls)
 
     x = np.repeat(xs, ys.size)
     y = np.tile(ys, xs.size)
@@ -310,7 +295,7 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
                 break
             ax = x[idx]
             ay = y[idx]
-            rx, ry, dropped = residual(ax, ay)
+            (rx, ry), dropped = residual(ax, ay)
             best_res[idx[dropped]] = np.inf
             go = ~dropped & np.isfinite(rx) & np.isfinite(ry)
             idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
@@ -345,7 +330,7 @@ def _balance_newton(system: SplitSystem, xs, ys, escape):
                 continue
             last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
             idx = idx[~tiny]
-            rx, ry, dropped = residual(lx, ly)
+            (rx, ry), dropped = residual(lx, ly)
             best_res[last[dropped]] = np.inf
             res = np.maximum(np.abs(rx), np.abs(ry))
             better = ~dropped & np.isfinite(rx) & np.isfinite(ry) & (res < best_res[last])
@@ -385,16 +370,21 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     both balances; everything is deduplicated at 1e-7 and sorted.
 
     The Newton iteration runs over all 1600 seeds at once, and the axis
-    brackets over their 201 nodes at once.  The callables (components,
-    and analytic partials or else finite-difference stencils) run on
-    whole arrays where the array rule of nsfd._kernels proves them
-    bit-equal, and per seed, node and point otherwise or where a
-    whole-array call meets a pole or an overflow.  A seed is dropped
-    where a call raises ZeroDivisionError, OverflowError or ValueError
-    or returns a complex value; an axis node's raise propagates.  The
-    1600 seeds end on a few distinct points, and the snapping, sorting and
-    deduplication run once per distinct candidate: exact duplicates are
-    collapsed first, which changes no bit of the result.
+    brackets over their 201 nodes at once.  One evaluator of
+    nsfd._kernels makes the search's calls of the callables (components,
+    and analytic partials or else finite-difference stencils), taking
+    each one's verdict under the array rule once: on whole arrays where
+    the rule proves them bit-equal, and per seed, node and point otherwise
+    or where a whole-array call meets a pole or an overflow.  A seed is
+    dropped where a call raises ZeroDivisionError, OverflowError or
+    ValueError or returns a value that is not a real number.  An axis
+    node's raise propagates, and a node where a component is complex
+    brackets no root; so does a bisection midpoint where the balance is
+    complex, and a complex Newton polish step ends the polish, keeping
+    the root bisected.  The 1600 seeds end on a few distinct points, and
+    the snapping, sorting and deduplication run once per distinct
+    candidate: exact duplicates are collapsed first, which changes no bit
+    of the result.
 
     The box defaults to the system's own and must be a pair of real
     numbers with positive finite extent (ValueError otherwise).  Each
@@ -416,14 +406,15 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
 def _search(system: SplitSystem, bx: float, by: float) -> EquilibriumSet:
     candidates = [(0.0, 0.0)]
     degenerate = []
+    calls = _Evaluator(system)  # one verdict per callable for the whole search
 
     for along_x, hi, family in ((True, bx, "E1"), (False, by, "E2")):
-        roots, degen = _axis_family(system, along_x, hi)
+        roots, degen = _axis_family(system, along_x, hi, calls)
         if degen:
             degenerate.append(family)
         candidates += [(r, 0.0) if along_x else (0.0, r) for r in roots]
 
-    candidates += _interior_points(system, (bx, by))
+    candidates += _interior_points(system, (bx, by), calls)
 
     points = tuple(EquilibriumPoint(x, y, classify_point(x, y))
                    for x, y in _distinct_points(candidates, bx, by))

@@ -11,22 +11,21 @@ positive inside the quadrant.  Keeping gains and losses apart is what makes
 the denominator-weighted difference schemes in :mod:`nsfd.integrators`
 positivity preserving and the closed-form equilibrium analysis in
 :mod:`nsfd.equilibria` possible, so construction checks the sign structure
-eagerly on a sample grid instead of trusting the caller.  The checks
-evaluate a system's callables on whole numpy grids where they pass the
-array rule of nsfd._kernels and once per grid node otherwise, with the
-same verdict and message either way.
+eagerly on a sample grid instead of trusting the caller.  The checks,
+like the finite differences on arrays (`_fd_on_arrays`, `_partials_on`),
+evaluate a system's callables through an evaluator of nsfd._kernels: on
+whole numpy grids where they pass its array rule and once per grid node
+otherwise, with the same verdict and message either way.
 """
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _component_fields, _each_of, _on_arrays, _plain_arithmetic, _raising
+from ._kernels import _DROPS, _Evaluator
 
 Component = Callable[[float, float], float]
 
@@ -245,11 +244,14 @@ def _rma_components(p: ModelParams):
 
 
 def _check_sign_structure(sys: SplitSystem) -> None:
-    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N).tolist()
+    # every call's raise is kept, not propagated: only the first failing
+    # node, in field, then x, then y order, decides, with the value or
+    # exception of its call, made again there
+    calls = _Evaluator(sys)
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
-    comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    vals, odd = _grid_values(comps, nodes)
-    inside = np.array(nodes) > 0.0
+    vals, _ = calls.each(calls.fields, nodes[:, None], nodes[None, :], catch=Exception)
+    inside = nodes > 0.0
     inside = inside[:, None] & inside[None, :]
     with np.errstate(invalid="ignore"):
         bad = ~np.isfinite(vals) | np.where(inside, ~(vals > 0.0), vals < 0.0)
@@ -257,8 +259,8 @@ def _check_sign_structure(sys: SplitSystem) -> None:
         return
     # first failure in label-major, then x, then y order: C order of vals
     k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    x, y = nodes[i], nodes[j]
-    v = odd.get((k, i, j), float(vals[k, i, j]))
+    x, y = float(nodes[i]), float(nodes[j])
+    v = _called(calls.fields[k], x, y)
     where = f"{labels[k]}({x:g}, {y:g})"
     _refuse_odd(where, v)
     if not math.isfinite(v):
@@ -270,78 +272,44 @@ def _check_sign_structure(sys: SplitSystem) -> None:
 
 def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     # spot check on a coarse subgrid; the full-grid property lives in the tests
-    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7].tolist()
+    calls = _Evaluator(sys)
+    nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7]
     analytic = tuple(getattr(sys.partials, f) for f in PartialValues._fields)
-    comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
-    ana, ana_odd = _grid_values(analytic, nodes)
-    # the differences on the grid where every component passes the array
-    # rule, else per node, where the refusal messages read them
-    line = np.array(nodes)
-    num = (_raising(_fd_on_arrays, sys.components, line[:, None], line[None, :])
-           if _component_fields(sys) is not None and all(map(_plain_arithmetic, comps))
-           else None)
-    num, num_odd = (np.array(num), {}) if num is not None else _grid_values(
-        [fd for comp in comps for fd in (partial(_fd_x, comp), partial(_fd_y, comp))], nodes)
+    ana, _ = calls.each(analytic, nodes[:, None], nodes[None, :], catch=Exception)
+    num, _ = _fd_on_arrays(calls, nodes[:, None], nodes[None, :], catch=Exception)
+    num = np.array(num)
     with np.errstate(invalid="ignore", over="ignore"):
         mismatch = np.abs(ana - num) > rtol * np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
     bad = ~np.isfinite(ana) | ~np.isfinite(num) | mismatch
     if not bad.any():
         return
-    # first failure in x, then y, then field order
-    i, j, k = np.unravel_index(np.argmax(bad.transpose(1, 2, 0)), bad.shape[1:] + bad.shape[:1])
-    name = PartialValues._fields[k]
-    at = f"{name}({nodes[i]:g}, {nodes[j]:g})"
-    a = ana_odd.get((k, i, j), float(ana[k, i, j]))
-    n = num_odd.get((k, i, j), float(num[k, i, j]))
-    _refuse_odd(f"analytic partial {at}", a)
-    if not math.isfinite(a):
-        raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
-    _refuse_odd(f"finite difference {at}", n)
-    if not math.isfinite(n):
-        raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
-    raise ConstructionError(
-        f"analytic partial {at} = {a!r} disagrees with finite difference {n!r}"
-    )
+    # the first failing node in x, then y order; there the calls run again,
+    # in field order, analytic first, for the first failure and its message
+    i, j = np.unravel_index(np.argmax(bad.any(axis=0)), bad.shape[1:])
+    x, y = float(nodes[i]), float(nodes[j])
+    numeric = [partial(fd, comp) for comp in calls.fields for fd in (_fd_x, _fd_y)]
+    for name, ana_fn, num_fn in zip(PartialValues._fields, analytic, numeric):
+        at = f"{name}({x:g}, {y:g})"
+        a = _called(ana_fn, x, y)
+        _refuse_odd(f"analytic partial {at}", a)
+        if not math.isfinite(a):
+            raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
+        n = _called(num_fn, x, y)
+        _refuse_odd(f"finite difference {at}", n)
+        if not math.isfinite(n):
+            raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
+        if abs(a - n) > rtol * max(1.0, abs(a), abs(n)):
+            raise ConstructionError(
+                f"analytic partial {at} = {a!r} disagrees with finite difference {n!r}"
+            )
 
 
-def _grid_values(fns, nodes):
-    """Each of fns at every node (x, y) of nodes x nodes.
-
-    Returns a (len(fns), n, n) float array indexed [fn, x, y], and a dict
-    that holds, under the same index, whatever a call returned that was not
-    a python float (an int, a complex) or any exception it raised.  The
-    array holds such a value as a float, or nan if it is none.  Exceptions
-    are kept rather than raised because only the first failing node, in
-    each checker's own order, decides the verdict.
-
-    Each fn that passes the array rule (`_kernels._on_arrays`) is called
-    once on the whole grid, where every scalar call would return a python
-    float with the same bits; every other fn is called once per node.
-    """
-    shape = (len(fns), len(nodes), len(nodes))
-    vals = np.empty(shape)
-    todo = []
-    x, y = np.meshgrid(nodes, nodes, indexing="ij", sparse=True)
-    for k, fn in enumerate(fns):
-        v = _on_arrays(fn, x, y)
-        if v is None:
-            todo += itertools.product((k,), range(shape[1]), range(shape[2]))
-        else:
-            vals[k] = v  # broadcasts a constant, or a function of x alone
-    odd = {}
-    got = []
-    for k, i, j in todo:
-        try:
-            v = fns[k](nodes[i], nodes[j])
-        except Exception as exc:
-            v = exc
-        if type(v) is not float:
-            odd[k, i, j] = v
-            v = float(v) if isinstance(v, numbers.Real) else math.nan
-        got.append(v)
-    if got:
-        vals[tuple(np.array(todo).T)] = got
-    return vals, odd
+def _called(fn, x, y):
+    """fn(x, y), or the exception it raised."""
+    try:
+        return fn(x, y)
+    except Exception as exc:
+        return exc
 
 
 def _refuse_odd(where: str, v) -> None:
@@ -412,60 +380,54 @@ def _fd_y(comp: Component, x: float, y: float) -> float:
     return _one_sided(comp(x, y), comp(x, y + step), comp(x, y + 2.0 * step), step)
 
 
-def _fd_each(comp: Component, x, y, along_x: bool, dropped):
-    """_fd_x (along_x) or _fd_y of comp at every element of the arrays x, y.
+def _fd_on_arrays(calls, x, y, catch=_DROPS):
+    """_numeric_partial_values at every element of the float arrays x, y,
+    broadcast together, in the bits of the scalar stencils, and the mask
+    of the elements dropped, nan throughout, where a call raised one of
+    catch or returned a value that is not a real number.
 
-    comp is evaluated by `_kernels._each_of` (on the arrays where it
-    passes the array rule, else once per point on python floats), and
-    only at the points the scalar stencil of each element samples, in
-    its order: never at x - step < 0, not after a call for that element
-    has dropped, and not at the elements set in the mask dropped.  Returns
-    the differences and that mask updated with the elements dropped here.
+    calls, the operation's `_kernels._Evaluator`, evaluates each component
+    in turn at its stencil points along x, then along y, as _fd_x and _fd_y
+    do, and only at the points they sample: two rows per axis where every
+    element takes the central stencil (every interior Newton seed), else
+    three, the third at the one-sided elements only.
     """
-    v = x if along_x else y
-    # python's max(1.0, nan) is 1.0; np.maximum would give nan
-    step = _FD_EPS * np.fmax(1.0, np.abs(v))
-    central = v >= step
-
-    def at(w, skip):  # comp at the elements not in skip, with v moved to w
-        (vals,), drop = _each_of((comp,), w, y, skip) if along_x else _each_of((comp,), x, w, skip)
-        return vals, drop
-
-    # central: v + step, v - step; one-sided: v, v + step, v + 2 step
-    one, dropped = at(np.where(central, v + step, v), dropped)
-    two, dropped = at(np.where(central, v - step, v + step), dropped)
-    three, drop = at(v + 2.0 * step, dropped | central)
-    dropped |= drop & ~central
-    out = np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
-    return out, dropped
-
-
-def _fd_on_arrays(components, x, y) -> PartialValues:
-    """_fd_x and _fd_y of the four components(x, y) at every element of
-    the arrays x, y, broadcast together, in the bits of the scalar
-    stencils: two calls, at all the x and at all the y stencil points,
-    those a scalar stencil skips included.  Where every element takes the
-    central stencil (every interior Newton seed), the calls take its two
-    rows only.  So call it only for components that pass the array rule,
-    under `_kernels._raising`."""
+    shape = np.broadcast(x, y).shape
+    stencils, px, py = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for along_x, v in ((True, x), (False, y)):
+            # python's max(1.0, nan) is 1.0; np.maximum would give nan
+            step = _FD_EPS * np.fmax(1.0, np.abs(v))
+            central = v >= step
+            # central: v + step, v - step; one-sided: v, v + step, v + 2 step
+            rows = [v + step, v - step] if central.all() else [
+                np.where(central, v + step, v), np.where(central, v - step, v + step),
+                v + 2.0 * step]
+            stencils.append((step, central, len(rows)))
+            px += rows if along_x else [x] * len(rows)
+            py += [y] * len(rows) if along_x else rows
+    # the third row of an axis is called at its one-sided elements only
+    skip = np.zeros((len(px),) + shape, dtype=bool)
+    end = 0
+    for step, central, n in stencils:
+        end += n
+        if n == 3:
+            skip[end - 1] = central
+    vals, dropped = calls.each(calls.fields, np.stack(px), np.stack(py),
+                               np.zeros(shape, dtype=bool), skip, catch)
+    if dropped.any():
+        vals[:, :, dropped] = np.nan
     diffs = []
-    for along_x, v in ((True, x), (False, y)):
-        step = _FD_EPS * np.fmax(1.0, np.abs(v))
-        central = v >= step
-        # central: v + step, v - step; one-sided: v, v + step, v + 2 step
-        all_central = central.all()
-        if all_central:
-            at = np.stack((v + step, v - step))
-        else:
-            at = np.stack((np.where(central, v + step, v), np.where(central, v - step, v + step),
-                           v + 2.0 * step))
-        vals = components(at, y) if along_x else components(x, at)
-        shape = np.broadcast_shapes(at.shape, np.shape(y if along_x else x))
-        rows = (np.broadcast_to(c, shape) for c in vals)
-        diffs.append([_central(one, two, step) for one, two in rows] if all_central else
-                     [np.where(central, _central(one, two, step), _one_sided(one, two, three, step))
-                      for one, two, three in rows])
-    return PartialValues(*(d for pair in zip(*diffs) for d in pair))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for comp in vals:
+            i = 0
+            for step, central, n in stencils:
+                one, two, *three = comp[i:i + n]
+                i += n
+                diffs.append(np.where(central, _central(one, two, step),
+                                      _one_sided(one, two, *three, step))
+                             if three else _central(one, two, step))
+    return PartialValues(*diffs), dropped
 
 
 def _numeric_partial_values(system: SplitSystem, x: float, y: float) -> PartialValues:
@@ -492,36 +454,26 @@ def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     """Analytic partials when the system carries them, finite differences otherwise.
 
     At one point, on python floats.  The interior equilibrium search
-    takes the same partials at all its seeds at once, in the same bits:
-    on whole arrays where the callables pass the array rule (analytic, or
-    `_fd_on_arrays`), else by `_partials_each`.
+    takes the same partials at all its seeds at once, in the same bits
+    (`_partials_on`).
     """
     if system.partials is not None:
         return system.partials.at(x, y)
     return _numeric_partial_values(system, x, y)
 
 
-def _partials_each(system: SplitSystem, xs, ys):
-    """partials_at at each element of the arrays xs, ys.
-
-    Every callable is evaluated by `_kernels._each_of`, in the order of
-    the scalar calls, and not again at an element after one of them
-    dropped it.  Returns PartialValues of arrays and the mask of
-    elements dropped where a call raised ZeroDivisionError,
-    OverflowError or ValueError or returned a complex value; those are
-    nan throughout.
+def _partials_on(system: SplitSystem, calls, x, y):
+    """partials_at at every element of the float arrays x, y, in its bits,
+    evaluated by calls, the operation's `_kernels._Evaluator`.  Returns
+    PartialValues of arrays and the mask of the elements dropped, nan
+    throughout, where a call raised ZeroDivisionError, OverflowError or
+    ValueError or returned a value that is not a real number.
     """
-    if system.partials is not None:
-        analytic = [getattr(system.partials, f) for f in PartialValues._fields]
-        vals, dropped = _each_of(analytic, xs, ys)
-    else:
-        vals, dropped = [], np.zeros(xs.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for comp in (system.f_plus, system.f_minus, system.g_plus, system.g_minus):
-                for along_x in (True, False):
-                    d, dropped = _fd_each(comp, xs, ys, along_x, dropped)
-                    vals.append(d)
-        vals = np.array(vals)
+    if system.partials is None:
+        return _fd_on_arrays(calls, x, y)
+    analytic = [getattr(system.partials, f) for f in PartialValues._fields]
+    vals, dropped = calls.each(analytic, x, y)
+    if dropped.any():
         vals[:, dropped] = np.nan
     return PartialValues(*vals), dropped
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,35 @@ def test_axis_brackets_give_the_every_interval_roots(picks, form, hi, along_x):
     found, degenerate = _axis_family(system, along_x, hi)
     want, want_degenerate = axis_family(system, along_x, hi)
     assert ([r.hex() for r in found], degenerate) == ([r.hex() for r in want], want_degenerate)
+
+
+@pytest.mark.parametrize("coef, families", [(0.02, ["O", "E3"]), (0.05, ["O", "E3", "E1"])])
+def test_a_complex_axis_node_brackets_no_root(coef, families):
+    # beyond x = 20.5 the loss, and so the balance on the x axis, is
+    # complex: those nodes bracket no root, with no warning, and a box that
+    # reaches past them finds the equilibria of one that stops short
+    system = SplitSystem(lambda x, y: 1.0,
+                         lambda x, y: coef * x + 0.1 * y + 0.01 * (20.5 - x) ** 0.5,
+                         lambda x, y: 0.3 * x / (1.0 + x), lambda x, y: 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = find_equilibria(system, (60.0, 30.0))
+    near = find_equilibria(system, (20.0, 30.0))
+    assert [p.family for p in wide] == [p.family for p in near] == families
+    for p, q in zip(wide, near):
+        assert abs(p.x - q.x) <= 1e-12 and abs(p.y - q.y) <= 1e-12
+
+
+def test_a_complex_midpoint_ends_its_bracket():
+    # the balance 0.55 - x changes sign in the interval [0.54, 0.56] of a
+    # 4-wide axis, but is complex within 1e-6 of its root, where the
+    # bisection goes: the bracket ends without a root
+    system = SplitSystem(lambda x, y: 1.0,
+                         lambda x, y: 0.45 + x + 0.0 * (abs(x - 0.55) - 1e-6) ** 0.5,
+                         lambda x, y: 1.0, lambda x, y: 0.5, x_max=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _axis_family(system, True, 4.0) == ([], False)
 
 
 def test_a_root_on_a_grid_node_is_found_once():
@@ -482,7 +512,10 @@ def test_store_is_invisible_to_equality_hash_and_repr(search_count):
 
 def _oracle_search(system, box):
     """find_equilibria's search with the seed-by-seed interior Newton."""
-    with mock.patch.object(nsfd.equilibria, "_balance_newton", scalar_balance_newton):
+    def oracle(system, xs, ys, escape, calls):
+        return scalar_balance_newton(system, xs, ys, escape)
+
+    with mock.patch.object(nsfd.equilibria, "_balance_newton", oracle):
         return nsfd.equilibria._search(system, *box)
 
 

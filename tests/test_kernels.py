@@ -15,7 +15,7 @@ from nsfd import (EULER, NSFD, RK2, RK4, ConstructionError, SplitSystem, State, 
                   ensfd, exponential_weight, find_equilibria, integrate,
                   make_rosenzweig_macarthur, model1, model2)
 from nsfd import _kernels
-from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _each_of, _on_arrays,
+from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _Evaluator,
                            _plain_arithmetic, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
@@ -348,8 +348,8 @@ def test_a_subclass_that_overrides_components_searches_like_its_fields(scheme):
                                           m2.partials)):
         plain = SplitSystem(*fields, partials=partials, x_max=4.0)
         rooted = _Rooted(*fields, partials=partials, x_max=4.0)
-        assert _kernels._component_fields(rooted) is None
-        assert _kernels._component_fields(plain) == fields
+        assert not _Evaluator(rooted).fused
+        assert _Evaluator(plain).fused and _Evaluator(plain).fields == fields
         assert point_bits(find_equilibria(rooted)) == point_bits(find_equilibria(plain))
         for h in (0.5, 2.5):
             got = detect_ghosts(rooted, scheme, h, seeds_per_axis=12)
@@ -418,9 +418,14 @@ def test_generic_loop_truncates_like_the_kernel():
 # the array rule: plain + - * / callables on whole arrays, in the same bits
 
 
+# Evaluator.each and on_arrays call only the callables they are given, so
+# any system will do; a new evaluator per call takes its verdicts anew
+_M2 = model2()
+
+
 def _each_of_outcome(fns, xs, ys, dropped=None):
-    """The bytes of _each_of's values, with every NaN made the one NaN of
-    numpy, and of its mask; or the type it raised.
+    """The bytes of Evaluator.each's values, with every NaN made the one
+    NaN of numpy, and of its mask; or the type it raised.
 
     The sign of a NaN that python float arithmetic makes is not fixed: in
     CPython 3.11, (110 - y) + (-c0) at y = c0 = nan gives +nan on a
@@ -430,7 +435,7 @@ def _each_of_outcome(fns, xs, ys, dropped=None):
     not NaN bits; every other bit of the values is compared exactly.
     """
     try:
-        vals, mask = _each_of(fns, xs, ys, dropped)
+        vals, mask = _Evaluator(_M2).each(fns, xs, ys, dropped)
     except Exception as exc:  # int results too large for a float, say
         return type(exc)
     return np.where(np.isnan(vals), np.nan, vals).tobytes(), mask.tobytes()
@@ -506,7 +511,7 @@ def test_the_array_rule_takes_population_forms():
     xs, ys = np.linspace(0.1, 5.0, 9), np.linspace(0.2, 3.0, 9)
     for fn in forms + [local, unpacked]:
         assert _plain_arithmetic(fn)
-        assert _on_arrays(fn, xs, ys) is not None
+        assert _Evaluator(_M2).on_arrays([fn], xs, ys) is not None
         assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
@@ -515,7 +520,7 @@ def test_a_non_finite_input_is_called_per_element():
     # ZeroDivisionError and drop the elements
     fn = lambda x, y: y / x
     xs, ys = np.array([0.0, 1.0, 0.0]), np.array([math.nan, 1.0, math.inf])
-    vals, dropped = _each_of([fn], xs, ys)
+    vals, dropped = _Evaluator(_M2).each([fn], xs, ys)
     assert dropped.tolist() == [True, False, True]
     assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
@@ -588,7 +593,7 @@ def test_the_array_rule_refuses_what_it_cannot_prove(fn):
             return t
     xs = np.array([-2.0, -0.5, 0.0, 0.5, 3.0, 800.0])
     ys = np.array([0.25, 1.0, 2.0, 0.0, -1.0, 3.0])
-    assert _on_arrays(fn, xs, ys) is None
+    assert _Evaluator(_M2).on_arrays([fn], xs, ys) is None
     assert _each_of_outcome([fn], xs, ys) == _each_of_outcome([per_element(fn)], xs, ys)
 
 
@@ -601,7 +606,7 @@ def test_a_global_rebound_to_an_array_is_refused_after_construction():
     try:
         _GLOBALS["G"] = np.array(0.5)
         assert not _plain_arithmetic(_REBOUND)
-        assert _on_arrays(_REBOUND, xs, ys) is None
+        assert _Evaluator(_M2).on_arrays([_REBOUND], xs, ys) is None
         assert (_each_of_outcome(comps, xs, ys)
                 == _each_of_outcome(list(map(per_element, comps)), xs, ys))
         assert point_bits(find_equilibria(system)) == point_bits(find_equilibria(twin))
@@ -641,6 +646,29 @@ def test_population_systems_take_the_array_rule_in_the_same_bits(form, p, x_max,
     sx, sy = [g.ravel() for g in np.meshgrid(xs, np.array(gy + [0.0]), indexing="ij")]
     for scheme in (NSFD, EULER, RK2, RK4):
         assert _scan(system, scheme, h, sx, sy).tobytes() == _scan(twin, scheme, h, sx, sy).tobytes()
+
+
+def test_the_verdict_is_taken_once_per_operation(monkeypatch):
+    # one search, and then one ghost scan, each take the array rule's
+    # verdict at most once per distinct callable, though f_minus fails the
+    # rule and its calls go per element: the four components here
+    system = SplitSystem(lambda x, y: 1.0,
+                         lambda x, y: 0.2 * x + 0.5 * y + 0.0 * math.sqrt(1.0 + x * x),
+                         lambda x, y: 0.6 * x / (1.0 + x), lambda x, y: 0.2, x_max=4.0)
+    comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    assert [_plain_arithmetic(fn) for fn in comps] == [True, False, True, True]
+    verdicts = []
+
+    def counted(fn):
+        verdicts.append(fn)
+        return _plain_arithmetic(fn)
+
+    monkeypatch.setattr(_kernels, "_plain_arithmetic", counted)
+    find_equilibria(system)
+    assert len(verdicts) == len({id(fn) for fn in verdicts}) <= len(comps)
+    verdicts.clear()
+    detect_ghosts(system, RK4, 0.5, seeds_per_axis=20)
+    assert len(verdicts) == len({id(fn) for fn in verdicts}) <= len(comps)
 
 
 def test_every_family_closure_passes_the_array_rule():

@@ -32,7 +32,7 @@ from nsfd import (
 )
 from nsfd import _kernels, systems
 from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues,
-                          _fd_x, _fd_y, _numeric_partial_values, _partials_each, partials_at)
+                          _fd_x, _fd_y, _numeric_partial_values, _partials_on, partials_at)
 from oracles import equality_settings, per_element_clone
 
 
@@ -143,7 +143,7 @@ _fd_coords = st.one_of(st.floats(-3.0, 3.0), st.floats(-2.0 * _FD_EPS, 2.0 * _FD
 @example(loss="root", points=[(-1.0, 1.0), (-1e-7, 0.5), (1e-7, 0.5)])
 @equality_settings(200)
 def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
-    # the array stencils of _partials_each give _numeric_partial_values'
+    # the array stencils of _partials_on give _numeric_partial_values'
     # bits at every point, one-sided near an axis and central elsewhere, and
     # drop exactly the points where a scalar call raises or turns complex;
     # no component is called at a point where the scalar stencils do not
@@ -162,7 +162,7 @@ def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
             lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y))))
     xs, ys = (np.array(v, dtype=float) for v in zip(*points))
     calls.clear()
-    got, dropped = _partials_each(system, xs, ys)
+    got, dropped = _partials_on(system, _kernels._Evaluator(system), xs, ys)
     on_arrays = set(calls)
     calls.clear()
     got = np.array(got)
@@ -186,21 +186,24 @@ def test_numeric_partials_on_arrays_are_the_scalar_partials(loss, points):
 @example(points=[(0.0, 0.0), (0.5 * _FD_EPS, 1.0), (3.0, 2.0 * _FD_EPS)], grid=True)
 @equality_settings(200)
 def test_whole_array_stencils_are_the_scalar_partials(points, grid):
-    # _fd_on_arrays, under the flag guard, gives the scalar stencils' bits
-    # at every point, or at every node of a grid, or trips a flag: then
-    # the callers go per point.  The fused components of the family and a
-    # pole at x = -c are the case it serves.
+    # _fd_on_arrays gives the scalar stencils' bits at every point, or at
+    # every node of a grid, on whole arrays where no flag trips; where one
+    # does, the evaluator goes per point, and drops the points where the
+    # scalar stencils raise.  The family and a pole at x = -c are the case
+    # it serves.
     system = make_rosenzweig_macarthur(2.0, 1.0, 0.7, 0.3)
     xs, ys = (np.array(v, dtype=float) for v in zip(*points))
     if grid:
         xs, ys = xs[:, None], ys[None, :]
-    got = _kernels._raising(systems._fd_on_arrays, system.components, xs, ys)
-    if got is None:
-        return
+    got, dropped = systems._fd_on_arrays(_kernels._Evaluator(system), xs, ys)
     got = np.broadcast_arrays(*got)
     for idx in np.ndindex(got[0].shape):
         x, y = float(np.broadcast_to(xs, got[0].shape)[idx]), float(
             np.broadcast_to(ys, got[0].shape)[idx])
+        if dropped[idx]:
+            with pytest.raises((ZeroDivisionError, OverflowError, ValueError)):
+                _numeric_partial_values(system, x, y)
+            continue
         want = _numeric_partial_values(system, x, y)
         assert np.array([g[idx] for g in got]).tobytes() == np.array(want).tobytes()
 
@@ -212,22 +215,26 @@ def test_whole_array_stencils_are_the_scalar_partials(points, grid):
     ([0.5, 0.5 * _FD_EPS, 3.0, 19.5], [0.25, 2.0, 0.0, 1e3], (3, 3)),
     ([0.5, 1.0, 3.0, 19.5], [0.25, 2.0, -0.0, 1e3], (2, 3)),
 ])
-def test_an_all_central_input_takes_two_stencil_rows(xs, ys, rows):
-    # _fd_on_arrays calls the components once per axis, on as many stencil
-    # rows as the stencils need, and every element keeps the bits of
-    # _fd_x and _fd_y
+def test_an_all_central_input_takes_two_stencil_rows(xs, ys, rows, monkeypatch):
+    # _fd_on_arrays calls the components in one guarded call, on as many
+    # stencil rows per axis as the stencils need, stacked, and every
+    # element keeps the bits of _fd_x and _fd_y
     comps = (lambda x, y: 1.5 - 0.1 * y, lambda x, y: 0.7 * x + 0.3 * y / (1.0 + x),
              lambda x, y: 0.8 * x / (1.0 + x), lambda x, y: 0.2 + 0.1 * x * y)
+    calls = _kernels._Evaluator(SplitSystem(*comps, x_max=4.0))
     shapes = []
+    raising = _kernels._raising
 
-    def components(x, y):
+    def recorded(fn, x, y):
         shapes.append((np.shape(x), np.shape(y)))
-        return tuple(fn(x, y) for fn in comps)
+        return raising(fn, x, y)
 
+    monkeypatch.setattr(_kernels, "_raising", recorded)
     x, y = np.array(xs), np.array(ys)
-    got = systems._fd_on_arrays(components, x, y)
+    got, dropped = systems._fd_on_arrays(calls, x, y)
     n = x.size
-    assert shapes == [((rows[0], n), (n,)), ((n,), (rows[1], n))]
+    assert shapes == [((sum(rows), n), (sum(rows), n))]
+    assert not dropped.any()
     want = [[fd(fn, a, b) for fn in comps for fd in (_fd_x, _fd_y)]
             for a, b in zip(xs, ys)]
     assert np.array(got).T.tobytes() == np.array(want).tobytes()
