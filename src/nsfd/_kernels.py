@@ -48,6 +48,15 @@ NEWTON_ESCAPE = 1e12
 _DROPS = (ZeroDivisionError, OverflowError, ValueError)
 
 
+class _NotReal(ValueError):
+    """A callable gave a value that is not a real number (None, a str, a
+    complex): a search drops the point, as for the ValueError it is."""
+
+
+def _real(v) -> bool:
+    return type(v) is float or isinstance(v, numbers.Real)
+
+
 def resolve_backend(requested: "str | None" = None) -> str:
     """The backend that runs: "python", the only one.  Any other request
     raises ValueError."""
@@ -130,7 +139,7 @@ def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
     seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
     build = lambda components: make(components, e)
     return _scan_batched(lambda x, y: calls.map(build, x, y)[0], *seeds, tol, max_iter, escape,
-                         probes_apart=not calls.whole, step=make(system.components, e))
+                         probes_apart=not calls.whole, step=make(calls.point_components(), e))
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -302,6 +311,41 @@ class _Evaluator:
             got = self._verdicts[id(fn)] = fn, _plain_arithmetic(fn)
         return got[1]
 
+    def real(self, fn):
+        """fn for calls on python floats: fn itself where it passes the
+        rule, and so gives a real number or raises; else fn raising _NotReal
+        in place of a value that is not a real number."""
+        if self._plain(fn):
+            return fn
+
+        def call(x, y):
+            v = fn(x, y)
+            if _real(v):
+                return v
+            raise _NotReal(f"{v!r} is not a real number")
+
+        return call
+
+    def point_components(self):
+        """components for calls on python floats, one point at a time: the
+        system's own where whole; else components that raise _NotReal at
+        the first value that is not a real number, calling no later field
+        there, as `each` drops the point."""
+        if self.whole:
+            return self.components
+        if self.fused:
+            fp, fm, gp, gm = map(self.real, self.fields)
+            return lambda x, y: (fp(x, y), fm(x, y), gp(x, y), gm(x, y))
+        override = self.components
+
+        def components(x, y):
+            v = override(x, y)
+            if all(map(_real, v)):
+                return v
+            raise _NotReal(f"components({x!r}, {y!r}) = {v!r} holds a value that is not real")
+
+        return components
+
     def on_arrays(self, fns, x, y):
         """[fn(x, y) for fn in fns] in one guarded call on the float arrays
         x, y where every fn passes the rule and every input is finite, each
@@ -393,7 +437,7 @@ class _Evaluator:
 
             out = build(components)(x, y)
             return [np.where(dropped, np.nan, c) for c in out] if dropped.any() else out, dropped
-        point = _dropping(build(self.components))
+        point = _dropping(build(self.point_components()))
         vals = [point(a, b) for a, b in zip(x.tolist(), y.tolist())]
         out = np.array([(math.nan, math.nan) if v is None else v for v in vals], dtype=np.float64)
         return out.reshape(-1, 2).T, np.array([v is None for v in vals], dtype=bool)
@@ -422,7 +466,7 @@ def _each(fn, xs, ys, catch):
     dropped[drops] = True
     out = np.array(vals)
     if out.dtype != np.float64:  # a value of another type somewhere
-        odd = [type(v) is not float and not isinstance(v, numbers.Real) for v in vals]
+        odd = [not _real(v) for v in vals]
         dropped |= odd
         out = np.array([math.nan if o else v for v, o in zip(vals, odd)], dtype=np.float64)
     return out, dropped
@@ -430,17 +474,15 @@ def _each(fn, xs, ys, catch):
 
 def _dropping(fn, dropped=None):
     """fn on python floats, returning `dropped` in place of a raise of one
-    of _DROPS or of a tuple that holds a complex value."""
+    of _DROPS.  A step of `_Evaluator.point_components` raises _NotReal, a
+    ValueError, where a component is not a real number, so it never
+    returns a complex value."""
 
     def point(x, y):
         try:
-            v = fn(x, y)
+            return fn(x, y)
         except _DROPS:
             return dropped
-        for c in v:
-            if isinstance(c, complex):
-                return dropped
-        return v
 
     return point
 

@@ -257,7 +257,7 @@ def detect_ghosts(system: SplitSystem, scheme: SchemeId, h: float,
     eqs = find_equilibria(system, (bx, by))
     points = []
     for x, y, res in found:
-        dist = min((math.hypot(x - p.x, y - p.y) for p in eqs), default=math.inf)
+        dist = _nearest_equilibrium_distance(eqs, x, y)
         points.append(MapFixedPoint(x, y, res, dist < GHOST_MATCH_TOL))
     points.sort(key=lambda p: (p.x, p.y))
     return GhostReport(scheme.kind, float(h), (bx, by), tuple(points))

@@ -8,6 +8,11 @@ eigenvalues, and the same structure survives in the Jacobian of the
 denominator-weighted update map, so discrete multipliers are closed-form
 too.  Verdicts use a 1e-9 margin: anything closer than that to the
 stability boundary is reported as marginal rather than guessed.
+
+Every closed form at a point (eigenvalues, multipliers, map Jacobian,
+critical step) reads one evaluation of the point's four components and
+partials, systems._point_values, and a stability report evaluates each
+point once for all of its verdicts.
 """
 
 import math
@@ -17,9 +22,10 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _Evaluator
+from ._kernels import _Evaluator, _NotReal
 from .integrators import NSFD, StepWeight, effective_step, ensfd
-from .systems import AXIS_ZERO_TOL, SplitSystem, State, _partials_on, partials_at
+from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _partials_on, _point_values,
+                      _require_quadrant, partials_at)
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -175,8 +181,10 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
     whole grid and the family is a continuum.  The nodes are evaluated by
     calls, the search's `_kernels._Evaluator` (a new one if None): a raise
     at a node propagates, and a node where a component is complex brackets
-    no root.  So does a bisection midpoint where the balance is complex,
-    and a complex polish step ends the polish.
+    no root.  So does a bisection midpoint where the balance is complex or
+    a component gives a value that is not a real number (None, a str;
+    `_Evaluator.real` checks only the callables that fail the array rule),
+    and such a polish step ends the polish.
     """
     calls = _Evaluator(system) if calls is None else calls
     plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
@@ -189,7 +197,8 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
     if float(np.max(np.abs(r))) <= 1e-10 * scale:
         return [], True
 
-    balance = lambda s: plus(*at(s)) - minus(*at(s))
+    real_plus, real_minus = calls.real(plus), calls.real(minus)
+    balance = lambda s: real_plus(*at(s)) - real_minus(*at(s))
 
     def d_balance(s):
         p = partials_at(system, *at(s))
@@ -213,8 +222,11 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
             g = d_balance(root)
             if isinstance(g, complex) or not math.isfinite(g) or g == 0.0:
                 break
-            delta = balance(root) / g
-            if isinstance(delta, complex) or not math.isfinite(delta):
+            try:
+                delta = balance(root) / g
+            except _NotReal:
+                break
+            if not math.isfinite(delta):
                 break
             root -= delta
             if abs(delta) < 1e-16 * max(1.0, abs(root)):
@@ -226,11 +238,12 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
 
 def _bisect(balance, lo, hi, rlo):
     # a root of balance in the bracket [lo, hi], whose balance at lo is
-    # rlo, to AXIS_BISECT_TOL; None where a midpoint's balance is complex
+    # rlo, to AXIS_BISECT_TOL; None where a midpoint's balance is not real
     while hi - lo > AXIS_BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        rm = balance(mid)
-        if isinstance(rm, complex):
+        try:
+            rm = balance(mid)
+        except _NotReal:
             return None
         if rm == 0.0:
             return mid
@@ -251,34 +264,22 @@ def _balance(components):
     return balance
 
 
-def _balance_residual(system: SplitSystem, x: float, y: float):
-    return _balance(system.components)(x, y)
-
-
-def _interior_points(system: SplitSystem, box, calls):
-    """Newton search for coexistence points from a uniform seed grid.
+def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
+    """Newton search for coexistence points from every seed (x, y) of the
+    grid xs x ys at once: the best iterate of every seed whose best
+    residual is below BALANCE_TOL.
 
     Iterates past the acceptance tolerance down to the floating-point fixed
     point (tracking the best iterate) so returned points zero the vector
     field to machine precision, not merely to the bracketing tolerance.
-    All seeds iterate at once on arrays (_balance_newton).
+    idx holds the seeds still iterating, and all share one iteration
+    counter.  calls, the search's _Evaluator (a new one if None),
+    evaluates the balances and the partials on arrays and also returns a
+    mask of the seeds they drop, where a scalar call raises or gives a
+    value that is not a real number (a fractional power of a negative
+    coordinate): a dropped seed loses its best iterate, its best residual
+    set to inf.
     """
-    bx, by = box
-    xs = np.linspace(0.0, bx, INTERIOR_SEED_N + 2)[1:-1]
-    ys = np.linspace(0.0, by, INTERIOR_SEED_N + 2)[1:-1]
-    return _balance_newton(system, xs, ys, 10.0 * (bx + by), calls)
-
-
-def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
-    # Newton on both balances from every seed (x, y) of the grid xs x ys at
-    # once; returns the best iterate of every seed whose best residual is
-    # below BALANCE_TOL.  idx holds the seeds still iterating, and all
-    # share one iteration counter.  calls, the search's _Evaluator (a new
-    # one if None), evaluates the balances and the partials on arrays and
-    # also returns a mask of the seeds they drop, where a scalar call
-    # raises or turns complex (a fractional power of a negative
-    # coordinate): a dropped seed loses its best iterate, its best residual
-    # set to inf.
     calls = _Evaluator(system) if calls is None else calls
     residual = partial(calls.map, _balance)
     jacobian = partial(_partials_on, system, calls)
@@ -379,12 +380,12 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     dropped where a call raises ZeroDivisionError, OverflowError or
     ValueError or returns a value that is not a real number.  An axis
     node's raise propagates, and a node where a component is complex
-    brackets no root; so does a bisection midpoint where the balance is
-    complex, and a complex Newton polish step ends the polish, keeping
-    the root bisected.  The 1600 seeds end on a few distinct points, and
-    the snapping, sorting and deduplication run once per distinct
-    candidate: exact duplicates are collapsed first, which changes no bit
-    of the result.
+    brackets no root; so does a bisection midpoint where a component is
+    not a real number, and such a Newton polish step ends the polish,
+    keeping the root bisected.  The 1600 seeds end on a few distinct
+    points, and the snapping, sorting and deduplication run once per
+    distinct candidate: exact duplicates are collapsed first, which
+    changes no bit of the result.
 
     The box defaults to the system's own and must be a pair of real
     numbers with positive finite extent (ValueError otherwise).  Each
@@ -414,7 +415,9 @@ def _search(system: SplitSystem, bx: float, by: float) -> EquilibriumSet:
             degenerate.append(family)
         candidates += [(r, 0.0) if along_x else (0.0, r) for r in roots]
 
-    candidates += _interior_points(system, (bx, by), calls)
+    xs = np.linspace(0.0, bx, INTERIOR_SEED_N + 2)[1:-1]
+    ys = np.linspace(0.0, by, INTERIOR_SEED_N + 2)[1:-1]
+    candidates += _balance_newton(system, xs, ys, 10.0 * (bx + by), calls)
 
     points = tuple(EquilibriumPoint(x, y, classify_point(x, y))
                    for x, y in _distinct_points(candidates, bx, by))
@@ -453,6 +456,10 @@ def _distinct_points(candidates, bx: float, by: float):
 
 # ---------------------------------------------------------------------------
 # continuous stability
+#
+# Every closed form reads one evaluation of its point, v, the tuple of
+# systems._point_values: the public functions make it, and stability_report
+# makes it once for all of them.
 
 
 def continuous_eigs(system: SplitSystem, point: EquilibriumPoint) -> ContinuousStability:
@@ -462,21 +469,24 @@ def continuous_eigs(system: SplitSystem, point: EquilibriumPoint) -> ContinuousS
     diagonal entries; at a coexistence point they are the roots of
     z^2 - T z + D with T, D the Jacobian trace and determinant.
     """
+    return _continuous(point, _point_values(system, point.x, point.y))
+
+
+def _continuous(point: EquilibriumPoint, v) -> ContinuousStability:
     x, y = point.x, point.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
+    fp, fm, gp, gm, _, fx, fy, gx, gy = v
     if point.family == "O":
         l1 = complex(fp - fm, 0.0)
         l2 = complex(gp - gm, 0.0)
     elif point.family == "E1":
-        l1 = complex(x * (p.fpx - p.fmx), 0.0)
+        l1 = complex(x * fx, 0.0)
         l2 = complex(gp - gm, 0.0)
     elif point.family == "E2":
         l1 = complex(fp - fm, 0.0)
-        l2 = complex(y * (p.gpy - p.gmy), 0.0)
+        l2 = complex(y * gy, 0.0)
     elif point.family == "E3":
-        T = x * (p.fpx - p.fmx) + y * (p.gpy - p.gmy)
-        D = x * y * ((p.fpx - p.fmx) * (p.gpy - p.gmy) - (p.fpy - p.fmy) * (p.gpx - p.gmx))
+        T = x * fx + y * gy
+        D = x * y * (fx * gy - fy * gx)
         l1, l2 = _quadratic_roots(T, D)
         return ContinuousStability(l1, l2, T, D, _continuous_verdict(l1, l2))
     else:
@@ -492,11 +502,15 @@ def continuous_eigs(system: SplitSystem, point: EquilibriumPoint) -> ContinuousS
 
 def nsfd_map_jacobian(system: SplitSystem, state: State, h: float,
                       weight: "StepWeight | None" = None) -> np.ndarray:
-    """Jacobian of the denominator-weighted update map at any state."""
+    """Jacobian of the denominator-weighted update map at any state.
+
+    Raises ValueError for a step size that is not positive and finite,
+    then DomainError if the state leaves the closed positive quadrant.
+    """
     e = effective_step(NSFD if weight is None else ensfd(weight), h)
+    _require_quadrant(state)
     x, y = state.x, state.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
+    fp, fm, gp, gm, p, *_ = _point_values(system, x, y)
     dfm = 1.0 + e * fm
     dgm = 1.0 + e * gm
     j11 = (1.0 + e * fp) / dfm + e * x * (dfm * p.fpx - (1.0 + e * fp) * p.fmx) / (dfm * dfm)
@@ -514,23 +528,33 @@ def discrete_eigs(system: SplitSystem, point: EquilibriumPoint, h: float,
     the flow Jacobian, with every derivative damped by its own denominator:
     axis multipliers are either ratios (1 + e*gain)/(1 + e*loss) or
     1 + e*slope/(1 + e*gain).  Coexistence points use the trace/determinant
-    pair (T_phi, D_phi) of that damped Jacobian.
+    pair (T_phi, D_phi) of that damped Jacobian, whose determinant reads
+    the flow's, D.
     """
     e = effective_step(NSFD if weight is None else ensfd(weight), h)
+    v = _point_values(system, point.x, point.y)
+    return _discrete(point, v, h, e, _continuous(point, v).D)
+
+
+def _discrete(point: EquilibriumPoint, v, h: float, e: float, D: float) -> DiscreteStability:
+    # the multipliers at step size h, whose effective step is e; D is the
+    # determinant of the flow Jacobian (ContinuousStability.D)
     x, y = point.x, point.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
+    fp, fm, gp, gm, _, fx, _, _, gy = v
     if point.family == "O":
         g1 = complex((1.0 + e * fp) / (1.0 + e * fm), 0.0)
         g2 = complex((1.0 + e * gp) / (1.0 + e * gm), 0.0)
     elif point.family == "E1":
-        g1 = complex(1.0 + e * x * (p.fpx - p.fmx) / (1.0 + e * fp), 0.0)
+        g1 = complex(1.0 + e * x * fx / (1.0 + e * fp), 0.0)
         g2 = complex((1.0 + e * gp) / (1.0 + e * gm), 0.0)
     elif point.family == "E2":
         g1 = complex((1.0 + e * fp) / (1.0 + e * fm), 0.0)
-        g2 = complex(1.0 + e * y * (p.gpy - p.gmy) / (1.0 + e * gp), 0.0)
+        g2 = complex(1.0 + e * y * gy / (1.0 + e * gp), 0.0)
     elif point.family == "E3":
-        t_phi, d_phi = _e3_map_trace_det(system, point, e)
+        sx = x * fx / (1.0 + e * fp)
+        sy = y * gy / (1.0 + e * gp)
+        t_phi = 2.0 + e * (sx + sy)
+        d_phi = 1.0 + e * (sx + sy) + e * e * D / ((1.0 + e * fp) * (1.0 + e * gp))
         g1, g2 = _quadratic_roots(t_phi, d_phi)
         return DiscreteStability(float(h), g1, g2, jury_check(t_phi, d_phi),
                                  _discrete_verdict(g1, g2))
@@ -540,18 +564,6 @@ def discrete_eigs(system: SplitSystem, point: EquilibriumPoint, h: float,
     beta = g1.real * g2.real
     return DiscreteStability(float(h), g1, g2, jury_check(alpha, beta),
                              _discrete_verdict(g1, g2))
-
-
-def _e3_map_trace_det(system: SplitSystem, point: EquilibriumPoint, e: float):
-    x, y = point.x, point.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
-    sx = x * (p.fpx - p.fmx) / (1.0 + e * fp)
-    sy = y * (p.gpy - p.gmy) / (1.0 + e * gp)
-    D = x * y * ((p.fpx - p.fmx) * (p.gpy - p.gmy) - (p.fpy - p.fmy) * (p.gpx - p.gmx))
-    t_phi = 2.0 + e * (sx + sy)
-    d_phi = 1.0 + e * (sx + sy) + e * e * D / ((1.0 + e * fp) * (1.0 + e * gp))
-    return t_phi, d_phi
 
 
 def critical_step_E3(system: SplitSystem, point: EquilibriumPoint) -> CriticalStep:
@@ -566,16 +578,19 @@ def critical_step_E3(system: SplitSystem, point: EquilibriumPoint) -> CriticalSt
     """
     if point.family != "E3":
         raise FamilyMismatch(f"critical step is defined for coexistence points, got {point.family}")
-    cont = continuous_eigs(system, point)
+    v = _point_values(system, point.x, point.y)
+    return _critical_step(point, v, _continuous(point, v))
+
+
+def _critical_step(point: EquilibriumPoint, v, cont: ContinuousStability) -> CriticalStep:
+    # cont is _continuous(point, v)
     if cont.verdict != ASYMPTOTICALLY_STABLE:
         raise NotStableError(
             f"continuous verdict at ({point.x:g}, {point.y:g}) is {cont.verdict}")
-    x, y = point.x, point.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
+    fp, _, gp, _, _, fx, _, _, gy = v
     T = cont.T
     D = cont.D
-    C = x * (p.fpx - p.fmx) * gp + y * (p.gpy - p.gmy) * fp
+    C = point.x * fx * gp + point.y * gy * fp
 
     bound_c = math.inf if (D + C) <= 0.0 else -T / (D + C)
     bound_a = _first_positive_root(4.0 * fp * gp + 2.0 * C + D, 4.0 * (fp + gp) + 2.0 * T, 4.0)
@@ -625,12 +640,17 @@ def stability_report(system: SplitSystem, point: EquilibriumPoint,
 
     Includes the continuous verdict, a discrete verdict per requested step
     size, and (for an asymptotically stable coexistence point) the critical
-    step record; critical_step is null for every other case.
+    step record; critical_step is null for every other case.  All of them
+    read one evaluation of the point's components and partials, so each
+    field equals what continuous_eigs, discrete_eigs or critical_step_E3
+    gives on its own.
     """
-    cont = continuous_eigs(system, point)
+    v = _point_values(system, point.x, point.y)
+    cont = _continuous(point, v)
+    scheme = NSFD if weight is None else ensfd(weight)
     discrete = []
     for h in hs:
-        d = discrete_eigs(system, point, h, weight)
+        d = _discrete(point, v, h, effective_step(scheme, h), cont.D)
         discrete.append({
             "h": d.h,
             "gamma1": _cnum(d.gamma1),
@@ -640,7 +660,7 @@ def stability_report(system: SplitSystem, point: EquilibriumPoint,
         })
     crit = None
     if point.family == "E3" and cont.verdict == ASYMPTOTICALLY_STABLE:
-        cs = critical_step_E3(system, point)
+        cs = _critical_step(point, v, cont)
         crit = {
             "bound": _bound_json(cs.bound),
             "binding_condition": cs.binding_condition,

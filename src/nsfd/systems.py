@@ -342,16 +342,14 @@ def vector_field(system: SplitSystem, state: State):
 
 
 def field_jacobian(system: SplitSystem, state: State) -> np.ndarray:
-    """Jacobian of the vector field, using analytic partials when available."""
+    """Jacobian of the vector field, using analytic partials when available.
+
+    Raises DomainError if the state leaves the closed positive quadrant.
+    """
+    _require_quadrant(state)
     x, y = state.x, state.y
-    fp, fm, gp, gm = system.components(x, y)
-    p = partials_at(system, x, y)
-    return np.array(
-        [
-            [(fp - fm) + x * (p.fpx - p.fmx), x * (p.fpy - p.fmy)],
-            [y * (p.gpx - p.gmx), (gp - gm) + y * (p.gpy - p.gmy)],
-        ]
-    )
+    fp, fm, gp, gm, _, fx, fy, gx, gy = _point_values(system, x, y)
+    return np.array([[(fp - fm) + x * fx, x * fy], [y * gx, (gp - gm) + y * gy]])
 
 
 # The two stencils, on python floats or numpy arrays alike.
@@ -460,6 +458,21 @@ def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     if system.partials is not None:
         return system.partials.at(x, y)
     return _numeric_partial_values(system, x, y)
+
+
+def _point_values(system: SplitSystem, x: float, y: float):
+    """Everything a closed form at the point (x, y) reads, from one
+    evaluation: (fp, fm, gp, gm, p, fx, fy, gx, gy), the four components,
+    their partials p (partials_at) and the balance slopes fx = fpx - fmx,
+    fy = fpy - fmy, gx = gpx - gmx and gy = gpy - gmy.
+
+    field_jacobian and every closed form of nsfd.equilibria (eigenvalues,
+    multipliers, map Jacobian, critical step) read it, and a stability
+    report evaluates each point once for all of them.
+    """
+    fp, fm, gp, gm = system.components(x, y)
+    p = partials_at(system, x, y)
+    return fp, fm, gp, gm, p, p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy
 
 
 def _partials_on(system: SplitSystem, calls, x, y):

@@ -39,8 +39,7 @@ from nsfd import (RK4, ComparisonRow, ComparisonTable, Partials, PartialValues, 
                   audit_positivity, find_equilibria, integrate)
 from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
 from nsfd.diagnostics import GHOST_DEDUP_TOL
-from nsfd.equilibria import (AXIS_BISECT_TOL, AXIS_GRID_N, BALANCE_TOL, DEDUP_TOL,
-                             _balance_residual)
+from nsfd.equilibria import AXIS_BISECT_TOL, AXIS_GRID_N, BALANCE_TOL, DEDUP_TOL, _balance
 from nsfd.systems import AXIS_ZERO_TOL, DomainError, partials_at
 
 
@@ -225,6 +224,7 @@ def scalar_balance_newton(system, xs, ys, escape):
     turn; the best iterate of every seed whose best residual is below
     BALANCE_TOL.  A seed is dropped, best iterate and all, where a
     component or partial raises or turns complex."""
+    balance = _balance(system.components)
     found = []
     for sx in xs:
         for sy in ys:
@@ -232,7 +232,7 @@ def scalar_balance_newton(system, xs, ys, escape):
             best = None
             try:
                 for _ in range(60):
-                    rx, ry = _balance_residual(system, x, y)
+                    rx, ry = balance(x, y)
                     if isinstance(rx, complex) or isinstance(ry, complex):
                         best = None
                         break
@@ -263,7 +263,7 @@ def scalar_balance_newton(system, xs, ys, escape):
                     if abs(x) > escape or abs(y) > escape:
                         break
                     if max(abs(ddx), abs(ddy)) <= 1e-15 * max(1.0, abs(x), abs(y)):
-                        rx, ry = _balance_residual(system, x, y)
+                        rx, ry = balance(x, y)
                         if isinstance(rx, complex) or isinstance(ry, complex):
                             best = None
                         elif math.isfinite(rx) and math.isfinite(ry):

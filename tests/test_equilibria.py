@@ -46,8 +46,8 @@ from nsfd import _kernels
 from nsfd.equilibria import AXIS_GRID_N, DEDUP_TOL, _axis_family
 from nsfd.integrators import _scheme_core
 from nsfd.systems import AXIS_ZERO_TOL, Partials
-from oracles import (axis_family, distinct_points, equality_settings, point_bits,
-                     scalar_balance_newton, scalar_scan)
+from oracles import (axis_family, distinct_points, equality_settings, per_element_clone,
+                     point_bits, scalar_balance_newton, scalar_scan)
 
 SQRT47_OVER_20 = math.sqrt(47.0) / 20.0
 
@@ -162,6 +162,23 @@ def test_a_complex_midpoint_ends_its_bracket():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _axis_family(system, True, 4.0) == ([], False)
+
+
+def test_a_value_that_is_not_real_at_a_midpoint_ends_its_bracket():
+    # f_minus gives None on (2.045, 2.055), where the bisection of the E1
+    # root 2.05 goes, and at no node that the construction checks or the
+    # searches sample: None ends that bracket as a complex value does, and
+    # the search gives the equilibria of the complex twin, O and (2, 1/20.5)
+    def with_odd(odd):
+        def f_minus(x, y):
+            return odd if 2.045 < x < 2.055 else x / 2.05 + 0.5 * y
+
+        return SplitSystem(lambda x, y: 1.0, f_minus, lambda x, y: 0.3 * x, lambda x, y: 0.6)
+
+    eqs = find_equilibria(with_odd(None), (20.0, 20.0))
+    assert point_bits(eqs) == point_bits(find_equilibria(with_odd(1j), (20.0, 20.0)))
+    assert [p.family for p in eqs] == ["O", "E3"]
+    assert eqs[1].x == pytest.approx(2.0) and eqs[1].y == pytest.approx(1.0 / 20.5)
 
 
 def test_a_root_on_a_grid_node_is_found_once():
@@ -441,6 +458,86 @@ def test_weighted_discrete_eigs_use_the_effective_step():
         assert discrete_eigs(m2, p3, h, weight=w).verdict == ASYMPTOTICALLY_STABLE
 
 
+def _recording_clone(system):
+    """system without analytic partials, its four components recording
+    each call (component, x, y) in a list, which is returned too."""
+    calls = []
+
+    def recorded(k, fn):
+        def call(x, y):
+            calls.append((k, x, y))
+            return fn(x, y)
+        return call
+
+    fields = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+    return SplitSystem(*(recorded(k, fn) for k, fn in enumerate(fields)), name=system.name,
+                       x_max=system.x_max), calls
+
+
+def test_a_stability_report_evaluates_each_point_once():
+    # the continuous verdict, every discrete verdict and the critical step
+    # of a report read one evaluation of the point: the calls of one
+    # continuous_eigs, four components and the finite differences, central
+    # or one-sided on the axes
+    system, calls = _recording_clone(model2())
+    counts = {}
+    for p in find_equilibria(system):
+        calls.clear()
+        continuous_eigs(system, p)
+        one = list(calls)
+        for weight in (None, exponential_weight(2.0)):
+            calls.clear()
+            stability_report(system, p, (0.1, 1.0, 5.0), weight)
+            assert calls == one, (p, weight)
+        counts[p.family] = len(one)
+    assert counts == {"O": 28, "E3": 20, "E1": 24}
+
+
+def _z(c):
+    return complex(c["re"], c["im"])
+
+
+def _bound(v):
+    return math.inf if v == "unbounded" else v
+
+
+_report_hs = st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0]) | st.floats(0.01, 20.0),
+                      max_size=3)
+
+
+@given(p=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 2.0),
+                   st.floats(0.02, 0.9)), hs=_report_hs)
+@example(p=(2.0, 1.0, 1.0, 0.2), hs=[0.5, 2.0]).via("model2, stable E3 with a critical step")
+@example(p=(2.0, 1.0, 0.5, 6.0), hs=[0.1]).via("model1, no coexistence point")
+@equality_settings(30)
+def test_a_stability_report_holds_the_closed_forms(p, hs):
+    # every field of a report is, by ==, the field of continuous_eigs,
+    # discrete_eigs at its h (with and without a weight) or critical_step_E3,
+    # on the family and on a per-element clone with the same bits
+    base = make_rosenzweig_macarthur(*p, x_max=5.0)
+    for system in (base, per_element_clone(base)):
+        for point in find_equilibria(base):
+            cont = continuous_eigs(system, point)
+            try:
+                crit = dataclasses.astuple(critical_step_E3(system, point))
+            except (FamilyMismatch, NotStableError):
+                crit = None
+            for weight in (None, exponential_weight(2.0)):
+                rep = stability_report(system, point, tuple(hs), weight)
+                assert rep["point"] == {"x": point.x, "y": point.y}
+                assert rep["family"] == point.family
+                c = rep["continuous"]
+                assert (_z(c["lambda1"]), _z(c["lambda2"]), c["T"], c["D"],
+                        c["verdict"]) == dataclasses.astuple(cont)
+                assert [(d["h"], _z(d["gamma1"]), _z(d["gamma2"]), tuple(d["jury"]), d["verdict"])
+                        for d in rep["discrete"]] == [
+                    dataclasses.astuple(discrete_eigs(system, point, h, weight)) for h in hs]
+                cs = rep["critical_step"]
+                assert crit == (cs and (_bound(cs["bound"]), cs["binding_condition"],
+                                        _bound(cs["bound_a"]), _bound(cs["bound_c"]),
+                                        cs["T"], cs["D"], cs["C"]))
+
+
 @pytest.mark.parametrize("weight", [None, exponential_weight(2.0)], ids=["plain", "weighted"])
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
 def test_discrete_analysis_refuses_a_bad_step(weight, bad):
@@ -679,10 +776,10 @@ def test_a_zero_divisor_under_a_whole_array_balance_drops_the_seed():
     system = SplitSystem(*comps, x_max=4.0)
     assert all(map(_kernels._plain_arithmetic, comps))
     with np.errstate(divide="ignore"):
-        rx, ry = nsfd.equilibria._balance_residual(system, np.array([-c]), np.array([1.0]))
+        rx, ry = nsfd.equilibria._balance(system.components)(np.array([-c]), np.array([1.0]))
     assert np.isfinite(rx).all() and np.isfinite(ry).all()
     with pytest.raises(ZeroDivisionError):
-        nsfd.equilibria._balance_residual(system, -c, 1.0)
+        nsfd.equilibria._balance(system.components)(-c, 1.0)
     xs, ys = np.array([-c, 0.5, 2.0]), np.array([0.5, 1.0, 3.0])
     found = _hex(nsfd.equilibria._balance_newton(system, xs, ys, 60.0))
     assert found and found == _hex(scalar_balance_newton(system, xs, ys, 60.0))

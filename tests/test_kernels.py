@@ -356,6 +356,30 @@ def test_a_subclass_that_overrides_components_searches_like_its_fields(scheme):
             assert repr(got) == repr(detect_ghosts(plain, scheme, h, seeds_per_axis=12))
 
 
+def _none_off_the_quadrant(x, y):
+    return 0.1 if x >= 0.0 else None
+
+
+@pytest.mark.parametrize("cls", [SplitSystem, _Rooted], ids=["fields", "override"])
+def test_a_value_that_is_not_real_drops_its_seed_in_every_phase(cls):
+    # g_minus gives None off the quadrant, where rk2 seeds and iterates go:
+    # a seed that meets it is dropped, not raised, whether it iterates on
+    # arrays or among the last seeds on python floats, so the rows with
+    # every seed on arrays and with every seed on python floats are the same
+    system = cls(lambda x, y: 1.0, lambda x, y: 0.5 * x + 0.5 * y, lambda x, y: 0.3 * x,
+                 _none_off_the_quadrant)
+    sx, sy = _ghost_seeds(system, RK2, 12)
+    make, e = _scheme_core(RK2, 0.5)
+    report = repr(detect_ghosts(system, RK2, 0.5, seeds_per_axis=12))
+    rows = scan_fixed_points(system, make, e, sx, sy)
+    assert np.isinf(rows[rows[:, 0] < 0.0, 2]).all()
+    for threshold in (0, _ALL_SCALAR):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
+            assert scan_fixed_points(system, make, e, sx, sy).tobytes() == rows.tobytes()
+            assert repr(detect_ghosts(system, RK2, 0.5, seeds_per_axis=12)) == report
+
+
 def test_generic_loop_matches_kernel_path():
     # A replace of a system of the family calls its four callables where
     # the family calls its fused components; the orbits are the same bits.

@@ -27,6 +27,7 @@ from nsfd import (
     make_rosenzweig_macarthur,
     model1,
     model2,
+    nsfd_map_jacobian,
     numeric_partials,
     vector_field,
 )
@@ -64,6 +65,11 @@ def test_vector_field_rejects_negative_coordinates():
         vector_field(model1(), State(-0.1, 1.0))
     with pytest.raises(DomainError):
         vector_field(model1(), State(1.0, -1e-9))
+    # at x = -c the family divides by zero: the quadrant check comes first
+    with pytest.raises(DomainError):
+        field_jacobian(model2(), State(-1.0, 0.5))
+    with pytest.raises(DomainError):
+        nsfd_map_jacobian(model2(), State(-1.0, 0.5), 0.5)
 
 
 def test_analytic_partials_match_finite_differences():
