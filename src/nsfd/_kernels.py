@@ -13,16 +13,19 @@ components and the scheme's e (or h) once per run or scan and returns
 step(x, y), so one step costs one python call plus its arithmetic and its
 component calls (per-step rates in the README, Backends).
 
-Every system takes one path, and `_Evaluator` is the one place that
-evaluates its callables on arrays: the ghost scan here, the equilibrium
-search and the finite differences in nsfd.equilibria and nsfd.systems,
-and the construction checks.  One evaluator serves one scan, search or
-check and takes each callable's verdict under the array rule
-(`_plain_arithmetic`: plain + - * / in x and y) once.  A callable that
-passes runs on whole arrays under `_raising`; one that fails it, or whose
-call trips a numpy flag, runs once per element on python floats, in the
-order of the scalar calls.  A class that overrides SplitSystem.components
-fails the rule, and its components run once per point.
+Every system takes one path, and `_Evaluator` makes every call of its
+callables, on arrays and on python floats: the orbits and the ghost scan
+here, the equilibrium search, the closed forms and the finite differences
+in nsfd.equilibria and nsfd.systems, and the construction checks.  One
+evaluator serves one orbit, scan, search, check or point and takes each
+callable's verdict under the array rule (`_plain_arithmetic`: plain
++ - * / in x and y) once.  A callable that passes runs on whole arrays
+under `_raising`, and is called as it is on python floats; one that fails
+it, or whose call trips a numpy flag, runs once per element on python
+floats, in the order of the scalar calls, and on python floats it raises
+_NotReal in place of a value that is not a real number.  A class that
+overrides SplitSystem.components fails the rule, and its components run
+once per point.
 
 All these forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
@@ -67,12 +70,9 @@ def resolve_backend(requested: "str | None" = None) -> str:
 
 def _step_loop(step, x0, y0, n):
     # The stepping loop: n steps of step(x, y), stopping just before the
-    # first state that is non-finite or complex (a fractional power of a
-    # negative coordinate), or whose step raised ZeroDivisionError,
-    # OverflowError or ValueError (a math domain error off the quadrant).
-    # A pair of python floats takes the fast check; anything else, numpy
-    # scalars included, first has complex ruled out, since math.isfinite
-    # of an np.complex128 only warns and tests its real part.  numpy
+    # first state that is non-finite, or whose step raised ZeroDivisionError,
+    # OverflowError or ValueError (a math domain error off the quadrant, or
+    # _NotReal from a component whose value is not a real number).  numpy
     # scalar arithmetic that overflows on the way to such a state only
     # warns, so its warnings are off for the run: the orbit halts silently,
     # as with python floats.
@@ -89,11 +89,7 @@ def _step_loop(step, x0, y0, n):
                 x, y = step(x, y)
             except _DROPS:
                 return xs[:k], ys[:k], k
-            if type(x) is float and type(y) is float:
-                if not (isfinite(x) and isfinite(y)):
-                    return xs[:k], ys[:k], k
-            elif (isinstance(x, complex) or isinstance(y, complex)
-                  or not (isfinite(x) and isfinite(y))):
+            if not (isfinite(x) and isfinite(y)):
                 return xs[:k], ys[:k], k
             xs[k] = x
             ys[k] = y
@@ -101,14 +97,15 @@ def _step_loop(step, x0, y0, n):
 
 
 def run_trajectory(system, make, x0, y0, e, n):
-    """n steps of the step make(system.components, e) from (x0, y0).
-    Returns (xs, ys, stored_count).
+    """n steps of the step make(components, e) from (x0, y0), over the
+    checked components of `_Evaluator.point_components`.  Returns (xs, ys,
+    stored_count).
 
     make is a scheme's step factory, e the denominator weight for
     nsfd/ensfd and h for the classical schemes.  A stored count m <= n
     means the orbit stopped just before grid index m.
     """
-    return _step_loop(make(system.components, e), x0, y0, n)
+    return _step_loop(make(_Evaluator(system).point_components(), e), x0, y0, n)
 
 
 def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,

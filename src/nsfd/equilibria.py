@@ -12,7 +12,9 @@ stability boundary is reported as marginal rather than guessed.
 Every closed form at a point (eigenvalues, multipliers, map Jacobian,
 critical step) reads one evaluation of the point's four components and
 partials, systems._point_values, and a stability report evaluates each
-point once for all of its verdicts.
+point once for all of its verdicts.  That evaluation refuses a point
+outside the closed quadrant with DomainError, and a call that gives a
+value that is not a real number with ValueError.
 """
 
 import math
@@ -24,8 +26,8 @@ import numpy as np
 
 from ._kernels import _Evaluator, _NotReal
 from .integrators import NSFD, StepWeight, effective_step, ensfd
-from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _partials_on, _point_values,
-                      _require_quadrant, partials_at)
+from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _fd_x, _fd_y, _partials_on,
+                      _point_values)
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -180,11 +182,14 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
     machine precision.  degenerate means the balance vanishes along the
     whole grid and the family is a continuum.  The nodes are evaluated by
     calls, the search's `_kernels._Evaluator` (a new one if None): a raise
-    at a node propagates, and a node where a component is complex brackets
-    no root.  So does a bisection midpoint where the balance is complex or
-    a component gives a value that is not a real number (None, a str;
-    `_Evaluator.real` checks only the callables that fail the array rule),
-    and such a polish step ends the polish.
+    at a node propagates, and a node where a component is not a real
+    number brackets no root.  So does a bisection midpoint where a
+    component gives a value that is not a real number (a complex, None, a
+    str; `_Evaluator.real` checks only the callables that fail the array
+    rule), and a polish step where a component or one of the two partials
+    the slope reads (fpx - fmx along x, gpy - gmy along y: the analytic
+    pair, or the finite differences of the two components) gives one ends
+    the polish.
     """
     calls = _Evaluator(system) if calls is None else calls
     plus, minus = (system.f_plus, system.f_minus) if along_x else (system.g_plus, system.g_minus)
@@ -199,10 +204,13 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
 
     real_plus, real_minus = calls.real(plus), calls.real(minus)
     balance = lambda s: real_plus(*at(s)) - real_minus(*at(s))
-
-    def d_balance(s):
-        p = partials_at(system, *at(s))
-        return p.fpx - p.fmx if along_x else p.gpy - p.gmy
+    if system.partials is None:
+        fd = _fd_x if along_x else _fd_y
+        d_plus, d_minus = partial(fd, real_plus), partial(fd, real_minus)
+    else:
+        d_plus, d_minus = (calls.real(getattr(system.partials, name))
+                           for name in (("fpx", "fmx") if along_x else ("gpy", "gmy")))
+    slope = lambda s: d_plus(*at(s)) - d_minus(*at(s))
 
     # the intervals that bracket a root, as the python test below reads them:
     # a zero at the upper node or a sign change (a product of python floats
@@ -219,10 +227,10 @@ def _axis_family(system: SplitSystem, along_x: bool, hi: float, calls=None):
         if root is None:
             continue
         for _ in range(8):  # polish to machine precision
-            g = d_balance(root)
-            if isinstance(g, complex) or not math.isfinite(g) or g == 0.0:
-                break
             try:
+                g = slope(root)
+                if not math.isfinite(g) or g == 0.0:
+                    break
                 delta = balance(root) / g
             except _NotReal:
                 break
@@ -508,7 +516,6 @@ def nsfd_map_jacobian(system: SplitSystem, state: State, h: float,
     then DomainError if the state leaves the closed positive quadrant.
     """
     e = effective_step(NSFD if weight is None else ensfd(weight), h)
-    _require_quadrant(state)
     x, y = state.x, state.y
     fp, fm, gp, gm, p, *_ = _point_values(system, x, y)
     dfm = 1.0 + e * fm

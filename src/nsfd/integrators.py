@@ -33,8 +33,8 @@ CSV_HEADER = "k,t,x,y"
 
 
 class NonFiniteError(ArithmeticError):
-    """A step that `integrate` would halt on: a stage raised, or the result
-    is non-finite or complex."""
+    """A step that `integrate` would halt on: a stage raised, a component
+    gave a value that is not a real number, or the result is non-finite."""
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,14 @@ def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State
 
     Raises ValueError for a step size that is not positive and finite,
     DomainError for nsfd/ensfd from outside the closed quadrant, and
-    NonFiniteError wherever `integrate` would halt.
+    NonFiniteError wherever `integrate` would halt: a stage raised, a
+    component gave a value that is not a real number, or the state is
+    non-finite.
     """
     make, e = _scheme_core(scheme, h)
     if scheme.kind in _WEIGHTED_KINDS:
-        _require_quadrant(state)
-    xs, ys, m = _kernels._step_loop(make(system.components, e), state.x, state.y, 1)
+        _require_quadrant(state.x, state.y)
+    xs, ys, m = _kernels.run_trajectory(system, make, state.x, state.y, e, 1)
     if m == 1:
         raise NonFiniteError(f"{scheme.kind} step of h={h!r} from ({state.x!r}, {state.y!r}) "
                              f"at t={state.t!r} gives no finite real state")
@@ -477,22 +479,24 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     The step count is floor((t_end - t0)/h); a trailing fraction of a step
     is never taken.  Every system runs the one stepping loop of
     nsfd._kernels over the scheme's step, bound once per run to the
-    system's components and to e (or h), so a step costs one python call
-    plus its arithmetic and component calls (per-step rates in the README,
-    Backends).
+    system's components, as its evaluator checks them, and to e (or h), so
+    a step costs one python call plus its arithmetic and component calls
+    (per-step rates in the README, Backends).
 
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises
     ZeroDivisionError, OverflowError or ValueError (a math domain error in
-    a component evaluated off the quadrant) or yields a non-finite or
-    complex state halts the run with halt_reason "nonfinite".
+    a component evaluated off the quadrant), where a component gives a
+    value that is not a real number (a complex, None, a str, a numpy
+    array), or that yields a non-finite state halts the run with
+    halt_reason "nonfinite".
     """
     make, e = _scheme_core(scheme, h)
     if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):
         raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
     _require_t_end(s0.t, t_end)
     if scheme.kind in _WEIGHTED_KINDS:
-        _require_quadrant(s0)
+        _require_quadrant(s0.x, s0.y)
     n = step_count(s0.t, t_end, h)
     if n > MAX_STEPS:
         raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _DROPS, _Evaluator
+from ._kernels import _DROPS, _Evaluator, _real
 
 Component = Callable[[float, float], float]
 
@@ -154,10 +154,12 @@ class SplitSystem:
         validation grid; if an analytic partial or its finite difference
         is non-finite, or the two disagree, at a node of a coarser subgrid;
         or if a component or partial raises ZeroDivisionError,
-        OverflowError or ValueError, or returns a complex value, at a
-        node.  The message names the first failing node: components in
-        field order, then x, then y for the sign check; x, then y, then
-        PartialValues order for the partials.
+        OverflowError or ValueError, or returns a value that is not a real
+        number (a complex, None, a str), at a node.  The message names the
+        first failing node: components in field order, then x, then y for
+        the sign check; x, then y, then PartialValues order for the
+        partials.  Any other exception a call raises at that node
+        propagates unchanged.
     """
 
     f_plus: Component
@@ -191,8 +193,9 @@ class SplitSystem:
         once, in field order, without the attribute lookups of this method;
         the built-in family binds one fused closure with the bits (or
         exception) of the four single calls instead.  A subclass that
-        overrides this method keeps its own, and the Newton searches call
-        it once per point on python floats: the array rule refuses it.
+        overrides this method keeps its own, and the searches, orbits and
+        closed forms call it once per point on python floats, its values
+        checked: the array rule refuses it.
         """
         return (
             self.f_plus(x, y),
@@ -260,11 +263,8 @@ def _check_sign_structure(sys: SplitSystem) -> None:
     # first failure in label-major, then x, then y order: C order of vals
     k, i, j = np.unravel_index(np.argmax(bad), bad.shape)
     x, y = float(nodes[i]), float(nodes[j])
-    v = _called(calls.fields[k], x, y)
     where = f"{labels[k]}({x:g}, {y:g})"
-    _refuse_odd(where, v)
-    if not math.isfinite(v):
-        raise ConstructionError(f"{where} is not finite: {v!r}")
+    v = _node_value(where, calls.fields[k], x, y)
     if x > 0.0 and y > 0.0:
         raise ConstructionError(f"{where} = {v!r} must be strictly positive inside the quadrant")
     raise ConstructionError(f"{where} = {v!r} must be non-negative on the quadrant boundary")
@@ -287,57 +287,53 @@ def _check_partials_consistency(sys: SplitSystem, rtol: float = 1e-5) -> None:
     # in field order, analytic first, for the first failure and its message
     i, j = np.unravel_index(np.argmax(bad.any(axis=0)), bad.shape[1:])
     x, y = float(nodes[i]), float(nodes[j])
-    numeric = [partial(fd, comp) for comp in calls.fields for fd in (_fd_x, _fd_y)]
+    # the stencils over the checked components, so a value that is not a
+    # real number at a stencil point is refused as a ValueError
+    numeric = [partial(fd, comp) for comp in map(calls.real, calls.fields)
+               for fd in (_fd_x, _fd_y)]
     for name, ana_fn, num_fn in zip(PartialValues._fields, analytic, numeric):
         at = f"{name}({x:g}, {y:g})"
-        a = _called(ana_fn, x, y)
-        _refuse_odd(f"analytic partial {at}", a)
-        if not math.isfinite(a):
-            raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
-        n = _called(num_fn, x, y)
-        _refuse_odd(f"finite difference {at}", n)
-        if not math.isfinite(n):
-            raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
+        a = _node_value(f"analytic partial {at}", ana_fn, x, y)
+        n = _node_value(f"finite difference {at}", num_fn, x, y)
         if abs(a - n) > rtol * max(1.0, abs(a), abs(n)):
             raise ConstructionError(
                 f"analytic partial {at} = {a!r} disagrees with finite difference {n!r}"
             )
 
 
-def _called(fn, x, y):
-    """fn(x, y), or the exception it raised."""
-    try:
-        return fn(x, y)
-    except Exception as exc:
-        return exc
-
-
-def _refuse_odd(where: str, v) -> None:
-    """Refuse what a call at a validation node gave instead of a real value.
-
-    Any other exception (a TypeError from a malformed callable, say) is
-    re-raised unchanged.
+def _node_value(where: str, fn, x: float, y: float):
+    """fn(x, y) at a validation node, named where in the messages: refused
+    with ConstructionError where the call raises ZeroDivisionError,
+    OverflowError or ValueError or gives a value that is not a finite real
+    number.  Any other exception (a TypeError from a malformed callable,
+    say) propagates unchanged.
     """
-    if isinstance(v, (ZeroDivisionError, OverflowError, ValueError)):
-        raise ConstructionError(f"{where} raised {type(v).__name__}: {v}") from v
-    if isinstance(v, Exception):
-        raise v
-    if isinstance(v, complex):
-        raise ConstructionError(f"{where} = {v!r} is complex")
+    try:
+        v = fn(x, y)
+    except _DROPS as exc:
+        raise ConstructionError(f"{where} raised {type(exc).__name__}: {exc}") from exc
+    if not _real(v):
+        kind = "complex" if isinstance(v, complex) else "not a real number"
+        raise ConstructionError(f"{where} = {v!r} is {kind}")
+    if not math.isfinite(v):
+        raise ConstructionError(f"{where} is not finite: {v!r}")
+    return v
 
 
-def _require_quadrant(state: State) -> None:
-    if state.x < 0.0 or state.y < 0.0:
-        raise DomainError(f"state ({state.x!r}, {state.y!r}) outside the closed quadrant")
+def _require_quadrant(x: float, y: float) -> None:
+    if x < 0.0 or y < 0.0:
+        raise DomainError(f"state ({x!r}, {y!r}) outside the closed quadrant")
 
 
 def vector_field(system: SplitSystem, state: State):
     """Right-hand side (x*(f_plus - f_minus), y*(g_plus - g_minus)).
 
-    Raises DomainError if the state leaves the closed positive quadrant.
+    Raises DomainError if the state leaves the closed positive quadrant,
+    and ValueError where a component gives a value that is not a real
+    number.
     """
-    _require_quadrant(state)
-    fp, fm, gp, gm = system.components(state.x, state.y)
+    _require_quadrant(state.x, state.y)
+    fp, fm, gp, gm = _Evaluator(system).point_components()(state.x, state.y)
     return state.x * (fp - fm), state.y * (gp - gm)
 
 
@@ -346,7 +342,6 @@ def field_jacobian(system: SplitSystem, state: State) -> np.ndarray:
 
     Raises DomainError if the state leaves the closed positive quadrant.
     """
-    _require_quadrant(state)
     x, y = state.x, state.y
     fp, fm, gp, gm, _, fx, fy, gx, gy = _point_values(system, x, y)
     return np.array([[(fp - fm) + x * fx, x * fy], [y * gx, (gp - gm) + y * gy]])
@@ -429,12 +424,11 @@ def _fd_on_arrays(calls, x, y, catch=_DROPS):
 
 
 def _numeric_partial_values(system: SplitSystem, x: float, y: float) -> PartialValues:
-    return PartialValues(
-        _fd_x(system.f_plus, x, y), _fd_y(system.f_plus, x, y),
-        _fd_x(system.f_minus, x, y), _fd_y(system.f_minus, x, y),
-        _fd_x(system.g_plus, x, y), _fd_y(system.g_plus, x, y),
-        _fd_x(system.g_minus, x, y), _fd_y(system.g_minus, x, y),
-    )
+    # the stencils of each component in turn, along x, then along y, over
+    # its checked form on python floats
+    calls = _Evaluator(system)
+    return PartialValues(*(fd(comp, x, y) for comp in map(calls.real, calls.fields)
+                           for fd in (_fd_x, _fd_y)))
 
 
 def numeric_partials(system: SplitSystem, state: State) -> PartialValues:
@@ -442,22 +436,26 @@ def numeric_partials(system: SplitSystem, state: State) -> PartialValues:
 
     Central differences with step eps^(1/3) * max(1, |coordinate|); points
     closer to an axis than one step use a one-sided three-point stencil so
-    the components are never sampled at negative coordinates.
+    the components are never sampled at negative coordinates.  Raises
+    DomainError outside the closed quadrant, and ValueError where a
+    component gives a value that is not a real number.
     """
-    _require_quadrant(state)
+    _require_quadrant(state.x, state.y)
     return _numeric_partial_values(system, state.x, state.y)
 
 
 def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     """Analytic partials when the system carries them, finite differences otherwise.
 
-    At one point, on python floats.  The interior equilibrium search
+    At one point, on python floats, raising ValueError where a call gives
+    a value that is not a real number.  The interior equilibrium search
     takes the same partials at all its seeds at once, in the same bits
     (`_partials_on`).
     """
-    if system.partials is not None:
-        return system.partials.at(x, y)
-    return _numeric_partial_values(system, x, y)
+    if system.partials is None:
+        return _numeric_partial_values(system, x, y)
+    real = _Evaluator(system).real
+    return PartialValues(*(real(getattr(system.partials, f))(x, y) for f in PartialValues._fields))
 
 
 def _point_values(system: SplitSystem, x: float, y: float):
@@ -468,9 +466,13 @@ def _point_values(system: SplitSystem, x: float, y: float):
 
     field_jacobian and every closed form of nsfd.equilibria (eigenvalues,
     multipliers, map Jacobian, critical step) read it, and a stability
-    report evaluates each point once for all of them.
+    report evaluates each point once for all of them.  Raises DomainError
+    for a point outside the closed quadrant, and ValueError (the
+    evaluator's _NotReal) where a call gives a value that is not a real
+    number.
     """
-    fp, fm, gp, gm = system.components(x, y)
+    _require_quadrant(x, y)
+    fp, fm, gp, gm = _Evaluator(system).point_components()(x, y)
     p = partials_at(system, x, y)
     return fp, fm, gp, gm, p, p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy
 

@@ -6,8 +6,9 @@ The package runs both searches over all seeds at once on numpy arrays
 (`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
 plain loops, one seed at a time on python floats, are the references the
 tests hold those drivers to, byte for byte.  `step_loop` checks every
-state of an orbit the plain way, where `nsfd._kernels._step_loop` takes a
-fast check for pairs of python floats; `integrate` is held to it.
+state of an orbit the plain way, complex values included, over the raw
+components, where `nsfd._kernels._step_loop` tests finiteness alone over
+the evaluator's checked components; `integrate` is held to it.
 `rma_step` is one step of each scheme for the Rosenzweig-MacArthur family,
 written from its formulas rather than through the scheme step factories;
 fed through `step_loop` and `scalar_scan` it is the reference the family's

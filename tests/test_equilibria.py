@@ -19,6 +19,7 @@ from nsfd import (
     RK2,
     RK4,
     UNSTABLE,
+    EquilibriumPoint,
     FamilyMismatch,
     NotStableError,
     SplitSystem,
@@ -43,9 +44,9 @@ from nsfd import (
     vector_field,
 )
 from nsfd import _kernels
-from nsfd.equilibria import AXIS_GRID_N, DEDUP_TOL, _axis_family
+from nsfd.equilibria import AXIS_GRID_N, DEDUP_TOL, _axis_family, _first_positive_root
 from nsfd.integrators import _scheme_core
-from nsfd.systems import AXIS_ZERO_TOL, Partials
+from nsfd.systems import _FD_EPS, AXIS_ZERO_TOL, Partials
 from oracles import (axis_family, distinct_points, equality_settings, per_element_clone,
                      point_bits, scalar_balance_newton, scalar_scan)
 
@@ -181,6 +182,23 @@ def test_a_value_that_is_not_real_at_a_midpoint_ends_its_bracket():
     assert eqs[1].x == pytest.approx(2.0) and eqs[1].y == pytest.approx(1.0 / 20.5)
 
 
+def test_a_value_that_is_not_real_at_a_stencil_point_ends_the_polish():
+    # f_minus gives None only within 1e-12 of 2.05 + _FD_EPS * 2.05, the
+    # upper stencil point of the E1 root 2.05, where the polish takes its
+    # slope by finite differences: the polish ends there, keeping the
+    # bisected root, and the search gives O, E3 and E1
+    stencil = 2.05 + _FD_EPS * 2.05
+
+    def f_minus(x, y):
+        return None if abs(x - stencil) < 1e-12 else 0.5 * x + 0.5 * y
+
+    system = SplitSystem(lambda x, y: 1.025, f_minus, lambda x, y: 0.3 * x, lambda x, y: 0.6)
+    eqs = find_equilibria(system, (20.0, 20.0))
+    assert [p.family for p in eqs] == ["O", "E3", "E1"]
+    assert (eqs[1].x, eqs[1].y) == (pytest.approx(2.0), pytest.approx(0.05))
+    assert (eqs[2].x, eqs[2].y) == (pytest.approx(2.05, abs=1e-11), 0.0)
+
+
 def test_a_root_on_a_grid_node_is_found_once():
     # the node ends one interval and starts the next; only the first takes it
     nodes = np.linspace(0.0, 20.0, AXIS_GRID_N + 1)
@@ -214,6 +232,9 @@ def test_degenerate_axis_family_is_flagged_not_enumerated():
     eqs = find_equilibria(system)
     assert "E1" in eqs.degenerate
     assert [p.family for p in eqs] == ["O"]
+    # a point of the continuum is marginal: the balance has no slope there
+    at = continuous_eigs(system, EquilibriumPoint(3.0, 0.0, "E1"))
+    assert at.lambda1 == 0.0 and at.verdict == MARGINAL
 
 
 def test_continuous_eigs_model1():
@@ -375,6 +396,24 @@ def test_critical_step_is_sharp():
     assert at.verdict == MARGINAL
     assert above.verdict == UNSTABLE
     assert max(abs(above.gamma1), abs(above.gamma2)) > 1.0
+
+
+@given(a2=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), a1=st.floats(-10.0, 10.0),
+       a0=st.floats(0.1, 10.0))
+@example(a2=0.0, a1=-2.0, a0=4.0).via("a falling line, root 2")
+@example(a2=1.0, a1=-5.0, a0=4.0).via("two positive roots, 1 and 4")
+@example(a2=-1.0, a1=0.0, a0=4.0).via("opening downward, roots -2 and 2")
+@example(a2=1.0, a1=1.0, a0=4.0).via("no real root")
+@settings(max_examples=300, deadline=None)
+def test_first_positive_root_is_the_least_positive_real_root(a2, a1, a0):
+    # condition "a" never binds for the family (at a stable E3, a2 and a1
+    # are positive), so only this property runs the finite branches.  A
+    # near-double root is real or not by rounding, and is discarded.
+    assume(all(v == 0.0 or abs(v) > 1e-3 for v in (a2, a1)))
+    assume(a2 == 0.0 or abs(a1 * a1 - 4.0 * a2 * a0) > 1e-6 * (a1 * a1 + abs(4.0 * a2 * a0)))
+    roots = np.roots([a2, a1, a0])
+    want = min((r.real for r in roots if r.imag == 0.0 and r.real > 0.0), default=math.inf)
+    assert _first_positive_root(a2, a1, a0) == pytest.approx(want, rel=1e-8)
 
 
 def test_critical_step_requires_interior_family():

@@ -22,6 +22,7 @@ from nsfd import (
     SplitSystem,
     State,
     StepWeight,
+    compare_schemes,
     ensfd,
     exponential_weight,
     integrate,
@@ -413,9 +414,10 @@ def _outcome(run):
 @equality_settings(150)
 def test_integrate_is_the_row_by_row_loop(kind, params, form, twist, which, at, scheme,
                                           x, y, h, n):
-    # the stepping loop's fast check for python floats changes no orbit:
-    # integrate stores and halts where the plain check does, with numpy
-    # scalars, complex values of either kind, non-finite values and drops,
+    # the stepping loop's one finiteness test, over the checked components,
+    # changes no orbit: integrate stores and halts where the plain check of
+    # every state does, with numpy scalars, complex values of either kind
+    # (the checked component refuses them), non-finite values and drops,
     # and lets any other exception through
     system = make_rosenzweig_macarthur(*params) if kind == "rma" else MODELS[kind]
     twisted = None
@@ -470,6 +472,34 @@ def test_an_np_float64_orbit_halts_without_a_warning():
         traj = integrate(system, EULER, State(15.0, 0.1), 10.0, 1000.0)
     assert traj.halt_step == 8 and traj.halt_reason == "nonfinite"
     assert traj.xs.tobytes() == integrate(m1, EULER, State(15.0, 0.1), 10.0, 1000.0).xs.tobytes()
+
+
+def _loss_beyond_the_box(odd):
+    # f_minus gives odd beyond the validation box, x > 3, where the orbits
+    # from (0.5, 0.5) at h = 0.5 go: the nsfd state itself, rk4's stages
+    def f_minus(x, y):
+        return odd if x > 3.0 else 0.1 * x + 0.1 * y
+
+    return SplitSystem(lambda x, y: 1.0, f_minus, lambda x, y: 0.2 * x, lambda x, y: 0.1,
+                       x_max=3.0, name="odd_loss")
+
+
+@pytest.mark.parametrize("scheme", [NSFD, RK4], ids=["nsfd", "rk4"])
+@pytest.mark.parametrize("odd", [None, "odd", np.array(0.25)], ids=["None", "str", "0-d array"])
+def test_a_value_that_is_not_real_ends_an_orbit(odd, scheme):
+    # the orbit halts where its complex twin halts, with the same stored
+    # states; step refuses the step it halts on, and compare_schemes
+    # reports the halt
+    s0 = State(0.5, 0.5)
+    system = _loss_beyond_the_box(odd)
+    traj = integrate(system, scheme, s0, 0.5, 50.0)
+    twin = integrate(_loss_beyond_the_box(1j), scheme, s0, 0.5, 50.0)
+    assert traj.halt_reason == "nonfinite" and traj.halt_step == twin.halt_step
+    assert (traj.xs.tobytes(), traj.ys.tobytes()) == (twin.xs.tobytes(), twin.ys.tobytes())
+    with pytest.raises(NonFiniteError):
+        step(system, scheme, traj.final(), 0.5)
+    (row,) = compare_schemes(system, [scheme], s0, [0.5], 50.0).rows
+    assert row.nonfinite
 
 
 def test_classical_step_raises_on_nonfinite_result():

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import math
+import numbers
 import pickle
 from functools import partial
 from unittest import mock
@@ -18,8 +19,12 @@ from nsfd import (
     RK4,
     ConstructionError,
     DomainError,
+    EquilibriumPoint,
     SplitSystem,
     State,
+    continuous_eigs,
+    critical_step_E3,
+    discrete_eigs,
     field_jacobian,
     find_equilibria,
     from_selector,
@@ -29,6 +34,7 @@ from nsfd import (
     model2,
     nsfd_map_jacobian,
     numeric_partials,
+    stability_report,
     vector_field,
 )
 from nsfd import _kernels, systems
@@ -65,11 +71,23 @@ def test_vector_field_rejects_negative_coordinates():
         vector_field(model1(), State(-0.1, 1.0))
     with pytest.raises(DomainError):
         vector_field(model1(), State(1.0, -1e-9))
-    # at x = -c the family divides by zero: the quadrant check comes first
+    # at x = -c the family divides by zero: the quadrant check comes first,
+    # for the Jacobians and for every closed form at an equilibrium point;
+    # at x = -0.5 there is no pole, and no verdict either
     with pytest.raises(DomainError):
         field_jacobian(model2(), State(-1.0, 0.5))
     with pytest.raises(DomainError):
         nsfd_map_jacobian(model2(), State(-1.0, 0.5), 0.5)
+    for x in (-1.0, -0.5):
+        point = EquilibriumPoint(x, 0.5, "E3")
+        with pytest.raises(DomainError):
+            continuous_eigs(model2(), point)
+        with pytest.raises(DomainError):
+            discrete_eigs(model2(), point, 0.5)
+        with pytest.raises(DomainError):
+            critical_step_E3(model2(), point)
+        with pytest.raises(DomainError):
+            stability_report(model2(), point, (0.5,))
 
 
 def test_analytic_partials_match_finite_differences():
@@ -444,9 +462,21 @@ def _oracle_call(where, fn, x, y):
         v = fn(x, y)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise ConstructionError(f"{where} raised {type(exc).__name__}: {exc}") from exc
-    if isinstance(v, complex):
-        raise ConstructionError(f"{where} = {v!r} is complex")
+    if not isinstance(v, numbers.Real):
+        kind = "complex" if isinstance(v, complex) else "not a real number"
+        raise ConstructionError(f"{where} = {v!r} is {kind}")
     return v
+
+
+def _oracle_real(fn):
+    # fn raising ValueError, as the evaluator's checked form on python
+    # floats does, in place of a value that is not a real number
+    def call(x, y):
+        v = fn(x, y)
+        if not isinstance(v, numbers.Real):
+            raise _kernels._NotReal(f"{v!r} is not a real number")
+        return v
+    return call
 
 
 def _oracle_sign_structure(sys):
@@ -474,7 +504,8 @@ def _oracle_sign_structure(sys):
 def _oracle_partials_consistency(sys, rtol=1e-5):
     nodes = np.linspace(0.0, sys.x_max, VALIDATION_GRID_N)[::7]
     analytic = [getattr(sys.partials, f) for f in PartialValues._fields]
-    numeric = [fd for comp in (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
+    comps = (sys.f_plus, sys.f_minus, sys.g_plus, sys.g_minus)
+    numeric = [fd for comp in map(_oracle_real, comps)
                for fd in (partial(_fd_x, comp), partial(_fd_y, comp))]
     for x in nodes:
         for y in nodes:
@@ -637,6 +668,20 @@ _REFUSED = {
     "complex g_minus": dict(
         g_minus=lambda x, y: (x - 1.0) ** 0.5,
         match=r"^g_minus\(0, 0\) = .* is complex$"),
+    "None f_minus": dict(
+        f_minus=lambda x, y: None if x > 5.0 else x + 2.0 * y / (1.0 + x),
+        match=r"^f_minus\(5\.30612, 0\) = None is not a real number$"),
+    "str g_plus": dict(
+        g_plus=lambda x, y: "odd" if y > 5.0 else x / (1.0 + x),
+        match=r"^g_plus\(0, 5\.30612\) = 'odd' is not a real number$"),
+    "str gpx": dict(
+        partials=_fake_partials(
+            gpx=lambda x, y: "odd" if y > 5.0 else 1.0 / ((1.0 + x) * (1.0 + x))),
+        match=r"^analytic partial gpx\(0, 5\.71429\) = 'odd' is not a real number$"),
+    # beyond the box, where only a finite difference at x = 20 samples it
+    "None f_minus at a stencil point": dict(
+        f_minus=lambda x, y: None if x > 20.0 else x + 2.0 * y / (1.0 + x),
+        match=r"^finite difference fmx\(20, 0\) raised _NotReal: None is not a real number$"),
     "wrong fpx": dict(
         partials=_fake_partials(fpx=lambda x, y: 1.0),
         match=r"^analytic partial fpx\(0, 0\) = 1\.0 disagrees with finite difference 0\.0$"),
