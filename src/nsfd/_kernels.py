@@ -1,24 +1,33 @@
 """The stepping loop and the Newton scan.
 
 `run_trajectory` and `scan_fixed_points` are the entry points for every
-system.  `run_trajectory` runs `_step_loop` over the scheme's step, and
-`scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once as
-numpy arrays, with the same step evaluated on arrays, until at most
-`_SCALAR_SEEDS` seeds go on; each of those then finishes alone on python
-floats (`_newton_seed`), where a numpy iteration would cost more than its
-seeds' python iterations.  Both phases share the Jacobian and the Newton
-update (`_jacobian`, `_newton_update`).  The steps come from
-the factories of nsfd.integrators: make(components, e) binds a system's
-components and the scheme's e (or h) once per run or scan and returns
-step(x, y), so one step costs one python call plus its arithmetic and its
-component calls (per-step rates in the README, Backends).
+system.  Both run a scheme's step, a `_Step` of nsfd.integrators: the one
+text of the scheme's arithmetic, with a line "fp, fm, gp, gm =
+components(u, v)" per stage.  `run_trajectory` runs the stepping loop
+compiled from that text (`_compile_loop`), once per process for each
+scheme and each tuple of the fields' code objects: a field that passes
+the array rule is written into the loop as statements over generated
+names, by the same bytecode walker that takes the rule's verdict
+(`_arithmetic_loads`), and its cells, globals and constants are bound on
+each run; a field that fails the rule, or a class's override of
+components, is called from the loop.  One step then costs its arithmetic
+and the calls of the fields that fail the rule, with no call of its own
+(per-step rates in the README, Backends); the first orbit of each loop in
+a process pays for compiling it, under a millisecond.
+`scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
+as numpy arrays, with the step make(components, e) built from the same
+text and evaluated on arrays, until at most `_SCALAR_SEEDS` seeds go on;
+each of those then finishes alone on python floats (`_newton_seed`),
+where a numpy iteration would cost more than its seeds' python
+iterations.  Both phases share the Jacobian and the Newton update
+(`_jacobian`, `_newton_update`).
 
 Every system takes one path, and `_Evaluator` makes every call of its
 callables, on arrays and on python floats: the orbits and the ghost scan
 here, the equilibrium search, the closed forms and the finite differences
 in nsfd.equilibria and nsfd.systems, and the construction checks.  One
 evaluator serves one orbit, scan, search, check or point and takes each
-callable's verdict under the array rule (`_plain_arithmetic`: plain
+callable's verdict under the array rule (`_rule_values`: plain
 + - * / in x and y) once.  A callable that passes runs on whole arrays
 under `_raising`, and is called as it is on python floats; one that fails
 it, or whose call trips a numpy flag, runs once per element on python
@@ -30,7 +39,10 @@ once per point.
 All these forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
 operations, so the same expression order gives the same bits; do not
-"optimise" the expression order in this file or in the steps.
+"optimise" the expression order in this file or in the steps.  The
+stepping loop writes each operation of an inlined field in parentheses,
+in the field's own order, over the same operands, so it too gives the
+bits of the field's call; where that call raises, so does the loop.
 """
 
 import dis
@@ -68,32 +80,130 @@ def resolve_backend(requested: "str | None" = None) -> str:
     return "python"
 
 
-def _step_loop(step, x0, y0, n):
-    # The stepping loop: n steps of step(x, y), stopping just before the
-    # first state that is non-finite, or whose step raised ZeroDivisionError,
-    # OverflowError or ValueError (a math domain error off the quadrant, or
-    # _NotReal from a component whose value is not a real number).  numpy
-    # scalar arithmetic that overflows on the way to such a state only
-    # warns, so its warnings are off for the run: the orbit halts silently,
-    # as with python floats.
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    x = float(x0)
-    y = float(y0)
-    xs[0] = x
-    ys[0] = y
+class _Step:
+    """A scheme's step, from its one arithmetic text: python statements
+    that take the state (x, y) to the next one in place, over e, the
+    scheme's last argument, and the line "fp, fm, gp, gm = components(u,
+    v)" once per stage (nsfd.integrators writes them).
+
+    make(components, e) gives the step (x, y) -> (x', y') of a system with
+    those components, on python floats or numpy arrays alike (the Newton
+    scans); `run_trajectory` compiles the same text into its stepping loop,
+    with the components written inline.  One object per text, compared by
+    identity: compare_schemes keys its shared runs on it.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self._make = None
+
+    def __call__(self, components, e):
+        if self._make is None:  # compiled at the first call, not at import
+            src = (f"def make(components, e):\n    def step(x, y):\n{_indent(self.text, 8)}"
+                   "        return x, y\n    return step\n")
+            self._make = _compiled(src, "make", "<nsfd step>")
+        return self._make(components, e)
+
+
+def _indent(text, n):
+    # text's lines, each indented by n spaces and ended by a newline
+    return "".join(" " * n + line + "\n" for line in text.splitlines())
+
+
+def _compiled(src, name, filename):
+    # the function `name` that the generated source src defines
+    space = {"math": math, "_DROPS": _DROPS}
+    exec(compile(src, filename, "exec"), space)
+    return space[name]
+
+
+# The stepping loop: n steps from (x, y) into xs, ys, stopping just before
+# the first state that is non-finite, or whose step raised
+# ZeroDivisionError, OverflowError or ValueError (a math domain error off
+# the quadrant, or _NotReal from a component whose value is not a real
+# number); it returns the stored count.  {step} is the scheme's text, its
+# components written inline or called, and {bound} the names of the values
+# they bind.
+_LOOP = """\
+def loop(x, y, n, xs, ys, e, components{bound}):
     isfinite = math.isfinite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, n + 1):
-            try:
-                x, y = step(x, y)
-            except _DROPS:
-                return xs[:k], ys[:k], k
-            if not (isfinite(x) and isfinite(y)):
-                return xs[:k], ys[:k], k
-            xs[k] = x
-            ys[k] = y
-    return xs, ys, n + 1
+    for k in range(1, n + 1):
+        try:
+{step}        except _DROPS:
+            return k
+        if not (isfinite(x) and isfinite(y)):
+            return k
+        xs[k] = x
+        ys[k] = y
+    return n + 1
+"""
+_STAGE = "fp, fm, gp, gm = components("  # a stage's line, but for "u, v)"
+_FIELD_NAMES = ("fp", "fm", "gp", "gm")
+
+
+def _compile_loop(text, codes):
+    """The stepping loop of a scheme's text for codes: None where
+    components is called as a whole, else one entry per field, its code
+    object where the field passes the array rule and is written inline,
+    None where it is called.  Field i's names begin "_f<i>": the field
+    itself where called, its `_params` where inlined; the loop takes them,
+    in field order, after components.
+    """
+    bound, step = [], []
+    for i, code in enumerate(codes or ()):
+        bound += [f"_f{i}"] if code is None else _params(_arithmetic_loads(code), f"_f{i}")
+    for line in text.splitlines():
+        if codes is None or not line.startswith(_STAGE):
+            step.append(line)
+            continue
+        u, v = line[len(_STAGE):-1].split(", ")
+        for i, (name, code) in enumerate(zip(_FIELD_NAMES, codes)):
+            if code is None:
+                step.append(f"{name} = _f{i}({u}, {v})")
+                continue
+            _, _, _, lines, value = _arithmetic_loads(code)
+            step += [local.format(u, v, f"_f{i}") for local in lines]
+            step.append(f"{name} = {value.format(u, v, f'_f{i}')}")
+    src = _LOOP.format(bound="".join(", " + b for b in bound), step=_indent("\n".join(step), 12))
+    return _compiled(src, "loop", "<nsfd stepping loop>")
+
+
+# the compiled loops, by scheme text and the ids of the codes, each with
+# the codes it was compiled for, which keep their ids their own; a code
+# object's own hash costs more than the rest of a lookup
+_LOOPS = {}
+_MAX_LOOPS = 64
+
+
+def _compiled_loop(text, codes):
+    """`_compile_loop(text, codes)`, compiled once per process while at
+    most _MAX_LOOPS are held."""
+    key = (text,) if codes is None else (text, *map(id, codes))
+    got = _LOOPS.get(key)
+    if got is None:
+        if len(_LOOPS) >= _MAX_LOOPS:
+            _LOOPS.clear()
+        got = _LOOPS[key] = codes, _compile_loop(text, codes)
+    return got[1]
+
+
+def _stepping_loop(calls, make):
+    """The compiled loop of make's text for the system of calls, its
+    `_Evaluator`, and the values it binds after components: each field's
+    cells, globals and constants where it passes the rule, as read with
+    its verdict, else the field as `_Evaluator.real` checks it.  A system
+    whose class overrides components calls `point_components()` whole."""
+    if not calls.fused:
+        return _compiled_loop(make.text, None), (calls.point_components(),)
+    codes, bound = [], [None]
+    for fn, values in zip(calls.fields, calls.field_values):
+        if values is None:
+            codes.append(None)
+            bound.append(calls.real(fn))
+        else:
+            codes.append(fn.__code__)
+            bound += values
+    return _compiled_loop(make.text, tuple(codes)), bound
 
 
 def run_trajectory(system, make, x0, y0, e, n):
@@ -101,11 +211,26 @@ def run_trajectory(system, make, x0, y0, e, n):
     checked components of `_Evaluator.point_components`.  Returns (xs, ys,
     stored_count).
 
-    make is a scheme's step factory, e the denominator weight for
-    nsfd/ensfd and h for the classical schemes.  A stored count m <= n
-    means the orbit stopped just before grid index m.
+    make is a scheme's `_Step`, e, a python float, the denominator weight
+    for nsfd/ensfd and h for the classical schemes.  A stored count m <= n
+    means the orbit stopped just before grid index m.  numpy scalar
+    arithmetic (of a component that returns numpy scalars) that overflows
+    on the way to a state that halts only warns, so its warnings are off
+    for a run that calls a component: the orbit halts silently, as with
+    python floats.
     """
-    return _step_loop(make(_Evaluator(system).point_components(), e), x0, y0, n)
+    calls = _Evaluator(system)
+    loop, bound = _stepping_loop(calls, make)
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    xs[0] = x = float(x0)
+    ys[0] = y = float(y0)
+    if calls.whole:  # python floats throughout (e is one): numpy is silent
+        m = loop(x, y, n, xs, ys, e, *bound)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m = loop(x, y, n, xs, ys, e, *bound)
+    return (xs, ys, m) if m > n else (xs[:m], ys[:m], m)
 
 
 def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
@@ -158,8 +283,10 @@ _EXACT_INT = 2 ** 53  # every int up to this is a float, exactly
 _REFUSED_FLAGS = (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS | inspect.CO_GENERATOR
                   | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
                   | inspect.CO_ITERABLE_COROUTINE)
-_ARITH_OPS = ("+", "-", "*", "/")  # BINARY_OP's argrepr, python 3.11 and later
-_ARITH_OPNAMES = ("BINARY_ADD", "BINARY_SUBTRACT", "BINARY_MULTIPLY", "BINARY_TRUE_DIVIDE")
+# the four operations, by BINARY_OP's argrepr (python 3.11 and later) or
+# by their own opnames before it
+_ARITH = {"+": "+", "-": "-", "*": "*", "/": "/", "BINARY_ADD": "+", "BINARY_SUBTRACT": "-",
+          "BINARY_MULTIPLY": "*", "BINARY_TRUE_DIVIDE": "/"}
 _NULL_BIT = sys.version_info >= (3, 11)  # LOAD_GLOBAL's low bit pushes NULL for a call
 
 
@@ -169,24 +296,57 @@ def _plain_number(v) -> bool:
             or (type(v) is int and -_EXACT_INT <= v <= _EXACT_INT))
 
 
+def _params(body, prefix):
+    # the generated names of the values an `_arithmetic_loads` body loads,
+    # its cells, globals and constants in that order, for prefix
+    cells, names, consts, _, _ = body
+    return [f"{prefix}{kind}{j}" for kind, n in (("c", len(cells)), ("g", len(names)),
+                                                 ("k", len(consts))) for j in range(n)]
+
+
 @lru_cache(maxsize=512)
 def _arithmetic_loads(code):
     """The static half of the rule, once per code object: None unless code
-    is a plain + - * / expression in its two parameters, else the indices
-    of the closure cells and the names of the globals it loads.
+    is a plain + - * / expression in its two parameters, else its body as
+    the stepping loop writes it inline, (cells, names, consts, lines,
+    value).  cells are the indices of the closure cells it loads, names
+    the globals and consts its constants, which the text reads as
+    "{2}c<j>", "{2}g<j>" and "{2}k<j>"; lines are the statements of its
+    locals and value the expression it returns, as python text with {0}
+    and {1} for its two arguments and {2} for the prefix of the generated
+    names, "{2}l<j>" a local.  Every operation is parenthesised, so the
+    text runs the code's operations in its order, and no name or constant
+    of the code enters it.
 
     Tracks whether each stack value is computed from a parameter (an
     array when the function is called on arrays) and refuses a binary
     operation of two other values, so every scalar that meets an array is
-    a cell, global or constant, or one negated.
+    a cell, global or constant, or one negated.  Each stack value carries
+    its text too; a store gives its local a new generated name, so a text
+    never reads a local that a later store rebinds.
     """
     if code.co_argcount != 2 or code.co_kwonlyargcount or code.co_flags & _REFUSED_FLAGS:
         return None
-    local = dict.fromkeys(code.co_varnames[:2], True)  # name -> computed from x or y
-    stack, cells, names = [], set(), set()
+    # name -> (computed from x or y, text)
+    local = {name: (True, f"{{{i}}}") for i, name in enumerate(code.co_varnames[:2])}
+    stack, lines, cells, names, consts = [], [], {}, {}, []
+
+    def const(v):  # each its own load: 0.0 == -0.0 and 1 == 1.0
+        consts.append(v)
+        stack.append((False, f"{{2}}k{len(consts) - 1}"))
+
+    def store(name):
+        computed, text = stack.pop()
+        local[name] = computed, f"{{2}}l{len(lines)}"
+        lines.append(f"{local[name][1]} = {text}")
+
+    def body():
+        return tuple(cells), tuple(names), tuple(consts), tuple(lines), stack.pop()[1]
+
     try:
         for ins in dis.get_instructions(code):
             op = ins.opname
+            sign = _ARITH.get(ins.argrepr if op == "BINARY_OP" else op)
             if op in ("RESUME", "NOP", "CACHE", "COPY_FREE_VARS"):
                 continue
             if op in ("LOAD_FAST", "LOAD_FAST_CHECK"):
@@ -194,60 +354,74 @@ def _arithmetic_loads(code):
             elif op == "LOAD_FAST_LOAD_FAST":
                 stack += [local[n] for n in ins.argval]
             elif op == "STORE_FAST":
-                local[ins.argval] = stack.pop()
+                store(ins.argval)
             elif op == "STORE_FAST_LOAD_FAST":
-                local[ins.argval[0]] = stack.pop()
+                store(ins.argval[0])
                 stack.append(local[ins.argval[1]])
             elif op == "STORE_FAST_STORE_FAST":
                 for n in ins.argval:
-                    local[n] = stack.pop()
+                    store(n)
             elif op == "LOAD_DEREF":
-                cells.add(code.co_freevars.index(ins.argval))
-                stack.append(False)
+                j = cells.setdefault(code.co_freevars.index(ins.argval), len(cells))
+                stack.append((False, f"{{2}}c{j}"))
             elif op == "LOAD_GLOBAL" and not (_NULL_BIT and ins.arg & 1):
-                names.add(ins.argval)
-                stack.append(False)
+                stack.append((False, f"{{2}}g{names.setdefault(ins.argval, len(names))}"))
             elif op == "LOAD_CONST" and _plain_number(ins.argval):
-                stack.append(False)
+                const(ins.argval)
             elif op == "UNARY_NEGATIVE":
-                stack.append(stack.pop())
-            elif ((op == "BINARY_OP" and ins.argrepr in _ARITH_OPS)
-                  or op in _ARITH_OPNAMES):
-                if not (stack.pop() | stack.pop()):
+                computed, text = stack.pop()
+                stack.append((computed, f"(-{text})"))
+            elif sign:
+                (b, right), (a, left) = stack.pop(), stack.pop()
+                if not (a or b):
                     return None
-                stack.append(True)
+                stack.append((True, f"({left} {sign} {right})"))
             elif op == "RETURN_VALUE":
-                stack.pop()
-                return tuple(sorted(cells)), tuple(sorted(names))
+                return body()
             elif op == "RETURN_CONST" and _plain_number(ins.argval):
-                return tuple(sorted(cells)), tuple(sorted(names))
+                const(ins.argval)
+                return body()
             else:
                 return None
     except (IndexError, KeyError, ValueError):  # an unbound local, a cell var, a short stack
         return None
 
 
-def _plain_arithmetic(fn) -> bool:
-    """The whole rule but for the inputs: fn is a plain function whose
-    code passes `_arithmetic_loads` and whose cells and globals hold plain
-    numbers now (a builtin, a numpy scalar or an array refuses it)."""
+def _rule_values(fn):
+    """The whole rule but for the inputs: None unless fn is a plain
+    function whose code passes `_arithmetic_loads` and whose cells and
+    globals hold plain numbers now (a builtin, a numpy scalar or an array
+    refuses it), else the list of the values it loads, in the order of
+    `_params`: its cells, globals and constants."""
     if type(fn) is not types.FunctionType or fn.__defaults__ or fn.__kwdefaults__:
-        return False
-    loads = _arithmetic_loads(fn.__code__)
-    if loads is None:
-        return False
-    cells, names = loads
+        return None
+    body = _arithmetic_loads(fn.__code__)
+    if body is None:
+        return None
+    cells, names, consts, _, _ = body
+    values = []
     try:
         for i in cells:
-            if not _plain_number(fn.__closure__[i].cell_contents):
-                return False
+            v = fn.__closure__[i].cell_contents
+            if not _plain_number(v):
+                return None
+            values.append(v)
     except ValueError:  # an empty cell
-        return False
-    g = fn.__globals__
-    for n in names:
-        if not (n in g and _plain_number(g[n])):
-            return False
-    return True
+        return None
+    if names:
+        g = fn.__globals__
+        for n in names:
+            v = g.get(n)  # None, not a plain number, where g lacks n
+            if not _plain_number(v):
+                return None
+            values.append(v)
+    values += consts
+    return values
+
+
+def _plain_arithmetic(fn) -> bool:
+    """Whether fn passes the rule but for the inputs (`_rule_values`)."""
+    return _rule_values(fn) is not None
 
 
 @np.errstate(divide="raise", over="raise", invalid="raise", under="ignore")
@@ -300,13 +474,20 @@ class _Evaluator:
         self.fields = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
         self.fused = "components" in vars(system)
         self._verdicts = {}
-        self.whole = self.fused and all(map(self._plain, self.fields))
+        # each field's verdict, where the fields make the components
+        self.field_values = tuple(map(self.values, self.fields)) if self.fused else None
+        self.whole = self.fused and None not in self.field_values
 
-    def _plain(self, fn):
+    def values(self, fn):
+        """fn's verdict: the values it loads where it passes the rule, read
+        with the verdict (`_rule_values`), else None."""
         got = self._verdicts.get(id(fn))
         if got is None:  # the entry holds fn, so its id stays its own
-            got = self._verdicts[id(fn)] = fn, _plain_arithmetic(fn)
+            got = self._verdicts[id(fn)] = fn, _rule_values(fn)
         return got[1]
+
+    def _plain(self, fn):
+        return self.values(fn) is not None
 
     def real(self, fn):
         """fn for calls on python floats: fn itself where it passes the

@@ -346,14 +346,14 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values,
     of the grid.  Any other error propagates, at the pair that raises it.
 
     Each distinct orbit is integrated once.  Pairs whose scheme runs the
-    same step map, the same step factory and effective step of
+    same step map, the same `_Step` and effective step of
     `_scheme_core`, at the same h share one run's final state, distance,
     violation step and nonfinite flag under their own scheme label: nsfd
     and ensfd at the identity weight, or a scheme or step listed twice.
     Only those fields are kept per run, never the trajectory.
     """
     eqs = find_equilibria(system)
-    runs = {}  # (step factory, effective step, h) -> the row fields after the labels
+    runs = {}  # (step, effective step, h) -> the row fields after the labels
     rows = []
     for scheme in schemes:
         for h in h_values:

@@ -132,65 +132,56 @@ def effective_step(scheme: SchemeId, h: float) -> float:
     return e
 
 
-# The scheme steps.  Each factory binds a system's `components` and the
-# scheme's last argument once and returns step(x, y), which makes one
-# components call per stage: one per step for nsfd/ensfd and euler, two for
-# rk2 and four for rk4.  The same steps run on python floats in the
-# stepping loop and on numpy arrays in the Newton scans; this is the one
-# place each scheme's arithmetic is written.
+# The scheme steps, each scheme's arithmetic written once: statements that
+# take the state (x, y) to the next one, over e (h for the classical
+# schemes), with one line "fp, fm, gp, gm = components(u, v)" per stage:
+# one per step for nsfd/ensfd and euler, two for rk2 and four for rk4.
+# make(components, e) runs a text as a function, on python floats or on
+# numpy arrays in the Newton scans; _kernels.run_trajectory compiles it
+# into the stepping loop, with each stage's components written inline where
+# they pass the array rule.  nsfd and ensfd share one step.
 
-def _nsfd_step(components, e: float):
-    def step(x, y):
-        fp, fm, gp, gm = components(x, y)
-        return x * (1.0 + e * fp) / (1.0 + e * fm), y * (1.0 + e * gp) / (1.0 + e * gm)
-    return step
+_NSFD_STEP = _kernels._Step("""\
+fp, fm, gp, gm = components(x, y)
+x, y = x * (1.0 + e * fp) / (1.0 + e * fm), y * (1.0 + e * gp) / (1.0 + e * gm)
+""")
 
-
-def _euler_step(components, h: float):
-    def step(x, y):
-        fp, fm, gp, gm = components(x, y)
-        return x + h * (x * (fp - fm)), y + h * (y * (gp - gm))
-    return step
-
-
-def _rk2_step(components, h: float):
-    def step(x, y):
-        fp, fm, gp, gm = components(x, y)
-        u, v = x + 0.5 * h * (x * (fp - fm)), y + 0.5 * h * (y * (gp - gm))
-        fp, fm, gp, gm = components(u, v)
-        return x + h * (u * (fp - fm)), y + h * (v * (gp - gm))
-    return step
-
-
-def _rk4_step(components, h: float):
-    def step(x, y):
-        fp, fm, gp, gm = components(x, y)
-        k1x, k1y = x * (fp - fm), y * (gp - gm)
-        u, v = x + 0.5 * h * k1x, y + 0.5 * h * k1y
-        fp, fm, gp, gm = components(u, v)
-        k2x, k2y = u * (fp - fm), v * (gp - gm)
-        u, v = x + 0.5 * h * k2x, y + 0.5 * h * k2y
-        fp, fm, gp, gm = components(u, v)
-        k3x, k3y = u * (fp - fm), v * (gp - gm)
-        u, v = x + h * k3x, y + h * k3y
-        fp, fm, gp, gm = components(u, v)
-        k4x, k4y = u * (fp - fm), v * (gp - gm)
-        return (
-            x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        )
-    return step
-
-
-_CLASSICAL_STEPS = {"euler": _euler_step, "rk2": _rk2_step, "rk4": _rk4_step}
+_STEPS = {
+    "nsfd": _NSFD_STEP,
+    "ensfd": _NSFD_STEP,
+    "euler": _kernels._Step("""\
+fp, fm, gp, gm = components(x, y)
+x, y = x + e * (x * (fp - fm)), y + e * (y * (gp - gm))
+"""),
+    "rk2": _kernels._Step("""\
+fp, fm, gp, gm = components(x, y)
+u, v = x + 0.5 * e * (x * (fp - fm)), y + 0.5 * e * (y * (gp - gm))
+fp, fm, gp, gm = components(u, v)
+x, y = x + e * (u * (fp - fm)), y + e * (v * (gp - gm))
+"""),
+    "rk4": _kernels._Step("""\
+fp, fm, gp, gm = components(x, y)
+k1x, k1y = x * (fp - fm), y * (gp - gm)
+u, v = x + 0.5 * e * k1x, y + 0.5 * e * k1y
+fp, fm, gp, gm = components(u, v)
+k2x, k2y = u * (fp - fm), v * (gp - gm)
+u, v = x + 0.5 * e * k2x, y + 0.5 * e * k2y
+fp, fm, gp, gm = components(u, v)
+k3x, k3y = u * (fp - fm), v * (gp - gm)
+u, v = x + e * k3x, y + e * k3y
+fp, fm, gp, gm = components(u, v)
+k4x, k4y = u * (fp - fm), v * (gp - gm)
+x, y = (x + e / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        y + e / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
+"""),
+}
 
 
 def _scheme_core(scheme: SchemeId, h: float):
-    """The scheme's step factory and its last argument, effective_step(scheme, h):
+    """The scheme's step and its last argument, effective_step(scheme, h):
     make(components, e) is the step (x, y) -> (x', y') of a system with
     those components."""
-    make = _nsfd_step if scheme.kind in _WEIGHTED_KINDS else _CLASSICAL_STEPS[scheme.kind]
-    return make, effective_step(scheme, h)
+    return _STEPS[scheme.kind], effective_step(scheme, h)
 
 
 def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State:
@@ -477,11 +468,15 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     """Run a scheme from s0 to t_end with fixed step h.
 
     The step count is floor((t_end - t0)/h); a trailing fraction of a step
-    is never taken.  Every system runs the one stepping loop of
-    nsfd._kernels over the scheme's step, bound once per run to the
-    system's components, as its evaluator checks them, and to e (or h), so
-    a step costs one python call plus its arithmetic and component calls
-    (per-step rates in the README, Backends).
+    is never taken.  Every system runs the stepping loop of nsfd._kernels,
+    compiled from the scheme's text once per process for each tuple of
+    the fields' code objects: the components that pass the array rule are
+    written into it, their cells, globals and constants bound on each run,
+    and the rest, checked by the run's evaluator, are called from it.  A
+    step costs its arithmetic and the calls of those other components,
+    with no call of its own (per-step rates in the README, Backends); the
+    first orbit of each loop in a process also compiles it, about 0.2 to
+    0.4 ms.
 
     Raises ValueError for a non-finite initial state and for a step count
     above MAX_STEPS, before allocating anything.  A step that raises

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import _DROPS, _Evaluator, _real
+from ._kernels import _DROPS, _Evaluator, _NotReal, _real
 
 Component = Callable[[float, float], float]
 
@@ -188,11 +188,13 @@ class SplitSystem:
 
         Scheme internals call this once per stage, for states that may sit
         outside the quadrant (classical schemes wander there); use
-        vector_field for validated evaluation.  Construction binds it once
-        per instance, as a closure over the four callables that calls each
-        once, in field order, without the attribute lookups of this method;
-        the built-in family binds one fused closure with the bits (or
-        exception) of the four single calls instead.  A subclass that
+        vector_field for validated evaluation.  The stepping loop of an
+        orbit calls the four fields instead, and writes those that pass
+        the array rule into itself (nsfd._kernels).  Construction binds
+        this once per instance, as a closure over the four callables that
+        calls each once, in field order, without the attribute lookups of
+        this method; the built-in family binds one fused closure with the
+        bits (or exception) of the four single calls instead.  A subclass that
         overrides this method keeps its own, and the searches, orbits and
         closed forms call it once per point on python floats, its values
         checked: the array rule refuses it.
@@ -311,7 +313,9 @@ def _node_value(where: str, fn, x: float, y: float):
     try:
         v = fn(x, y)
     except _DROPS as exc:
-        raise ConstructionError(f"{where} raised {type(exc).__name__}: {exc}") from exc
+        # the evaluator's _NotReal is private: it reads as the ValueError it is
+        kind = "ValueError" if isinstance(exc, _NotReal) else type(exc).__name__
+        raise ConstructionError(f"{where} raised {kind}: {exc}") from exc
     if not _real(v):
         kind = "complex" if isinstance(v, complex) else "not a real number"
         raise ConstructionError(f"{where} = {v!r} is {kind}")
@@ -423,10 +427,11 @@ def _fd_on_arrays(calls, x, y, catch=_DROPS):
     return PartialValues(*diffs), dropped
 
 
-def _numeric_partial_values(system: SplitSystem, x: float, y: float) -> PartialValues:
+def _numeric_partial_values(system: SplitSystem, x: float, y: float, calls=None) -> PartialValues:
     # the stencils of each component in turn, along x, then along y, over
-    # its checked form on python floats
-    calls = _Evaluator(system)
+    # its checked form on python floats, by calls, the point's `_Evaluator`
+    # (a new one if None)
+    calls = _Evaluator(system) if calls is None else calls
     return PartialValues(*(fd(comp, x, y) for comp in map(calls.real, calls.fields)
                            for fd in (_fd_x, _fd_y)))
 
@@ -452,9 +457,14 @@ def partials_at(system: SplitSystem, x: float, y: float) -> PartialValues:
     takes the same partials at all its seeds at once, in the same bits
     (`_partials_on`).
     """
+    return _partials_at(system, x, y, _Evaluator(system))
+
+
+def _partials_at(system: SplitSystem, x: float, y: float, calls) -> PartialValues:
+    # partials_at, its calls made by calls, the point's `_Evaluator`
     if system.partials is None:
-        return _numeric_partial_values(system, x, y)
-    real = _Evaluator(system).real
+        return _numeric_partial_values(system, x, y, calls)
+    real = calls.real
     return PartialValues(*(real(getattr(system.partials, f))(x, y) for f in PartialValues._fields))
 
 
@@ -472,8 +482,9 @@ def _point_values(system: SplitSystem, x: float, y: float):
     number.
     """
     _require_quadrant(x, y)
-    fp, fm, gp, gm = _Evaluator(system).point_components()(x, y)
-    p = partials_at(system, x, y)
+    calls = _Evaluator(system)  # one verdict per callable for the whole point
+    fp, fm, gp, gm = calls.point_components()(x, y)
+    p = _partials_at(system, x, y, calls)
     return fp, fm, gp, gm, p, p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy
 
 

@@ -7,10 +7,11 @@ The package runs both searches over all seeds at once on numpy arrays
 plain loops, one seed at a time on python floats, are the references the
 tests hold those drivers to, byte for byte.  `step_loop` checks every
 state of an orbit the plain way, complex values included, over the raw
-components, where `nsfd._kernels._step_loop` tests finiteness alone over
-the evaluator's checked components; `integrate` is held to it.
+components, where the compiled stepping loop of `nsfd._kernels` tests
+finiteness alone over the evaluator's checked components; `integrate` is
+held to it.
 `rma_step` is one step of each scheme for the Rosenzweig-MacArthur family,
-written from its formulas rather than through the scheme step factories;
+written from its formulas rather than through the scheme steps' texts;
 fed through `step_loop` and `scalar_scan` it is the reference the family's
 orbits and ghost scans are held to.  `equality_settings` gives the
 hypothesis properties that hold array code to such references their

@@ -4,6 +4,7 @@ family's hand-written step and to seed-by-seed oracles."""
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import nsfd
 from nsfd import (EULER, NSFD, RK2, RK4, ConstructionError, SplitSystem, State, detect_ghosts,
                   ensfd, exponential_weight, find_equilibria, integrate,
                   make_rosenzweig_macarthur, model1, model2)
-from nsfd import _kernels
+from nsfd import _kernels, systems
 from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _Evaluator,
                            _plain_arithmetic, resolve_backend, scan_fixed_points,
                            scan_fixed_points_generic)
@@ -69,15 +70,20 @@ def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme
     draws = [make_rosenzweig_macarthur(*rng.uniform((0.2, 0.2, 0.05, 0.02), (3, 3, 2, 0.9)))
              for _ in range(6)]
     loops = []
-    original = _kernels._step_loop
+    original = _kernels._stepping_loop
 
-    def recording(step, x0, y0, n):
-        # the components the step was bound to name the system it runs
-        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
-        loops.append((cells["components"].cell_contents, n))
-        return original(step, x0, y0, n)
+    def recording(calls, make):
+        # the components of the evaluator the loop was built for name the
+        # system it runs
+        loop, bound = original(calls, make)
 
-    monkeypatch.setattr(_kernels, "_step_loop", recording)
+        def counted(x, y, n, *args):
+            loops.append((calls.components, n))
+            return loop(x, y, n, *args)
+
+        return counted, bound
+
+    monkeypatch.setattr(_kernels, "_stepping_loop", recording)
     reports = []
     runs = []
     for system in (model1(), model2()):
@@ -673,25 +679,29 @@ def test_population_systems_take_the_array_rule_in_the_same_bits(form, p, x_max,
 
 
 def test_the_verdict_is_taken_once_per_operation(monkeypatch):
-    # one search, and then one ghost scan, each take the array rule's
-    # verdict at most once per distinct callable, though f_minus fails the
-    # rule and its calls go per element: the four components here
+    # one search, then one ghost scan and one orbit, each take the array
+    # rule's verdict at most once per distinct callable, though f_minus
+    # fails the rule and its calls go per element: the four components here
     system = SplitSystem(lambda x, y: 1.0,
                          lambda x, y: 0.2 * x + 0.5 * y + 0.0 * math.sqrt(1.0 + x * x),
                          lambda x, y: 0.6 * x / (1.0 + x), lambda x, y: 0.2, x_max=4.0)
     comps = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
     assert [_plain_arithmetic(fn) for fn in comps] == [True, False, True, True]
     verdicts = []
+    original = _kernels._rule_values
 
     def counted(fn):
         verdicts.append(fn)
-        return _plain_arithmetic(fn)
+        return original(fn)
 
-    monkeypatch.setattr(_kernels, "_plain_arithmetic", counted)
+    monkeypatch.setattr(_kernels, "_rule_values", counted)
     find_equilibria(system)
     assert len(verdicts) == len({id(fn) for fn in verdicts}) <= len(comps)
     verdicts.clear()
     detect_ghosts(system, RK4, 0.5, seeds_per_axis=20)
+    assert len(verdicts) == len({id(fn) for fn in verdicts}) <= len(comps)
+    verdicts.clear()  # an orbit, whose loop inlines three fields and calls f_minus
+    integrate(system, RK4, State(0.4, 0.4), 0.1, 2.0)
     assert len(verdicts) == len({id(fn) for fn in verdicts}) <= len(comps)
 
 
@@ -730,3 +740,159 @@ def test_a_zero_divisor_under_the_array_call_goes_per_element(scheme):
     rows = _scan(system, scheme, 0.5, sx, sy)
     assert rows.tobytes() == scalar_scan(step, sx, sy).tobytes()
     assert np.isinf(rows[sx == -c, 2]).all() and np.isfinite(rows[sx != -c, 2]).all()
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop: each scheme's text with the components written inline
+
+
+_LOOP_LOCALS = ("k", "xs", "e", "fp", "u", "t")  # names the loop and the scheme texts use too
+_LOOP_SCALARS = ("c0", "c1", "G0", "G1")  # two closure cells and two globals
+
+
+def _scalar_leaf():
+    # a cell, a global, an int or a float constant, or one negated
+    leaf = st.one_of(st.sampled_from(_LOOP_SCALARS), st.sampled_from([1, 2, 3, 7]).map(str),
+                     st.sampled_from([0.5, 2.0, 1e-3, 3.75, 1e300]).map(repr))
+    return st.one_of(leaf, leaf.map(lambda a: f"(-{a})"))
+
+
+@st.composite
+def _rule_expression(draw, names, depth=3):
+    # a + - * / expression that passes the array rule: every operation has
+    # an operand computed from x or y (one of names)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(names))
+    if draw(st.booleans()):
+        return f"(-{draw(_rule_expression(names, depth - 1))})"
+    computed = draw(_rule_expression(names, depth - 1))
+    other = draw(st.one_of(_scalar_leaf(), _rule_expression(names, depth - 1)))
+    left, right = (computed, other) if draw(st.booleans()) else (other, computed)
+    return f"({left} {draw(st.sampled_from('+-*/'))} {right})"
+
+
+@st.composite
+def _rule_fields(draw):
+    """The body of a field that passes the array rule: a few assignments
+    to locals (names the stepping loop uses too), then its value."""
+    names, lines = ["x", "y"], []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(_LOOP_LOCALS))
+        lines.append(f"{name} = {draw(_rule_expression(tuple(names)))}")
+        names.append(name)
+    return tuple(lines), draw(st.one_of(_rule_expression(tuple(names)), _scalar_leaf()))
+
+
+_loop_scalars = st.one_of(st.floats(-3.0, 3.0), st.integers(-4, 4), st.sampled_from([1e300, 0.5]))
+
+
+def _rule_field(body, cells, space):
+    """The field def f(x, y) of body, its cells c0, c1 and its globals in space."""
+    lines, value = body
+    text = "".join(f"        {line}\n" for line in lines)
+    exec(f"def make(c0, c1):\n    def f(x, y):\n{text}        return {value}\n    return f\n",
+         space)
+    return space.pop("make")(*cells)
+
+
+def _unchecked_system(fields):
+    # a system of these fields without the sign checks, which random
+    # fields would fail; the components are bound as at construction
+    with mock.patch.object(systems, "_check_sign_structure", lambda system: None):
+        return SplitSystem(*fields, x_max=4.0)
+
+
+def _oracle_orbit(system, scheme, s0, h, t_end):
+    """The orbit of oracles.step_loop over the system's raw components."""
+    make, e = _scheme_core(scheme, h)
+    return step_loop(make(system.components, e), s0.x, s0.y,
+                     nsfd.integrators.step_count(s0.t, t_end, h))
+
+
+def _same_orbit(traj, orbit):
+    xs, ys, m = orbit
+    return (traj.xs.tobytes(), traj.ys.tobytes(), len(traj), traj.halt_step) == (
+        xs.tobytes(), ys.tobytes(), m, None if m == traj.requested_steps + 1 else m)
+
+
+@given(bodies=st.tuples(*[_rule_fields()] * 4), cells=st.tuples(_loop_scalars, _loop_scalars),
+       globs=st.tuples(_loop_scalars, _loop_scalars), scheme=st.sampled_from(SCHEMES),
+       x=st.floats(0.0, 4.0), y=st.floats(0.0, 4.0), h=st.sampled_from([0.01, 0.3, 1.7, 40.0]),
+       n=st.integers(1, 40))
+@example(bodies=(((), "c0"), ((), "(y / (x - c1))"), ((), "0.5"), ((), "(y * G0)")),
+         cells=(1.0, 0.5), globs=(0.2, 0.0), scheme=RK2, x=0.5, y=1.0, h=0.3, n=10).via(
+    "a pole at the first stage")
+@example(bodies=(((), "((x * G0) * (x * G0))"), ((), "(x + 1)"), ((), "c0"), ((), "(y * 2)")),
+         cells=(0.5, 0.0), globs=(1e300, 0.0), scheme=NSFD, x=2.0, y=1.0, h=0.3, n=10).via(
+    "an overflow to inf")
+@example(bodies=((("k = (x * c0)", "xs = (-k)", "e = (xs / (y + 2))", "k = (e - x)"), "(k * G1)"),
+                 (("fp = (x + y)", "u = (fp * fp)"), "((u / 7) + c1)"), ((), "1"),
+                 (("t = (-y)",), "(t - (-3))")),
+         cells=(2, -0.25), globs=(0.0, 1.5), scheme=RK4, x=0.3, y=0.6, h=0.3, n=30).via(
+    "locals named as the loop's own names, rebound, and int constants and results")
+@equality_settings(150)
+def test_the_stepping_loop_is_the_oracle_loop_for_rule_passing_fields(bodies, cells, globs, scheme,
+                                                                      x, y, h, n):
+    space = dict(zip(("G0", "G1"), globs))
+    fields = [_rule_field(body, cells, space) for body in bodies]
+    system = _unchecked_system(fields)
+    assert _Evaluator(system).whole  # every field is written inline
+    s0 = State(x, y)
+    traj = integrate(system, scheme, s0, h, n * h)
+    assert _same_orbit(traj, _oracle_orbit(system, scheme, s0, h, n * h))
+
+
+def test_systems_that_share_code_objects_bind_their_own_cells():
+    def loss(a, b):
+        return lambda x, y: a * x + b * y
+
+    systems_ = [SplitSystem(lambda x, y: 1.0, loss(a, b), lambda x, y: 0.8, loss(0.3, 0.6),
+                            x_max=4.0) for a, b in ((0.5, 0.4), (0.9, 0.1))]
+    make, _ = _scheme_core(RK4, 0.3)
+    loops = [_kernels._stepping_loop(_Evaluator(s), make)[0] for s in systems_]
+    assert loops[0] is loops[1]  # one compiled loop for both
+    orbits = []
+    for system in systems_:
+        traj = integrate(system, RK4, State(0.4, 0.4), 0.3, 9.0)
+        assert _same_orbit(traj, _oracle_orbit(system, RK4, State(0.4, 0.4), 0.3, 9.0))
+        orbits.append(traj.xs.tobytes())
+    assert orbits[0] != orbits[1]
+
+
+def test_a_global_rebound_between_runs_is_read_anew():
+    space = {"G": 0.3}
+    exec("def loss(x, y):\n    return G * x + 0.4 * y\n", space)
+    system = SplitSystem(lambda x, y: 1.0, space["loss"], lambda x, y: 0.8,
+                         lambda x, y: 0.3 * x + 0.6 * y, x_max=4.0)
+    orbits = []
+    for value in (0.3, 0.7, np.float64(0.7)):  # the last fails the rule: called, not inlined
+        space["G"] = value
+        assert _Evaluator(system).whole is (type(value) is float)
+        for scheme in (NSFD, RK2):
+            traj = integrate(system, scheme, State(0.4, 0.4), 0.3, 9.0)
+            assert _same_orbit(traj, _oracle_orbit(system, scheme, State(0.4, 0.4), 0.3, 9.0))
+            orbits.append(traj.xs.tobytes())
+    assert orbits[0] != orbits[2] and orbits[2:4] == orbits[4:]
+
+
+def test_no_name_or_constant_of_a_field_enters_the_loop():
+    # the loop reads a field's cells, globals and constants as generated
+    # names, bound on each run; none of the field's own names or constants
+    # is compiled into it
+    space = {"spam_global": 0.25}
+    exec("def make(spam_cell):\n"
+         "    def f(spam_x, spam_y):\n"
+         "        spam_local = spam_x * spam_cell + 12345.678\n"
+         "        return spam_local / (spam_y + spam_global)\n"
+         "    return f\n", space)
+    field = space["make"](0.5)
+    system = SplitSystem(lambda x, y: 1.0, field, lambda x, y: 0.8, lambda x, y: 0.2 + 0.3 * y,
+                         x_max=4.0)
+    for scheme in SCHEMES:
+        make, _ = _scheme_core(scheme, 0.3)
+        loop, bound = _kernels._stepping_loop(_Evaluator(system), make)
+        code = loop.__code__
+        assert not any("spam" in name for name in code.co_varnames + code.co_names)
+        assert 12345.678 not in code.co_consts and 12345.678 in bound
+        traj = integrate(system, scheme, State(0.4, 0.4), 0.3, 6.0)
+        assert _same_orbit(traj, _oracle_orbit(system, scheme, State(0.4, 0.4), 0.3, 6.0))

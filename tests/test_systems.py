@@ -474,7 +474,7 @@ def _oracle_real(fn):
     def call(x, y):
         v = fn(x, y)
         if not isinstance(v, numbers.Real):
-            raise _kernels._NotReal(f"{v!r} is not a real number")
+            raise ValueError(f"{v!r} is not a real number")
         return v
     return call
 
@@ -681,7 +681,10 @@ _REFUSED = {
     # beyond the box, where only a finite difference at x = 20 samples it
     "None f_minus at a stencil point": dict(
         f_minus=lambda x, y: None if x > 20.0 else x + 2.0 * y / (1.0 + x),
-        match=r"^finite difference fmx\(20, 0\) raised _NotReal: None is not a real number$"),
+        match=r"^finite difference fmx\(20, 0\) raised ValueError: None is not a real number$"),
+    "str g_plus at a stencil point": dict(
+        g_plus=lambda x, y: "odd" if y > 20.0 else x / (1.0 + x),
+        match=r"^finite difference gpy\(0, 20\) raised ValueError: 'odd' is not a real number$"),
     "wrong fpx": dict(
         partials=_fake_partials(fpx=lambda x, y: 1.0),
         match=r"^analytic partial fpx\(0, 0\) = 1\.0 disagrees with finite difference 0\.0$"),
