@@ -3,24 +3,27 @@
 `run_trajectory` and `scan_fixed_points` are the entry points for every
 system.  Both run a scheme's step, a `_Step` of nsfd.integrators: the one
 text of the scheme's arithmetic, with a line "fp, fm, gp, gm =
-components(u, v)" per stage.  `run_trajectory` runs the stepping loop
-compiled from that text (`_compile_loop`), once per process for each
-scheme and each tuple of the fields' code objects: a field that passes
-the array rule is written into the loop as statements over generated
-names, by the same bytecode walker that takes the rule's verdict
-(`_arithmetic_loads`), and its cells, globals and constants are bound on
-each run; a field that fails the rule, or a class's override of
-components, is called from the loop.  One step then costs its arithmetic
-and the calls of the fields that fail the rule, with no call of its own
-(per-step rates in the README, Backends); the first orbit of each loop in
-a process pays for compiling it, under a millisecond.
+components(u, v)" per stage.  One generator, `_compiled_form`, compiles
+that text into each form that runs it: the stepping loop (`_LOOP`) and the
+step (x, y) -> (x', y') on python floats or numpy arrays (`_STEP`), once
+per process for each form, text and tuple of the fields' code objects.  A
+field that passes the array rule is written into the form as statements
+over generated names, by the same bytecode walker that takes the rule's
+verdict (`_arithmetic_loads`), and its cells, globals and constants are
+bound on each run (`_Evaluator.form`); a field that fails the rule, or a
+class's override of components, is called from it.  An orbit's step then
+costs its arithmetic and the calls of the fields that fail the rule, with
+no call of its own (per-step rates in the README, Backends); the first
+run of each form in a process pays for compiling it, under a millisecond.
 `scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
-as numpy arrays, with the step make(components, e) built from the same
-text and evaluated on arrays, until at most `_SCALAR_SEEDS` seeds go on;
-each of those then finishes alone on python floats (`_newton_seed`),
-where a numpy iteration would cost more than its seeds' python
-iterations.  Both phases share the Jacobian and the Newton update
-(`_jacobian`, `_newton_update`).
+as numpy arrays, with the compiled step on arrays where the four fields
+pass the rule (`_Evaluator.map`), until at most `_SCALAR_SEEDS` seeds go
+on; each of those then finishes alone on python floats (`_newton_seed`)
+with the same compiled step (`_Evaluator.step`), where a numpy iteration
+would cost more than its seeds' python iterations.  Both phases share the
+Jacobian and the Newton update (`_jacobian`, `_newton_update`).  The
+balance Newton of nsfd.equilibria runs its balances, a `_Step` text too,
+through `_Evaluator.map` in the same way.
 
 Every system takes one path, and `_Evaluator` makes every call of its
 callables, on arrays and on python floats: the orbits and the ghost scan
@@ -39,10 +42,10 @@ once per point.
 All these forms give the bits of the seed-by-seed scan.  numpy's elementwise
 + - * / and python's float arithmetic are the same correctly rounded IEEE
 operations, so the same expression order gives the same bits; do not
-"optimise" the expression order in this file or in the steps.  The
-stepping loop writes each operation of an inlined field in parentheses,
-in the field's own order, over the same operands, so it too gives the
-bits of the field's call; where that call raises, so does the loop.
+"optimise" the expression order in this file or in the steps.  A compiled
+form writes each operation of an inlined field in parentheses, in the
+field's own order, over the same operands, so it too gives the bits of
+the field's call; where that call raises, so does the form.
 """
 
 import dis
@@ -84,52 +87,39 @@ class _Step:
     """A scheme's step, from its one arithmetic text: python statements
     that take the state (x, y) to the next one in place, over e, the
     scheme's last argument, and the line "fp, fm, gp, gm = components(u,
-    v)" once per stage (nsfd.integrators writes them).
+    v)" once per stage (nsfd.integrators writes them; nsfd.equilibria
+    writes the balances so too).
 
     make(components, e) gives the step (x, y) -> (x', y') of a system with
-    those components, on python floats or numpy arrays alike (the Newton
-    scans); `run_trajectory` compiles the same text into its stepping loop,
-    with the components written inline.  One object per text, compared by
-    identity: compare_schemes keys its shared runs on it.
+    those components, on python floats or numpy arrays alike.  The orbits,
+    the Newton scans and the balance Newton run the same text compiled with
+    the fields written in (`_Evaluator.form`).  One object per text,
+    compared by identity: compare_schemes keys its shared runs on it.
     """
 
     def __init__(self, text):
         self.text = text
-        self._make = None
 
     def __call__(self, components, e):
-        if self._make is None:  # compiled at the first call, not at import
-            src = (f"def make(components, e):\n    def step(x, y):\n{_indent(self.text, 8)}"
-                   "        return x, y\n    return step\n")
-            self._make = _compiled(src, "make", "<nsfd step>")
-        return self._make(components, e)
+        return _compiled_form(_STEP, self.text, None)(e, components)
 
 
-def _indent(text, n):
-    # text's lines, each indented by n spaces and ended by a newline
-    return "".join(" " * n + line + "\n" for line in text.splitlines())
-
-
-def _compiled(src, name, filename):
-    # the function `name` that the generated source src defines
-    space = {"math": math, "_DROPS": _DROPS}
-    exec(compile(src, filename, "exec"), space)
-    return space[name]
-
-
+# The two forms of a step's text: {step} is the text, on a line of its own
+# at the indent it takes, its components written in or called, and {bound}
+# the names of the values they bind, after components.
+#
 # The stepping loop: n steps from (x, y) into xs, ys, stopping just before
 # the first state that is non-finite, or whose step raised
 # ZeroDivisionError, OverflowError or ValueError (a math domain error off
 # the quadrant, or _NotReal from a component whose value is not a real
-# number); it returns the stored count.  {step} is the scheme's text, its
-# components written inline or called, and {bound} the names of the values
-# they bind.
+# number); it returns the stored count.
 _LOOP = """\
-def loop(x, y, n, xs, ys, e, components{bound}):
+def form(x, y, n, xs, ys, e, components{bound}):
     isfinite = math.isfinite
     for k in range(1, n + 1):
         try:
-{step}        except _DROPS:
+            {step}
+        except _DROPS:
             return k
         if not (isfinite(x) and isfinite(y)):
             return k
@@ -137,16 +127,24 @@ def loop(x, y, n, xs, ys, e, components{bound}):
         ys[k] = y
     return n + 1
 """
+# The step (x, y) -> (x', y'), on python floats or numpy arrays alike.
+_STEP = """\
+def form(e, components{bound}):
+    def step(x, y):
+        {step}
+        return x, y
+    return step
+"""
 _STAGE = "fp, fm, gp, gm = components("  # a stage's line, but for "u, v)"
 _FIELD_NAMES = ("fp", "fm", "gp", "gm")
 
 
-def _compile_loop(text, codes):
-    """The stepping loop of a scheme's text for codes: None where
+def _compile_form(template, text, codes):
+    """The form of a step's text in template for codes: None where
     components is called as a whole, else one entry per field, its code
     object where the field passes the array rule and is written inline,
     None where it is called.  Field i's names begin "_f<i>": the field
-    itself where called, its `_params` where inlined; the loop takes them,
+    itself where called, its `_params` where inlined; the form takes them,
     in field order, after components.
     """
     bound, step = [], []
@@ -164,52 +162,36 @@ def _compile_loop(text, codes):
             _, _, _, lines, value = _arithmetic_loads(code)
             step += [local.format(u, v, f"_f{i}") for local in lines]
             step.append(f"{name} = {value.format(u, v, f'_f{i}')}")
-    src = _LOOP.format(bound="".join(", " + b for b in bound), step=_indent("\n".join(step), 12))
-    return _compiled(src, "loop", "<nsfd stepping loop>")
+    indent = template[:template.index("{step}")].rsplit("\n", 1)[1]
+    src = template.format(bound="".join(", " + b for b in bound), step=("\n" + indent).join(step))
+    space = {"math": math, "_DROPS": _DROPS}
+    exec(compile(src, "<nsfd step>", "exec"), space)
+    return space["form"]
 
 
-# the compiled loops, by scheme text and the ids of the codes, each with
+# the compiled forms, by template, text and the ids of the codes, each with
 # the codes it was compiled for, which keep their ids their own; a code
 # object's own hash costs more than the rest of a lookup
-_LOOPS = {}
-_MAX_LOOPS = 64
+_FORMS = {}
+_MAX_FORMS = 128
 
 
-def _compiled_loop(text, codes):
-    """`_compile_loop(text, codes)`, compiled once per process while at
-    most _MAX_LOOPS are held."""
-    key = (text,) if codes is None else (text, *map(id, codes))
-    got = _LOOPS.get(key)
+def _compiled_form(template, text, codes):
+    """`_compile_form(template, text, codes)`, compiled once per process
+    while at most _MAX_FORMS are held."""
+    key = (template, text) if codes is None else (template, text, *map(id, codes))
+    got = _FORMS.get(key)
     if got is None:
-        if len(_LOOPS) >= _MAX_LOOPS:
-            _LOOPS.clear()
-        got = _LOOPS[key] = codes, _compile_loop(text, codes)
+        if len(_FORMS) >= _MAX_FORMS:
+            _FORMS.clear()
+        got = _FORMS[key] = codes, _compile_form(template, text, codes)
     return got[1]
-
-
-def _stepping_loop(calls, make):
-    """The compiled loop of make's text for the system of calls, its
-    `_Evaluator`, and the values it binds after components: each field's
-    cells, globals and constants where it passes the rule, as read with
-    its verdict, else the field as `_Evaluator.real` checks it.  A system
-    whose class overrides components calls `point_components()` whole."""
-    if not calls.fused:
-        return _compiled_loop(make.text, None), (calls.point_components(),)
-    codes, bound = [], [None]
-    for fn, values in zip(calls.fields, calls.field_values):
-        if values is None:
-            codes.append(None)
-            bound.append(calls.real(fn))
-        else:
-            codes.append(fn.__code__)
-            bound += values
-    return _compiled_loop(make.text, tuple(codes)), bound
 
 
 def run_trajectory(system, make, x0, y0, e, n):
     """n steps of the step make(components, e) from (x0, y0), over the
-    checked components of `_Evaluator.point_components`.  Returns (xs, ys,
-    stored_count).
+    checked components of `_Evaluator.point_components`, in the stepping
+    loop of `_Evaluator.form`.  Returns (xs, ys, stored_count).
 
     make is a scheme's `_Step`, e, a python float, the denominator weight
     for nsfd/ensfd and h for the classical schemes.  A stored count m <= n
@@ -220,7 +202,7 @@ def run_trajectory(system, make, x0, y0, e, n):
     python floats.
     """
     calls = _Evaluator(system)
-    loop, bound = _stepping_loop(calls, make)
+    loop, bound = calls.form(_LOOP, make)
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     xs[0] = x = float(x0)
@@ -247,21 +229,22 @@ def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
     """The Newton scan of the step make(components, e) for any system:
-    `_scan_batched` over the step on arrays, by an `_Evaluator`, and on
-    python floats for the last few seeds.
+    `_scan_batched` over the step on arrays, by `_Evaluator.map`, and on
+    python floats for the last few seeds, by `_Evaluator.step`.
 
-    Where the four components pass the array rule, each seed's point and
-    its Jacobian probes go to the evaluator in one call; otherwise a second
-    call takes the probes only of the seeds that go on, as seed by seed.  A
-    seed fails, rather than aborting the scan, where a component raises
-    ZeroDivisionError, OverflowError or ValueError or returns a value that
-    is not a real number (a fractional power of a negative coordinate).
+    Where the four components pass the array rule, the step compiled with
+    them written in takes each seed's point and its Jacobian probes in one
+    call on arrays; otherwise a second call takes the probes only of the
+    seeds that go on, as seed by seed.  A seed fails, rather than aborting
+    the scan, where a component raises ZeroDivisionError, OverflowError or
+    ValueError or returns a value that is not a real number (a fractional
+    power of a negative coordinate).
     """
     calls = _Evaluator(system)
     seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
-    build = lambda components: make(components, e)
-    return _scan_batched(lambda x, y: calls.map(build, x, y)[0], *seeds, tol, max_iter, escape,
-                         probes_apart=not calls.whole, step=make(calls.point_components(), e))
+    on_arrays = calls.map(make, e)
+    return _scan_batched(lambda x, y: on_arrays(x, y)[0], *seeds, tol, max_iter, escape,
+                         probes_apart=not calls.whole, step=calls.step(make, e))
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -452,27 +435,28 @@ def _finite(*arrays):
 
 
 class _Evaluator:
-    """The calls of one scan, search or construction check to a system's
-    callables: the one place that chooses between a call on whole arrays
-    and calls per element, which give the same bits.
+    """The calls of one orbit, scan, search, construction check or point to
+    a system's callables: the one place that chooses between a call on
+    whole arrays and calls per element, which give the same bits, and that
+    compiles a step's text for the system (`form`).
 
     Each callable's verdict under the array rule is taken once, at its
     first use; as it reads closure cells and globals, which may change, an
     evaluator serves one operation.  A callable that passes the rule runs
     in one call on finite arrays under `_raising`; one that fails it, or
     whose call trips a flag, runs once per element on python floats, in
-    the order of the scalar calls.  whole says whether the four fields
-    pass, and so the fused components run on arrays: construction binds
-    components on the instance (a closure over the fields, or the family's
-    fused closure with their bits) exactly where the class keeps
-    SplitSystem.components.  An override may compute anything, so the rule
-    refuses it, and it runs once per point.
+    the order of the scalar calls.  fused says whether the four fields make
+    the components, which holds where the class keeps
+    SplitSystem.components; whole, whether the four also pass the rule, and
+    so the step with them written in runs on arrays.  An override of
+    components may compute anything, so the rule refuses it, and it runs
+    once per point.
     """
 
     def __init__(self, system):
         self.components = system.components
         self.fields = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
-        self.fused = "components" in vars(system)
+        self.fused = type(system).components is SplitSystem.components
         self._verdicts = {}
         # each field's verdict, where the fields make the components
         self.field_values = tuple(map(self.values, self.fields)) if self.fused else None
@@ -505,12 +489,9 @@ class _Evaluator:
         return call
 
     def point_components(self):
-        """components for calls on python floats, one point at a time: the
-        system's own where whole; else components that raise _NotReal at
-        the first value that is not a real number, calling no later field
-        there, as `each` drops the point."""
-        if self.whole:
-            return self.components
+        """components for calls on python floats, one point at a time,
+        that raise _NotReal at the first value that is not a real number,
+        calling no later field there, as `each` drops the point."""
         if self.fused:
             fp, fm, gp, gm = map(self.real, self.fields)
             return lambda x, y: (fp(x, y), fm(x, y), gp(x, y), gm(x, y))
@@ -523,6 +504,31 @@ class _Evaluator:
             raise _NotReal(f"components({x!r}, {y!r}) = {v!r} holds a value that is not real")
 
         return components
+
+    def form(self, template, make):
+        """The form of make's text in template (`_compiled_form`) for this
+        system, and the values it binds after its own arguments: components,
+        then each field's cells, globals and constants where it passes the
+        rule, as read with its verdict, else the field as `real` checks it.
+        Where the class overrides components, the form calls
+        `point_components()` whole."""
+        if not self.fused:
+            return _compiled_form(template, make.text, None), (self.point_components(),)
+        codes, bound = [], [None]
+        for fn, values in zip(self.fields, self.field_values):
+            if values is None:
+                codes.append(None)
+                bound.append(self.real(fn))
+            else:
+                codes.append(fn.__code__)
+                bound += values
+        return _compiled_form(template, make.text, tuple(codes)), bound
+
+    def step(self, make, e):
+        """The step make(components, e) of `form`: on python floats, with
+        the checked components, and on arrays too where whole."""
+        form, bound = self.form(_STEP, make)
+        return form(e, *bound)
 
     def on_arrays(self, fns, x, y):
         """[fn(x, y) for fn in fns] in one guarded call on the float arrays
@@ -591,34 +597,41 @@ class _Evaluator:
                     ax, lists = None, {}
         return vals, dropped
 
-    def map(self, build, x, y):
-        """The map build(components) from a point (x, y) to a pair, at every
-        element of the float arrays x, y: the pair's two arrays, nan where
-        dropped, and the mask of the elements dropped.  The fused components
-        run on the arrays where whole; else, or where that call trips a
-        flag, each call of components evaluates the fields by `each`, an
-        element dropped in one stage called in no later one; an override of
-        components is called once per element.
+    def map(self, make, e):
+        """The step make(components, e) at every element of float arrays: a
+        function of x, y giving the pair's two arrays, nan where dropped,
+        and the mask of the elements dropped.  Where whole, `step` runs on
+        the arrays; else, or where that call trips a flag, each call of
+        components evaluates the fields by `each`, an element dropped in one
+        stage called in no later one; an override of components is called
+        once per element.
         """
-        if self.whole and _finite(x, y):
-            v = _raising(build(self.components), x, y)
-            if v is not None:  # a balance of two constant components is a python float
-                return ([c if type(c) is np.ndarray else np.full(x.shape, c) for c in v],
-                        np.zeros(x.shape, dtype=bool))
-        if self.fused:
-            dropped = None
+        step = self.step(make, e)
 
-            def components(xs, ys):
-                nonlocal dropped
-                vals, dropped = self.each(self.fields, xs, ys, dropped)
-                return vals
+        def on_arrays(x, y):
+            if self.whole and _finite(x, y):
+                v = _raising(step, x, y)
+                if v is not None:  # a balance of two constant components is a python float
+                    return ([c if type(c) is np.ndarray else np.full(x.shape, c) for c in v],
+                            np.zeros(x.shape, dtype=bool))
+            if self.fused:
+                dropped = None
 
-            out = build(components)(x, y)
-            return [np.where(dropped, np.nan, c) for c in out] if dropped.any() else out, dropped
-        point = _dropping(build(self.point_components()))
-        vals = [point(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        out = np.array([(math.nan, math.nan) if v is None else v for v in vals], dtype=np.float64)
-        return out.reshape(-1, 2).T, np.array([v is None for v in vals], dtype=bool)
+                def components(xs, ys):
+                    nonlocal dropped
+                    vals, dropped = self.each(self.fields, xs, ys, dropped)
+                    return vals
+
+                out = make(components, e)(x, y)
+                return ([np.where(dropped, np.nan, c) for c in out] if dropped.any() else out,
+                        dropped)
+            point = _dropping(step)
+            vals = [point(a, b) for a, b in zip(x.tolist(), y.tolist())]
+            out = np.array([(math.nan, math.nan) if v is None else v for v in vals],
+                           dtype=np.float64)
+            return out.reshape(-1, 2).T, np.array([v is None for v in vals], dtype=bool)
+
+        return on_arrays
 
 
 def _as_rows(v, shape, rows):
@@ -652,7 +665,7 @@ def _each(fn, xs, ys, catch):
 
 def _dropping(fn, dropped=None):
     """fn on python floats, returning `dropped` in place of a raise of one
-    of _DROPS.  A step of `_Evaluator.point_components` raises _NotReal, a
+    of _DROPS.  A step of `_Evaluator.step` raises _NotReal, a
     ValueError, where a component is not a real number, so it never
     returns a complex value."""
 
@@ -793,3 +806,8 @@ def _newton_seed(point, x, y, res, tol, n, escape):
         if not (isfinite(x) and isfinite(y)) or abs(x) > escape or abs(y) > escape:
             return x, y, math.inf
     return x, y, res
+
+
+# systems imports this module: the class whose components the fields make
+# is read last, once every name above is defined
+from .systems import SplitSystem  # noqa: E402

@@ -18,16 +18,15 @@ value that is not a real number with ValueError.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ._kernels import _Evaluator, _NotReal
+from ._kernels import _Evaluator, _NotReal, _Step
 from .integrators import NSFD, StepWeight, effective_step, ensfd
 from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _fd_x, _fd_y, _partials_on,
-                      _point_values)
+                      _point_values, _real_value)
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 UNSTABLE = "unstable"
@@ -262,14 +261,12 @@ def _bisect(balance, lo, hi, rlo):
     return 0.5 * (lo + hi)
 
 
-def _balance(components):
-    # the map (x, y) -> (f+ - f-, g+ - g-) of components, on python floats
-    # or arrays alike
-    def balance(x, y):
-        fp, fm, gp, gm = components(x, y)
-        return fp - fm, gp - gm
-
-    return balance
+# the balances (x, y) -> (f+ - f-, g+ - g-), as a step's text: the search
+# evaluates them as the scans do a scheme's step, with the fields written in
+_BALANCES = _Step("""\
+fp, fm, gp, gm = components(x, y)
+x, y = fp - fm, gp - gm
+""")
 
 
 def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
@@ -282,14 +279,15 @@ def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
     field to machine precision, not merely to the bracketing tolerance.
     idx holds the seeds still iterating, and all share one iteration
     counter.  calls, the search's _Evaluator (a new one if None),
-    evaluates the balances and the partials on arrays and also returns a
-    mask of the seeds they drop, where a scalar call raises or gives a
-    value that is not a real number (a fractional power of a negative
-    coordinate): a dropped seed loses its best iterate, its best residual
-    set to inf.
+    evaluates the balances (`_BALANCES`, compiled with the components
+    written in where they pass the array rule) and the partials on arrays
+    and also returns a mask of the seeds they drop, where a scalar call
+    raises or gives a value that is not a real number (a fractional power
+    of a negative coordinate): a dropped seed loses its best iterate, its
+    best residual set to inf.
     """
     calls = _Evaluator(system) if calls is None else calls
-    residual = partial(calls.map, _balance)
+    residual = calls.map(_BALANCES, None)
     jacobian = partial(_partials_on, system, calls)
 
     x = np.repeat(xs, ys.size)
@@ -362,9 +360,9 @@ def _resolve_box(system: SplitSystem, box: "tuple[float, float] | None") -> "tup
         bx, by = box
     except (TypeError, ValueError):
         bx = by = None
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (bx, by)):
+    bx, by = _real_value(bx), _real_value(by)
+    if bx is None or by is None:
         raise ValueError(f"search box must be a pair of real numbers (bx, by), got {box!r}")
-    bx, by = float(bx), float(by)
     if not (0.0 < bx < math.inf and 0.0 < by < math.inf):
         raise ValueError(f"search box must have positive finite extent, got {box!r}")
     return bx, by

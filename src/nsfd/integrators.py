@@ -136,10 +136,11 @@ def effective_step(scheme: SchemeId, h: float) -> float:
 # take the state (x, y) to the next one, over e (h for the classical
 # schemes), with one line "fp, fm, gp, gm = components(u, v)" per stage:
 # one per step for nsfd/ensfd and euler, two for rk2 and four for rk4.
-# make(components, e) runs a text as a function, on python floats or on
-# numpy arrays in the Newton scans; _kernels.run_trajectory compiles it
-# into the stepping loop, with each stage's components written inline where
-# they pass the array rule.  nsfd and ensfd share one step.
+# nsfd._kernels compiles a text into the stepping loop of the orbits and
+# into the step the ghost scans run on numpy arrays and python floats, each
+# stage's components written inline where they pass the array rule and
+# called where they do not; make(components, e) runs it over the given
+# components.  nsfd and ensfd share one step.
 
 _NSFD_STEP = _kernels._Step("""\
 fp, fm, gp, gm = components(x, y)

@@ -19,6 +19,7 @@ otherwise, with the same verdict and message either way.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -43,6 +44,18 @@ def _float_tag(v: float) -> str:
     names, output file names) never merge two values."""
     text = f"{v:g}"
     return text if float(text) == v else repr(float(v))
+
+
+def _real_value(v) -> "float | None":
+    """v as a float where it is a real number that is not a bool, an int
+    beyond the float range as inf or -inf; else None.  The test of a box
+    extent and of an x_max."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 class DomainError(ValueError):
@@ -124,15 +137,17 @@ class SplitSystem:
         Beddington-DeAngelis terms are usually written), is evaluated on
         whole numpy arrays in the construction checks and the Newton
         searches, with the bits of its scalar calls (the array rule,
-        README Backends); any other callable is called once per point on
-        python floats.
+        README Backends), and written into the step that the orbits and
+        the Newton searches compile; any other callable is called once per
+        point on python floats.
     partials
-        Analytic partial derivatives.  Optional; code that needs
-        derivatives falls back to finite differences when absent.
+        Analytic partial derivatives, a Partials.  Optional; code that
+        needs derivatives falls back to finite differences when absent.
     name
         Short identifier used in file names and reports.
     x_max
-        Half-width of the square validation/search box [0, x_max]^2.
+        Half-width of the square validation/search box [0, x_max]^2: a
+        positive finite real number, not a bool, kept as given.
 
     The read-only attribute ``rma_params`` holds the parameters of a
     system built by :func:`make_rosenzweig_macarthur`, the only code that
@@ -149,17 +164,18 @@ class SplitSystem:
     Raises
     ------
     ConstructionError
-        If a component is non-finite, negative on the quadrant boundary,
-        or not strictly positive at an interior node of the 50 x 50
-        validation grid; if an analytic partial or its finite difference
-        is non-finite, or the two disagree, at a node of a coarser subgrid;
-        or if a component or partial raises ZeroDivisionError,
-        OverflowError or ValueError, or returns a value that is not a real
-        number (a complex, None, a str), at a node.  The message names the
-        first failing node: components in field order, then x, then y for
-        the sign check; x, then y, then PartialValues order for the
-        partials.  Any other exception a call raises at that node
-        propagates unchanged.
+        If x_max is not a positive finite real number, or partials is
+        neither None nor a Partials; if a component is non-finite,
+        negative on the quadrant boundary, or not strictly positive at an
+        interior node of the 50 x 50 validation grid; if an analytic
+        partial or its finite difference is non-finite, or the two
+        disagree, at a node of a coarser subgrid; or if a component or
+        partial raises ZeroDivisionError, OverflowError or ValueError, or
+        returns a value that is not a real number (a complex, None, a
+        str), at a node.  The message names the first failing node:
+        components in field order, then x, then y for the sign check; x,
+        then y, then PartialValues order for the partials.  Any other
+        exception a call raises at that node propagates unchanged.
     """
 
     f_plus: Component
@@ -170,15 +186,20 @@ class SplitSystem:
     name: str = "custom"
     x_max: float = X_MAX_DEFAULT
     # __init__ leaves an init=False field with a plain default unassigned,
-    # so only make_rosenzweig_macarthur, which sets it before __init__, can
+    # so only make_rosenzweig_macarthur, which sets it after __init__, can
     # give it a value; replace() refuses it
     rma_params: "ModelParams | None" = field(default=None, init=False, compare=False)
     _equilibria: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
+        x_max = _real_value(self.x_max)
+        if x_max is None:
+            raise ConstructionError(f"x_max must be a real number, got {self.x_max!r}")
+        if not 0.0 < x_max < math.inf:
             raise ConstructionError(f"x_max must be positive and finite, got {self.x_max!r}")
-        _bind_components(self)
+        if not (self.partials is None or isinstance(self.partials, Partials)):
+            raise ConstructionError(
+                f"partials must be a Partials or None, got {type(self.partials).__name__}")
         _check_sign_structure(self)
         if self.partials is not None:
             _check_partials_consistency(self)
@@ -186,18 +207,15 @@ class SplitSystem:
     def components(self, x: float, y: float):
         """Evaluate (f_plus, f_minus, g_plus, g_minus) without domain checks.
 
-        Scheme internals call this once per stage, for states that may sit
-        outside the quadrant (classical schemes wander there); use
-        vector_field for validated evaluation.  The stepping loop of an
-        orbit calls the four fields instead, and writes those that pass
-        the array rule into itself (nsfd._kernels).  Construction binds
-        this once per instance, as a closure over the four callables that
-        calls each once, in field order, without the attribute lookups of
-        this method; the built-in family binds one fused closure with the
-        bits (or exception) of the four single calls instead.  A subclass that
-        overrides this method keeps its own, and the searches, orbits and
-        closed forms call it once per point on python floats, its values
-        checked: the array rule refuses it.
+        For states that may sit outside the quadrant (classical schemes
+        wander there); use vector_field for validated evaluation.  The
+        orbits, Newton scans and balance Newton of a system whose class
+        keeps this method do not call it: they run the step compiled with
+        the four fields, those that pass the array rule written into it
+        and the others called (nsfd._kernels).  A subclass that overrides
+        this method has its override called once per point on python
+        floats, its values checked, by the searches, orbits and closed
+        forms: the array rule refuses it.
         """
         return (
             self.f_plus(x, y),
@@ -205,47 +223,6 @@ class SplitSystem:
             self.g_plus(x, y),
             self.g_minus(x, y),
         )
-
-    def __getstate__(self):
-        # copy and pickle without the bound closure, which is local and so
-        # not picklable; __setstate__ binds it anew
-        state = dict(vars(self))
-        if getattr(state.get("components"), "__code__", None) is _BOUND_CODE:
-            del state["components"]
-        return state
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        _bind_components(self)
-
-
-def _bound_components(f_plus, f_minus, g_plus, g_minus):
-    # SplitSystem.components closed over the four callables
-    def components(x, y):
-        return f_plus(x, y), f_minus(x, y), g_plus(x, y), g_minus(x, y)
-
-    return components
-
-
-_BOUND_CODE = _bound_components(None, None, None, None).__code__
-
-
-def _bind_components(system: SplitSystem) -> None:
-    # an instance attribute shadows the method: bound once, unless the
-    # family's fused closure is already on or a subclass overrides it
-    if "components" not in vars(system) and type(system).components is SplitSystem.components:
-        object.__setattr__(system, "components", _bound_components(
-            system.f_plus, system.f_minus, system.g_plus, system.g_minus))
-
-
-def _rma_components(p: ModelParams):
-    # make_rosenzweig_macarthur's four closures in one: the same bits
-    a, b, c, d = p.a, p.b, p.c, p.d
-
-    def components(x, y):
-        return b, b * x + a * y / (c + x), x / (c + x), d
-
-    return components
 
 
 def _check_sign_structure(sys: SplitSystem) -> None:
@@ -516,11 +493,12 @@ def make_rosenzweig_macarthur(
         g_plus = x/(c + x)            g_minus = d
 
     All four parameters must be strictly positive.  The returned system
-    carries analytic partials, evaluates its four components in one call
-    (``components``), and is labelled with ``rma_params``, which only this
-    sets.  Its twelve closures pass the array rule, so it runs on whole
-    arrays, as a ``dataclasses.replace`` of it does, in the same bits.  The
-    default name writes each parameter exactly (see _float_tag).
+    carries analytic partials and is labelled with ``rma_params``, which
+    only this sets.  Its twelve closures pass the array rule, so its
+    components are written into the compiled steps of its orbits and scans
+    and its checks run on whole arrays, as for a ``dataclasses.replace`` of
+    it, in the same bits.  The default name writes each parameter exactly
+    (see _float_tag).
     """
     for label, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not (math.isfinite(v) and v > 0.0):
@@ -552,14 +530,9 @@ def make_rosenzweig_macarthur(
     )
     if name is None:
         name = "rma-" + "-".join(_float_tag(v) for v in (a, b, c, d))
-    # the label and the fused closure go on before __init__, whose checks
-    # then call the fused closure; "components" is an instance attribute,
-    # so it shadows the method
-    p = ModelParams(a, b, c, d)
-    system = SplitSystem.__new__(SplitSystem)
-    object.__setattr__(system, "rma_params", p)
-    object.__setattr__(system, "components", _rma_components(p))
-    system.__init__(f_plus, f_minus, g_plus, g_minus, partials=partials, name=name, x_max=x_max)
+    system = SplitSystem(f_plus, f_minus, g_plus, g_minus, partials=partials, name=name,
+                         x_max=x_max)
+    object.__setattr__(system, "rma_params", ModelParams(a, b, c, d))
     return system
 
 

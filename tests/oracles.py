@@ -41,7 +41,7 @@ from nsfd import (RK4, ComparisonRow, ComparisonTable, Partials, PartialValues, 
                   audit_positivity, find_equilibria, integrate)
 from nsfd._kernels import NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL
 from nsfd.diagnostics import GHOST_DEDUP_TOL
-from nsfd.equilibria import AXIS_BISECT_TOL, AXIS_GRID_N, BALANCE_TOL, DEDUP_TOL, _balance
+from nsfd.equilibria import AXIS_BISECT_TOL, AXIS_GRID_N, BALANCE_TOL, DEDUP_TOL
 from nsfd.systems import AXIS_ZERO_TOL, DomainError, partials_at
 
 
@@ -226,7 +226,11 @@ def scalar_balance_newton(system, xs, ys, escape):
     turn; the best iterate of every seed whose best residual is below
     BALANCE_TOL.  A seed is dropped, best iterate and all, where a
     component or partial raises or turns complex."""
-    balance = _balance(system.components)
+
+    def balance(x, y):
+        fp, fm, gp, gm = system.components(x, y)
+        return fp - fm, gp - gm
+
     found = []
     for sx in xs:
         for sy in ys:

@@ -286,7 +286,7 @@ def test_reported_fixed_points_are_sound():
         assert abs(nxt.x - p.x) < 1e-9 and abs(nxt.y - p.y) < 1e-9
 
 
-@pytest.mark.parametrize("box", [(math.inf, 20.0), (20.0, math.nan), (0.0, 5.0)])
+@pytest.mark.parametrize("box", [(math.inf, 20.0), (20.0, math.nan), (0.0, 5.0), (10 ** 400, 1)])
 def test_search_boxes_must_be_positive_and_finite(box):
     with pytest.raises(ValueError, match="positive finite extent"):
         find_equilibria(model2(), box)

@@ -814,11 +814,12 @@ def test_a_zero_divisor_under_a_whole_array_balance_drops_the_seed():
              lambda x, y: 0.6, lambda x, y: 0.2 + 0.4 * x + 0.1 * y)
     system = SplitSystem(*comps, x_max=4.0)
     assert all(map(_kernels._plain_arithmetic, comps))
+    balances = nsfd.equilibria._BALANCES(system.components, None)
     with np.errstate(divide="ignore"):
-        rx, ry = nsfd.equilibria._balance(system.components)(np.array([-c]), np.array([1.0]))
+        rx, ry = balances(np.array([-c]), np.array([1.0]))
     assert np.isfinite(rx).all() and np.isfinite(ry).all()
     with pytest.raises(ZeroDivisionError):
-        nsfd.equilibria._balance(system.components)(-c, 1.0)
+        balances(-c, 1.0)
     xs, ys = np.array([-c, 0.5, 2.0]), np.array([0.5, 1.0, 3.0])
     found = _hex(nsfd.equilibria._balance_newton(system, xs, ys, 60.0))
     assert found and found == _hex(scalar_balance_newton(system, xs, ys, 60.0))

@@ -22,7 +22,7 @@ from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _Evaluato
 from nsfd.integrators import _scheme_core
 from nsfd.systems import MODEL2_PARAMS, PartialValues
 from oracles import (equality_settings, per_element, per_element_clone, point_bits, rma_step,
-                     scalar_scan, step_loop)
+                     scalar_balance_newton, scalar_scan, step_loop)
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -70,20 +70,22 @@ def test_python_backend_runs_the_builtin_family_as_callables(monkeypatch, scheme
     draws = [make_rosenzweig_macarthur(*rng.uniform((0.2, 0.2, 0.05, 0.02), (3, 3, 2, 0.9)))
              for _ in range(6)]
     loops = []
-    original = _kernels._stepping_loop
+    original = _Evaluator.form
 
-    def recording(calls, make):
-        # the components of the evaluator the loop was built for name the
-        # system it runs
-        loop, bound = original(calls, make)
+    def recording(calls, template, make):
+        # the components of the evaluator a stepping loop was built for
+        # name the system it runs; the scans' steps are not recorded
+        form, bound = original(calls, template, make)
+        if template is not _kernels._LOOP:
+            return form, bound
 
         def counted(x, y, n, *args):
             loops.append((calls.components, n))
-            return loop(x, y, n, *args)
+            return form(x, y, n, *args)
 
         return counted, bound
 
-    monkeypatch.setattr(_kernels, "_stepping_loop", recording)
+    monkeypatch.setattr(_Evaluator, "form", recording)
     reports = []
     runs = []
     for system in (model1(), model2()):
@@ -840,6 +842,24 @@ def test_the_stepping_loop_is_the_oracle_loop_for_rule_passing_fields(bodies, ce
     s0 = State(x, y)
     traj = integrate(system, scheme, s0, h, n * h)
     assert _same_orbit(traj, _oracle_orbit(system, scheme, s0, h, n * h))
+    # the ghost scan runs the same step with the fields written in, on
+    # arrays (every seed batched) and on python floats (every seed alone),
+    # and the interior search runs the balances so
+    grid = np.array([x, y, 0.5 * (x + y) - 1.0])
+    sx, sy = [g.ravel() for g in np.meshgrid(grid, grid[::-1], indexing="ij")]
+    make, e = _scheme_core(scheme, h)
+    oracle = scalar_scan(make(system.components, e), sx, sy).tobytes()
+    for threshold in (0, _ALL_SCALAR):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
+            assert scan_fixed_points(system, make, e, sx, sy).tobytes() == oracle
+    seeds = np.array([x, 1.0, 3.0]), np.array([y, 2.0])
+    found = nsfd.equilibria._balance_newton(system, *seeds, 80.0)
+    assert _hex(found) == _hex(scalar_balance_newton(system, *seeds, 80.0))
+
+
+def _hex(points):
+    return [(x.hex(), y.hex()) for x, y in points]
 
 
 def test_systems_that_share_code_objects_bind_their_own_cells():
@@ -849,7 +869,7 @@ def test_systems_that_share_code_objects_bind_their_own_cells():
     systems_ = [SplitSystem(lambda x, y: 1.0, loss(a, b), lambda x, y: 0.8, loss(0.3, 0.6),
                             x_max=4.0) for a, b in ((0.5, 0.4), (0.9, 0.1))]
     make, _ = _scheme_core(RK4, 0.3)
-    loops = [_kernels._stepping_loop(_Evaluator(s), make)[0] for s in systems_]
+    loops = [_Evaluator(s).form(_kernels._LOOP, make)[0] for s in systems_]
     assert loops[0] is loops[1]  # one compiled loop for both
     orbits = []
     for system in systems_:
@@ -890,7 +910,7 @@ def test_no_name_or_constant_of_a_field_enters_the_loop():
                          x_max=4.0)
     for scheme in SCHEMES:
         make, _ = _scheme_core(scheme, 0.3)
-        loop, bound = _kernels._stepping_loop(_Evaluator(system), make)
+        loop, bound = _Evaluator(system).form(_kernels._LOOP, make)
         code = loop.__code__
         assert not any("spam" in name for name in code.co_varnames + code.co_names)
         assert 12345.678 not in code.co_consts and 12345.678 in bound

@@ -38,6 +38,8 @@ from nsfd import (
     vector_field,
 )
 from nsfd import _kernels, systems
+from nsfd.equilibria import _BALANCES
+from nsfd.integrators import _scheme_core
 from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues,
                           _fd_x, _fd_y, _numeric_partial_values, _partials_on, partials_at)
 from oracles import equality_settings, per_element_clone
@@ -271,28 +273,21 @@ def _counted(calls, label, fn):
     return call
 
 
-def test_a_generic_system_binds_its_components_once(monkeypatch):
-    # construction binds components once, as a closure over the four
-    # callables that calls each once per stage, in field order; later
-    # evaluations, orbits and searches bind nothing more
-    binds = []
-    bind = systems._bound_components
-    monkeypatch.setattr(systems, "_bound_components", lambda *fns: binds.append(fns) or bind(*fns))
+def test_a_generic_system_calls_each_field_once_per_stage():
+    # the fields make the components: construction binds nothing on the
+    # instance, and an orbit's loop calls each field once per stage, in
+    # field order, with no call of components
     calls = []
     labels = ("f_plus", "f_minus", "g_plus", "g_minus")
     fns = (lambda x, y: 1.5, lambda x, y: 0.7 * x + 0.3 * y, lambda x, y: 0.9,
            lambda x, y: 0.2 * x + 0.6 * y)
     system = SplitSystem(*(_counted(calls, k, fn) for k, fn in zip(labels, fns)), name="lv")
-    assert len(binds) == 1
-    assert system.components is vars(system)["components"] is system.components
+    assert "components" not in vars(system)
     assert system.components(0.3, 0.4) == tuple(fn(0.3, 0.4) for fn in fns)
 
     calls.clear()
     integrate(system, RK4, State(0.4, 0.5), 0.1, 0.3)
     assert calls == list(labels) * 4 * 3
-    find_equilibria(system)
-    clone = dataclasses.replace(system, x_max=5.0)
-    assert len(binds) == 2 and clone.components is not system.components
 
 
 def _lv_gain(x, y):
@@ -303,17 +298,23 @@ def _lv_loss(x, y):
     return 0.7 * x + 0.3 * y
 
 
-def test_bound_components_survive_pickle_and_copy():
-    # the bound closure is not pickled; loading binds it anew, and a copy
-    # of a family system keeps the fused closure
+def test_a_system_survives_pickle_and_copy():
+    # pickle, copy and deepcopy give an equal system that holds nothing
+    # bound, and its orbits have the same bits; a copy of a family system
+    # keeps its label
     system = SplitSystem(_lv_gain, _lv_loss, _lv_gain, _lv_loss, name="lv")
-    loaded = pickle.loads(pickle.dumps(system))
-    assert loaded == system
-    assert vars(loaded)["components"] is not vars(system)["components"]
-    assert loaded.components(0.3, 0.4) == system.components(0.3, 0.4)
     m2 = model2()
-    for twin in (copy.copy(m2), copy.deepcopy(m2)):
-        assert twin.components is m2.components
+    pairs = [(system, pickle.loads(pickle.dumps(system)))]
+    pairs += [(s, dup(s)) for s in (system, m2) for dup in (copy.copy, copy.deepcopy)]
+    for original, twin in pairs:
+        assert twin == original and twin is not original
+        assert "components" not in vars(twin)
+        assert twin.rma_params == original.rma_params
+        for scheme in (NSFD, RK4):
+            want = integrate(original, scheme, State(0.4, 0.5), 0.1, 5.0)
+            got = integrate(twin, scheme, State(0.4, 0.5), 0.1, 5.0)
+            assert (got.xs.tobytes(), got.ys.tobytes()) == (want.xs.tobytes(), want.ys.tobytes())
+    assert copy.copy(m2).rma_params == MODEL2_PARAMS
 
 
 def test_a_subclass_that_overrides_components_keeps_its_own():
@@ -334,8 +335,10 @@ def test_a_subclass_that_overrides_components_keeps_its_own():
     assert scaled.components.__func__ is Scaled.components
     assert vector_field(scaled, State(1.0, 1.0)) == (1.0 * (1.5 - 1.0), 1.0 * (0.9 - 1.6))
     assert calls == [(1.0, 1.0)]
-    # a subclass that does not override it is bound like SplitSystem
-    assert "components" in vars(plain)
+    # the evaluator reads the class: the fields make a subclass's
+    # components unless it overrides the method
+    assert _kernels._Evaluator(plain).fused and not _kernels._Evaluator(scaled).fused
+    assert "components" not in vars(plain)
     assert vector_field(plain, State(1.0, 1.0)) == (1.0 * (1.5 - 1.0), 1.0 * (0.9 - 0.8))
 
 
@@ -343,6 +346,18 @@ def test_constructor_rejects_nonpositive_parameters():
     for bad in [(0.0, 1, 1, 1), (1, -2, 1, 1), (1, 1, math.nan, 1), (1, 1, 1, math.inf)]:
         with pytest.raises(ConstructionError):
             make_rosenzweig_macarthur(*bad)
+    # x_max, with the test of a search box: a real number, not a bool,
+    # positive and finite
+    for bad in (True, False, "5", None, 1j):
+        with pytest.raises(ConstructionError, match=r"^x_max must be a real number, got "):
+            make_rosenzweig_macarthur(1, 1, 1, 1, x_max=bad)
+    for bad in (0, -1.0, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ConstructionError, match=r"^x_max must be positive and finite, got "):
+            SplitSystem(*(lambda x, y: 1.0,) * 4, x_max=bad)
+    # an int is kept as given, and the system's own box is searched
+    system = make_rosenzweig_macarthur(2, 1, 1, 0.2, x_max=5)
+    assert type(system.x_max) is int
+    assert [p.family for p in find_equilibria(system)] == ["O", "E3", "E1"]
 
 
 def test_constructor_rejects_interior_sign_violations():
@@ -371,6 +386,11 @@ def test_constructor_rejects_wrong_analytic_partials():
     with pytest.raises(ConstructionError):
         SplitSystem(good.f_plus, good.f_minus, good.g_plus, good.g_minus,
                     partials=wrong)
+    # partials that are neither None nor a Partials, named by their type
+    for bad, kind in ((dataclasses.asdict(good.partials), "dict"), ("fpx", "str"), (0, "int")):
+        with pytest.raises(ConstructionError,
+                           match=rf"^partials must be a Partials or None, got {kind}$"):
+            SplitSystem(good.f_plus, good.f_minus, good.g_plus, good.g_minus, partials=bad)
 
 
 def test_components_vanishing_on_axis_are_accepted(stable_e1_system):
@@ -431,9 +451,9 @@ def test_component_that_turns_complex_is_refused():
 
 
 def test_rma_params_promise_is_enforced():
-    # the tag labels a system whose `components` is the family's fused
-    # closure, not its callables, so only make_rosenzweig_macarthur may
-    # set it: it cannot be passed or replaced in
+    # the tag labels a system built by the factory from the family's
+    # formulas, so only make_rosenzweig_macarthur may set it: it cannot be
+    # passed or replaced in
     m2 = model2()
     with pytest.raises(TypeError, match="rma_params"):
         SplitSystem(m2.f_plus, m2.f_minus, m2.g_plus, m2.g_minus, partials=m2.partials,
@@ -594,8 +614,7 @@ def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
 
 @contextlib.contextmanager
 def _unvalidated():
-    # construct systems, fused components and all, without the checks that
-    # refuse many wide draws
+    # construct systems without the checks that refuse many wide draws
     with mock.patch.object(systems, "_check_sign_structure", lambda s: None), \
             mock.patch.object(systems, "_check_partials_consistency", lambda s: None):
         yield
@@ -614,36 +633,34 @@ _wide_floats = st.one_of(st.floats(), _log10_uniform(-300, 308), _log10_uniform(
 @example(params=(2.0, 1.0, 1e-170, 0.3, 20.0), points=[(0.0, 0.0), (-1e-170, 1.0)])
 @example(params=(1e308, 1.0, 1e-200, 0.3, 20.0), points=[(1e-200, 1e308), (-1e-200, 0.0)])
 @equality_settings(80)
-def test_fused_components_are_the_single_closures(params, points):
-    # a system of the built-in family evaluates its four components in one
-    # call; on floats and on arrays it gives the single closures' bits, and
-    # on floats their exception where c + x == 0
+def test_the_compiled_step_is_the_step_of_the_single_closures(params, points):
+    # a system of the built-in family has its four closures written into
+    # the steps it compiles: the balances and the nsfd and rk4 steps give,
+    # on floats and on arrays, the bits of the same text run over the
+    # single closures, and on floats their exception where c + x == 0
     *abcd, x_max = params
     with _unvalidated():
         system = make_rosenzweig_macarthur(*abcd, x_max=x_max)
-        clone = dataclasses.replace(system)
-    # the clone binds its own components over the four single closures
-    assert "components" in vars(system)
-    assert vars(clone)["components"].__code__ is not vars(system)["components"].__code__
+    calls = _kernels._Evaluator(system)
+    assert calls.whole
     c = system.rma_params.c
     points = points + [(-c, y) for _, y in points] + [(-c, 0.0)]
-    single = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
-    for x, y in points:
-        try:
-            fused = tuple(map(_bits, system.components(x, y)))
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                tuple(fn(x, y) for fn in single)
-            assert c + x == 0.0
-            continue
-        assert fused == tuple(_bits(fn(x, y)) for fn in single)
-        assert fused == tuple(map(_bits, clone.components(x, y)))
     xs, ys = (np.array(v) for v in zip(*points))
-    with np.errstate(all="ignore"):
-        fused = system.components(xs, ys)
-        fused = [np.broadcast_to(v, xs.shape).tobytes() for v in fused]
-        assert fused == [np.broadcast_to(fn(xs, ys), xs.shape).tobytes() for fn in single]
-        assert (c + xs == 0.0).any()
+    assert (c + xs == 0.0).any()
+    for make, e in ((_BALANCES, None), _scheme_core(NSFD, 0.7), _scheme_core(RK4, 0.7)):
+        compiled, single = calls.step(make, e), make(system.components, e)
+        for x, y in points:
+            try:
+                got = tuple(map(_bits, compiled(x, y)))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    single(x, y)
+                continue
+            assert got == tuple(map(_bits, single(x, y)))
+        with np.errstate(all="ignore"):
+            got, want = compiled(xs, ys), single(xs, ys)
+        assert ([np.broadcast_to(v, xs.shape).tobytes() for v in got]
+                == [np.broadcast_to(v, xs.shape).tobytes() for v in want])
 
 
 def _fake_partials(**wrong):
