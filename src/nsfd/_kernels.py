@@ -6,7 +6,7 @@ text of the scheme's arithmetic, with a line "fp, fm, gp, gm =
 components(u, v)" per stage.  One generator, `_compiled_form`, compiles
 that text into each form that runs it: the stepping loop (`_LOOP`) and the
 step (x, y) -> (x', y') on python floats or numpy arrays (`_STEP`), once
-per process for each form, text and tuple of the fields' code objects.  A
+per process for each form, text and tuple of the callables' code objects.  A
 field that passes the array rule is written into the form as statements
 over generated names, by the same bytecode walker that takes the rule's
 verdict (`_arithmetic_loads`), and its cells, globals and constants are
@@ -23,7 +23,13 @@ with the same compiled step (`_Evaluator.step`), where a numpy iteration
 would cost more than its seeds' python iterations.  Both phases share the
 Jacobian and the Newton update (`_jacobian`, `_newton_update`).  The
 balance Newton of nsfd.equilibria runs its balances, a `_Step` text too,
-through `_Evaluator.map` in the same way.
+through `_Evaluator.map` in the same way.  Where the system's eight
+analytic partials pass the rule too, it runs a text of the balances and
+their Jacobian instead, whose second stage line "fpx, fpy, fmx, fmy, gpx,
+gpy, gmx, gmy = partials(u, v)" the same generator writes the partials
+into, with the fields: one guarded call per Newton iteration, and the
+two calls of the balances and of the partials only in an iteration where
+that call trips a numpy flag.
 
 Every system takes one path, and `_Evaluator` makes every call of its
 callables, on arrays and on python floats: the orbits and the ghost scan
@@ -88,7 +94,10 @@ class _Step:
     that take the state (x, y) to the next one in place, over e, the
     scheme's last argument, and the line "fp, fm, gp, gm = components(u,
     v)" once per stage (nsfd.integrators writes them; nsfd.equilibria
-    writes the balances so too).
+    writes the balances so too).  A text may also take the eight analytic
+    partials, by the line "fpx, fpy, fmx, fmy, gpx, gpy, gmx, gmy =
+    partials(u, v)": nsfd.equilibria writes the balances and their
+    Jacobian so, and runs it only with all twelve written in.
 
     make(components, e) gives the step (x, y) -> (x', y') of a system with
     those components, on python floats or numpy arrays alike.  The orbits,
@@ -99,14 +108,15 @@ class _Step:
 
     def __init__(self, text):
         self.text = text
+        self.takes_partials = _PARTIALS in text
 
     def __call__(self, components, e):
         return _compiled_form(_STEP, self.text, None)(e, components)
 
 
 # The two forms of a step's text: {step} is the text, on a line of its own
-# at the indent it takes, its components written in or called, and {bound}
-# the names of the values they bind, after components.
+# at the indent it takes, its components (and partials) written in or
+# called, and {bound} the names of the values they bind, after components.
 #
 # The stepping loop: n steps from (x, y) into xs, ys, stopping just before
 # the first state that is non-finite, or whose step raised
@@ -135,27 +145,34 @@ def form(e, components{bound}):
         return x, y
     return step
 """
-_STAGE = "fp, fm, gp, gm = components("  # a stage's line, but for "u, v)"
-_FIELD_NAMES = ("fp", "fm", "gp", "gm")
+# a stage's line, but for "u, v)", and the index in a form's codes of the
+# first callable it binds: the four fields, then the eight analytic partials
+# in PartialValues order, which a text may take too
+_PARTIALS = "fpx, fpy, fmx, fmy, gpx, gpy, gmx, gmy = partials("
+_STAGES = {"fp, fm, gp, gm = components(": 0, _PARTIALS: 4}
 
 
 def _compile_form(template, text, codes):
     """The form of a step's text in template for codes: None where
-    components is called as a whole, else one entry per field, its code
-    object where the field passes the array rule and is written inline,
-    None where it is called.  Field i's names begin "_f<i>": the field
-    itself where called, its `_params` where inlined; the form takes them,
-    in field order, after components.
+    components is called as a whole, else one entry per field, then per
+    partial where the text takes the partials, its code object where the
+    callable passes the array rule and is written inline, None where it
+    is called.  Callable i's names begin "_f<i>": the callable itself
+    where called, its `_params` where inlined; the form takes them, in
+    that order, after components.
     """
     bound, step = [], []
     for i, code in enumerate(codes or ()):
         bound += [f"_f{i}"] if code is None else _params(_arithmetic_loads(code), f"_f{i}")
     for line in text.splitlines():
-        if codes is None or not line.startswith(_STAGE):
+        stage = next((s for s in _STAGES if line.startswith(s)), None) if codes else None
+        if stage is None:
             step.append(line)
             continue
-        u, v = line[len(_STAGE):-1].split(", ")
-        for i, (name, code) in enumerate(zip(_FIELD_NAMES, codes)):
+        u, v = line[len(stage):-1].split(", ")
+        names = stage[:stage.index(" =")].split(", ")
+        for i, name in enumerate(names, _STAGES[stage]):
+            code = codes[i]
             if code is None:
                 step.append(f"{name} = _f{i}({u}, {v})")
                 continue
@@ -450,17 +467,18 @@ class _Evaluator:
     SplitSystem.components; whole, whether the four also pass the rule, and
     so the step with them written in runs on arrays.  An override of
     components may compute anything, so the rule refuses it, and it runs
-    once per point.
+    once per point.  partials holds the eight analytic partials in
+    PartialValues order, and is empty where the system has none.
     """
 
     def __init__(self, system):
         self.components = system.components
         self.fields = (system.f_plus, system.f_minus, system.g_plus, system.g_minus)
+        self.partials = () if system.partials is None else tuple(
+            getattr(system.partials, f) for f in PartialValues._fields)
         self.fused = type(system).components is SplitSystem.components
         self._verdicts = {}
-        # each field's verdict, where the fields make the components
-        self.field_values = tuple(map(self.values, self.fields)) if self.fused else None
-        self.whole = self.fused and None not in self.field_values
+        self.whole = self.fused and self.plain(self.fields)
 
     def values(self, fn):
         """fn's verdict: the values it loads where it passes the rule, read
@@ -470,14 +488,15 @@ class _Evaluator:
             got = self._verdicts[id(fn)] = fn, _rule_values(fn)
         return got[1]
 
-    def _plain(self, fn):
-        return self.values(fn) is not None
+    def plain(self, fns):
+        """Whether every fn of fns passes the rule."""
+        return all(self.values(fn) is not None for fn in fns)
 
     def real(self, fn):
         """fn for calls on python floats: fn itself where it passes the
         rule, and so gives a real number or raises; else fn raising _NotReal
         in place of a value that is not a real number."""
-        if self._plain(fn):
+        if self.values(fn) is not None:
             return fn
 
         def call(x, y):
@@ -509,13 +528,15 @@ class _Evaluator:
         """The form of make's text in template (`_compiled_form`) for this
         system, and the values it binds after its own arguments: components,
         then each field's cells, globals and constants where it passes the
-        rule, as read with its verdict, else the field as `real` checks it.
+        rule, as read with its verdict, else the field as `real` checks it,
+        and so each partial after them where the text takes the partials.
         Where the class overrides components, the form calls
         `point_components()` whole."""
         if not self.fused:
             return _compiled_form(template, make.text, None), (self.point_components(),)
         codes, bound = [], [None]
-        for fn, values in zip(self.fields, self.field_values):
+        for fn in (self.fields + self.partials) if make.takes_partials else self.fields:
+            values = self.values(fn)
             if values is None:
                 codes.append(None)
                 bound.append(self.real(fn))
@@ -536,7 +557,7 @@ class _Evaluator:
         an array or the python float of every scalar call, with the bits of
         fn(x, y) at every element; None where one must go per element.  An
         array may be an input itself."""
-        if all(map(self._plain, fns)) and _finite(x, y):
+        if self.plain(fns) and _finite(x, y):
             return _guarded(fns, x, y)
         return None
 
@@ -576,7 +597,7 @@ class _Evaluator:
         want = np.ones(rows, dtype=bool) if skip is None else ~_as_rows(skip, shape, rows)
         ax, lists = None, {}  # the points to call, made again after a drop
         for row, fn in zip(vals.reshape((len(fns),) + rows), fns):
-            if self._plain(fn):
+            if self.values(fn) is not None:
                 if ax is None:
                     at = want & ~flat
                     ax, ay = px[at], py[at]
@@ -810,4 +831,4 @@ def _newton_seed(point, x, y, res, tol, n, escape):
 
 # systems imports this module: the class whose components the fields make
 # is read last, once every name above is defined
-from .systems import SplitSystem  # noqa: E402
+from .systems import PartialValues, SplitSystem  # noqa: E402

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _Evaluator, _NotReal, _Step
+from ._kernels import _Evaluator, _finite, _NotReal, _raising, _Step
 from .integrators import NSFD, StepWeight, effective_step, ensfd
 from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _fd_x, _fd_y, _partials_on,
                       _point_values, _real_value)
@@ -267,6 +267,19 @@ _BALANCES = _Step("""\
 fp, fm, gp, gm = components(x, y)
 x, y = fp - fm, gp - gm
 """)
+# the balances and their Jacobian at (x, y), in the operand order of
+# _BALANCES and of the search's two-call iteration, as one text over the
+# fields and the analytic partials: (x, y) -> ((rx, ry), (j11, j12, j21, j22))
+_NEWTON = _Step("""\
+fp, fm, gp, gm = components(x, y)
+fpx, fpy, fmx, fmy, gpx, gpy, gmx, gmy = partials(x, y)
+rx, ry = fp - fm, gp - gm
+j11 = fpx - fmx
+j12 = fpy - fmy
+j21 = gpx - gmx
+j22 = gpy - gmy
+x, y = (rx, ry), (j11, j12, j21, j22)
+""")
 
 
 def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
@@ -277,73 +290,89 @@ def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
     Iterates past the acceptance tolerance down to the floating-point fixed
     point (tracking the best iterate) so returned points zero the vector
     field to machine precision, not merely to the bracketing tolerance.
-    idx holds the seeds still iterating, and all share one iteration
-    counter.  calls, the search's _Evaluator (a new one if None),
-    evaluates the balances (`_BALANCES`, compiled with the components
-    written in where they pass the array rule) and the partials on arrays
-    and also returns a mask of the seeds they drop, where a scalar call
-    raises or gives a value that is not a real number (a fractional power
-    of a negative coordinate): a dropped seed loses its best iterate, its
-    best residual set to inf.
+    idx holds the seeds still iterating, ax and ay their iterates, and all
+    share one iteration counter.  calls, the search's _Evaluator (a new
+    one if None), makes every call.
+
+    Where the four fields and the eight analytic partials all pass the
+    array rule, an iteration at finite seeds makes one guarded call of
+    `_NEWTON`, compiled with all twelve written in: the balances and the
+    Jacobian at every seed, those of a seed that retires on its residual
+    computed and ignored, and one compaction retires the seeds that stop.
+    Everywhere else, and in an iteration where that call trips a numpy
+    flag (a pole), an iteration makes the two calls of the seed-by-seed
+    loop: the balances (`_BALANCES`, through `_Evaluator.map`), then the
+    partials (`_partials_on`, analytic or finite differences) only at the
+    seeds that go on.  Each also returns a mask of the seeds it drops,
+    where a scalar call raises or gives a value that is not a real number
+    (a fractional power of a negative coordinate): a dropped seed loses
+    its best iterate, its best residual set to inf, a balances drop before
+    the best iterate is updated and a partials drop after.  Both kinds of
+    iteration run the same operations in the same order, and give the
+    same bits.
     """
     calls = _Evaluator(system) if calls is None else calls
     residual = calls.map(_BALANCES, None)
     jacobian = partial(_partials_on, system, calls)
+    terms = (calls.step(_NEWTON, None) if calls.whole and calls.partials
+             and calls.plain(calls.partials) else None)
 
-    x = np.repeat(xs, ys.size)
-    y = np.tile(ys, xs.size)
-    best_res = np.full(x.shape[0], np.inf)
-    best_x = np.zeros(x.shape[0])
-    best_y = np.zeros(x.shape[0])
-    idx = np.arange(x.shape[0])
+    n = xs.size * ys.size
+    ax = np.repeat(xs, ys.size)
+    ay = np.tile(ys, xs.size)
+    best_res = np.full(n, np.inf)
+    best_x = np.zeros(n)
+    best_y = np.zeros(n)
+    idx = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(60):
             if idx.size == 0:
                 break
-            ax = x[idx]
-            ay = y[idx]
-            (rx, ry), dropped = residual(ax, ay)
-            best_res[idx[dropped]] = np.inf
-            go = ~dropped & np.isfinite(rx) & np.isfinite(ry)
-            idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
-            res = np.maximum(np.abs(rx), np.abs(ry))
+            out = _raising(terms, ax, ay) if terms is not None and _finite(ax, ay) else None
+            if out is not None:
+                (rx, ry), jac = out
+                # a balance of two constant fields is a python number, as in
+                # map; an entry of two int constant partials an int, which
+                # rounds to float as the difference of their floats does
+                rx, ry = (r if type(r) is np.ndarray else np.full(ax.shape, r) for r in (rx, ry))
+                jac = [float(j) if type(j) is int else j for j in jac]
+            else:
+                (rx, ry), dropped = residual(ax, ay)
+                best_res[idx[dropped]] = np.inf
+            res = np.maximum(np.abs(rx), np.abs(ry))  # nan where dropped
             better = res < best_res[idx]
             best_res[idx[better]] = res[better]
             best_x[idx[better]] = ax[better]
             best_y[idx[better]] = ay[better]
-            go = res >= 1e-15
-            idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
-            p, dropped = jacobian(ax, ay)
-            best_res[idx[dropped]] = np.inf
-            j11 = p.fpx - p.fmx
-            j12 = p.fpy - p.fmy
-            j21 = p.gpx - p.gmx
-            j22 = p.gpy - p.gmy
+            go = np.isfinite(res) & (res >= 1e-15)
+            if out is None:  # the partials only at the seeds that go on
+                idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
+                p, dropped = jacobian(ax, ay)
+                best_res[idx[dropped]] = np.inf
+                go = ~dropped
+                jac = p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy
+            j11, j12, j21, j22 = jac
             det = j11 * j22 - j12 * j21
-            go = ~dropped & np.isfinite(det) & (np.abs(det) >= 1e-14)
+            go &= np.isfinite(det) & (np.abs(det) >= 1e-14)
             ddx = (-rx * j22 + ry * j12) / det
             ddy = (-j11 * ry + j21 * rx) / det
-            idx, ax, ay, ddx, ddy = idx[go], ax[go], ay[go], ddx[go], ddy[go]
             nx = ax + ddx
             ny = ay + ddy
-            x[idx] = nx
-            y[idx] = ny
-            go = (np.isfinite(nx) & np.isfinite(ny)
-                  & (np.abs(nx) <= escape) & (np.abs(ny) <= escape))
-            idx, nx, ny, ddx, ddy = idx[go], nx[go], ny[go], ddx[go], ddy[go]
-            tiny = (np.maximum(np.abs(ddx), np.abs(ddy))
-                    <= 1e-15 * np.maximum(np.maximum(1.0, np.abs(nx)), np.abs(ny)))
-            if not tiny.any():  # the usual case: no seed to retire on its step
-                continue
-            last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
-            idx = idx[~tiny]
-            (rx, ry), dropped = residual(lx, ly)
-            best_res[last[dropped]] = np.inf
-            res = np.maximum(np.abs(rx), np.abs(ry))
-            better = ~dropped & np.isfinite(rx) & np.isfinite(ry) & (res < best_res[last])
-            best_res[last[better]] = res[better]
-            best_x[last[better]] = lx[better]
-            best_y[last[better]] = ly[better]
+            go &= (np.isfinite(nx) & np.isfinite(ny)
+                   & (np.abs(nx) <= escape) & (np.abs(ny) <= escape))
+            tiny = go & (np.maximum(np.abs(ddx), np.abs(ddy))
+                         <= 1e-15 * np.maximum(np.maximum(1.0, np.abs(nx)), np.abs(ny)))
+            if tiny.any():  # retire on the step: one last residual
+                last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
+                go &= ~tiny
+                (rx, ry), dropped = residual(lx, ly)
+                best_res[last[dropped]] = np.inf
+                res = np.maximum(np.abs(rx), np.abs(ry))
+                better = res < best_res[last]
+                best_res[last[better]] = res[better]
+                best_x[last[better]] = lx[better]
+                best_y[last[better]] = ly[better]
+            idx, ax, ay = idx[go], nx[go], ny[go]
     keep = best_res < BALANCE_TOL
     return list(zip(best_x[keep].tolist(), best_y[keep].tolist()))
 
@@ -382,7 +411,10 @@ def find_equilibria(system: SplitSystem, box: "tuple[float, float] | None" = Non
     and analytic partials or else finite-difference stencils), taking
     each one's verdict under the array rule once: on whole arrays where
     the rule proves them bit-equal, and per seed, node and point otherwise
-    or where a whole-array call meets a pole or an overflow.  A seed is
+    or where a whole-array call meets a pole or an overflow.  Where the
+    components and the analytic partials all pass the rule, each Newton
+    iteration is one compiled call of the balances and their Jacobian,
+    with all twelve written in (`_balance_newton`).  A seed is
     dropped where a call raises ZeroDivisionError, OverflowError or
     ValueError or returns a value that is not a real number.  An axis
     node's raise propagates, and a node where a component is complex

@@ -8,6 +8,12 @@ through
 with e = h for the plain scheme and e = phi(h) for a weighted one.  From a
 state in the closed positive quadrant the update can never leave it, for
 any step size, and its fixed points are exactly the equilibria of the flow.
+A stable equilibrium on an axis keeps its stability for every step where
+s + 2 f_plus >= 0 there, with s = x * (d f_plus/dx - d f_minus/dx) at a
+prey-only point (g and y in place of f and x at a predator-only point),
+as in the Rosenzweig-MacArthur family, whose f_plus is constant; where
+s + 2 f_plus < 0 its multiplier 1 + e s / (1 + e f_plus) passes -1 at
+e = -2 / (s + 2 f_plus), and the point is unstable beyond it.
 Euler, explicit midpoint (rk2) and classical rk4 are provided as references
 and deliberately do nothing to protect the quadrant: negative excursions
 are data, not errors, and only a non-finite state stops integration early.

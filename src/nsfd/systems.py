@@ -441,8 +441,7 @@ def _partials_at(system: SplitSystem, x: float, y: float, calls) -> PartialValue
     # partials_at, its calls made by calls, the point's `_Evaluator`
     if system.partials is None:
         return _numeric_partial_values(system, x, y, calls)
-    real = calls.real
-    return PartialValues(*(real(getattr(system.partials, f))(x, y) for f in PartialValues._fields))
+    return PartialValues(*(calls.real(fn)(x, y) for fn in calls.partials))
 
 
 def _point_values(system: SplitSystem, x: float, y: float):
@@ -474,8 +473,7 @@ def _partials_on(system: SplitSystem, calls, x, y):
     """
     if system.partials is None:
         return _fd_on_arrays(calls, x, y)
-    analytic = [getattr(system.partials, f) for f in PartialValues._fields]
-    vals, dropped = calls.each(analytic, x, y)
+    vals, dropped = calls.each(calls.partials, x, y)
     if dropped.any():
         vals[:, dropped] = np.nan
     return PartialValues(*vals), dropped

@@ -459,6 +459,22 @@ def test_boundary_multipliers_have_closed_forms(stable_e1_system):
         assert d.verdict == ASYMPTOTICALLY_STABLE
 
 
+def test_a_stable_axis_point_loses_stability_where_the_gain_falls_steeply():
+    # at E1 = (9, 0), s = x (f+_x - f-_x) = 9 * (-0.3) = -2.7 and f+ = 1, so
+    # s + 2 f+ < 0: gamma1 = 1 + e s / (1 + e f+) passes -1 at e* = 2 / 0.7,
+    # between h = 2.8 and h = 2.9, though the flow keeps the point stable
+    system = SplitSystem(lambda x, y: 1000.0 / (1.0 + x) ** 3, lambda x, y: 1.0,
+                         lambda x, y: 0.05 * x, lambda x, y: 1.0, name="steep-gain")
+    (e1,) = [p for p in find_equilibria(system) if p.family == "E1"]
+    assert (e1.x, e1.y) == (pytest.approx(9.0, abs=1e-12), 0.0)
+    assert continuous_eigs(system, e1).verdict == ASYMPTOTICALLY_STABLE
+    report = stability_report(system, e1, (2.8, 2.9))
+    below, above = report["discrete"]
+    assert below["gamma1"]["re"] == pytest.approx(1.0 - 2.8 * 2.7 / 3.8, abs=1e-6)
+    assert above["gamma1"]["re"] == pytest.approx(1.0 - 2.9 * 2.7 / 3.9, abs=1e-6)
+    assert (below["verdict"], above["verdict"]) == (ASYMPTOTICALLY_STABLE, UNSTABLE)
+
+
 def test_stability_report_payload():
     m2 = model2()
     p3 = find_equilibria(m2)[1]

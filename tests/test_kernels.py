@@ -748,7 +748,8 @@ def test_a_zero_divisor_under_the_array_call_goes_per_element(scheme):
 # the stepping loop: each scheme's text with the components written inline
 
 
-_LOOP_LOCALS = ("k", "xs", "e", "fp", "u", "t")  # names the loop and the scheme texts use too
+# names the loop, the scheme texts and the balance Newton's text use too
+_LOOP_LOCALS = ("k", "xs", "e", "fp", "u", "t", "fpx", "j11", "rx")
 _LOOP_SCALARS = ("c0", "c1", "G0", "G1")  # two closure cells and two globals
 
 
@@ -797,11 +798,13 @@ def _rule_field(body, cells, space):
     return space.pop("make")(*cells)
 
 
-def _unchecked_system(fields):
-    # a system of these fields without the sign checks, which random
-    # fields would fail; the components are bound as at construction
-    with mock.patch.object(systems, "_check_sign_structure", lambda system: None):
-        return SplitSystem(*fields, x_max=4.0)
+def _unchecked_system(fields, partials=None):
+    # a system of these fields and partials without the sign and partials
+    # checks, which random callables would fail; the components are bound
+    # as at construction
+    with mock.patch.object(systems, "_check_sign_structure", lambda system: None), \
+            mock.patch.object(systems, "_check_partials_consistency", lambda system: None):
+        return SplitSystem(*fields, partials=partials, x_max=4.0)
 
 
 def _oracle_orbit(system, scheme, s0, h, t_end):
@@ -860,6 +863,72 @@ def test_the_stepping_loop_is_the_oracle_loop_for_rule_passing_fields(bodies, ce
 
 def _hex(points):
     return [(x.hex(), y.hex()) for x, y in points]
+
+
+# the balance Newton's one call per iteration: the balances and the
+# Jacobian with the four fields and the eight partials written in
+
+# divides by zero at (c0, c1) only
+_POLE_AT_C = "(c0 / (((x - c0) * (x - c0)) + ((y - c1) * (y - c1))))"
+
+
+@given(bodies=st.tuples(*[_rule_fields()] * 12), cells=st.tuples(_loop_scalars, _loop_scalars),
+       globs=st.tuples(_loop_scalars, _loop_scalars),
+       gx=st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=3),
+       gy=st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=3))
+@example(bodies=(((), "x"), ((), "c1"), ((), "y"), ((), "G0"), ((), "(2 + (0.0 / (x - c1)))"),
+                 ((), "0.0"), ((), "0.0"), ((), "0.0"), ((), "0.0"), ((), "1"), ((), "0.0"),
+                 ((), "0.0")),
+         cells=(0.0, 1.5), globs=(0.5, 0.0), gx=[0.25, 3.0], gy=[0.500000000001, 2.0]).via(
+    "a partial with a pole on the column x = c1, where a seed within BALANCE_TOL of the root "
+    "is dropped, and the iterates that land on the root send later iterations the two-call way")
+@example(bodies=(((), "x"), ((), "c0"), ((), "y"), ((), "c1"), ((), _POLE_AT_C), ((), "0.0"),
+                 ((), "(-1)"), ((), "0.0"), ((), "0.0"), ((), "1"), ((), "0.0"), ((), "0.0")),
+         cells=(1.0, 2.0), globs=(0.0, 0.0), gx=[1.0, 3.0], gy=[2.0, 0.5]).via(
+    "a partial that trips a flag only at a seed that retires on its residual")
+@example(bodies=(((), "(x * c0)"), ((), "(y * 2)"), ((), "(x + 1)"), ((), "(y * G1)"),
+                 (("fpx = (x * 2)", "j11 = (fpx + y)"), "(j11 - x)"),
+                 (("rx = (y / 3)", "fp = (rx * rx)"), "(fp + c1)"), ((), "(x / 7)"), ((), "(-2)"),
+                 ((), "7"), ((), "c0"), ((), "3"), (("j11 = (-x)",), "(j11 * c1)")),
+         cells=(1.5, -0.25), globs=(0.0, 0.8), gx=[0.5, 3.0], gy=[1.0, 2.5]).via(
+    "partials' locals named as the text's own names, and an entry of two int constants")
+@example(bodies=(((), "c0"), ((), "0.5"), ((), "G0"), ((), "1"), ((), "(x / 7)"), ((), "0.0"),
+                 ((), "c1"), ((), "0.0"), ((), "0.0"), ((), "(y + 1)"), ((), "0.0"), ((), "2")),
+         cells=(0.5, -0.25), globs=(1.0, 0.0), gx=[0.5, 3.0], gy=[1.0]).via(
+    "two constant balances, python numbers, at a root everywhere")
+@equality_settings(100)
+def test_the_fused_newton_is_the_seed_by_seed_search(bodies, cells, globs, gx, gy):
+    space = dict(zip(("G0", "G1"), globs))
+    fns = [_rule_field(body, cells, space) for body in bodies]
+    system = _unchecked_system(fns[:4], nsfd.Partials(*fns[4:]))
+    calls = _Evaluator(system)
+    assert calls.whole and calls.plain(calls.partials)  # all twelve are written in
+    # a column of seeds on x = c1, where a drawn divisor (x - c1) is zero:
+    # an iteration whose one call trips a flag there goes the two-call way
+    xs, ys = np.array(gx + [float(cells[1])]), np.array(gy)
+    found = nsfd.equilibria._balance_newton(system, xs, ys, 80.0)
+    assert _hex(found) == _hex(scalar_balance_newton(system, xs, ys, 80.0))
+
+
+def test_the_family_search_never_reaches_the_two_call_path(monkeypatch):
+    # where the fields and analytic partials all pass the array rule, every
+    # Newton iteration of the interior search is one call, and the partials'
+    # own evaluation is never reached; where the partials fail the rule or
+    # are absent, it is
+    want = point_bits(find_equilibria(model2()))
+    assert point_bits(find_equilibria(per_element_clone(model2()))) == want
+
+    def reached(*args):
+        raise AssertionError("the partials were evaluated apart")
+
+    monkeypatch.setattr(nsfd.equilibria, "_partials_on", reached)
+    for system in (model2(), dataclasses.replace(model2())):
+        assert point_bits(find_equilibria(system)) == want
+    lotka_volterra = SplitSystem(lambda x, y: 1.2, lambda x, y: x + 0.4 * y, lambda x, y: 1.1,
+                                 lambda x, y: 0.3 * x + 0.9 * y, x_max=5.0)
+    for system in (per_element_clone(model2()), lotka_volterra):
+        with pytest.raises(AssertionError, match="evaluated apart"):
+            find_equilibria(system)
 
 
 def test_systems_that_share_code_objects_bind_their_own_cells():
