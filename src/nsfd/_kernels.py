@@ -29,7 +29,14 @@ their Jacobian instead, whose second stage line "fpx, fpy, fmx, fmy, gpx,
 gpy, gmx, gmy = partials(u, v)" the same generator writes the partials
 into, with the fields: one guarded call per Newton iteration, and the
 two calls of the balances and of the partials only in an iteration where
-that call trips a numpy flag.
+that call trips a numpy flag.  The construction checks of nsfd.systems
+run two texts so too, the four components and the eight partials at
+(x, y): one guarded call on the sign check's grid, and two on the
+partials check's subgrid and its stacked stencil points, whose verdict
+can only pass a system; where it does not, or a callable fails the rule,
+the checks make their calls through `_Evaluator.each`, as before, and
+decide.  That halves the cost of building a system of the family, from
+about 0.32 ms to 0.15 ms for `model2()`.
 
 Every system takes one path, and `_Evaluator` makes every call of its
 callables, on arrays and on python floats: the orbits and the ghost scan
@@ -94,10 +101,12 @@ class _Step:
     that take the state (x, y) to the next one in place, over e, the
     scheme's last argument, and the line "fp, fm, gp, gm = components(u,
     v)" once per stage (nsfd.integrators writes them; nsfd.equilibria
-    writes the balances so too).  A text may also take the eight analytic
+    writes the balances so too, and nsfd.systems the components its
+    construction checks read).  A text may also take the eight analytic
     partials, by the line "fpx, fpy, fmx, fmy, gpx, gpy, gmx, gmy =
     partials(u, v)": nsfd.equilibria writes the balances and their
-    Jacobian so, and runs it only with all twelve written in.
+    Jacobian so, and nsfd.systems the partials alone, and each runs its
+    text only with all twelve written in.
 
     make(components, e) gives the step (x, y) -> (x', y') of a system with
     those components, on python floats or numpy arrays alike.  The orbits,

@@ -76,11 +76,10 @@ def estimate_order(system: SplitSystem, scheme: SchemeId, s0: State, t_end: floa
     misses its budget, where the run at r = 1024 leaves the finite range,
     or where a run of the studied scheme does.
     """
-    steps = tuple(float(h) for h in steps)
+    steps = tuple(steps)
     if len(steps) < 4:
         raise ValueError(f"need at least 4 step sizes, got {len(steps)}")
-    for h in steps:
-        _require_step(h)
+    steps = tuple(map(_require_step, steps))
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"step sizes must be strictly descending, got {steps}")
     _require_t_end(s0.t, t_end)

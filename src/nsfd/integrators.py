@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .systems import SplitSystem, State, _float_tag, _require_quadrant
+from .systems import (SplitSystem, State, _float_tag, _positive_finite, _real_value,
+                      _require_quadrant)
 
 # the denominator-weighted kinds, which keep the quadrant; the rest are classical
 _WEIGHTED_KINDS = ("nsfd", "ensfd")
@@ -60,11 +61,11 @@ def exponential_weight(lam: float) -> StepWeight:
     Behaves like h for small steps but saturates at 1/lam, which damps the
     effective step of the weighted scheme for large h.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
+    rate = _positive_finite(lam)
+    if rate is None:
         raise ValueError(f"weight rate must be positive and finite, got {lam!r}")
-    lam = float(lam)
     # expm1 avoids the 1 - exp(-x) cancellation for tiny steps
-    return StepWeight(f"exp:{_float_tag(lam)}", lambda h: -math.expm1(-lam * h) / lam)
+    return StepWeight(f"exp:{_float_tag(rate)}", lambda h: -math.expm1(-rate * h) / rate)
 
 
 def weight_from_name(text: str) -> StepWeight:
@@ -116,22 +117,26 @@ def scheme_from_name(name: str, weight: "StepWeight | None" = None) -> SchemeId:
     return SchemeId(sel)
 
 
-def _require_step(h: float) -> None:
-    if not (math.isfinite(h) and h > 0.0):
+def _require_step(h: float) -> float:
+    # h as a float: a real number, not a bool, positive and finite
+    step = _positive_finite(h)
+    if step is None:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
+    return step
 
 
 def _require_t_end(t0: float, t_end: float) -> None:
-    if not (math.isfinite(t_end) and t_end > t0):
+    end = _real_value(t_end)
+    if end is None or not (math.isfinite(end) and end > t0):
         raise ValueError(f"t_end {t_end!r} must exceed the initial time {t0!r}")
 
 
 def effective_step(scheme: SchemeId, h: float) -> float:
     """The step a scheme's update takes at step size h: e = phi(h) for ensfd,
     h for the rest.  Refuses a step size that is not positive and finite."""
-    _require_step(h)
+    h = _require_step(h)
     if scheme.weight is None:
-        return float(h)
+        return h
     e = float(scheme.weight.phi(h))
     if not (math.isfinite(e) and e > 0.0):
         raise ValueError(f"weight {scheme.weight.name} gave non-positive phi({h!r}) = {e!r}")
@@ -494,7 +499,7 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     halt_reason "nonfinite".
     """
     make, e = _scheme_core(scheme, h)
-    if not (math.isfinite(s0.x) and math.isfinite(s0.y) and math.isfinite(s0.t)):
+    if not all(v is not None and math.isfinite(v) for v in map(_real_value, (s0.x, s0.y, s0.t))):
         raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
     _require_t_end(s0.t, t_end)
     if scheme.kind in _WEIGHTED_KINDS:

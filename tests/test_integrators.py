@@ -16,6 +16,7 @@ from nsfd import (
     NSFD,
     RK2,
     RK4,
+    ConstructionError,
     DomainError,
     NonFiniteError,
     SchemeId,
@@ -23,7 +24,9 @@ from nsfd import (
     State,
     StepWeight,
     compare_schemes,
+    detect_ghosts,
     ensfd,
+    estimate_order,
     exponential_weight,
     integrate,
     make_rosenzweig_macarthur,
@@ -297,6 +300,28 @@ def test_integrate_rejects_a_nonfinite_start(scheme, bad):
         integrate(model1(), scheme, State(bad, 0.4), 0.1, 5.0)
     with pytest.raises(ValueError, match="not finite"):
         integrate(model1(), scheme, State(0.4, bad), 0.1, 5.0)
+
+
+@pytest.mark.parametrize("bad", [10 ** 400, True], ids=["int-beyond-floats", "bool"])
+def test_numbers_at_the_api_boundary_are_real_numbers_in_the_float_range(bad):
+    # as an x_max and a search box are: an int beyond the float range raised
+    # OverflowError from math.isfinite, and a bool was read as 0 or 1
+    s0 = State(0.4, 0.4)
+    with pytest.raises(ValueError, match=r"^weight rate must be positive and finite, got "):
+        exponential_weight(bad)
+    for run in (lambda: integrate(model2(), NSFD, s0, bad, 3.0),
+                lambda: step(model2(), RK4, s0, bad),
+                lambda: detect_ghosts(model2(), NSFD, bad),
+                lambda: estimate_order(model1(), NSFD, s0, 1.0, [0.5, 0.25, 0.125, bad])):
+        with pytest.raises(ValueError, match=r"^step size must be positive and finite, got "):
+            run()
+    with pytest.raises(ConstructionError, match=r"^parameter a must be positive and finite, got "):
+        make_rosenzweig_macarthur(bad, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"must exceed the initial time 0\.0$"):
+        integrate(model2(), NSFD, s0, 0.5, bad)
+    for start in (State(bad, 0.4), State(0.4, bad), State(0.4, 0.4, bad)):
+        with pytest.raises(ValueError, match=r"^initial state .* is not finite$"):
+            integrate(model2(), NSFD, start, 0.5, 3.0)
 
 
 def test_integrate_grid_and_final_state():

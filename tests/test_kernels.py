@@ -802,8 +802,8 @@ def _unchecked_system(fields, partials=None):
     # a system of these fields and partials without the sign and partials
     # checks, which random callables would fail; the components are bound
     # as at construction
-    with mock.patch.object(systems, "_check_sign_structure", lambda system: None), \
-            mock.patch.object(systems, "_check_partials_consistency", lambda system: None):
+    with mock.patch.object(systems, "_check_sign_structure", lambda *args: None), \
+            mock.patch.object(systems, "_check_partials_consistency", lambda *args: None):
         return SplitSystem(*fields, partials=partials, x_max=4.0)
 
 

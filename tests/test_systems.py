@@ -40,9 +40,10 @@ from nsfd import (
 from nsfd import _kernels, systems
 from nsfd.equilibria import _BALANCES
 from nsfd.integrators import _scheme_core
-from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, PartialValues,
+from nsfd.systems import (_FD_EPS, MODEL2_PARAMS, VALIDATION_GRID_N, Partials, PartialValues,
                           _fd_x, _fd_y, _numeric_partial_values, _partials_on, partials_at)
 from oracles import equality_settings, per_element_clone
+from test_kernels import _loop_scalars, _rule_field, _rule_fields
 
 
 def test_model1_components_at_interior_point():
@@ -550,9 +551,11 @@ def _oracle_checks(system):
 
 
 def _array_checks(system):
-    systems._check_sign_structure(system)
+    calls = _kernels._Evaluator(system)
+    nodes = np.linspace(0.0, system.x_max, VALIDATION_GRID_N)
+    systems._check_sign_structure(calls, nodes)
     if system.partials is not None:
-        systems._check_partials_consistency(system)
+        systems._check_partials_consistency(calls, nodes[::7])
 
 
 def _outcome(check, system):
@@ -612,11 +615,99 @@ def test_array_checks_give_the_scalar_verdicts_for_the_builtin_family(params):
     _assert_same_verdicts(system)
 
 
+# Construction through SplitSystem, whose checks run the compiled
+# components and partials where all pass the array rule, against the
+# scalar loops above.  Each field is a sum of positive terms, each term
+# with its exact partials, over a coefficient k and a saturation constant
+# s (closure cells c0, c1, globals G0, G1 or constants), so that most draws
+# pass both checks; a drawn body of _rule_fields may replace one callable.
+_TERMS = (
+    ("{k}", "0.0", "0.0"),
+    ("({k} * x)", "{k}", "0.0"),
+    ("({k} * y)", "0.0", "{k}"),
+    ("(({k} * x) * y)", "({k} * y)", "({k} * x)"),
+    ("(({k} * x) / ({s} + x))", "({k} * ({s} / (({s} + x) * ({s} + x))))", "0.0"),
+    ("(({k} * y) / ({s} + x))", "((-({k} * y)) / (({s} + x) * ({s} + x)))", "({k} / ({s} + x))"),
+)
+_COEFFICIENTS = st.sampled_from(["c0", "c1", "G0", "G1", "0.5", "2", "3.75"])
+
+
+def _sum(texts):
+    # the sum of the texts that are not the constant 0.0, in order
+    texts = [t for t in texts if t != "0.0"] or ["0.0"]
+    return texts[0] if len(texts) == 1 else f"({texts[0]} + {_sum(texts[1:])})"
+
+
+@st.composite
+def _split_bodies(draw):
+    """Twelve bodies, the four fields and then their exact partials in
+    PartialValues order, each of distinct terms, so that no sum adds two
+    numbers (which the array rule refuses)."""
+    fields, partials = [], []
+    for _ in range(4):
+        kinds = draw(st.lists(st.sampled_from(range(len(_TERMS))), min_size=1, max_size=3,
+                              unique=True))
+        terms = [[text.format(k=k, s=s) for text in _TERMS[i]]
+                 for i, k, s in ((i, draw(_COEFFICIENTS), draw(_COEFFICIENTS)) for i in kinds)]
+        fields.append(((), _sum([t[0] for t in terms])))
+        partials += [((), _sum([t[1] for t in terms])), ((), _sum([t[2] for t in terms]))]
+    return tuple(fields + partials)
+
+
+_POSITIVE = st.one_of(st.floats(0.05, 4.0), st.integers(1, 4))
+
+
+@given(bodies=_split_bodies(), cells=st.tuples(_POSITIVE, _POSITIVE),
+       globs=st.tuples(_POSITIVE, _POSITIVE), with_partials=st.booleans(),
+       swap=st.one_of(st.none(), st.tuples(st.integers(0, 11), _rule_fields(), _loop_scalars)),
+       x_max=st.one_of(st.floats(0.5, 50.0), _log10_uniform(-320, 308)))
+@example(bodies=(((), "c0"), ((), "(c1 * x)"), ((), "(x / (c0 + x))"), ((), "G0"),
+                 ((), "(1e300 / (x + 1e-10))"), ((), "0.0"), ((), "c1"), ((), "0.0"),
+                 ((), "(c0 / ((c0 + x) * (c0 + x)))"), ((), "0.0"), ((), "0.0"), ((), "0.0")),
+         cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=True, swap=None, x_max=49.0).via(
+    "an infinite analytic partial at the axis nodes, the first failing node")
+@example(bodies=(((), "((x - c0) * (x - c0))"), ((), "c1"), ((), "G0"), ((), "G1"))
+         + (((), "0.0"),) * 8,
+         cells=(3, 1.0), globs=(0.5, 1.0), with_partials=False, swap=None, x_max=49.0).via(
+    "a zero interior value")
+@example(bodies=(((), "c0"), ((), "(x - c1)"), ((), "G0"), ((), "G1")) + (((), "0.0"),) * 8,
+         cells=(1.0, 0.1), globs=(0.5, 1.0), with_partials=False, swap=None, x_max=20.0).via(
+    "a value negative on an axis only")
+@example(bodies=(((), "c0"), ((), "(1 / ((x - c1) * (x - c1)))"), ((), "G0"), ((), "G1"))
+         + (((), "0.0"),) * 8,
+         cells=(1.0, 3), globs=(0.5, 1.0), with_partials=False, swap=None, x_max=49.0).via(
+    "a pole on a grid node")
+@example(bodies=(((), "c0"), ((), "(c1 * x)"), ((), "(x / (c0 + x))"), ((), "G0"), ((), "0.0"),
+                 ((), "0.0"), ((), "c1"), ((), "0.0"), ((), "(c0 / ((c0 + x) * (c0 + x)))"),
+                 ((), "0.0"), ((), "0.0"), ((), "0.0")),
+         cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=True, swap=None, x_max=5e-324).via(
+    "an x_max whose second node underflows to 0")
+@example(bodies=(((), "c0"), ((), "((c1 * x) * y)"), ((), "(x / (c0 + x))"), ((), "G0"),
+                 ((), "0.0"), ((), "0.0"), ((), "(c1 * y)"), ((), "(c1 * x)"),
+                 ((), "(c0 / ((c0 + x) * (c0 + x)))"), ((), "0.0"), ((), "0.0"), ((), "0.0")),
+         cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=True, swap=None, x_max=1e200).via(
+    "an x_max whose products overflow")
+@equality_settings(60)
+def test_construction_is_the_scalar_checks(bodies, cells, globs, with_partials, swap, x_max):
+    # accepted, refused with the same message, or the same exception
+    # propagated, whichever way the checks went
+    space = dict(zip(("G0", "G1"), globs))
+    fns = [_rule_field(body, cells, space) for body in bodies]
+    if swap is not None:
+        i, body, cell = swap
+        fns[i] = _rule_field(body, (cell, cells[1]), dict(space))
+    partials = Partials(*fns[4:]) if with_partials else None
+    with _unchecked():
+        unchecked = SplitSystem(*fns[:4], partials=partials, x_max=x_max)
+    built = _outcome(lambda _: SplitSystem(*fns[:4], partials=partials, x_max=x_max), None)
+    assert built == _outcome(_oracle_checks, unchecked)
+
+
 @contextlib.contextmanager
 def _unvalidated():
     # construct systems without the checks that refuse many wide draws
-    with mock.patch.object(systems, "_check_sign_structure", lambda s: None), \
-            mock.patch.object(systems, "_check_partials_consistency", lambda s: None):
+    with mock.patch.object(systems, "_check_sign_structure", lambda *args: None), \
+            mock.patch.object(systems, "_check_partials_consistency", lambda *args: None):
         yield
 
 
