@@ -1,20 +1,25 @@
-"""The stepping loop and the Newton scan.
+"""The stepping loop, the end of an orbit and the Newton scan.
 
-`run_trajectory` and `scan_fixed_points` are the entry points for every
-system.  Both run a scheme's step, a `_Step` of nsfd.integrators: the one
-text of the scheme's arithmetic, with a line "fp, fm, gp, gm =
-components(u, v)" per stage.  One generator, `_compiled_form`, compiles
-that text into each form that runs it: the stepping loop (`_LOOP`) and the
-step (x, y) -> (x', y') on python floats or numpy arrays (`_STEP`), once
-per process for each form, text and tuple of the callables' code objects.  A
-field that passes the array rule is written into the form as statements
-over generated names, by the same bytecode walker that takes the rule's
-verdict (`_arithmetic_loads`), and its cells, globals and constants are
-bound on each run (`_Evaluator.form`); a field that fails the rule, or a
-class's override of components, is called from it.  An orbit's step then
-costs its arithmetic and the calls of the fields that fail the rule, with
-no call of its own (per-step rates in the README, Backends); the first
-run of each form in a process pays for compiling it, under a millisecond.
+`run_trajectory`, `orbit_end` and `scan_fixed_points` are the entry
+points for every system.  All run a scheme's step, a `_Step` of
+nsfd.integrators: the one text of the scheme's arithmetic, with a line
+"fp, fm, gp, gm = components(u, v)" per stage.  One generator,
+`_compiled_form`, compiles that text into each of the three forms that
+run it, once per process for each form, text and tuple of the callables'
+code objects: the stepping loop (`_LOOP`), which stores every state of
+an orbit; the end of an orbit (`_END`), the same steps and halts with
+nothing stored, which gives the stored count, the last stored state and
+the first stored index outside the closed quadrant (compare_schemes'
+rows and `step`); and the step (x, y) -> (x', y') on python floats or
+numpy arrays (`_STEP`).  A field that passes the array rule is written
+into the form as statements over generated names, by the same bytecode
+walker that takes the rule's verdict (`_arithmetic_loads`), and its
+cells, globals and constants are bound once per evaluator
+(`_Evaluator.form`); a field that fails the rule, or a class's override
+of components, is called from it.  An orbit's step then costs its
+arithmetic and the calls of the fields that fail the rule, with no call
+of its own (per-step rates in the README, Backends); the first run of
+each form in a process pays for compiling it, under a millisecond.
 `scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
 as numpy arrays, with the compiled step on arrays where the four fields
 pass the rule (`_Evaluator.map`), until at most `_SCALAR_SEEDS` seeds go
@@ -42,13 +47,14 @@ Every system takes one path, and `_Evaluator` makes every call of its
 callables, on arrays and on python floats: the orbits and the ghost scan
 here, the equilibrium search, the closed forms and the finite differences
 in nsfd.equilibria and nsfd.systems, and the construction checks.  One
-evaluator serves one orbit, scan, search, check or point and takes each
-callable's verdict under the array rule (`_rule_values`: plain
-+ - * / in x and y) once.  A callable that passes runs on whole arrays
-under `_raising`, and is called as it is on python floats; one that fails
-it, or whose call trips a numpy flag, runs once per element on python
-floats, in the order of the scalar calls, and on python floats it raises
-_NotReal in place of a value that is not a real number.  A class that
+evaluator serves one orbit, comparison table, scan, search, check or
+point and takes each callable's verdict under the array rule
+(`_rule_values`: plain + - * / in x and y) once.  A callable that passes
+runs on whole arrays under `_raising`, and is called as it is on python
+floats; one that fails it, or whose call trips a numpy flag, runs once
+per element on python floats, in the order of the scalar calls, and on
+python floats it raises _NotReal in place of a value that is not a real
+number.  A class that
 overrides SplitSystem.components fails the rule, and its components run
 once per point.
 
@@ -110,9 +116,10 @@ class _Step:
 
     make(components, e) gives the step (x, y) -> (x', y') of a system with
     those components, on python floats or numpy arrays alike.  The orbits,
-    the Newton scans and the balance Newton run the same text compiled with
-    the fields written in (`_Evaluator.form`).  One object per text,
-    compared by identity: compare_schemes keys its shared runs on it.
+    their ends, the Newton scans and the balance Newton run the same text
+    compiled with the fields written in (`_Evaluator.form`).  One object
+    per text, compared by identity: compare_schemes keys its shared runs
+    on it.
     """
 
     def __init__(self, text):
@@ -123,7 +130,7 @@ class _Step:
         return _compiled_form(_STEP, self.text, None)(e, components)
 
 
-# The two forms of a step's text: {step} is the text, on a line of its own
+# The three forms of a step's text: {step} is the text, on a line of its own
 # at the indent it takes, its components (and partials) written in or
 # called, and {bound} the names of the values they bind, after components.
 #
@@ -145,6 +152,29 @@ def form(x, y, n, xs, ys, e, components{bound}):
         xs[k] = x
         ys[k] = y
     return n + 1
+"""
+# The end of an orbit: the stepping loop's n steps and halts, storing
+# nothing.  It returns the count the loop would store, the last state it
+# would store, as python floats, and the first index of a stored state with
+# a negative coordinate, -1 for none; index 0, the start, counts.  A state
+# is tested once it is stored, after the finiteness test, and through its
+# float, which is what the loop stores.
+_END = """\
+def form(x, y, n, e, components{bound}):
+    isfinite = math.isfinite
+    last_x, last_y = x, y
+    neg = 0 if x < 0.0 or y < 0.0 else -1
+    for k in range(1, n + 1):
+        try:
+            {step}
+        except _DROPS:
+            return k, float(last_x), float(last_y), neg
+        if not (isfinite(x) and isfinite(y)):
+            return k, float(last_x), float(last_y), neg
+        last_x, last_y = x, y
+        if (x < 0.0 or y < 0.0) and neg < 0 and (float(x) < 0.0 or float(y) < 0.0):
+            neg = k
+    return n + 1, float(x), float(y), neg
 """
 # The step (x, y) -> (x', y'), on python floats or numpy arrays alike.
 _STEP = """\
@@ -221,24 +251,39 @@ def run_trajectory(system, make, x0, y0, e, n):
 
     make is a scheme's `_Step`, e, a python float, the denominator weight
     for nsfd/ensfd and h for the classical schemes.  A stored count m <= n
-    means the orbit stopped just before grid index m.  numpy scalar
-    arithmetic (of a component that returns numpy scalars) that overflows
-    on the way to a state that halts only warns, so its warnings are off
-    for a run that calls a component: the orbit halts silently, as with
-    python floats.
+    means the orbit stopped just before grid index m.  A run that calls a
+    component turns numpy's warnings off (`_run`): the orbit halts
+    silently, as with python floats.
     """
     calls = _Evaluator(system)
-    loop, bound = calls.form(_LOOP, make)
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     xs[0] = x = float(x0)
     ys[0] = y = float(y0)
-    if calls.whole:  # python floats throughout (e is one): numpy is silent
-        m = loop(x, y, n, xs, ys, e, *bound)
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m = loop(x, y, n, xs, ys, e, *bound)
+    m = _run(calls, _LOOP, make, x, y, n, xs, ys, e)
     return (xs, ys, m) if m > n else (xs[:m], ys[:m], m)
+
+
+def orbit_end(calls, make, x0, y0, e, n):
+    """The end of the orbit `run_trajectory` would store, by the evaluator
+    calls, in the form `_END`: the same steps and halts, with nothing
+    stored.  Returns (stored_count, x, y, first_negative): the stored
+    count, the last stored state as python floats, and the first index of
+    a stored state with a negative coordinate, -1 for none (0 where the
+    start has one)."""
+    return _run(calls, _END, make, float(x0), float(y0), n, e)
+
+
+def _run(calls, template, make, x, y, n, *args):
+    # the form of make's text in template run from (x, y) over calls'
+    # bound values: numpy scalar arithmetic (of a component that returns
+    # numpy scalars) that overflows on the way to a state that halts only
+    # warns, so its warnings are off for a run that calls a component
+    form, bound = calls.form(template, make)
+    if calls.whole:  # python floats throughout (e is one): numpy is silent
+        return form(x, y, n, *args, *bound)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return form(x, y, n, *args, *bound)
 
 
 def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
@@ -461,10 +506,10 @@ def _finite(*arrays):
 
 
 class _Evaluator:
-    """The calls of one orbit, scan, search, construction check or point to
-    a system's callables: the one place that chooses between a call on
-    whole arrays and calls per element, which give the same bits, and that
-    compiles a step's text for the system (`form`).
+    """The calls of one orbit, comparison table, scan, search, construction
+    check or point to a system's callables: the one place that chooses
+    between a call on whole arrays and calls per element, which give the
+    same bits, and that compiles a step's text for the system (`form`).
 
     Each callable's verdict under the array rule is taken once, at its
     first use; as it reads closure cells and globals, which may change, an
@@ -487,6 +532,7 @@ class _Evaluator:
             getattr(system.partials, f) for f in PartialValues._fields)
         self.fused = type(system).components is SplitSystem.components
         self._verdicts = {}
+        self._bindings = {}
         self.whole = self.fused and self.plain(self.fields)
 
     def values(self, fn):
@@ -540,11 +586,21 @@ class _Evaluator:
         rule, as read with its verdict, else the field as `real` checks it,
         and so each partial after them where the text takes the partials.
         Where the class overrides components, the form calls
-        `point_components()` whole."""
+        `point_components()` whole.  The values are bound once per
+        evaluator, one list for the texts without the partials and one for
+        those with them."""
+        got = self._bindings.get(make.takes_partials)
+        if got is None:
+            got = self._bindings[make.takes_partials] = self._binding(make.takes_partials)
+        codes, bound = got
+        return _compiled_form(template, make.text, codes), bound
+
+    def _binding(self, with_partials):
+        # the codes a form is compiled for and the values it binds (`form`)
         if not self.fused:
-            return _compiled_form(template, make.text, None), (self.point_components(),)
+            return None, (self.point_components(),)
         codes, bound = [], [None]
-        for fn in (self.fields + self.partials) if make.takes_partials else self.fields:
+        for fn in (self.fields + self.partials) if with_partials else self.fields:
             values = self.values(fn)
             if values is None:
                 codes.append(None)
@@ -552,7 +608,7 @@ class _Evaluator:
             else:
                 codes.append(fn.__code__)
                 bound += values
-        return _compiled_form(template, make.text, tuple(codes)), bound
+        return tuple(codes), bound
 
     def step(self, make, e):
         """The step make(components, e) of `form`: on python floats, with
@@ -674,7 +730,9 @@ def _each(fn, xs, ys, catch):
     """fn(x, y) called once for each pair of the lists of python floats xs,
     ys: a float array, and the mask of the calls that raised one of catch
     or returned a value that is not a real number (a complex one, say),
-    which hold nan.  Any other exception propagates."""
+    which hold nan.  A real number that no float holds (an int beyond the
+    float range) is taken as a raise of the OverflowError its conversion
+    raises.  Any other exception propagates."""
     vals, drops, calls = [], [], map(fn, xs, ys)
     while True:
         try:  # extend keeps the values before a raise, and calls goes on after it
@@ -689,7 +747,17 @@ def _each(fn, xs, ys, catch):
     if out.dtype != np.float64:  # a value of another type somewhere
         odd = [not _real(v) for v in vals]
         dropped |= odd
-        out = np.array([math.nan if o else v for v, o in zip(vals, odd)], dtype=np.float64)
+        try:
+            out = np.array([math.nan if o else v for v, o in zip(vals, odd)], dtype=np.float64)
+        except OverflowError:  # a value no float holds: each in turn
+            out = np.full(len(vals), math.nan)
+            for i in np.flatnonzero(~dropped).tolist():
+                try:
+                    out[i] = vals[i]
+                except OverflowError as exc:
+                    if not isinstance(exc, catch):
+                        raise
+                    dropped[i] = True
     return out, dropped
 
 

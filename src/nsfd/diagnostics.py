@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .integrators import (RK4, SchemeId, Trajectory, _WEIGHTED_KINDS, _require_step,
-                          _require_t_end, _scheme_core, integrate, step_count)
+from .integrators import (RK4, SchemeId, Trajectory, _WEIGHTED_KINDS, _checked_orbit,
+                          _require_step, _require_t_end, _scheme_core, integrate, step_count)
 from .equilibria import EquilibriumSet, _resolve_box, find_equilibria
 from .systems import DomainError, SplitSystem, State
 
@@ -342,39 +342,46 @@ def compare_schemes(system: SplitSystem, schemes, s0: State, h_values,
     a non-finite state reports its last finite state and nonfinite=true; a
     run the scheme refuses with DomainError (for the weighted schemes, a
     negative initial state) records nan finals instead of aborting the rest
-    of the grid.  Any other error propagates, at the pair that raises it.
+    of the grid.  Any other error propagates, at the pair that raises it:
+    each h is read as `integrate` reads it, so a step size that is not a
+    positive finite real number (a bool, a str, an int beyond the float
+    range) is refused with its ValueError.
 
-    Each distinct orbit is integrated once.  Pairs whose scheme runs the
-    same step map, the same `_Step` and effective step of
-    `_scheme_core`, at the same h share one run's final state, distance,
-    violation step and nonfinite flag under their own scheme label: nsfd
-    and ensfd at the identity weight, or a scheme or step listed twice.
-    Only those fields are kept per run, never the trajectory.
+    Each distinct orbit runs once, to its end, in the end-of-orbit form of
+    nsfd._kernels (`orbit_end`), which stores nothing: it gives the last
+    state, the first index of a state outside the closed quadrant and
+    whether the run halted, the row fields `integrate`, `Trajectory.final`
+    and `audit_positivity` would give.  All runs share one evaluator of
+    the system's callables.  Pairs whose scheme runs the same step map,
+    the same `_Step` and effective step of `_scheme_core`, at the same h
+    share one run's final state, distance, violation step and nonfinite
+    flag under their own scheme label: nsfd and ensfd at the identity
+    weight, or a scheme or step listed twice.
     """
     eqs = find_equilibria(system)
+    calls = _kernels._Evaluator(system)
     runs = {}  # (step, effective step, h) -> the row fields after the labels
     rows = []
     for scheme in schemes:
         for h in h_values:
-            h = float(h)
-            key = (*_scheme_core(scheme, h), h)
-            fields = runs.get(key)
-            if fields is None:
-                fields = runs[key] = _comparison_fields(system, scheme, s0, h, t_end, eqs)
+            h = _require_step(h)
+            try:
+                make, e, n = _checked_orbit(scheme, s0, h, t_end)
+            except DomainError:
+                fields = (math.nan, math.nan, math.nan, None, True)
+            else:
+                fields = runs.get((make, e, h))
+                if fields is None:
+                    fields = runs[make, e, h] = _comparison_fields(calls, make, e, n, s0, eqs)
             rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end, *fields))
     return ComparisonTable(tuple(rows))
 
 
-def _comparison_fields(system, scheme, s0, h, t_end, eqs):
+def _comparison_fields(calls, make, e, n, s0, eqs):
     """final_x, final_y, dist_to_equilibrium, positivity_violation_step and
-    nonfinite of one compare_schemes run."""
-    try:
-        traj = integrate(system, scheme, s0, h, t_end)
-    except DomainError:
-        return math.nan, math.nan, math.nan, None, True
-    fin = traj.final()
-    return (fin.x, fin.y, _nearest_equilibrium_distance(eqs, fin.x, fin.y),
-            audit_positivity(traj).violation_step, traj.truncated)
+    nonfinite of one compare_schemes run of n steps."""
+    m, x, y, neg = _kernels.orbit_end(calls, make, s0.x, s0.y, e, n)
+    return (x, y, _nearest_equilibrium_distance(eqs, x, y), None if neg < 0 else neg, m <= n)
 
 
 def _nearest_equilibrium_distance(eqs: EquilibriumSet, x: float, y: float) -> float:

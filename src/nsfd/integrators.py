@@ -196,24 +196,50 @@ def _scheme_core(scheme: SchemeId, h: float):
     return _STEPS[scheme.kind], effective_step(scheme, h)
 
 
+# the t_end of `step`'s orbit: one step, from any time
+_ONE_STEP = object()
+
+
+def _checked_orbit(scheme: SchemeId, s0: State, h: float, t_end=_ONE_STEP):
+    """The checks of an orbit, before anything is allocated: the step size
+    and weight (`_scheme_core`), a finite real start, a t_end past its
+    time, the closed quadrant for nsfd/ensfd (DomainError) and at most
+    MAX_STEPS steps.  Returns (make, e, n), the scheme's step, its last
+    argument and the step count; without a t_end, the one step of `step`,
+    n = 1.  `integrate`, `step` and `compare_schemes` all run it, so they
+    refuse the same inputs with the same messages."""
+    make, e = _scheme_core(scheme, h)
+    if not all(v is not None and math.isfinite(v) for v in map(_real_value, (s0.x, s0.y, s0.t))):
+        raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
+    if t_end is not _ONE_STEP:
+        _require_t_end(s0.t, t_end)
+    if scheme.kind in _WEIGHTED_KINDS:
+        _require_quadrant(s0.x, s0.y)
+    if t_end is _ONE_STEP:
+        return make, e, 1
+    n = step_count(s0.t, t_end, h)
+    if n > MAX_STEPS:
+        raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
+    return make, e, n
+
+
 def step(system: SplitSystem, scheme: SchemeId, state: State, h: float) -> State:
     """One step of size h of any scheme: `integrate`'s first step, in its
-    bits, as python floats.
+    bits, as python floats, run in the end-of-orbit form of nsfd._kernels
+    (`orbit_end`), which stores nothing.
 
-    Raises ValueError for a step size that is not positive and finite,
-    DomainError for nsfd/ensfd from outside the closed quadrant, and
-    NonFiniteError wherever `integrate` would halt: a stage raised, a
-    component gave a value that is not a real number, or the state is
-    non-finite.
+    Raises ValueError for a step size that is not positive and finite or
+    a state that is not finite, DomainError for nsfd/ensfd from outside
+    the closed quadrant, as `integrate` does, and NonFiniteError wherever
+    `integrate` would halt: a stage raised, a component gave a value that
+    is not a real number, or the state is non-finite.
     """
-    make, e = _scheme_core(scheme, h)
-    if scheme.kind in _WEIGHTED_KINDS:
-        _require_quadrant(state.x, state.y)
-    xs, ys, m = _kernels.run_trajectory(system, make, state.x, state.y, e, 1)
+    make, e, n = _checked_orbit(scheme, state, h)
+    m, x, y, _ = _kernels.orbit_end(_kernels._Evaluator(system), make, state.x, state.y, e, n)
     if m == 1:
         raise NonFiniteError(f"{scheme.kind} step of h={h!r} from ({state.x!r}, {state.y!r}) "
                              f"at t={state.t!r} gives no finite real state")
-    return State(float(xs[1]), float(ys[1]), state.t + h)
+    return State(x, y, state.t + h)
 
 
 def step_count(t0: float, t_end: float, h: float) -> int:
@@ -498,15 +524,7 @@ def integrate(system: SplitSystem, scheme: SchemeId, s0: State, h: float,
     array), or that yields a non-finite state halts the run with
     halt_reason "nonfinite".
     """
-    make, e = _scheme_core(scheme, h)
-    if not all(v is not None and math.isfinite(v) for v in map(_real_value, (s0.x, s0.y, s0.t))):
-        raise ValueError(f"initial state ({s0.x!r}, {s0.y!r}) at t={s0.t!r} is not finite")
-    _require_t_end(s0.t, t_end)
-    if scheme.kind in _WEIGHTED_KINDS:
-        _require_quadrant(s0.x, s0.y)
-    n = step_count(s0.t, t_end, h)
-    if n > MAX_STEPS:
-        raise ValueError(f"{n} steps of h={h!r} to t_end={t_end!r} exceed MAX_STEPS = {MAX_STEPS}")
+    make, e, n = _checked_orbit(scheme, s0, h, t_end)
     xs, ys, m = _kernels.run_trajectory(system, make, s0.x, s0.y, e, n)
     ts = s0.t + h * np.arange(m)
     halt_step = None if m == n + 1 else m

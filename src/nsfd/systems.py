@@ -402,8 +402,9 @@ def _node_value(where: str, fn, x: float, y: float):
     """fn(x, y) at a validation node, named where in the messages: refused
     with ConstructionError where the call raises ZeroDivisionError,
     OverflowError or ValueError or gives a value that is not a finite real
-    number.  Any other exception (a TypeError from a malformed callable,
-    say) propagates unchanged.
+    number (an int beyond the float range is not finite).  Any other
+    exception (a TypeError from a malformed callable, say) propagates
+    unchanged.
     """
     try:
         v = fn(x, y)
@@ -414,7 +415,11 @@ def _node_value(where: str, fn, x: float, y: float):
     if not _real(v):
         kind = "complex" if isinstance(v, complex) else "not a real number"
         raise ConstructionError(f"{where} = {v!r} is {kind}")
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConstructionError(f"{where} is not finite: {v!r}")
     return v
 

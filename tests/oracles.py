@@ -29,7 +29,8 @@ equilibrium search, every hit of a ghost scan, the references for
 reference for `nsfd.equilibria._axis_family`, which tests only the
 intervals its arrays mark.  `compare_rows` integrates every (scheme, h)
 pair of a comparison on its own, the reference for
-`nsfd.compare_schemes`, which integrates each distinct orbit once.
+`nsfd.compare_schemes`, which runs each distinct orbit once, to its end,
+storing none of it.
 """
 
 import math
@@ -393,15 +394,18 @@ def cluster_hits(rows, xlim, ylim):
 def compare_rows(system, schemes, s0, h_values, t_end):
     """The ComparisonTable of `nsfd.compare_schemes`, one integrate call
     per (scheme, h) pair, in order: a DomainError start gives a row of nan
-    finals and nonfinite=true, any other error propagates."""
+    finals and nonfinite=true, any other error propagates.  Each h goes to
+    integrate as given, and the row holds its float."""
     eqs = find_equilibria(system)
     rows = []
     for scheme in schemes:
-        for h in h_values:
-            h = float(h)
+        for step in h_values:
             try:
-                traj = integrate(system, scheme, s0, h, t_end)
+                traj = integrate(system, scheme, s0, step, t_end)
             except DomainError:
+                traj = None
+            h = float(step)  # integrate took it: a positive finite real number
+            if traj is None:
                 rows.append(ComparisonRow(scheme.kind, h, s0.x, s0.y, t_end,
                                           math.nan, math.nan, math.nan, None, True))
                 continue

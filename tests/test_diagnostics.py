@@ -34,9 +34,10 @@ from nsfd import (
     model2,
     oscillation_stats,
 )
-from nsfd import cli, diagnostics
+from nsfd import _kernels, cli
 from nsfd._kernels import NEWTON_TOL
 from nsfd.diagnostics import GHOST_DEDUP_TOL, GHOST_MAX_SEEDS, _cluster_hits
+from nsfd.integrators import _scheme_core
 from oracles import (cluster_hits, compare_rows, equality_settings, fixed_refinement_errors,
                      per_element_clone)
 
@@ -570,25 +571,26 @@ def test_compare_schemes_gives_the_row_by_row_rows(system, schemes, hs, x0, y0, 
             == _comparison_outcome(compare_rows, *args))
 
 
-def _counting_integrate(monkeypatch):
+def _counting_runs(monkeypatch):
+    # each run of an orbit to its end, as (step, effective step, steps)
     calls = []
-    real = diagnostics.integrate
+    real = _kernels.orbit_end
 
-    def counted(system, scheme, s0, h, t_end):
-        calls.append((scheme, h))
-        return real(system, scheme, s0, h, t_end)
+    def counted(evaluator, make, x0, y0, e, n):
+        calls.append((make, e, n))
+        return real(evaluator, make, x0, y0, e, n)
 
-    monkeypatch.setattr(diagnostics, "integrate", counted)
+    monkeypatch.setattr(_kernels, "orbit_end", counted)
     return calls
 
 
 def test_compare_schemes_integrates_each_distinct_orbit_once(monkeypatch):
     system, s0 = _COMPARED_SYSTEMS[2], State(1.0, 0.4)
-    calls = _counting_integrate(monkeypatch)
+    calls = _counting_runs(monkeypatch)
     table = compare_schemes(system, _SWEEP_SCHEMES, s0, _SWEEP_HS, 40.0)
     # 5 schemes x 3 steps, of which ensfd at the identity reuses the nsfd runs
     assert len(table.rows) == 15 and len(calls) == 12
-    assert ensfd(IDENTITY) not in {scheme for scheme, _ in calls}
+    assert len(set(calls)) == 12
     rows = {(r.scheme, r.h): dataclasses.astuple(r)[2:] for r in table.rows}
     assert all(rows[("ensfd", h)] == rows[("nsfd", h)] for h in _SWEEP_HS)
 
@@ -596,11 +598,15 @@ def test_compare_schemes_integrates_each_distinct_orbit_once(monkeypatch):
     calls.clear()
     compare_schemes(system, [NSFD, ensfd(exponential_weight(2.0))], s0, _SWEEP_HS, 40.0)
     assert len(calls) == 6
-    # a scheme or a step listed twice, and a refused start, run once each
+    # a scheme or a step listed twice runs once, and a refused start not at all
+    calls.clear()
+    table = compare_schemes(system, [NSFD, NSFD, ensfd(IDENTITY), EULER], State(1.0, 0.4),
+                            [0.5, 0.5], 5.0)
+    assert len(table.rows) == 8 and calls == [(*_scheme_core(s, 0.5), 10) for s in (NSFD, EULER)]
     calls.clear()
     table = compare_schemes(system, [NSFD, NSFD, ensfd(IDENTITY)], State(-1.0, 0.4),
                             [0.5, 0.5], 5.0)
-    assert len(table.rows) == 6 and calls == [(NSFD, 0.5)]
+    assert len(table.rows) == 6 and calls == []
     assert all(r.nonfinite and math.isnan(r.final_x) for r in table.rows)
 
 

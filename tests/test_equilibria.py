@@ -751,13 +751,15 @@ _TWISTS = {
     "power": lambda x, y: 1e-3 * x ** 2,           # OverflowError beyond |x| ~ 1e154
     "sqrt": lambda x, y: 0.1 * math.sqrt(x),       # ValueError for x < 0
     "root": lambda x, y: 0.1 * x ** 0.5,           # complex for x < 0
+    "huge": lambda x, y: 0.0,                      # the loss is the int 10 ** 400 for x > 25
 }
 
 
 def _callable_system(kind, p, twist):
     """A callable clone of the RMA draw p, or a competitive Lotka-Volterra
     system (r1, r2 from a, b; a11, a12, a21, a22 from c, d), with the
-    twist added to its prey loss.  The "rma-partials" clone keeps the
+    twist added to its prey loss; the "huge" twist makes that loss the int
+    10 ** 400 beyond x = 25.  The "rma-partials" clone keeps the
     family's analytic partials and adds 0.0 times the twist to fmx, so its
     components are the family's and only that partial fails off the
     quadrant."""
@@ -770,11 +772,14 @@ def _callable_system(kind, p, twist):
         return dataclasses.replace(base, partials=partials)
     if kind == "rma":
         base = make_rosenzweig_macarthur(a, b, c, d, x_max=5.0)
+        f_plus, g_plus, g_minus = base.f_plus, base.g_plus, base.g_minus
         f_minus = lambda x, y: base.f_minus(x, y) + extra(x, y)
-        return SplitSystem(base.f_plus, f_minus, base.g_plus, base.g_minus, x_max=5.0)
-    f_minus = lambda x, y: c * x + d * y + extra(x, y)
-    return SplitSystem(lambda x, y: a, f_minus, lambda x, y: b,
-                       lambda x, y: d * x + c * y, x_max=5.0)
+    else:
+        f_plus, g_plus, g_minus = lambda x, y: a, lambda x, y: b, lambda x, y: d * x + c * y
+        f_minus = lambda x, y: c * x + d * y + extra(x, y)
+    if twist == "huge":
+        f_minus = lambda x, y, loss=f_minus: 10 ** 400 if x > 25.0 else loss(x, y)
+    return SplitSystem(f_plus, f_minus, g_plus, g_minus, x_max=5.0)
 
 
 @given(kind=st.sampled_from(["rma", "rma-partials", "lv"]), twist=st.sampled_from(sorted(_TWISTS)),
@@ -800,6 +805,8 @@ def _callable_system(kind, p, twist):
          gx=[-1.0, 0.5], gy=[0.5], box=(2.0, 7.0)).via("a raise in an analytic partial")
 @example(kind="rma-partials", twist="root", p=(2.0, 1.0, 1.0, 0.2), scheme=NSFD, h=0.5,
          gx=[-1.0, 0.5], gy=[0.5], box=(2.0, 7.0)).via("a complex analytic partial")
+@example(kind="lv", twist="huge", p=(1.0, 0.8, 1.0, 0.5), scheme=NSFD, h=0.5,
+         gx=[26.0], gy=[1.0], box=(2.0, 7.0)).via("a loss that is an int beyond the float range")
 @equality_settings(30)
 def test_callable_searches_are_the_seed_by_seed_searches(kind, twist, p, scheme, h, gx, gy,
                                                          box):

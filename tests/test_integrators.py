@@ -296,21 +296,26 @@ def test_a_step_count_that_overflows_is_refused(h, t_end, capsys):
 @pytest.mark.parametrize("scheme", [NSFD, EULER])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_integrate_rejects_a_nonfinite_start(scheme, bad):
-    with pytest.raises(ValueError, match="not finite"):
-        integrate(model1(), scheme, State(bad, 0.4), 0.1, 5.0)
-    with pytest.raises(ValueError, match="not finite"):
-        integrate(model1(), scheme, State(0.4, bad), 0.1, 5.0)
+    # and so does step, which ran from it and raised NonFiniteError
+    for start in (State(bad, 0.4), State(0.4, bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate(model1(), scheme, start, 0.1, 5.0)
+        with pytest.raises(ValueError, match="not finite"):
+            step(model1(), scheme, start, 0.1)
 
 
-@pytest.mark.parametrize("bad", [10 ** 400, True], ids=["int-beyond-floats", "bool"])
+@pytest.mark.parametrize("bad", [10 ** 400, True, "0.5", None],
+                         ids=["int-beyond-floats", "bool", "numeric-str", "None"])
 def test_numbers_at_the_api_boundary_are_real_numbers_in_the_float_range(bad):
     # as an x_max and a search box are: an int beyond the float range raised
-    # OverflowError from math.isfinite, and a bool was read as 0 or 1
+    # OverflowError from math.isfinite, and a bool was read as 0 or 1; a
+    # compare_schemes step read through float() gave rows at True and "0.5"
     s0 = State(0.4, 0.4)
     with pytest.raises(ValueError, match=r"^weight rate must be positive and finite, got "):
         exponential_weight(bad)
     for run in (lambda: integrate(model2(), NSFD, s0, bad, 3.0),
                 lambda: step(model2(), RK4, s0, bad),
+                lambda: compare_schemes(model2(), [NSFD, RK4], s0, [0.5, bad], 3.0),
                 lambda: detect_ghosts(model2(), NSFD, bad),
                 lambda: estimate_order(model1(), NSFD, s0, 1.0, [0.5, 0.25, 0.125, bad])):
         with pytest.raises(ValueError, match=r"^step size must be positive and finite, got "):
@@ -322,6 +327,8 @@ def test_numbers_at_the_api_boundary_are_real_numbers_in_the_float_range(bad):
     for start in (State(bad, 0.4), State(0.4, bad), State(0.4, 0.4, bad)):
         with pytest.raises(ValueError, match=r"^initial state .* is not finite$"):
             integrate(model2(), NSFD, start, 0.5, 3.0)
+        with pytest.raises(ValueError, match=r"^initial state .* is not finite$"):
+            step(model2(), EULER, start, 0.5)
 
 
 def test_integrate_grid_and_final_state():

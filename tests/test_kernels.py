@@ -12,8 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nsfd
-from nsfd import (EULER, NSFD, RK2, RK4, ConstructionError, SplitSystem, State, detect_ghosts,
-                  ensfd, exponential_weight, find_equilibria, integrate,
+from nsfd import (EULER, IDENTITY, NSFD, RK2, RK4, ConstructionError, SplitSystem, State,
+                  detect_ghosts, ensfd, exponential_weight, find_equilibria, integrate,
                   make_rosenzweig_macarthur, model1, model2)
 from nsfd import _kernels, systems
 from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _Evaluator,
@@ -21,8 +21,9 @@ from nsfd._kernels import (NEWTON_ESCAPE, NEWTON_MAX_ITER, NEWTON_TOL, _Evaluato
                            scan_fixed_points_generic)
 from nsfd.integrators import _scheme_core
 from nsfd.systems import MODEL2_PARAMS, PartialValues
-from oracles import (equality_settings, per_element, per_element_clone, point_bits, rma_step,
-                     scalar_balance_newton, scalar_scan, step_loop)
+import oracles
+from oracles import (compare_rows, equality_settings, per_element, per_element_clone, point_bits,
+                     rma_step, scalar_balance_newton, scalar_scan, step_loop)
 
 SCHEMES = (NSFD, ensfd(exponential_weight(0.5)), EULER, RK2, RK4)
 SCHEME_IDS = [s.kind for s in SCHEMES]
@@ -748,8 +749,8 @@ def test_a_zero_divisor_under_the_array_call_goes_per_element(scheme):
 # the stepping loop: each scheme's text with the components written inline
 
 
-# names the loop, the scheme texts and the balance Newton's text use too
-_LOOP_LOCALS = ("k", "xs", "e", "fp", "u", "t", "fpx", "j11", "rx")
+# names the loop, the end form, the scheme texts and the balance Newton's text use too
+_LOOP_LOCALS = ("k", "xs", "e", "fp", "u", "t", "fpx", "j11", "rx", "neg", "last_x")
 _LOOP_SCALARS = ("c0", "c1", "G0", "G1")  # two closure cells and two globals
 
 
@@ -863,6 +864,83 @@ def test_the_stepping_loop_is_the_oracle_loop_for_rule_passing_fields(bodies, ce
 
 def _hex(points):
     return [(x.hex(), y.hex()) for x, y in points]
+
+
+# the end-of-orbit form: the runs of compare_schemes
+
+# fields no drawn body gives: numpy float32 values, whose python float
+# arithmetic stays in float32; a math.sqrt that raises off the quadrant; a
+# loss that overflows to inf anywhere off the y axis
+_END_SYSTEMS = {
+    "float32": (lambda x, y: np.float32(1.0), lambda x, y: np.float32(0.3 * x + 0.5 * y),
+                lambda x, y: np.float32(0.6 * x), lambda x, y: np.float32(0.25)),
+    "sqrt": (lambda x, y: 1.0, lambda x, y: 0.2 * math.sqrt(x) + 0.3 * y,
+             lambda x, y: 0.5 * x / (1.0 + x), lambda x, y: 0.2),
+    "overflow": (lambda x, y: 1.0, lambda x, y: (x * 1e300) * 1e300, lambda x, y: 0.5,
+                 lambda x, y: 0.2),
+}
+
+
+_MODEL2_POINTS = find_equilibria(model2())
+
+
+def _row_bits(table):
+    """Each row's fields, floats as hex and the types of the finals, and
+    the CSV; or the exception raised."""
+    try:
+        rows = table()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+             + (type(r.final_x), type(r.final_y)) for r in rows.rows], rows.to_csv())
+
+
+@given(bodies=st.tuples(*[_rule_fields()] * 4), cells=st.tuples(_loop_scalars, _loop_scalars),
+       globs=st.tuples(_loop_scalars, _loop_scalars), apart=st.tuples(*[st.booleans()] * 4),
+       special=st.none(), scheme=st.sampled_from(SCHEMES + (ensfd(IDENTITY),)),
+       x=st.one_of(st.floats(0.0, 4.0), st.sampled_from([-0.0, -1.5])),
+       y=st.one_of(st.floats(0.0, 4.0), st.sampled_from([-0.0, -0.25])),
+       h=st.floats(-2.0, 1.5).map(lambda u: 10.0 ** u), n=st.integers(1, 40))
+@example(bodies=(((), "1.0"),) * 4, cells=(0.0, 0.0), globs=(0.0, 0.0), apart=(False,) * 4,
+         special="float32", scheme=RK4, x=0.4, y=0.4, h=0.5, n=20).via(
+    "float32 fields, whose python float arithmetic stays in float32")
+@example(bodies=(((), "1.0"),) * 4, cells=(0.0, 0.0), globs=(0.0, 0.0), apart=(False,) * 4,
+         special="sqrt", scheme=EULER, x=3.0, y=1.0, h=4.0, n=10).via(
+    "a halt by raise: math.sqrt of a negative x")
+@example(bodies=(((), "1.0"),) * 4, cells=(0.0, 0.0), globs=(0.0, 0.0), apart=(False,) * 4,
+         special="overflow", scheme=EULER, x=0.5, y=0.5, h=0.1, n=5).via(
+    "a halt by overflow, to a state outside the quadrant that is not stored")
+@example(bodies=(((), "1.0"),) * 4, cells=(0.0, 0.0), globs=(0.0, 0.0), apart=(False,) * 4,
+         special="sqrt", scheme=ensfd(exponential_weight(0.5)), x=-1.5, y=1.0, h=0.5, n=4).via(
+    "a weighted start outside the quadrant, refused")
+@equality_settings(100)
+def test_the_end_of_an_orbit_is_the_end_of_the_stored_orbit(bodies, cells, globs, apart, special,
+                                                            scheme, x, y, h, n):
+    # compare_schemes, which stores no orbit, gives the rows that integrate,
+    # Trajectory.final and audit_positivity give; the end form gives the
+    # stored count and last state of the oracle loop, as python floats
+    if special is None:
+        space = dict(zip(("G0", "G1"), globs))
+        fields = [_rule_field(body, cells, space) for body in bodies]
+        system = _unchecked_system([per_element(f) if a else f for f, a in zip(fields, apart)])
+    else:
+        system = _unchecked_system(_END_SYSTEMS[special])
+    s0, t_end = State(x, y), n * h
+    # the distances to model2's points: a drawn field's pole on an axis
+    # node would make the search, held to its oracles elsewhere, raise
+    points = lambda system: _MODEL2_POINTS
+    with mock.patch.object(nsfd.diagnostics, "find_equilibria", points), \
+            mock.patch.object(oracles, "find_equilibria", points):
+        got = _row_bits(lambda: nsfd.compare_schemes(system, [scheme], s0, [h], t_end))
+        assert got == _row_bits(lambda: compare_rows(system, [scheme], s0, [h], t_end))
+    if scheme.kind in ("nsfd", "ensfd") and (x < 0.0 or y < 0.0):
+        return
+    make, e = _scheme_core(scheme, h)
+    steps = nsfd.integrators.step_count(0.0, t_end, h)
+    m, fx, fy, _ = _kernels.orbit_end(_Evaluator(system), make, x, y, e, steps)
+    xs, ys, stored = step_loop(make(system.components, e), x, y, steps)
+    assert type(fx) is float and type(fy) is float
+    assert (m, fx.hex(), fy.hex()) == (stored, float(xs[-1]).hex(), float(ys[-1]).hex())
 
 
 # the balance Newton's one call per iteration: the balances and the

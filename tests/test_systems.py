@@ -489,6 +489,14 @@ def _oracle_call(where, fn, x, y):
     return v
 
 
+def _oracle_finite(v):
+    # math.isfinite, for which an int beyond the float range is not finite
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _oracle_real(fn):
     # fn raising ValueError, as the evaluator's checked form on python
     # floats does, in place of a value that is not a real number
@@ -509,7 +517,7 @@ def _oracle_sign_structure(sys):
             for y in nodes:
                 where = f"{label}({x:g}, {y:g})"
                 v = _oracle_call(where, comp, float(x), float(y))
-                if not math.isfinite(v):
+                if not _oracle_finite(v):
                     raise ConstructionError(f"{where} is not finite: {v!r}")
                 if x > 0.0 and y > 0.0:
                     if not v > 0.0:
@@ -533,10 +541,10 @@ def _oracle_partials_consistency(sys, rtol=1e-5):
             for name, ana_fn, num_fn in zip(PartialValues._fields, analytic, numeric):
                 at = f"{name}({x:g}, {y:g})"
                 a = _oracle_call(f"analytic partial {at}", ana_fn, float(x), float(y))
-                if not math.isfinite(a):
+                if not _oracle_finite(a):
                     raise ConstructionError(f"analytic partial {at} is not finite: {a!r}")
                 n = _oracle_call(f"finite difference {at}", num_fn, float(x), float(y))
-                if not math.isfinite(n):
+                if not _oracle_finite(n):
                     raise ConstructionError(f"finite difference {at} is not finite: {n!r}")
                 if abs(a - n) > rtol * max(1.0, abs(a), abs(n)):
                     raise ConstructionError(
@@ -687,6 +695,15 @@ _POSITIVE = st.one_of(st.floats(0.05, 4.0), st.integers(1, 4))
                  ((), "(c0 / ((c0 + x) * (c0 + x)))"), ((), "0.0"), ((), "0.0"), ((), "0.0")),
          cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=True, swap=None, x_max=1e200).via(
     "an x_max whose products overflow")
+@example(bodies=(((), "(10 ** 400)"), ((), "(c1 * x)"), ((), "(x / (c0 + x))"), ((), "G0"))
+         + (((), "0.0"),) * 8,
+         cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=False, swap=None, x_max=5.0).via(
+    "a field that gives an int beyond the float range")
+@example(bodies=(((), "c0"), ((), "(c1 * x)"), ((), "(x / (c0 + x))"), ((), "G0"), ((), "0.0"),
+                 ((), "(10 ** 400)"), ((), "c1"), ((), "0.0"),
+                 ((), "(c0 / ((c0 + x) * (c0 + x)))"), ((), "0.0"), ((), "0.0"), ((), "0.0")),
+         cells=(1.0, 2.0), globs=(0.5, 1.0), with_partials=True, swap=None, x_max=5.0).via(
+    "an analytic partial that gives an int beyond the float range")
 @equality_settings(60)
 def test_construction_is_the_scalar_checks(bodies, cells, globs, with_partials, swap, x_max):
     # accepted, refused with the same message, or the same exception
