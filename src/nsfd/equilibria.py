@@ -554,6 +554,16 @@ def nsfd_map_jacobian(system: SplitSystem, state: State, h: float,
     j12 = e * x * (dfm * p.fpy - (1.0 + e * fp) * p.fmy) / (dfm * dfm)
     j21 = e * y * (dgm * p.gpx - (1.0 + e * gp) * p.gmx) / (dgm * dgm)
     j22 = (1.0 + e * gp) / dgm + e * y * (dgm * p.gpy - (1.0 + e * gp) * p.gmy) / (dgm * dgm)
+    if not all(map(math.isfinite, (dfm * dfm, dgm * dgm, j11, j12, j21, j22))):
+        # a product of e overflowed: the same entries, each fraction's
+        # numerator and denominator divided by e
+        u = 1.0 / e
+        rf, wf = (u + fp) / (u + fm), 1.0 / (u + fm)
+        rg, wg = (u + gp) / (u + gm), 1.0 / (u + gm)
+        j11 = rf + x * wf * (p.fpx - rf * p.fmx)
+        j12 = x * wf * (p.fpy - rf * p.fmy)
+        j21 = y * wg * (p.gpx - rg * p.gmx)
+        j22 = rg + y * wg * (p.gpy - rg * p.gmy)
     return np.array([[j11, j12], [j21, j22]])
 
 
@@ -579,19 +589,28 @@ def _discrete(point: EquilibriumPoint, v, h: float, e: float, D: float) -> Discr
     x, y = point.x, point.y
     fp, fm, gp, gm, _, fx, _, _, gy = v
     if point.family == "O":
-        g1 = complex((1.0 + e * fp) / (1.0 + e * fm), 0.0)
-        g2 = complex((1.0 + e * gp) / (1.0 + e * gm), 0.0)
+        g1 = complex(_ratio(e, fp, fm), 0.0)
+        g2 = complex(_ratio(e, gp, gm), 0.0)
     elif point.family == "E1":
-        g1 = complex(1.0 + e * x * fx / (1.0 + e * fp), 0.0)
-        g2 = complex((1.0 + e * gp) / (1.0 + e * gm), 0.0)
+        g1 = complex(_axis_multiplier(e, x, fx, fp), 0.0)
+        g2 = complex(_ratio(e, gp, gm), 0.0)
     elif point.family == "E2":
-        g1 = complex((1.0 + e * fp) / (1.0 + e * fm), 0.0)
-        g2 = complex(1.0 + e * y * gy / (1.0 + e * gp), 0.0)
+        g1 = complex(_ratio(e, fp, fm), 0.0)
+        g2 = complex(_axis_multiplier(e, y, gy, gp), 0.0)
     elif point.family == "E3":
-        sx = x * fx / (1.0 + e * fp)
-        sy = y * gy / (1.0 + e * gp)
+        nf, ng = 1.0 + e * fp, 1.0 + e * gp
+        sx = x * fx / nf
+        sy = y * gy / ng
         t_phi = 2.0 + e * (sx + sy)
-        d_phi = 1.0 + e * (sx + sy) + e * e * D / ((1.0 + e * fp) * (1.0 + e * gp))
+        q, den = e * e * D, nf * ng
+        if math.isfinite(q) and math.isfinite(den):
+            d_phi = 1.0 + e * (sx + sy) + q / den
+        else:
+            # divided by e: the damped steps e / (1 + e f+) and e / (1 + e g+)
+            u = 1.0 / e
+            wf, wg = 1.0 / (u + fp), 1.0 / (u + gp)
+            s = x * fx * wf + y * gy * wg
+            t_phi, d_phi = 2.0 + s, 1.0 + s + wf * wg * D
         g1, g2 = _quadratic_roots(t_phi, d_phi)
         return DiscreteStability(float(h), g1, g2, jury_check(t_phi, d_phi),
                                  _discrete_verdict(g1, g2))
@@ -601,6 +620,25 @@ def _discrete(point: EquilibriumPoint, v, h: float, e: float, D: float) -> Discr
     beta = g1.real * g2.real
     return DiscreteStability(float(h), g1, g2, jury_check(alpha, beta),
                              _discrete_verdict(g1, g2))
+
+
+def _ratio(e: float, gain: float, loss: float) -> float:
+    # (1 + e gain) / (1 + e loss); where a product overflows, numerator and
+    # denominator divided by e
+    num, den = 1.0 + e * gain, 1.0 + e * loss
+    if math.isfinite(num) and math.isfinite(den):
+        return num / den
+    u = 1.0 / e
+    return (u + gain) / (u + loss)
+
+
+def _axis_multiplier(e: float, z: float, slope: float, gain: float) -> float:
+    # 1 + e z slope / (1 + e gain), an axis point's multiplier along its own
+    # axis; where a product overflows, the fraction divided by e
+    num, den = e * z * slope, 1.0 + e * gain
+    if math.isfinite(num) and math.isfinite(den):
+        return 1.0 + num / den
+    return 1.0 + z * slope / (1.0 / e + gain)
 
 
 def critical_step_E3(system: SplitSystem, point: EquilibriumPoint) -> CriticalStep:

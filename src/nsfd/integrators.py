@@ -260,8 +260,9 @@ def step_count(t0: float, t_end: float, h: float) -> int:
 
 # one CSV row; 17 significant digits read back as exactly the same float
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
-# rows formatted by one pass of whole-array work; larger blocks are no
-# faster and hold more memory at once
+# rows formatted by one pass of whole-array work: on 1501-row orbits blocks
+# of 1024 or 1536 rows are ~10% slower, on 6001-row orbits 1536-row blocks
+# ~20% faster (2-vCPU Xeon VM)
 _CSV_BLOCK = 512
 
 # The text of the rows is made with numpy.  A row whose t, x and y all have
@@ -273,10 +274,17 @@ _CSV_BLOCK = 512
 # %.17g writes D, the 17 significant digits of |v| rounded half to even, and
 # K, the decimal exponent of the rounded value: in fixed notation for
 # -4 <= K < 17, else as d.ddd...e-XX, with trailing zeros dropped, and the
-# point too when nothing follows it.  With |v| = M * 2**(e - 53), M < 2**53,
-# and p = 16 - K <= 27, D = round(M * 5**p / 2**(53 - e - p)); 5**p < 2**63,
-# so the product is exact in two uint64 halves.
+# point too when nothing follows it.  D rounds |v| * 10**p, p = 16 - K.
+# Where p <= _EXACT_P (|v| >= 1e-6), 10**p is a double, and Dekker's
+# error-free product gives |v| * 10**p exactly as P + E, P = fl(|v| * 10**p)
+# and E its rounding error, from each factor's halves; it needs every
+# float64 product and sum rounded to nearest on its own, never fused, as
+# numpy's separate ufunc calls are.  P >= 10**16 is an even integer, so
+# D = P + rint(E) rounds a tie to even.  Below 1e-6, with |v| = M * 2**(e - 53), M < 2**53 and p <= 27,
+# D = round(M * 5**p / 2**(53 - e - p)); 5**p < 2**63, so that product is
+# exact in two uint64 halves.
 _K_MIN = -11
+_EXACT_P = 22
 
 
 def _decade_start(k):
@@ -286,9 +294,23 @@ def _decade_start(k):
     return math.nextafter(t, math.inf) if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) else t
 
 
+def _halves(v):
+    # Veltkamp's split of doubles v into a high part of 26 significant bits
+    # and the rest, whose products with another split's parts are exact
+    hi = v * 134217729.0  # 2**27 + 1
+    hi -= hi - v
+    return hi, v - hi
+
+
 # _DECADES[i] starts the decade K = _K_MIN + i
 _DECADES = np.array([_decade_start(k) for k in range(_K_MIN, 18)])
 _TEXT_LO, _TEXT_HI = _DECADES[0], _DECADES[-1]
+# _DECADE_ABOVE[B] indexes in _DECADES the decade above that of 2**(B - 1023),
+# B a double's biased exponent; the double lies in that decade or the one below
+_DECADE_ABOVE = np.floor((np.arange(2048) - 1023) * math.log10(2.0)).astype(np.int64) + 1 - _K_MIN
+# 10**p for K = _K_MIN + i, and its halves; a double only for p <= _EXACT_P
+_SCALE = np.array([float(10 ** (16 - k)) for k in range(_K_MIN, 17)])
+_SCALE_HI, _SCALE_LO = _halves(_SCALE)
 _POW5 = np.array([5 ** p for p in range(28)], dtype=np.uint64)
 _ONE, _HALF_BITS, _LOW_BITS = np.uint64(1), np.uint64(32), np.uint64(0xFFFFFFFF)
 
@@ -321,8 +343,11 @@ _CHUNK, _CHUNK_ZEROS = _chunk_tables()
 # _FIRST_DIGITS[j] masks the first j of D's 17 digits in its five words: the
 # lead word, whose digit is its last byte, and four chunks of four
 _FIRST_DIGITS = _words(b"".join(b"\xff" * (j + 3) + b"\0" * (17 - j) for j in range(18))).reshape(18, 5)
-# _FIRST_BYTES[j] masks the first j bytes of three words
-_FIRST_BYTES = _words(b"".join(b"\xff" * j + b"\0" * (12 - j) for j in range(12))).reshape(12, 3)
+# _AFTER_BYTES[j] masks all but the first j bytes of three words
+_AFTER_BYTES = _words(b"".join(b"\0" * j + b"\xff" * (12 - j) for j in range(12))).reshape(12, 3)
+# a row index k that j of _ROW_TENS do not exceed has j + 1 digits: its
+# twelve-digit text has 11 - j leading zeros
+_ROW_TENS = 10 ** np.arange(1, 12)
 
 
 def _exponent_words():
@@ -355,63 +380,96 @@ def _product(M, q):
     return hi, low + (mid << _HALF_BITS)
 
 
-def _digits(a):
-    """D and K of each a in [_TEXT_LO, _TEXT_HI): a's 17 significant digits
-    rounded half to even, D in [10**16, 10**17), and a's decimal exponent."""
+def _wide_digits(a, i):
+    # D of each a below 1e-6, whose p = 16 - K exceeds _EXACT_P, from the
+    # product of its significand and 5**p in uint64s
     m, e = np.frexp(a)
-    # a lies in [2**(e-1), 2**e), which spans at most two decades
-    k = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)
-    k = np.where(a >= _DECADES.take(k + (1 - _K_MIN)), k + 1, k)
-    # D = round(M * 5**p / 2**s); where s < 1 (K >= 15), M is shifted left
-    # instead, which leaves the quotient exact
-    s = 53 - e - (16 - k)
-    M = (m * 2.0 ** 53).astype(np.uint64) << np.maximum(1 - s, 0).astype(np.uint64)
-    s = np.maximum(s, 1).astype(np.uint64)
-    hi, lo = _product(M, _POW5.take(16 - k))
+    p = (16 - _K_MIN) - i
+    M = (m * 2.0 ** 53).astype(np.uint64)
+    s = (53 - e - p).astype(np.uint64)
+    hi, lo = _product(M, _POW5.take(p))
     d = (hi << (np.uint64(64) - s)) | (lo >> s)
     # round half to even: up when the rest is above half, or half and d odd
     lo &= (_ONE << s) - _ONE
     lo += d & _ONE
     d += lo > (_ONE << (s - _ONE))
+    return d.astype(np.int64)
+
+
+def _digits(a):
+    """D and K - _K_MIN of each a of a 1-d array in [_TEXT_LO, _TEXT_HI):
+    a's 17 significant digits rounded half to even, D in [10**16, 10**17),
+    and the index of a's decimal exponent K in _K_MIN, ..., 16."""
+    i = _DECADE_ABOVE.take(a.view(np.int64) >> 52)
+    i -= a < _DECADES.take(i)
+    # Dekker's product: a * 10**p = P + E, P the rounded product and E its
+    # error, summed exactly from the products of the halves
+    P = a * _SCALE.take(i)
+    ah, al = _halves(a)
+    ch, cl = _SCALE_HI.take(i), _SCALE_LO.take(i)
+    E = ah * ch
+    E -= P
+    E += ah * cl
+    E += al * ch
+    E += al * cl
+    d = P.astype(np.int64)
+    d += np.rint(E).astype(np.int64)
+    # below 1e-6, 10**p is no double
+    wide = i < (16 - _K_MIN) - _EXACT_P
+    if wide.any():
+        d[wide] = _wide_digits(a[wide], i[wide])
     # D < 10**17: the double below each power of ten in the range differs
     # from it in 17 digits, so rounding never carries into the next decade
-    return d.astype(np.int64), k
+    return d, i
 
 
 def _digit_words(d):
     """The five words of D's digits, and the number of D's digits through
-    its last nonzero one."""
-    # indices into _CHUNK: D's leading digit, then four chunks of four
-    idx = np.empty(d.shape + (5,), np.int64)
-    lead, rest = np.divmod(d, 10 ** 16)
-    idx[..., 0] = lead + 10000
-    high, low = np.divmod(rest, 10 ** 8)
-    idx[..., 1], idx[..., 2] = np.divmod(high, 10 ** 4)
-    idx[..., 3], idx[..., 4] = np.divmod(low, 10 ** 4)
-    # trailing zeros of D: the chunks' own, read from the last chunk back
-    zeros = _CHUNK_ZEROS.take(idx[..., 1:])
-    tz = zeros[..., 3]
-    for j in (2, 1, 0):
-        tz = np.where(tz == 12 - 4 * j, tz + zeros[..., j], tz)
-    return _CHUNK.take(idx), 17 - tz
+    its last nonzero one, of a 1-d D."""
+    # indices into _CHUNK: D's leading digit, then four chunks of four, one
+    # row each
+    idx = np.empty((5, len(d)), np.int64)
+    high = d // 10 ** 8
+    low = d - high * 10 ** 8
+    np.floor_divide(low, 10 ** 4, out=idx[3])
+    np.subtract(low, idx[3] * 10 ** 4, out=idx[4])
+    lead = high // 10 ** 4
+    np.subtract(high, lead * 10 ** 4, out=idx[2])
+    np.floor_divide(lead, 10 ** 4, out=idx[0])
+    np.subtract(lead, idx[0] * 10 ** 4, out=idx[1])
+    idx[0] += 10000
+    # trailing zeros of D: the last chunk's, and where that chunk is 0000,
+    # the other chunks' read from the last back
+    tz = _CHUNK_ZEROS.take(idx[4])
+    blank = np.flatnonzero(idx[4] == 0)
+    if blank.size:
+        zeros = _CHUNK_ZEROS.take(idx[1:4, blank])
+        t = tz[blank]
+        for j in (2, 1, 0):
+            t = np.where(t == 12 - 4 * j, t + zeros[j], t)
+        tz[blank] = t
+    return _CHUNK.take(idx.T), 17 - tz
 
 
-def _value_words(v, out):
-    """Write the text ",%.17g" % x of each x of v, whose magnitudes lie in
+def _value_words(v, a, out):
+    """Write the text ",%.17g" % x of each x of v, whose magnitudes a lie in
     [_TEXT_LO, _TEXT_HI), to out[..., :_VALUE_WORDS] as NUL-padded words."""
-    d, k = _digits(np.abs(v))
+    d, i = _digits(a.ravel())
     digits, nonzero = _digit_words(d)
-    k -= _K_MIN
     # keep the digits through the last nonzero one, and all before the point
-    before = _BEFORE_POINT.take(k)
+    before = _BEFORE_POINT.take(i)
     keep = np.maximum(nonzero, before)
     digits &= _FIRST_DIGITS.take(keep, axis=0)
     whole = digits & _FIRST_DIGITS.take(before, axis=0)
     digits ^= whole
-    fixed = _BY_EXPONENT.take(k, axis=0)
+    fixed = _BY_EXPONENT.take(i, axis=0)
+    # the word after the head: the zeros after "0.", the lead digit where it
+    # follows the point, and the point where digits follow it
+    fixed[:, 1] |= digits[:, 0] | fixed[:, 2] * (keep > before)
+    digits, whole, fixed = (w.reshape(v.shape + (-1,)) for w in (digits, whole, fixed))
     out[..., 0] = fixed[..., 0] | whole[..., 0] | _MINUS * np.signbit(v)
     out[..., 1:5] = whole[..., 1:]
-    out[..., 5] = fixed[..., 1] | digits[..., 0] | fixed[..., 2] * (keep > before)
+    out[..., 5] = fixed[..., 1]
     out[..., 6:10] = digits[..., 1:]
     out[..., 10] = fixed[..., 3]
 
@@ -420,18 +478,24 @@ def _csv_text(start, ts, xs, ys):
     """The _CSV_ROW text of rows start, start + 1, ..., as bytes."""
     n = len(ts)
     vals = np.stack((ts, xs, ys), axis=1)
-    fast = ((np.abs(vals) >= _TEXT_LO) & (np.abs(vals) < _TEXT_HI)).all(axis=1)
-    vals[~fast] = 1.0  # a stand-in, overwritten below
+    mags = np.abs(vals)
+    fast = (mags >= _TEXT_LO) & (mags < _TEXT_HI)
+    slow = [] if fast.all() else np.flatnonzero(~fast.all(axis=1)).tolist()
+    mags[slow] = 1.0  # a stand-in, overwritten below
     words = np.empty((n, 4 + 3 * _VALUE_WORDS), np.uint32)
     # the row index as twelve digits, less its leading zeros
     ks = np.arange(start, start + n)
-    lead = (ks[:, None] < 10 ** np.arange(1, 12)).sum(axis=1)
-    words[:, :3] = (_CHUNK.take(ks[:, None] // np.array([10 ** 8, 10 ** 4, 1]) % 10 ** 4)
-                    & ~_FIRST_BYTES.take(lead, axis=0))
-    _value_words(vals, words[:, 3:-1].reshape(n, 3, _VALUE_WORDS))
+    mid = ks // 10 ** 4
+    high = mid // 10 ** 4
+    index = _AFTER_BYTES.take(11 - np.searchsorted(_ROW_TENS, ks, side="right"), axis=0)
+    index[:, 0] &= _CHUNK.take(high)
+    index[:, 1] &= _CHUNK.take(mid - high * 10 ** 4)
+    index[:, 2] &= _CHUNK.take(ks - mid * 10 ** 4)
+    words[:, :3] = index
+    _value_words(vals, mags, words[:, 3:-1].reshape(n, 3, _VALUE_WORDS))
     words[:, -1] = _NEWLINE
     text = words.view(np.uint8)
-    for i in np.flatnonzero(~fast).tolist():
+    for i in slow:
         row = np.frombuffer((_CSV_ROW % (start + i, ts[i], xs[i], ys[i])).encode(), np.uint8)
         text[i, :len(row)] = row
         text[i, len(row):] = 0

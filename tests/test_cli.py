@@ -81,6 +81,22 @@ def test_equilibria_reports_model2_payload(capsys):
     assert eqs[2]["critical_step"] is None
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_equilibria_at_huge_steps_is_strict_json(capsys):
+    # an asymptotically stable coexistence point with no critical step: its
+    # verdict holds at every finite step, and no NaN reaches the payload
+    code, out, _ = run_cli(capsys, "equilibria", "--model", "rma:3,0.5,2,0.3",
+                           "--h", "1e150,1e160,1e300,1.7e308")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    (coex,) = [e for e in payload["equilibria"] if e["family"] == "E3"]
+    assert coex["critical_step"]["bound"] == "unbounded"
+    assert [d["verdict"] for d in coex["discrete"]] == ["asymptotically_stable"] * 4
+
+
 def test_equilibria_can_also_write_a_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "equilibria", "--model", "model1",
                            "--out", str(tmp_path))

@@ -1,5 +1,6 @@
 """Equilibrium location, classification, and the two stability theories."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -46,7 +47,7 @@ from nsfd import (
 from nsfd import _kernels
 from nsfd.equilibria import AXIS_GRID_N, DEDUP_TOL, _axis_family, _first_positive_root
 from nsfd.integrators import _scheme_core
-from nsfd.systems import _FD_EPS, AXIS_ZERO_TOL, Partials
+from nsfd.systems import _FD_EPS, AXIS_ZERO_TOL, Partials, from_selector
 from oracles import (axis_family, distinct_points, equality_settings, per_element_clone,
                      point_bits, scalar_balance_newton, scalar_scan)
 
@@ -319,6 +320,30 @@ def test_discrete_multipliers_are_map_jacobian_eigenvalues():
                              key=lambda z: (z.real, z.imag))
                 for g, r in zip(got, ref):
                     assert abs(g - r) < 1e-8, (system.name, p, h)
+
+
+@pytest.mark.parametrize("selector", ["model1", "model2", "rma:3,0.5,2,0.3", "rma:0.5,2,1.5,0.4",
+                                      "rma:2,1,0.5,0.2"])
+def test_multipliers_stay_numbers_at_huge_steps(selector):
+    # e * e * D, e * x * fx and the squared denominators of the map Jacobian
+    # overflow long before h does: the verdicts at h = 1e150 hold at every
+    # larger finite step, with no nan among the multipliers
+    system = from_selector(selector)
+    for p in find_equilibria(system):
+        base = discrete_eigs(system, p, 1e150).verdict
+        for h in (1e160, 1e300, 1.7e308):
+            d = discrete_eigs(system, p, h)
+            gammas = (d.gamma1, d.gamma2)
+            assert not any(map(cmath.isnan, gammas)), (selector, p.family, h, gammas)
+            # the origin's 1 + e f+ may lie beyond the largest double
+            assert p.family == "O" or all(map(cmath.isfinite, gammas)), (selector, p.family, h)
+            assert d.verdict == base, (selector, p.family, h, d.verdict, base)
+            if p.family == "E3":
+                jac = nsfd_map_jacobian(system, p.state, h)
+                ref = sorted(np.linalg.eigvals(jac), key=lambda z: (z.real, z.imag))
+                got = sorted(map(complex, gammas), key=lambda z: (z.real, z.imag))
+                for g, r in zip(got, ref):
+                    assert abs(g - r) < 1e-8, (selector, h)
 
 
 def test_map_jacobian_matches_finite_differences():

@@ -622,6 +622,14 @@ _DECADE_EDGES = [v for k in range(-12, 18) for p in [float(f"1e{k}")]
 @example(values=[1 + 2 ** -17, 1e12 + 2 ** -5, -(1 + 2 ** -17), 9.9999999999999995e-08,
                  9.9999999999999995e-05, 0.1, 1200.0, 99999999999999984.0],
          start=99_999_990).via("ties to even, and values just below a decade")
+@example(values=[math.nextafter(1e-6, 0.0), 1e-6, math.nextafter(1e-6, 1.0),
+                 math.nextafter(1e-7, 0.0), 1e-7, math.nextafter(1e-7, 1.0),
+                 3 * 2.0 ** -24, 5 * 2.0 ** -24, -3 * 2.0 ** -24, -5 * 2.0 ** -24],
+         start=9_998).via("where p = 16 - K passes 22: decade edges, ties to even")
+@example(values=[1234.5, 0.5, -0.5, 1.23456789, 1.234567890123, 1.23456789012, 12345.678901,
+                 656.8773061207692, 0.16917106317916106, 1.0655963457365792e-06],
+         start=99_999_998).via("a last digit chunk of 0000 before others that are not; "
+                               "products whose error needs every half")
 @equality_settings(200)
 def test_csv_text_is_the_printf_text(values, start):
     # each value as t, as x and as y of a row whose other two are 1.0
