@@ -1,17 +1,18 @@
-"""The stepping loop, the end of an orbit and the Newton scan.
+"""The stepping loop, the end of an orbit and the Newton driver.
 
 `run_trajectory`, `orbit_end` and `scan_fixed_points` are the entry
 points for every system.  All run a scheme's step, a `_Step` of
 nsfd.integrators: the one text of the scheme's arithmetic, with a line
 "fp, fm, gp, gm = components(u, v)" per stage.  One generator,
-`_compiled_form`, compiles that text into each of the three forms that
-run it, once per process for each form, text and tuple of the callables'
+`_compiled_form`, compiles that text into each of the forms that run
+it, once per process for each form, text and tuple of the callables'
 code objects: the stepping loop (`_LOOP`), which stores every state of
 an orbit; the end of an orbit (`_END`), the same steps and halts with
 nothing stored, which gives the stored count, the last stored state and
 the first stored index outside the closed quadrant (compare_schemes'
-rows and `step`); and the step (x, y) -> (x', y') on python floats or
-numpy arrays (`_STEP`).  A field that passes the array rule is written
+rows and `step`); the step (x, y) -> (x', y') on python floats or numpy
+arrays (`_STEP`); and the Newton finish of one ghost-scan seed
+(`_FINISH`).  A field that passes the array rule is written
 into the form as statements over generated names, by the same bytecode
 walker that takes the rule's verdict (`_arithmetic_loads`), and its
 cells, globals and constants are bound once per evaluator
@@ -20,21 +21,25 @@ of components, is called from it.  An orbit's step then costs its
 arithmetic and the calls of the fields that fail the rule, with no call
 of its own (per-step rates in the README, Backends); the first run of
 each form in a process pays for compiling it, under a millisecond.
-`scan_fixed_points` runs `_scan_batched`, Newton over all seeds at once
-as numpy arrays, with the compiled step on arrays where the four fields
-pass the rule (`_Evaluator.map`), until at most `_SCALAR_SEEDS` seeds go
-on; each of those then finishes alone on python floats (`_newton_seed`)
-with the same compiled step (`_Evaluator.step`), where a numpy iteration
-would cost more than its seeds' python iterations.  Both phases share the
-Jacobian and the Newton update (`_jacobian`, `_newton_update`).  The
-balance Newton of nsfd.equilibria runs its balances, a `_Step` text too,
-through `_Evaluator.map` in the same way.  Where the system's eight
-analytic partials pass the rule too, it runs a text of the balances and
-their Jacobian instead, whose second stage line "fpx, fpy, fmx, fmy, gpx,
-gpy, gmx, gmy = partials(u, v)" the same generator writes the partials
-into, with the fields: one guarded call per Newton iteration, and the
-two calls of the balances and of the partials only in an iteration where
-that call trips a numpy flag.  The construction checks of nsfd.systems
+`scan_fixed_points` and the balance search of nsfd.equilibria run one
+Newton driver, `_newton`, over all seeds at once as numpy arrays: the
+search gives the residual and its Jacobian and the driver's stop rule
+(the scan's last iterate, or the search's best one).  The scan's residual
+is the step less the identity, with the point and its four central-
+difference probes in one guarded call of the compiled step on arrays
+where the four fields pass the rule, and through `_Evaluator.map`
+elsewhere; once at most `_SCALAR_SEEDS` seeds go on, each finishes alone
+on python floats in the fourth form (`_FINISH`), the step written in at
+the point and its probes with the Jacobian and the update, where a numpy
+iteration would cost more than its seeds' python iterations.  The
+balance search runs its balances, a `_Step` text too, through
+`_Evaluator.map` in the same way.  Where the system's eight analytic
+partials pass the rule too, it runs a text of the balances and their
+Jacobian instead, whose second stage line "fpx, fpy, fmx, fmy, gpx, gpy,
+gmx, gmy = partials(u, v)" the same generator writes the partials into,
+with the fields: one guarded call per Newton iteration, and the two calls
+of the balances and of the partials only in an iteration where that call
+trips a numpy flag.  The construction checks of nsfd.systems
 run two texts so too, the four components and the eight partials at
 (x, y): one guarded call on the sign check's grid, and two on the
 partials check's subgrid and its stacked stencil points, whose verdict
@@ -130,8 +135,8 @@ class _Step:
         return _compiled_form(_STEP, self.text, None)(e, components)
 
 
-# The three forms of a step's text: {step} is the text, on a line of its own
-# at the indent it takes, its components (and partials) written in or
+# The forms of a step's text: {step} is the text, on a line of its own at
+# the indent it takes, its components (and partials) written in or
 # called, and {bound} the names of the values they bind, after components.
 #
 # The stepping loop: n steps from (x, y) into xs, ys, stopping just before
@@ -218,9 +223,12 @@ def _compile_form(template, text, codes):
             _, _, _, lines, value = _arithmetic_loads(code)
             step += [local.format(u, v, f"_f{i}") for local in lines]
             step.append(f"{name} = {value.format(u, v, f'_f{i}')}")
-    indent = template[:template.index("{step}")].rsplit("\n", 1)[1]
-    src = template.format(bound="".join(", " + b for b in bound), step=("\n" + indent).join(step))
-    space = {"math": math, "_DROPS": _DROPS}
+    # the step's lines at each {step} line of the template, at its indent
+    src = template.format(bound="".join(", " + b for b in bound), step="{step}").splitlines()
+    src = "\n".join("\n".join(line.replace("{step}", s) for s in step) if "{step}" in line
+                     else line for line in src)
+    space = {"math": math, "_DROPS": _DROPS, "isfinite": math.isfinite, "inf": math.inf,
+             "nan": math.nan}
     exec(compile(src, "<nsfd step>", "exec"), space)
     return space["form"]
 
@@ -299,23 +307,66 @@ def scan_fixed_points(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
 
 def scan_fixed_points_generic(system, make, e, seeds_x, seeds_y, tol=NEWTON_TOL,
                               max_iter=NEWTON_MAX_ITER, escape=NEWTON_ESCAPE):
-    """The Newton scan of the step make(components, e) for any system:
-    `_scan_batched` over the step on arrays, by `_Evaluator.map`, and on
-    python floats for the last few seeds, by `_Evaluator.step`.
+    """The Newton scan of the step make(components, e) for any system, on
+    map - identity with a central-difference Jacobian: `_newton` over the
+    step on arrays, and the step's finish form (`_FINISH`) on python floats
+    for the last few seeds.
 
     Where the four components pass the array rule, the step compiled with
-    them written in takes each seed's point and its Jacobian probes in one
-    call on arrays; otherwise a second call takes the probes only of the
-    seeds that go on, as seed by seed.  A seed fails, rather than aborting
-    the scan, where a component raises ZeroDivisionError, OverflowError or
-    ValueError or returns a value that is not a real number (a fractional
-    power of a negative coordinate).
+    them written in takes each seed's point and its four Jacobian probes in
+    one guarded call on arrays, and the probes of a seed that retires on its
+    residual are computed and ignored: a second call per iteration cost the
+    scan workload about 10% (BENCH_9.json).  Otherwise, and in an iteration
+    where that call trips a numpy flag, `_Evaluator.map` takes the points
+    and then the probes only of the seeds that go on, as seed by seed.  A
+    seed fails, rather than aborting the scan, where a component raises
+    ZeroDivisionError, OverflowError or ValueError or returns a value that
+    is not a real number (a fractional power of a negative coordinate).
     """
     calls = _Evaluator(system)
-    seeds = np.array([seeds_x, seeds_y], dtype=np.float64)
-    on_arrays = calls.map(make, e)
-    return _scan_batched(lambda x, y: on_arrays(x, y)[0], *seeds, tol, max_iter, escape,
-                         probes_apart=not calls.whole, step=calls.step(make, e))
+    checked = calls.map(make, e)
+    step = calls.step(make, e) if calls.whole else None
+
+    def points(s):
+        # (dx, dy), and the points then their probes x + dx, x - dx, y + dy
+        # and y - dy, end to end
+        d = 1e-6 * np.maximum(1.0, np.abs(s))
+        (x, y), (xp, yp), (xm, ym) = s, s + d, s - d
+        return d, np.concatenate((x, xp, xm, x, x)), np.concatenate((y, y, y, yp, ym))
+
+    def probed(s):  # under _raising, where a probe that overflows trips a flag too
+        d, px, py = points(s)
+        return d, step(px, py)
+
+    def terms(s):
+        got = None if step is None else _raising(probed, s)
+        if got is None:
+            (mx, my), _ = checked(*s)
+            return mx - s[0], my - s[1], None, None
+        d, (mx, my) = got
+        m = d.shape[1]
+        return mx[:m] - s[0], my[:m] - s[1], None, _differences(d, mx[m:], my[m:])
+
+    def partials(s):  # a probe that drops is nan, and its seed's Jacobian singular
+        d, px, py = points(s)
+        m = d.shape[1]
+        (px, py), _ = checked(px[m:], py[m:])
+        return _differences(d, px, py), np.zeros(m, dtype=bool)
+
+    form, bound = calls.form(_FINISH, make)
+    finish = form(tol, min(escape, _FLOAT_MAX), e, *bound)
+    return _newton(terms, partials, np.array([seeds_x, seeds_y], dtype=np.float64), tol,
+                   max_iter, escape, finish=finish)
+
+
+def _differences(d, px, py):
+    # the central-difference Jacobian of map - identity, for the steps d =
+    # (dx, dy), from the probes' values: px, py the four probes' x + dx, x
+    # - dx, y + dy and y - dy end to end
+    t = 2.0 * d
+    # (j11 + 1, j12) and (j21, j22 + 1)
+    jx, jy = ((p[:, 0] - p[:, 1]) / t for p in (px.reshape(2, 2, -1), py.reshape(2, 2, -1)))
+    return jx[0] - 1.0, jx[1], jy[0], jy[1] - 1.0
 
 
 # The array rule.  A callable written as one + - * / expression in x and y
@@ -711,7 +762,12 @@ class _Evaluator:
                 out = make(components, e)(x, y)
                 return ([np.where(dropped, np.nan, c) for c in out] if dropped.any() else out,
                         dropped)
-            point = _dropping(step)
+            def point(x, y):
+                try:
+                    return step(x, y)
+                except _DROPS:
+                    return None
+
             vals = [point(a, b) for a, b in zip(x.tolist(), y.tolist())]
             out = np.array([(math.nan, math.nan) if v is None else v for v in vals],
                            dtype=np.float64)
@@ -761,149 +817,175 @@ def _each(fn, xs, ys, catch):
     return out, dropped
 
 
-def _dropping(fn, dropped=None):
-    """fn on python floats, returning `dropped` in place of a raise of one
-    of _DROPS.  A step of `_Evaluator.step` raises _NotReal, a
-    ValueError, where a component is not a real number, so it never
-    returns a complex value."""
-
-    def point(x, y):
-        try:
-            return fn(x, y)
-        except _DROPS:
-            return dropped
-
-    return point
+# Once at most this many seeds of a ghost scan iterate, the driver hands
+# each to the scan's compiled finish on python floats.  Measured on model2
+# (2-vCPU Xeon VM, Python 3.11, numpy 2.4): a numpy iteration of the driver
+# costs about the same for any count up to 64 seeds, ~52 us for nsfd and
+# ~58 us for rk2 at 16 seeds, and a seed's iteration in the finish ~3.1 us
+# and ~3.6 us, a break-even near 16 seeds; the ghost scans of model2 and
+# of the scan workload took the same time, within noise, for any value
+# from 12 to 40.
+_SCALAR_SEEDS = 24
+_FLOAT_MAX = sys.float_info.max
 
 
-# Once at most this many seeds iterate, _scan_batched finishes each on
-# python floats.  The break-even: up to ~16 seeds, a numpy iteration costs
-# about the same whatever their count, ~95 us for rk2 and ~69 us for nsfd
-# on model2, and a python iteration ~7.7 us and ~4.8 us a seed; that is
-# 12 and 14 seeds.  Any value from 8 to 24 gave the scan workload's ghost
-# scans the same time, within noise, about 25% below all-numpy.
-_SCALAR_SEEDS = 12
+def _newton(terms, partials, s, tol, max_iter, escape, best=False, finish=None):
+    """Newton iteration from every seed (s[0, i], s[1, i]) of the (2, n)
+    float array s at once: the one driver of the ghost scan and the
+    balance search.  Returns the rows (x, y, residual) as an (n, 3) array,
+    in seed order.
 
+    The residual and its Jacobian come from the search.  terms(s) gives
+    (rx, ry, dropped, jac) at the live iterates s, a (2, m) array: the
+    residual, the mask of the seeds whose evaluation dropped (None for
+    none) and the four entries (j11, j12, j21, j22), which may be python
+    floats, or None, and then partials(s) gives (jac, dropped) at the seeds
+    that go on past the residual test, as the seed-by-seed loops evaluate
+    them, dropped a mask.
 
-def _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0):
-    # the central-difference Jacobian of map - identity from the four
-    # probes, and its determinant; on arrays or python floats alike
-    j11 = (px1 - px0) / (2.0 * dx) - 1.0
-    j21 = (py1 - py0) / (2.0 * dx)
-    j12 = (qx1 - qx0) / (2.0 * dy)
-    j22 = (qy1 - qy0) / (2.0 * dy) - 1.0
-    return j11, j12, j21, j22, j11 * j22 - j12 * j21
+    The stop rule: a seed goes on while its residual, the sup-norm of (rx,
+    ry), is finite and at least tol, its Jacobian is not singular (a
+    determinant that is finite and at least 1e-14 in magnitude) and the
+    update keeps both coordinates within escape; the cap is max_iter
+    iterations.  Without best (the ghost scan, `oracles.scalar_scan`), a
+    row holds the seed's last iterate and residual: (x, y, residual) where
+    the residual is below tol, (x, y, inf) for a seed that breaks down
+    there, the escaped (x', y', inf), and at the cap the last update with
+    the residual before it.  With best (the balance search,
+    `oracles.scalar_balance_newton`), a row holds the seed's best iterate
+    and residual, a drop loses both (residual inf), and a seed also stops
+    where its step is within 1e-15 of its iterate, after one last residual
+    at the update.  Once at most _SCALAR_SEEDS seeds go on, or at the cap,
+    the scan's finish(x, y, residual, n) takes each of them on python
+    floats with the n iterations left, none at the cap, and gives its row.
 
+    A seed that is not finite stops at once with residual inf, and every
+    update the escape test keeps is finite, so the iterates handed to
+    terms are finite: a compiled step may run on them under `_raising`
+    with no test of its own.  The live seeds are carried compactly, their
+    indices and their iterates as one (2, m) array, and compacted through
+    the indices of those that go on, once in an iteration where one stops;
+    a row is written where a seed stops (the scan) or betters its best (the
+    search).
+    """
+    n = s.shape[1]
+    escape = min(escape, _FLOAT_MAX)  # abs(v) <= escape is False for inf and nan
+    rows = np.vstack((s, np.full(n, np.inf)))  # x, y, residual: the best, with best
 
-def _newton_update(x, y, rx, ry, j11, j12, j21, j22, det):
-    # the Newton step from (x, y) for the defect (rx, ry); det must be
-    # non-zero for python floats, which raise where numpy gives inf
-    return x + (-rx * j22 + ry * j12) / det, y + (-j11 * ry + j21 * rx) / det
+    def settle(keep, point):
+        # the positions of the live seeds that keep marks; the scan's rows of
+        # the others, at point
+        if not best:
+            k = (~keep).nonzero()[0]
+            _put(rows, idx[k], point.take(k, 1), res[k])
+        return keep.nonzero()[0]
 
-
-def _scan_batched(map_fn, seeds_x, seeds_y, tol, max_iter, escape, probes_apart=False,
-                  step=None):
-    # Newton iteration on map_fn(s) - s = 0 from every seed at once, with a
-    # central-difference Jacobian; the seed-by-seed form is
-    # tests/oracles.scalar_scan.  map_fn takes and returns arrays, nan where
-    # the scalar map fails a seed; step is the same map on python floats
-    # (map_fn itself if None).  Rows are (x, y, residual): a seed that
-    # breaks down (non-finite map, singular Jacobian, escape) reports
-    # residual inf, one that runs out of iterations its last residual,
-    # always the sup-norm of the map defect at the stored point.  idx holds
-    # the seeds still iterating; each one retires where the scalar loop
-    # breaks, with the same stored point and residual.  The seeds iterate
-    # together, one numpy iteration at a time, while more than
-    # _SCALAR_SEEDS of them go on; then each of the rest finishes alone on
-    # python floats (_newton_seed), with the iterations left of max_iter.
-    # A map on whole arrays takes each seed's point and its four Jacobian
-    # probes in one call, and the probes of a seed that retires on its
-    # residual are computed and then ignored: a second call per iteration
-    # would cost the scan workload about 10% (BENCH_9.json).  Where each
-    # element costs calls (probes_apart), a second call takes the probes
-    # only of the seeds that go on, as the scalar loop does.
-    x = np.array(seeds_x, dtype=np.float64)
-    y = np.array(seeds_y, dtype=np.float64)
-    res = np.full(x.shape[0], np.inf)
-    idx = np.arange(x.shape[0])
     done = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while idx.size > _SCALAR_SEEDS and done < max_iter:
+        idx = np.arange(n) if np.isfinite(s).all() else np.isfinite(s).all(axis=0).nonzero()[0]
+        s, res = s.take(idx, 1), np.full(idx.size, np.inf)
+        limit = 0 if finish is None else _SCALAR_SEEDS
+        while idx.size > limit and done < max_iter:
             done += 1
-            ax = x[idx]
-            ay = y[idx]
-            dx = 1e-6 * np.maximum(1.0, np.abs(ax))
-            dy = 1e-6 * np.maximum(1.0, np.abs(ay))
-            probe_x = (ax + dx, ax - dx, ax, ax)
-            probe_y = (ay, ay, ay + dy, ay - dy)
-            if probes_apart:
-                mx, my = map_fn(ax, ay)
+            rx, ry, dropped, jac = terms(s)
+            res = np.maximum(np.abs(rx), np.abs(ry))  # nan where dropped
+            if best:
+                _better(rows, idx, s, res, dropped)
+            go = (res >= tol) & (res <= _FLOAT_MAX)
+            if jac is None:  # the partials only at the seeds that go on
+                k = settle(go, s)
+                idx, s, rx, ry, res = idx[k], s.take(k, 1), rx[k], ry[k], res[k]
+                jac, dropped = partials(s)
+                go = ~dropped
+                rows[2][idx[dropped]] = np.inf  # a drop loses the search's row
+            j11, j12, j21, j22 = jac
+            det = j11 * j22 - j12 * j21
+            go &= (np.abs(det) >= 1e-14) & np.isfinite(det)
+            step = np.empty(s.shape)
+            np.divide(-rx * j22 + ry * j12, det, out=step[0])
+            np.divide(-j11 * ry + j21 * rx, det, out=step[1])
+            new = s + step
+            big = np.maximum(*np.abs(new))
+            keep = go & (big <= escape)
+            if best:
+                tiny = keep & (np.maximum(*np.abs(step)) <= 1e-15 * np.maximum(1.0, big))
+                if tiny.any():  # retire on the step: one last residual
+                    keep &= ~tiny
+                    k = tiny.nonzero()[0]
+                    last = new.take(k, 1)
+                    rx, ry, dropped, _ = terms(last)
+                    _better(rows, idx[k], last, np.maximum(np.abs(rx), np.abs(ry)), dropped)
+            if np.count_nonzero(keep) < keep.size:  # an escape's row is its update
+                k = settle(keep, new if best else np.where(go, new, s))
+                idx, s, res = idx[k], new.take(k, 1), res[k]
             else:
-                mx, my = map_fn(np.concatenate((ax, *probe_x)), np.concatenate((ay, *probe_y)))
-                mx, px1, px0, qx1, qx0 = mx.reshape(5, -1)
-                my, py1, py0, qy1, qy0 = my.reshape(5, -1)
-            rx = mx - ax
-            ry = my - ay
-            finite = np.isfinite(rx) & np.isfinite(ry)
-            r = np.maximum(np.abs(rx), np.abs(ry))
-            res[idx] = np.where(finite, r, np.inf)
-            go = finite & (r >= tol)
-            if probes_apart:
-                px, py = np.full((2, 4, ax.size), np.nan)
-                vx, vy = map_fn(np.concatenate([p[go] for p in probe_x]),
-                                np.concatenate([p[go] for p in probe_y]))
-                px[:, go] = vx.reshape(4, -1)
-                py[:, go] = vy.reshape(4, -1)
-                px1, px0, qx1, qx0 = px
-                py1, py0, qy1, qy0 = py
-            j11, j12, j21, j22, det = _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0)
-            singular = go & ~(np.isfinite(det) & (np.abs(det) >= 1e-14))
-            res[idx[singular]] = np.inf
-            go &= ~singular
-            nx, ny = _newton_update(ax, ay, rx, ry, j11, j12, j21, j22, det)
-            idx, nx, ny = idx[go], nx[go], ny[go]
-            x[idx] = nx
-            y[idx] = ny
-            out = (~(np.isfinite(nx) & np.isfinite(ny))
-                   | (np.abs(nx) > escape) | (np.abs(ny) > escape))
-            res[idx[out]] = np.inf
-            idx = idx[~out]
-        point = _dropping(map_fn if step is None else step, (math.nan, math.nan))
-        for i in idx.tolist():
-            # python floats: an np.float64 divides by zero without raising
-            x[i], y[i], res[i] = _newton_seed(point, float(x[i]), float(y[i]), float(res[i]),
-                                              tol, max_iter - done, escape)
-    return np.column_stack((x, y, res))
+                s = new
+        if not best:  # a residual not below tol is a breakdown's
+            rows[2] = np.where(rows[2] < tol, rows[2], np.inf)
+            for i, x, y, r in zip(idx.tolist(), *s.tolist(), res.tolist()):
+                rows[:, i] = finish(x, y, r, max_iter - done)
+    return rows.T
 
 
-def _newton_seed(point, x, y, res, tol, n, escape):
-    # at most n more iterations of one seed of _scan_batched on python
-    # floats, from (x, y) with last residual res: the loop of
-    # tests/oracles.scalar_scan, over point, the map with nan where it
-    # fails.  Returns the stored (x, y, residual).
-    isfinite = math.isfinite
-    for _ in range(n):
-        mx, my = point(x, y)
-        rx = mx - x
-        ry = my - y
-        if not (isfinite(rx) and isfinite(ry)):
-            return x, y, math.inf
-        res = max(abs(rx), abs(ry))
-        if res < tol:
-            break
-        dx = 1e-6 * max(1.0, abs(x))
-        dy = 1e-6 * max(1.0, abs(y))
-        px1, py1 = point(x + dx, y)
-        px0, py0 = point(x - dx, y)
-        qx1, qy1 = point(x, y + dy)
-        qx0, qy0 = point(x, y - dy)
-        j11, j12, j21, j22, det = _jacobian(dx, dy, px1, px0, py1, py0, qx1, qx0, qy1, qy0)
-        if not isfinite(det) or abs(det) < 1e-14:
-            return x, y, math.inf
-        x, y = _newton_update(x, y, rx, ry, j11, j12, j21, j22, det)
-        if not (isfinite(x) and isfinite(y)) or abs(x) > escape or abs(y) > escape:
-            return x, y, math.inf
-    return x, y, res
+def _put(rows, i, s, r):
+    # the rows (x, y, residual) of the seeds i: s their points, r residuals;
+    # rows[0][i] costs half of rows[0, i]
+    rows[0][i], rows[1][i], rows[2][i] = s[0], s[1], r
+
+
+def _better(rows, i, s, res, dropped):
+    # the best rows of the seeds i, given their points s and residuals res:
+    # a drop loses the row's, and a lower residual takes it over
+    if dropped is not None and dropped.any():
+        rows[2][i[dropped]] = np.inf
+    k = (res < rows[2][i]).nonzero()[0]
+    _put(rows, i[k], s.take(k, 1), res[k])
+
+
+# The finish of one ghost-scan seed on python floats (`_newton`'s finish):
+# at most n_ iterations from (x_, y_), whose last residual is res_, of the
+# loop of tests/oracles.scalar_scan, with the step written in once for the
+# point and once for its four Jacobian probes.  A step that raises one of
+# _DROPS gives nan, which ends the seed with residual inf, as do a residual
+# that is not finite, a singular Jacobian and an escape; a probe's drop
+# does so once the other probes are called, as seed by seed.  It returns
+# the row (x, y, residual).  Its own names end in "_", which no step text
+# uses.
+_FINISH = """\
+def form(tol_, escape_, e, components{bound}):
+    def finish(x_, y_, res_, n_):
+        for _ in range(n_):
+            try:
+                x, y = x_, y_
+                {step}
+            except _DROPS:
+                x = y = nan
+            rx_, ry_ = x - x_, y - y_
+            if not (isfinite(rx_) and isfinite(ry_)):
+                return x_, y_, inf
+            res_ = max(abs(rx_), abs(ry_))
+            if res_ < tol_:
+                break
+            dx_, dy_ = 1e-6 * max(1.0, abs(x_)), 1e-6 * max(1.0, abs(y_))
+            at_ = []
+            for x, y in ((x_ + dx_, y_), (x_ - dx_, y_), (x_, y_ + dy_), (x_, y_ - dy_)):
+                try:
+                    {step}
+                except _DROPS:
+                    x = y = nan
+                at_ += x, y
+            px1_, py1_, px0_, py0_, qx1_, qy1_, qx0_, qy0_ = at_
+            j11_, j21_ = (px1_ - px0_) / (2.0 * dx_) - 1.0, (py1_ - py0_) / (2.0 * dx_)
+            j12_, j22_ = (qx1_ - qx0_) / (2.0 * dy_), (qy1_ - qy0_) / (2.0 * dy_) - 1.0
+            det_ = j11_ * j22_ - j12_ * j21_
+            if not isfinite(det_) or abs(det_) < 1e-14:
+                return x_, y_, inf
+            x_, y_ = x_ + (-rx_ * j22_ + ry_ * j12_) / det_, y_ + (-j11_ * ry_ + j21_ * rx_) / det_
+            if not (abs(x_) <= escape_ and abs(y_) <= escape_):
+                return x_, y_, inf
+        return x_, y_, res_
+    return finish
+"""
 
 
 # systems imports this module: the class whose components the fields make

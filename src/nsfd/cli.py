@@ -24,6 +24,14 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _json_text(payload) -> str:
+    """payload as strict JSON, indented: a float that is not finite is
+    written as the string "Infinity", "-Infinity" or "NaN", which every
+    parser reads, and every finite value as json.dumps writes it (its repr,
+    which reads back as the same float)."""
+    return json.dumps(json.loads(json.dumps(payload), parse_constant=str), indent=2, allow_nan=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsfd",
@@ -182,7 +190,7 @@ def _dispatch(parser, args) -> int:
             "degenerate_families": list(eqs.degenerate),
             "equilibria": [stability_report(system, p, hs, weight) for p in eqs],
         }
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
         print(text)
         if args.out:
             out = Path(args.out)
@@ -244,7 +252,7 @@ def _dispatch(parser, args) -> int:
             ],
             "ghost_count": len(report.ghosts),
         }
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
         print(text)
         if args.out:
             out = Path(args.out)

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels import _Evaluator, _finite, _NotReal, _raising, _Step
+from ._kernels import _Evaluator, _newton, _NotReal, _raising, _Step
 from .integrators import NSFD, StepWeight, effective_step, ensfd
 from .systems import (AXIS_ZERO_TOL, SplitSystem, State, _fd_x, _fd_y, _partials_on,
                       _point_values, _real_value)
@@ -284,97 +284,53 @@ x, y = (rx, ry), (j11, j12, j21, j22)
 
 def _balance_newton(system: SplitSystem, xs, ys, escape, calls=None):
     """Newton search for coexistence points from every seed (x, y) of the
-    grid xs x ys at once: the best iterate of every seed whose best
-    residual is below BALANCE_TOL.
+    grid xs x ys at once, by `_kernels._newton` with its best rule: the
+    best iterate of every seed whose best residual is below BALANCE_TOL.
 
     Iterates past the acceptance tolerance down to the floating-point fixed
     point (tracking the best iterate) so returned points zero the vector
     field to machine precision, not merely to the bracketing tolerance.
-    idx holds the seeds still iterating, ax and ay their iterates, and all
-    share one iteration counter.  calls, the search's _Evaluator (a new
-    one if None), makes every call.
+    calls, the search's _Evaluator (a new one if None), makes every call.
 
     Where the four fields and the eight analytic partials all pass the
-    array rule, an iteration at finite seeds makes one guarded call of
-    `_NEWTON`, compiled with all twelve written in: the balances and the
-    Jacobian at every seed, those of a seed that retires on its residual
-    computed and ignored, and one compaction retires the seeds that stop.
-    Everywhere else, and in an iteration where that call trips a numpy
-    flag (a pole), an iteration makes the two calls of the seed-by-seed
-    loop: the balances (`_BALANCES`, through `_Evaluator.map`), then the
-    partials (`_partials_on`, analytic or finite differences) only at the
-    seeds that go on.  Each also returns a mask of the seeds it drops,
-    where a scalar call raises or gives a value that is not a real number
-    (a fractional power of a negative coordinate): a dropped seed loses
-    its best iterate, its best residual set to inf, a balances drop before
-    the best iterate is updated and a partials drop after.  Both kinds of
-    iteration run the same operations in the same order, and give the
-    same bits.
+    array rule, an iteration makes one guarded call of `_NEWTON`, compiled
+    with all twelve written in: the balances and the Jacobian at every
+    seed, those of a seed that retires on its residual computed and
+    ignored.  Everywhere else, and in an iteration where that call trips a
+    numpy flag (a pole), an iteration makes the two calls of the
+    seed-by-seed loop: the balances (`_BALANCES`, through `_Evaluator.map`),
+    then the partials (`_partials_on`, analytic or finite differences) only
+    at the seeds that go on.  Each also returns a mask of the seeds it
+    drops, where a scalar call raises or gives a value that is not a real
+    number (a fractional power of a negative coordinate): a dropped seed
+    loses its best iterate.  Both kinds of iteration run the same
+    operations in the same order, and give the same bits.
     """
     calls = _Evaluator(system) if calls is None else calls
-    residual = calls.map(_BALANCES, None)
-    jacobian = partial(_partials_on, system, calls)
-    terms = (calls.step(_NEWTON, None) if calls.whole and calls.partials
-             and calls.plain(calls.partials) else None)
+    checked = calls.map(_BALANCES, None)
+    newton = (calls.step(_NEWTON, None) if calls.whole and calls.partials
+              and calls.plain(calls.partials) else None)
 
-    n = xs.size * ys.size
-    ax = np.repeat(xs, ys.size)
-    ay = np.tile(ys, xs.size)
-    best_res = np.full(n, np.inf)
-    best_x = np.zeros(n)
-    best_y = np.zeros(n)
-    idx = np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(60):
-            if idx.size == 0:
-                break
-            out = _raising(terms, ax, ay) if terms is not None and _finite(ax, ay) else None
-            if out is not None:
-                (rx, ry), jac = out
-                # a balance of two constant fields is a python number, as in
-                # map; an entry of two int constant partials an int, which
-                # rounds to float as the difference of their floats does
-                rx, ry = (r if type(r) is np.ndarray else np.full(ax.shape, r) for r in (rx, ry))
-                jac = [float(j) if type(j) is int else j for j in jac]
-            else:
-                (rx, ry), dropped = residual(ax, ay)
-                best_res[idx[dropped]] = np.inf
-            res = np.maximum(np.abs(rx), np.abs(ry))  # nan where dropped
-            better = res < best_res[idx]
-            best_res[idx[better]] = res[better]
-            best_x[idx[better]] = ax[better]
-            best_y[idx[better]] = ay[better]
-            go = np.isfinite(res) & (res >= 1e-15)
-            if out is None:  # the partials only at the seeds that go on
-                idx, ax, ay, rx, ry = idx[go], ax[go], ay[go], rx[go], ry[go]
-                p, dropped = jacobian(ax, ay)
-                best_res[idx[dropped]] = np.inf
-                go = ~dropped
-                jac = p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy
-            j11, j12, j21, j22 = jac
-            det = j11 * j22 - j12 * j21
-            go &= np.isfinite(det) & (np.abs(det) >= 1e-14)
-            ddx = (-rx * j22 + ry * j12) / det
-            ddy = (-j11 * ry + j21 * rx) / det
-            nx = ax + ddx
-            ny = ay + ddy
-            go &= (np.isfinite(nx) & np.isfinite(ny)
-                   & (np.abs(nx) <= escape) & (np.abs(ny) <= escape))
-            tiny = go & (np.maximum(np.abs(ddx), np.abs(ddy))
-                         <= 1e-15 * np.maximum(np.maximum(1.0, np.abs(nx)), np.abs(ny)))
-            if tiny.any():  # retire on the step: one last residual
-                last, lx, ly = idx[tiny], nx[tiny], ny[tiny]
-                go &= ~tiny
-                (rx, ry), dropped = residual(lx, ly)
-                best_res[last[dropped]] = np.inf
-                res = np.maximum(np.abs(rx), np.abs(ry))
-                better = res < best_res[last]
-                best_res[last[better]] = res[better]
-                best_x[last[better]] = lx[better]
-                best_y[last[better]] = ly[better]
-            idx, ax, ay = idx[go], nx[go], ny[go]
-    keep = best_res < BALANCE_TOL
-    return list(zip(best_x[keep].tolist(), best_y[keep].tolist()))
+    def terms(s):
+        out = None if newton is None else _raising(newton, *s)
+        if out is None:
+            (rx, ry), dropped = checked(*s)
+            return rx, ry, dropped, None
+        (rx, ry), jac = out
+        # a balance of two constant fields is a python number, as in map; an
+        # entry of two int constant partials an int, which rounds to float as
+        # the difference of their floats does
+        rx, ry = (r if type(r) is np.ndarray else np.full(s.shape[1], r) for r in (rx, ry))
+        return rx, ry, None, [float(j) if type(j) is int else j for j in jac]
+
+    def partials(s):
+        p, dropped = _partials_on(system, calls, *s)
+        return (p.fpx - p.fmx, p.fpy - p.fmy, p.gpx - p.gmx, p.gpy - p.gmy), dropped
+
+    seeds = np.array([np.repeat(xs, ys.size), np.tile(ys, xs.size)], dtype=np.float64)
+    x, y, r = _newton(terms, partials, seeds, 1e-15, 60, escape, best=True).T
+    keep = r < BALANCE_TOL
+    return list(zip(x[keep].tolist(), y[keep].tolist()))
 
 
 def _resolve_box(system: SplitSystem, box: "tuple[float, float] | None") -> "tuple[float, float]":
@@ -560,10 +516,12 @@ def nsfd_map_jacobian(system: SplitSystem, state: State, h: float,
         u = 1.0 / e
         rf, wf = (u + fp) / (u + fm), 1.0 / (u + fm)
         rg, wg = (u + gp) / (u + gm), 1.0 / (u + gm)
-        j11 = rf + x * wf * (p.fpx - rf * p.fmx)
-        j12 = x * wf * (p.fpy - rf * p.fmy)
-        j21 = y * wg * (p.gpx - rg * p.gmx)
-        j22 = rg + y * wg * (p.gpy - rg * p.gmy)
+        # on an axis a bracket may overflow to inf, and 0 * inf is nan: the
+        # terms of that coordinate are 0 there
+        j11 = rf + x * wf * (p.fpx - rf * p.fmx) if x else rf
+        j12 = x * wf * (p.fpy - rf * p.fmy) if x else 0.0
+        j21 = y * wg * (p.gpx - rg * p.gmx) if y else 0.0
+        j22 = rg + y * wg * (p.gpy - rg * p.gmy) if y else rg
     return np.array([[j11, j12], [j21, j22]])
 
 

@@ -3,7 +3,8 @@ stepping loop, the built-in family's step written out by hand, and a
 fixed-refinement convergence study.
 
 The package runs both searches over all seeds at once on numpy arrays
-(`nsfd._kernels._scan_batched`, `nsfd.equilibria._balance_newton`).  These
+(`nsfd._kernels._newton`, run by `scan_fixed_points` and
+`nsfd.equilibria._balance_newton`).  These
 plain loops, one seed at a time on python floats, are the references the
 tests hold those drivers to, byte for byte.  `step_loop` checks every
 state of an orbit the plain way, complex values included, over the raw

@@ -95,6 +95,13 @@ def test_equilibria_at_huge_steps_is_strict_json(capsys):
     (coex,) = [e for e in payload["equilibria"] if e["family"] == "E3"]
     assert coex["critical_step"]["bound"] == "unbounded"
     assert [d["verdict"] for d in coex["discrete"]] == ["asymptotically_stable"] * 4
+    # 1 + e f+ overflows at the origin: its multiplier is the string "Infinity"
+    code, out, _ = run_cli(capsys, "equilibria", "--model", "rma:0.5,2,1.5,0.4",
+                           "--h", "1.7e308")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    (origin,) = [e for e in payload["equilibria"] if e["family"] == "O"]
+    assert origin["discrete"][0]["gamma1"]["re"] == "Infinity"
 
 
 def test_equilibria_can_also_write_a_file(tmp_path, capsys):

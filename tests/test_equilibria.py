@@ -364,6 +364,15 @@ def test_map_jacobian_matches_finite_differences():
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("make", [model1, model2], ids=["model1", "model2"])
+def test_the_map_jacobian_at_the_origin_has_no_nan_at_huge_steps(make):
+    # e * f+ overflows at h = 1.7e308, and the overflow form's j12 term
+    # x * (f+y - r * f-y) / (1/e + f-) is 0 * -inf there: the exact entry is 0
+    jac = nsfd_map_jacobian(make(), State(0.0, 0.0), 1.7e308)
+    assert not np.isnan(jac).any()
+    assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
+
+
 def test_map_jacobian_consistent_with_flow_linearisation():
     # (J(h) - I)/h converges to the vector-field Jacobian
     m1 = model1()

@@ -181,7 +181,8 @@ def test_batched_scan_rows_are_the_generic_rows(a, b, c, d, scheme, h, gx, gy):
     map_fn = make(system.components, e)
     args = (NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_ESCAPE)
     oracle = scalar_scan(map_fn, sx, sy, *args).tobytes()
-    assert _kernels._scan_batched(map_fn, sx, sy, *args).tobytes() == oracle
+    apart = per_element_clone(system)
+    assert scan_fixed_points_generic(apart, make, e, sx, sy, *args).tobytes() == oracle
     assert scan_fixed_points_generic(system, make, e, sx, sy, *args).tobytes() == oracle
 
 
@@ -281,21 +282,26 @@ def test_the_last_seeds_on_python_floats_give_the_oracle_rows(kind, a, b, c, d, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
         assert scan_fixed_points_generic(system, make, e, sx, sy, *args).tobytes() == oracle
-        if kind == "family":
-            for apart in (False, True):
-                rows = _kernels._scan_batched(step, sx, sy, *args, probes_apart=apart)
-                assert rows.tobytes() == oracle
+        if kind == "family":  # the probes apart, by calls per element
+            rows = scan_fixed_points_generic(per_element_clone(system), make, e, sx, sy, *args)
+            assert rows.tobytes() == oracle
 
 
-# maps on python floats and numpy arrays alike: one whose Jacobian is
-# singular, in exact arithmetic wherever x +- dx rounds exactly (at x = 0,
-# say), a triple root that Newton nears by 2/3 an iteration (so it runs
-# into max_iter), and a fixed point at (20, 0), beyond an escape bound of 5
+# maps (x, y) -> (x', y') as the two fields of a step text: one whose
+# Jacobian is singular, in exact arithmetic wherever x +- dx rounds exactly
+# (at x = 0, say), a triple root that Newton nears by 2/3 an iteration (so
+# it runs into max_iter), and a fixed point at (20, 0), beyond an escape
+# bound of 5
 _HAND_MAPS = {
-    "singular": lambda x, y: (x, 0.5 + 0.0 * y),
-    "triple": lambda x, y: (x - x * x * x, 0.5 * y),
-    "far": lambda x, y: (0.5 * x + 10.0, 0.5 * y),
+    "singular": (lambda x, y: x, lambda x, y: 0.5 + 0.0 * y),
+    "triple": (lambda x, y: x - x * x * x, lambda x, y: 0.5 * y),
+    "far": (lambda x, y: 0.5 * x + 10.0, lambda x, y: 0.5 * y),
 }
+# the map (f+, g+) of a system, as a scheme's step
+_HAND_STEP = _kernels._Step("""\
+fp, fm, gp, gm = components(x, y)
+x, y = fp, gp
+""")
 
 
 @given(name=st.sampled_from(sorted(_HAND_MAPS)),
@@ -312,13 +318,49 @@ _HAND_MAPS = {
 @equality_settings(60)
 def test_the_scalar_phase_retires_seeds_where_the_oracle_does(name, gx, gy, max_iter, escape,
                                                                threshold, apart):
-    fn = _HAND_MAPS[name]
+    # the compiled finish stops where the oracle does, on arrays with the
+    # probes in one call or apart
+    fx, fy = _HAND_MAPS[name]
+    fields = [fx, lambda x, y: 0.0, fy, lambda x, y: 0.0]
+    system = _unchecked_system([per_element(f) for f in fields] if apart else fields)
     sx, sy = [g.ravel() for g in np.meshgrid(np.array(gx), np.array(gy), indexing="ij")]
     args = (NEWTON_TOL, max_iter, escape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCALAR_SEEDS", threshold)
-        rows = _kernels._scan_batched(fn, sx, sy, *args, probes_apart=apart)
-    assert rows.tobytes() == scalar_scan(fn, sx, sy, *args).tobytes()
+        rows = scan_fixed_points_generic(system, _HAND_STEP, None, sx, sy, *args)
+    oracle = scalar_scan(lambda x, y: (fx(x, y), fy(x, y)), sx, sy, *args)
+    assert rows.tobytes() == oracle.tobytes()
+
+
+@given(kind=st.sampled_from(["raise", "override"]), a=st.floats(0.2, 4.0),
+       b=st.floats(0.2, 3.0), c=st.floats(0.2, 3.0), d=st.floats(0.02, 0.95),
+       scheme=st.sampled_from(SCHEMES), h=st.floats(0.01, 8.0),
+       gx=st.lists(st.floats(-2.0, 12.0), min_size=1, max_size=4),
+       gy=st.lists(st.floats(-2.0, 12.0), min_size=1, max_size=3), analytic=st.booleans())
+@example(kind="raise", a=2.0, b=1.0, c=0.5, d=0.3, scheme=RK2, h=0.5, gx=[1.0], gy=[0.5, 2.0],
+         analytic=True).via("a seed on x = 0, whose probe x - dx drops")
+@equality_settings(60)
+def test_the_compiled_finish_and_the_search_are_their_oracles(kind, a, b, c, d, scheme, h, gx,
+                                                              gy, analytic):
+    # every seed of the scan in the compiled finish, for a math.sqrt loss,
+    # which the array rule refuses, and for an override of components,
+    # with seeds on x = 0, whose probe x - dx drops the math.sqrt loss, and
+    # seeds whose point drops; then the balance search of the same system,
+    # with the family's analytic partials or with none
+    system = _dropping_system(kind, a, b, c, d)
+    sx, sy = [g.ravel() for g in np.meshgrid(np.array(gx + [0.0]), np.array(gy), indexing="ij")]
+    make, e = _scheme_core(scheme, h)
+    oracle = scalar_scan(make(system.components, e), sx, sy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCALAR_SEEDS", _ALL_SCALAR)
+        assert scan_fixed_points_generic(system, make, e, sx, sy).tobytes() == oracle.tobytes()
+    if analytic:
+        partials = make_rosenzweig_macarthur(a, b, c, d).partials
+        with mock.patch.object(systems, "_check_partials_consistency", lambda *args: None):
+            system = dataclasses.replace(system, partials=partials)
+    xs, ys = np.array(gx), np.array(gy)
+    found = nsfd.equilibria._balance_newton(system, xs, ys, 80.0)
+    assert _hex(found) == _hex(scalar_balance_newton(system, xs, ys, 80.0))
 
 
 @pytest.mark.parametrize("scheme", [NSFD, RK2], ids=["nsfd", "rk2"])
@@ -327,13 +369,16 @@ def test_the_last_seeds_finish_on_python_floats(monkeypatch, scheme):
     # _SCALAR_SEEDS seeds go on; each of those finishes on python floats,
     # not numpy scalars, with the iterations left, in the oracle's rows
     calls = []
-    original = _kernels._newton_seed
+    original = _kernels._newton
 
-    def recording(point, x, y, res, tol, n, escape):
-        calls.append((type(x), type(y), type(res), n))
-        return original(point, x, y, res, tol, n, escape)
+    def recording(*args, finish, **kwargs):
+        def finishing(x, y, res, n):
+            calls.append((type(x), type(y), type(res), n))
+            return finish(x, y, res, n)
 
-    monkeypatch.setattr(_kernels, "_newton_seed", recording)
+        return original(*args, finish=finishing, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_newton", recording)
     system = model2()
     sx, sy = _ghost_seeds(system, scheme, 12)
     make, e = _scheme_core(scheme, 2.0 if scheme is NSFD else 0.3)
